@@ -8,13 +8,13 @@ log; NMI divides mutual information by a mean of the marginal entropies
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
 
 from . import kernels
-from .data import CATEGORICAL, ColumnSchema
+from .data import CATEGORICAL
 from .errors import InsufficientDataError, ValidationError
 
 NORMALIZATIONS = ("arithmetic", "geometric", "min", "max")

@@ -287,8 +287,9 @@ def load_csv(path, schema, *, delimiter=",", header=True, strict=False, skip_pre
     """Load a CSV file against a schema.
 
     Cells are whitespace-trimmed before interpretation. A cell equal to the
-    column's missing token is missing. Unknown categorical values (and
-    unparseable numerics) become missing and are recorded in the load report,
+    column's missing token is missing. Unknown categorical values, and
+    numeric cells that do not parse to a finite number (``nan``, ``inf``,
+    ``-inf`` included), become missing and are recorded in the load report,
     unless ``strict``, which raises. ``header=True`` requires the first row to
     name exactly the schema's columns (any order); ``header=False`` takes
     cells in schema order. Lines starting with one of ``skip_prefixes`` are
@@ -343,15 +344,18 @@ def load_csv(path, schema, *, delimiter=",", header=True, strict=False, skip_pre
                         store[col.name].append(np.nan)
                     else:
                         try:
-                            store[col.name].append(float(raw))
+                            value = float(raw)
                         except ValueError:
+                            value = math.nan
+                        if not math.isfinite(value):
                             if strict:
                                 raise ValidationError(
                                     f"row {row_index}: bad numeric {raw!r} for {col.name!r}"
-                                ) from None
+                                )
                             report.record_unknown(row_index, col.name, raw)
                             report.missing_by_column[col.name] += 1
-                            store[col.name].append(np.nan)
+                            value = math.nan
+                        store[col.name].append(value)
             row_index += 1
 
     report.n_rows = row_index

@@ -1,40 +1,19 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Hot numeric kernels, in plain numpy.
 
-Backend selection: environment variable ``PROXYAUDIT_BACKEND`` set to
-``numba``, ``numpy``, or ``auto`` (default). ``auto`` uses numba when it
-imports cleanly. Both implementations are kept importable side by side so
-tests and benchmarks can compare them; see benchmarks/bench_kernels.py.
+``joint_counts`` builds the contingency tables behind the association scan;
+``best_split`` is the Gini split scan of the CART learner behind predictive
+capacity. Callers look both up as module attributes at call time, so they
+can be wrapped (for tracing) without touching the callers.
 
-The two backends are written to produce bit-identical results: score
-accumulation happens in the same order (sequential over class labels) so
-tie-breaking in the tree split scan cannot diverge between them.
+``best_split`` fixes the order in which it accumulates scores: the float bits
+of a score decide its tie-breaks, and the tie-breaks decide the trees and so
+the bytes of the audit report.
 """
-
-import os
 
 import numpy as np
 
-try:
-    from numba import njit
 
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via PROXYAUDIT_BACKEND=numpy
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-# ---------------------------------------------------------------------------
-# joint category counts (contingency tables)
-# ---------------------------------------------------------------------------
-
-def joint_counts_np(a_codes, b_codes, ka, kb):
+def joint_counts(a_codes, b_codes, ka, kb):
     """Count co-occurrences of category codes; codes < 0 mean missing.
 
     Returns (counts[ka, kb] int64, n_effective) over pairwise-complete rows.
@@ -46,65 +25,15 @@ def joint_counts_np(a_codes, b_codes, ka, kb):
     return flat.reshape(ka, kb), int(a.shape[0])
 
 
-@njit(cache=True)
-def _joint_counts_nb(a_codes, b_codes, ka, kb):  # pragma: no cover - jit
-    counts = np.zeros((ka, kb), dtype=np.int64)
-    n_eff = 0
-    for i in range(a_codes.shape[0]):
-        a = a_codes[i]
-        b = b_codes[i]
-        if a >= 0 and b >= 0:
-            counts[a, b] += 1
-            n_eff += 1
-    return counts, n_eff
+def best_split(X, y, n_classes, min_leaf):
+    """Best Gini split of ``X`` for labels ``y`` in ``0..n_classes-1``.
 
-
-def joint_counts_nb(a_codes, b_codes, ka, kb):
-    counts, n_eff = _joint_counts_nb(
-        np.ascontiguousarray(a_codes, dtype=np.int64),
-        np.ascontiguousarray(b_codes, dtype=np.int64),
-        ka,
-        kb,
-    )
-    return counts, int(n_eff)
-
-
-# ---------------------------------------------------------------------------
-# fused conjunction counts (beam-search quality evaluation)
-# ---------------------------------------------------------------------------
-
-def conj3_counts_np(parent, cond, target):
-    """Count rows in parent∧cond and in parent∧cond∧target."""
-    m = parent & cond
-    return int(np.count_nonzero(m)), int(np.count_nonzero(m & target))
-
-
-@njit(cache=True)
-def _conj3_counts_nb(parent, cond, target):  # pragma: no cover - jit
-    n_match = 0
-    n_hit = 0
-    for i in range(parent.shape[0]):
-        if parent[i] and cond[i]:
-            n_match += 1
-            if target[i]:
-                n_hit += 1
-    return n_match, n_hit
-
-
-def conj3_counts_nb(parent, cond, target):
-    n_match, n_hit = _conj3_counts_nb(parent, cond, target)
-    return int(n_match), int(n_hit)
-
-
-# ---------------------------------------------------------------------------
-# CART split scan (Gini)
-# ---------------------------------------------------------------------------
-# Score maximized is sum_l c_l^2/n_l + sum_r c_r^2/n_r, which orders splits
-# identically to Gini impurity decrease for a fixed node. Ties broken by
-# lower feature index, then lower threshold. Returns (feat, threshold, score);
-# feat = -1 when no admissible split exists.
-
-def best_split_np(X, y, n_classes, min_leaf):
+    The score maximized is sum_l c_l^2/n_l + sum_r c_r^2/n_r, which orders
+    splits identically to Gini impurity decrease for a fixed node. A split is
+    admissible when both sides keep at least ``min_leaf`` rows. Ties go to the
+    lower feature index, then the lower threshold. Returns
+    (feat, threshold, score); feat = -1 when no admissible split exists.
+    """
     n = X.shape[0]
     best_feat = -1
     best_thr = 0.0
@@ -114,112 +43,35 @@ def best_split_np(X, y, n_classes, min_leaf):
         order = np.argsort(xj, kind="stable")
         xs = xj[order]
         ys = y[order]
-        # candidate split positions: boundaries between distinct values
-        boundary = np.nonzero(xs[1:] != xs[:-1])[0] + 1
-        if boundary.size == 0:
+        # rows on the left side of each boundary between distinct values
+        pos = np.nonzero(xs[1:] != xs[:-1])[0] + 1
+        pos = pos[(pos >= min_leaf) & ((n - pos) >= min_leaf)]
+        if pos.size == 0:
             continue
         onehot = np.zeros((n, n_classes), dtype=np.int64)
         onehot[np.arange(n), ys] = 1
         cum = np.cumsum(onehot, axis=0)
         total = cum[-1]
-        pos = boundary  # rows on the left side
         nl = pos.astype(np.float64)
         nr = (n - pos).astype(np.float64)
         score_l = np.zeros(pos.shape[0])
         score_r = np.zeros(pos.shape[0])
-        for c in range(n_classes):  # sequential over classes: matches numba order
+        # one class at a time: this order fixes the float bits of each score,
+        # which decide tie-breaks and with them the report bytes
+        for c in range(n_classes):
             cl = cum[pos - 1, c].astype(np.float64)
             cr = total[c] - cl
             score_l += cl * cl / nl
             score_r += cr * cr / nr
         score = score_l + score_r
-        admissible = (pos >= min_leaf) & ((n - pos) >= min_leaf)
-        for idx in np.nonzero(admissible)[0]:
-            s = score[idx]
-            if s > best_score:
-                best_score = s
-                best_feat = j
-                best_thr = (xs[pos[idx] - 1] + xs[pos[idx]]) / 2.0
+        idx = int(np.argmax(score))  # first maximum: the lowest threshold
+        if score[idx] > best_score:  # strict: the lower feature keeps a tie
+            best_score = score[idx]
+            best_feat = j
+            best_thr = (xs[pos[idx] - 1] + xs[pos[idx]]) / 2.0
     return best_feat, best_thr, best_score
-
-
-@njit(cache=True)
-def _best_split_nb(X, y, n_classes, min_leaf):  # pragma: no cover - jit
-    n = X.shape[0]
-    best_feat = -1
-    best_thr = 0.0
-    best_score = -np.inf
-    left = np.zeros(n_classes, dtype=np.int64)
-    total = np.zeros(n_classes, dtype=np.int64)
-    for c in range(n_classes):
-        total[c] = 0
-    for i in range(n):
-        total[y[i]] += 1
-    for j in range(X.shape[1]):
-        order = np.argsort(X[:, j], kind="mergesort")
-        for c in range(n_classes):
-            left[c] = 0
-        for p in range(1, n):
-            prev = order[p - 1]
-            left[y[prev]] += 1
-            if X[prev, j] == X[order[p], j]:
-                continue
-            if p < min_leaf or (n - p) < min_leaf:
-                continue
-            nl = float(p)
-            nr = float(n - p)
-            score_l = 0.0
-            score_r = 0.0
-            for c in range(n_classes):
-                cl = float(left[c])
-                cr = float(total[c] - left[c])
-                score_l += cl * cl / nl
-                score_r += cr * cr / nr
-            s = score_l + score_r
-            if s > best_score:
-                best_score = s
-                best_feat = j
-                best_thr = (X[prev, j] + X[order[p], j]) / 2.0
-    return best_feat, best_thr, best_score
-
-
-def best_split_nb(X, y, n_classes, min_leaf):
-    feat, thr, score = _best_split_nb(
-        np.ascontiguousarray(X, dtype=np.float64),
-        np.ascontiguousarray(y, dtype=np.int64),
-        n_classes,
-        min_leaf,
-    )
-    return int(feat), float(thr), float(score)
-
-
-# ---------------------------------------------------------------------------
-# backend dispatch
-# ---------------------------------------------------------------------------
-
-def _resolve_backend():
-    choice = os.environ.get("PROXYAUDIT_BACKEND", "auto").lower()
-    if choice not in ("auto", "numba", "numpy"):
-        raise ValueError(f"PROXYAUDIT_BACKEND must be auto|numba|numpy, got {choice!r}")
-    if choice == "numba" and not HAS_NUMBA:
-        raise ImportError("PROXYAUDIT_BACKEND=numba but numba is not importable")
-    if choice == "auto":
-        return "numba" if HAS_NUMBA else "numpy"
-    return choice
-
-
-BACKEND = _resolve_backend()
-
-if BACKEND == "numba":
-    joint_counts = joint_counts_nb
-    conj3_counts = conj3_counts_nb
-    best_split = best_split_nb
-else:
-    joint_counts = joint_counts_np
-    conj3_counts = conj3_counts_np
-    best_split = best_split_np
 
 
 def active_backend():
-    """Name of the kernel backend selected at import time."""
-    return BACKEND
+    """Name of the kernel implementation (recorded in run provenance)."""
+    return "numpy"

@@ -121,3 +121,47 @@ def linear_score(coefficients, intercept, feature_order, row):
         else:
             total += w * float(row[name])
     return total
+
+
+def joint_counts(a_codes, b_codes, ka, kb):
+    """Joint category counts over pairwise-complete rows, by loop.
+
+    Codes < 0 are missing. Returns (counts as list of lists, n_effective).
+    """
+    counts = [[0] * kb for _ in range(ka)]
+    n_eff = 0
+    for a, b in zip(a_codes, b_codes):
+        if a >= 0 and b >= 0:
+            counts[a][b] += 1
+            n_eff += 1
+    return counts, n_eff
+
+
+def best_split(X, y, n_classes, min_leaf):
+    """Exhaustive Gini split scan with the documented tie-break order.
+
+    Scores every boundary between distinct sorted values of every feature as
+    sum_l c_l^2/n_l + sum_r c_r^2/n_r, each sum taken class by class in label
+    order, so the scores are bit-exact. The first strict maximum wins, so ties
+    go to the lower feature, then the lower threshold.
+    """
+
+    def side_score(side):
+        total = 0.0
+        for c in range(n_classes):
+            cnt = float(sum(1 for _, label in side if label == c))
+            total += cnt * cnt / len(side)
+        return total
+
+    n = len(y)
+    best = (-1, 0.0, -math.inf)
+    for j in range(len(X[0])):
+        pairs = sorted((float(X[i][j]), int(y[i])) for i in range(n))
+        for p in range(1, n):
+            lo, hi = pairs[p - 1][0], pairs[p][0]
+            if lo == hi or p < min_leaf or n - p < min_leaf:
+                continue
+            score = side_score(pairs[:p]) + side_score(pairs[p:])
+            if score > best[2]:
+                best = (j, (lo + hi) / 2.0, score)
+    return best

@@ -101,6 +101,20 @@ class TestLoadCsv:
         with pytest.raises(ValidationError):
             load_csv(p, SCHEMA, strict=True)
 
+    def test_non_finite_numerics_become_missing_and_recorded(self, tmp_path):
+        schema = [ColumnSchema("x", NUMERIC)]
+        p = write(tmp_path, "x\n1\nnan\ninf\n-inf\n?\n")
+        d = load_csv(p, schema)
+        assert d.is_missing("x").tolist() == [False, True, True, True, True]
+        assert d.load_report.missing_by_column == {"x": 4}
+        assert d.load_report.unknown_values == [(1, "x", "nan"), (2, "x", "inf"), (3, "x", "-inf")]
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_strict_mode_non_finite_numeric_errors(self, tmp_path, cell):
+        p = write(tmp_path, f"color,size\nred,{cell}\n")
+        with pytest.raises(ValidationError):
+            load_csv(p, SCHEMA, strict=True)
+
     def test_skip_prefixes(self, tmp_path):
         p = write(tmp_path, "|comment line\nred,1\n", name="raw.csv")
         d = load_csv(p, SCHEMA, header=False, skip_prefixes=("|",))

@@ -1,59 +1,28 @@
-"""Differential tests: the numba kernels and the pure-numpy fallbacks must
-agree bit-for-bit, and the split scan must match a brute-force oracle."""
+"""Oracle tests: the numpy kernels must equal the loop references in
+``oracles`` exactly, tie-breaks included."""
 
 import numpy as np
 import pytest
 
+import oracles
 from proxyaudit import kernels
-
-
-def brute_best_split(X, y, n_classes, min_leaf):
-    """Exhaustive split scan replicating the documented tie-break order."""
-    n = X.shape[0]
-    best = (-1, 0.0, -np.inf)
-    for j in range(X.shape[1]):
-        order = np.argsort(X[:, j], kind="stable")
-        xs = X[order, j]
-        ys = y[order]
-        for p in range(1, n):
-            if xs[p - 1] == xs[p]:
-                continue
-            if p < min_leaf or n - p < min_leaf:
-                continue
-            score = 0.0
-            for side, labels in ((p, ys[:p]), (n - p, ys[p:])):
-                for c in range(n_classes):
-                    cnt = float(np.count_nonzero(labels == c))
-                    score += cnt * cnt / side
-            if score > best[2]:
-                best = (j, (xs[p - 1] + xs[p]) / 2.0, score)
-    return best
+from proxyaudit.association import contingency
+from proxyaudit.capacity import LearnerSpec, predictive_capacity
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_joint_counts_backends_agree(seed):
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, 500))
+    n = int(rng.integers(2, 500))
     ka, kb = int(rng.integers(1, 6)), int(rng.integers(1, 6))
     a = rng.integers(-1, ka, n)
     b = rng.integers(-1, kb, n)
-    c_np, n_np = kernels.joint_counts_np(a, b, ka, kb)
-    c_nb, n_nb = kernels.joint_counts_nb(a, b, ka, kb)
-    assert n_np == n_nb
-    assert np.array_equal(c_np, c_nb)
-    assert c_np.sum() == n_np
-
-
-@pytest.mark.parametrize("seed", range(8))
-def test_conj3_counts_backends_agree(seed):
-    rng = np.random.default_rng(100 + seed)
-    n = int(rng.integers(1, 1000))
-    parent = rng.random(n) < 0.7
-    cond = rng.random(n) < 0.5
-    target = rng.random(n) < 0.4
-    assert kernels.conj3_counts_np(parent, cond, target) == kernels.conj3_counts_nb(
-        parent, cond, target
-    )
+    a[0] = b[-1] = -1  # every draw has missing codes on both sides
+    counts, n_eff = kernels.joint_counts(a, b, ka, kb)
+    want, want_n = oracles.joint_counts(a.tolist(), b.tolist(), ka, kb)
+    assert counts.dtype == np.int64
+    assert counts.tolist() == want
+    assert n_eff == want_n
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -62,18 +31,15 @@ def test_best_split_backends_and_oracle_agree(seed):
     n = int(rng.integers(4, 120))
     f = int(rng.integers(1, 4))
     k = int(rng.integers(2, 4))
-    # duplicate-heavy values exercise the distinct-boundary logic
-    X = rng.integers(0, 6, (n, f)).astype(np.float64)
+    if seed % 2:
+        X = rng.normal(size=(n, f))
+    else:
+        # duplicate-heavy values exercise the distinct-boundary logic and ties
+        X = rng.integers(0, 6, (n, f)).astype(np.float64)
     y = rng.integers(0, k, n)
     min_leaf = int(rng.integers(1, 4))
-    got_np = kernels.best_split_np(X, y, k, min_leaf)
-    got_nb = kernels.best_split_nb(X, y, k, min_leaf)
-    assert got_np == got_nb  # bit-identical including tie-breaks
-    want = brute_best_split(X, y, k, min_leaf)
-    assert got_np[0] == want[0]
-    if want[0] >= 0:
-        assert got_np[1] == want[1]
-        assert got_np[2] == pytest.approx(want[2], rel=1e-12)
+    got = kernels.best_split(X, y, k, min_leaf)
+    assert got == oracles.best_split(X, y, k, min_leaf)
 
 
 def test_best_split_no_admissible_split():
@@ -91,4 +57,32 @@ def test_zero_gain_split_still_found():
 
 
 def test_active_backend_reports_selection():
-    assert kernels.active_backend() in ("numba", "numpy")
+    assert kernels.active_backend() == "numpy"
+
+
+def test_callers_look_up_kernels_at_call_time(monkeypatch, toy_dataset):
+    # tracing wraps the module attributes; a caller that bound a kernel at
+    # import time would slip past it
+    calls = {"joint_counts": 0, "best_split": 0}
+
+    def counting(name):
+        inner = getattr(kernels, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(kernels, name, counting(name))
+    contingency(toy_dataset, "sex", "school_attended")
+    predictive_capacity(
+        toy_dataset,
+        ("school_attended", "years_since_graduation"),
+        "sex",
+        LearnerSpec.decision_tree(min_leaf=1),
+        folds=2,
+    )
+    assert calls["joint_counts"] > 0
+    assert calls["best_split"] > 0
