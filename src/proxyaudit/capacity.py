@@ -252,11 +252,15 @@ class _CartTree:
 
     def predict_proba(self, X):
         out = np.empty((X.shape[0], self.n_classes), dtype=np.float64)
-        for i in range(X.shape[0]):
-            node = self.nodes[0]
-            while "feat" in node:
-                node = self.nodes[node["left"] if X[i, node["feat"]] < node["thr"] else node["right"]]
-            out[i] = node["counts"] / node["counts"].sum()
+        stack = [(self.nodes[0], np.arange(X.shape[0]))]
+        while stack:
+            node, rows = stack.pop()
+            if "feat" not in node:
+                out[rows] = node["counts"] / node["counts"].sum()
+                continue
+            left = X[rows, node["feat"]] < node["thr"]
+            stack.append((self.nodes[node["left"]], rows[left]))
+            stack.append((self.nodes[node["right"]], rows[~left]))
         return out
 
     def predict(self, X):
@@ -310,17 +314,13 @@ class _Logistic:
 
 
 class InternalModelHandle:
-    """Fitted internal learner exposing batch scoring over records.
+    """Fitted internal learner: class codes over encoded matrices, and export
+    as a builtin model spec (binary labels) for scoring anywhere else."""
 
-    For a binary label the score is the probability of the second category
-    (schema order); for k > 2 the score is the predicted class code.
-    """
-
-    def __init__(self, model, encoder, label_schema, learner_spec):
+    def __init__(self, model, encoder, label_schema):
         self.model = model
         self.encoder = encoder
         self.label_schema = label_schema
-        self.learner_spec = learner_spec
 
     @property
     def feature_order(self):
@@ -329,22 +329,6 @@ class InternalModelHandle:
     @property
     def converged(self):
         return getattr(self.model, "converged", True)
-
-    def _matrix_from_records(self, rows):
-        X = np.empty((len(rows), len(self.encoder.columns)), dtype=np.float64)
-        for i, row in enumerate(rows):
-            for j, (_, source, cat) in enumerate(self.encoder.columns):
-                v = row[source]
-                X[i, j] = (1.0 if v == cat else 0.0) if cat is not None else float(v)
-        return X
-
-    def predict_batch(self, rows):
-        if not rows:
-            return []
-        X = self._matrix_from_records(rows)
-        if len(self.label_schema.categories) == 2:
-            return self.model.predict_proba(X)[:, 1].tolist()
-        return self.model.predict(X).astype(np.float64).tolist()
 
     def predict_codes(self, X):
         return self.model.predict(X)
@@ -367,14 +351,13 @@ class InternalModelHandle:
         nodes = []
         for i, node in enumerate(self.model.nodes):
             if "feat" in node:
-                name, _source, cat = self.encoder.columns[node["feat"]]
+                name, source, cat = self.encoder.columns[node["feat"]]
                 if cat is None:
                     nodes.append(
                         {"id": i, "kind": "split", "column": name,
                          "threshold": node["thr"], "left": node["left"], "right": node["right"]}
                     )
                 else:
-                    source = self.encoder.columns[node["feat"]][1]
                     # indicator < thr means "not this category": swap branches
                     nodes.append(
                         {"id": i, "kind": "split", "column": source, "category": cat,
@@ -412,7 +395,7 @@ def train_learner(d, features, label, learner, *, seed=0):
         model = _CartTree(learner.max_depth, learner.min_leaf).fit(X, y, n_classes)
     else:
         model = _Logistic(learner.l2_penalty, learner.max_iter).fit(X, y, n_classes)
-    return InternalModelHandle(model, encoder, label_schema, learner)
+    return InternalModelHandle(model, encoder, label_schema)
 
 
 def balanced_accuracy(y_true, y_pred, n_classes):

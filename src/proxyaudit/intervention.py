@@ -3,11 +3,11 @@ curves, do-style causal interventions, and group-level use summaries.
 
 Capacity (a column *could* reconstruct the protected attribute) and use (the
 model's output *actually moves* when that column moves) are measured
-separately; this module covers use. Every operation scores baseline and
-counterfactual rows through the same :class:`~proxyaudit.models.ModelHandle`
-batch call, so deltas for deterministic models are exact, and a model that
-ignores its proxy column yields deltas of 0.0 exactly — the
-capacity-without-use case.
+separately; this module covers use. Baseline and counterfactual rows are
+scored together in one :class:`~proxyaudit.models.ModelHandle` call
+(``score_columns`` for group-level flips, ``predict_batch`` otherwise), so
+deltas for deterministic models are exact, and a model that ignores its proxy
+column yields deltas of 0.0 exactly — the capacity-without-use case.
 
 Causal mode propagates an assignment through a
 :class:`~proxyaudit.synth.CausalGraphSpec` before scoring: descendants of the
@@ -16,7 +16,7 @@ semantics). Noise is held fixed where the mechanism is invertible
 (linear-Gaussian residuals) and re-drawn from a fixed-seed generator where it
 is not; full abduction is deliberately out of scope.
 """
-
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,15 +28,12 @@ from .errors import (
     ParameterError,
     ValidationError,
 )
-from .models import FAVOURABLE, UNFAVOURABLE, decide
+from .models import decide
 from .synth import apply_mechanism
 
 TOWARD_UNFAVOURABLE = "toward_unfavourable"
 TOWARD_FAVOURABLE = "toward_favourable"
 MIXED = "mixed"
-
-# baseline/counterfactual rows are interleaved: 1,000 rows = 500 pairs per call
-_BATCH_ROWS = 1_000
 
 
 @dataclass(frozen=True)
@@ -246,30 +243,26 @@ def ice_curve(
             raise ParameterError(f"degenerate sweep range [{lo}, {hi}]")
         grid = tuple(float(v) for v in np.linspace(lo, hi, grid_size))
     rows = [_with_assignments(row, (Assignment(column, v),)) for v in grid]
-    scores = m.predict_batch(rows)
-    return ICECurve(
-        row_index=row_index, column=column, grid=grid,
-        scores=tuple(float(s) for s in scores),
-    )
+    return ICECurve(row_index=row_index, column=column, grid=grid, scores=m.predict_batch(rows))
 
 
 # --- group-level flips ----------------------------------------------------------
 
 
-def _harm_direction(records):
-    to_unfav = sum(
-        1 for r in records
-        if r.flipped and r.counterfactual_outcome == UNFAVOURABLE
-    )
-    to_fav = sum(
-        1 for r in records
-        if r.flipped and r.counterfactual_outcome == FAVOURABLE
-    )
-    if to_unfav and not to_fav:
-        return TOWARD_UNFAVOURABLE
-    if to_fav and not to_unfav:
-        return TOWARD_FAVOURABLE
-    return MIXED
+class FlipRecords(Sequence):
+    """The per-row records of a flip analysis, each built when indexed."""
+
+    def __init__(self, row_indices, baselines, counterfactuals, rule):
+        self._scored = row_indices, baselines, counterfactuals, rule
+
+    def __len__(self):
+        return len(self._scored[0])
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[j] for j in range(*k.indices(len(self)))]
+        rows, base, cf, rule = self._scored
+        return _record_from_scores(float(base[k]), float(cf[k]), rule, int(rows[k]))
 
 
 def _check_assignments_against(d, assignments):
@@ -294,7 +287,9 @@ def flip_analysis(
 
     Selection is the selector's match set (everything when absent)
     intersected with rows complete in the model's feature columns. Baseline
-    and counterfactual rows are interleaved and scored 500 pairs per batch.
+    and counterfactual rows are interleaved and scored in one
+    ``score_columns`` call (probes: 500 pairs per batch); the records come
+    back as a lazy :class:`FlipRecords`.
     ``significant_influence_flag`` is set when the flip rate reaches
     ``flip_rate_floor`` or the mean absolute delta is nonzero and reaches
     ``score_floor_fraction`` of the baseline-score interquartile range.
@@ -311,44 +306,47 @@ def flip_analysis(
     if indices.size == 0:
         raise InsufficientDataError("no rows selected for flip analysis")
 
-    records = []
-    feature_cols = list(m.feature_order)
-    for start in range(0, indices.size, _BATCH_ROWS // 2):
-        chunk = indices[start : start + _BATCH_ROWS // 2]
-        batch = []
-        for i in chunk:
-            row = d.record(int(i), feature_cols)
-            batch.append(row)
-            batch.append(_with_assignments(row, assignments))
-        scores = m.predict_batch(batch)
-        for j, i in enumerate(chunk):
-            records.append(
-                _record_from_scores(
-                    scores[2 * j], scores[2 * j + 1], rule, int(i)
-                )
-            )
+    columns = {}
+    for f in m.feature_order:
+        if d.schema_of(f).kind == CATEGORICAL:
+            observed = np.array(d.categories(f), dtype=object)[d.codes(f)[indices]]
+        else:
+            observed = d.column_array(f)[indices]
+        # even positions are baseline rows, odd ones their counterfactuals
+        columns[f] = np.repeat(observed, 2)
+    for a in assignments:
+        columns[a.column][1::2] = a.value
+    scores = m.score_columns(columns)
+    baselines, counterfactuals = scores[0::2], scores[1::2]
 
-    deltas = np.array([r.delta for r in records])
-    baselines = np.array([r.baseline_score for r in records])
-    flip_count = sum(1 for r in records if r.flipped)
-    n = len(records)
-    flip_rate = flip_count / n
+    deltas = counterfactuals - baselines
+    favourable = rule.favourable(counterfactuals)
+    flipped = rule.favourable(baselines) != favourable
+    to_unfav = int(np.count_nonzero(flipped & ~favourable))
+    to_fav = int(np.count_nonzero(flipped & favourable))
+    flip_rate = (to_unfav + to_fav) / indices.size
     mean_abs_delta = float(np.abs(deltas).mean())
     iqr = float(np.percentile(baselines, 75) - np.percentile(baselines, 25))
     significant = flip_rate >= flip_rate_floor or (
         mean_abs_delta > 0 and mean_abs_delta >= score_floor_fraction * iqr
     )
+    if to_unfav and not to_fav:
+        direction = TOWARD_UNFAVOURABLE
+    elif to_fav and not to_unfav:
+        direction = TOWARD_FAVOURABLE
+    else:
+        direction = MIXED
     summary = UseSummary(
         assignments=tuple(assignments),
-        n=n,
+        n=indices.size,
         mean_delta=float(deltas.mean()),
         mean_abs_delta=mean_abs_delta,
-        flip_count=flip_count,
+        flip_count=to_unfav + to_fav,
         flip_rate=flip_rate,
-        direction_of_harm=_harm_direction(records),
+        direction_of_harm=direction,
         significant_influence_flag=significant,
     )
-    return summary, records
+    return summary, FlipRecords(indices, baselines, counterfactuals, rule)
 
 
 # --- causal mode ----------------------------------------------------------------
@@ -407,5 +405,4 @@ def causal_intervention(scm, m, row, assignments, *, seed=0, rule=None, row_inde
         )
 
     base, cf = m.predict_batch([row, cf_row])
-    record = _record_from_scores(base, cf, rule, row_index)
-    return record
+    return _record_from_scores(base, cf, rule, row_index)

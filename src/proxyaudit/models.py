@@ -1,10 +1,12 @@
 """Uniform prediction interface: builtin model formats, external probes, and
 the decision rule mapping scores to favourable/unfavourable outcomes.
 
-Builtin kinds: ``linear``, ``logistic`` (one-of-K coefficients named
-``column=category`` for categorical features), and ``decision_tree`` (a node
-table). External kinds speak newline-delimited JSON over a subprocess's
-stdin/stdout or HTTP POST /predict; see the protocol constants below.
+Builtin kinds — ``linear``, ``logistic`` (one-of-K coefficients named
+``column=category`` for categorical features) and ``decision_tree`` (a node
+table) — are evaluated over whole columns (``score_columns``); their
+``predict_batch`` turns rows into columns first. External kinds take rows as
+newline-delimited JSON over a subprocess's stdin/stdout or HTTP POST
+/predict, ``ROWS_PER_CALL`` rows per call when given columns.
 
 External transport failures are retried at most twice (counted, never
 silent); protocol violations are never retried, because retrying can mask a
@@ -34,6 +36,8 @@ EXTERNAL_KINDS = ("external_subprocess", "external_http")
 
 DEFAULT_PROBE_TIMEOUT_SECS = 10.0
 MAX_TRANSPORT_RETRIES = 2
+# rows per predict call when columns are scored through the row protocol
+ROWS_PER_CALL = 1_000
 
 
 def probe_timeout():
@@ -63,6 +67,12 @@ class DecisionRule:
                 f"got {self.favourable_direction!r}"
             )
 
+    def favourable(self, score):
+        """True where a score (scalar or array) is favourable; ties are not."""
+        if self.favourable_direction == "score_above":
+            return score > self.threshold
+        return score < self.threshold
+
     def to_json(self):
         return {"threshold": self.threshold, "favourable_direction": self.favourable_direction}
 
@@ -76,9 +86,7 @@ class DecisionRule:
 
 def decide(rule, score):
     """Outcome of one score; a score exactly on the threshold is unfavourable."""
-    if rule.favourable_direction == "score_above":
-        return FAVOURABLE if score > rule.threshold else UNFAVOURABLE
-    return FAVOURABLE if score < rule.threshold else UNFAVOURABLE
+    return FAVOURABLE if rule.favourable(score) else UNFAVOURABLE
 
 
 @dataclass(frozen=True)
@@ -219,6 +227,16 @@ class ModelHandle:
     def predict_batch(self, rows):
         raise NotImplementedError
 
+    def score_columns(self, columns):
+        """Float64 scores of feature columns: each feature maps to a 1-D array,
+        float64 if numeric, category strings (object) if categorical. Row
+        scorers see the rows again, ``ROWS_PER_CALL`` per ``predict_batch``."""
+        rows = list(zip(*(columns[f].tolist() for f in self.feature_order)))
+        scores = []
+        for start in range(0, len(rows), ROWS_PER_CALL):
+            scores += self.predict_batch(rows[start : start + ROWS_PER_CALL])
+        return np.array(scores, dtype=np.float64)
+
     def close(self):
         pass
 
@@ -229,55 +247,62 @@ class ModelHandle:
         self.close()
 
 
+def _numeric(values, rows, name):
+    """``values`` as float64; object cells must be numbers (rows name them)."""
+    if values.dtype == object:
+        for i, v in zip(rows, values):
+            if not isinstance(v, Real):
+                raise ValidationError(
+                    f"row {i}: feature {name!r} needs a numeric value, got {v!r}"
+                )
+    return values.astype(np.float64, copy=False)
+
+
 class BuiltinModelHandle(ModelHandle):
     def predict_batch(self, rows):
-        spec = self.spec
-        out = []
+        order = self.spec.feature_order
+        columns = {f: np.empty(len(rows), dtype=object) for f in order}
         for i, row in enumerate(rows):
-            values = _row_values(row, spec.feature_order, i)
-            for f, v in zip(spec.feature_order, values):
+            for f, v in zip(order, _row_values(row, order, i)):
                 if v is None:
                     raise ValidationError(f"row {i}: missing value for feature {f!r}")
-            if spec.kind in ("linear", "logistic"):
-                out.append(self._affine(values, i))
-            else:
-                out.append(self._trace_tree(values, i))
-        if spec.kind == "logistic":
-            return [float(expit(z)) for z in out]
-        return [float(s) for s in out]
+                columns[f][i] = v
+        return self.score_columns(columns, n_rows=len(rows)).tolist()
 
-    def _affine(self, values, index):
-        by_name = dict(zip(self.spec.feature_order, values))
-        total = float(self.spec.parameters["intercept"])
-        for name, w in self.spec.parameters["coefficients"].items():
+    def score_columns(self, columns, n_rows=None):
+        """Scores of whole columns; linear sums run coefficient by coefficient
+        (the float operations of scoring each row alone), trees split row-index
+        arrays node by node. ``columns == category`` is elementwise (numpy 1.25+)."""
+        if n_rows is None:
+            n_rows = len(next(iter(columns.values()), ()))
+        params = self.spec.parameters
+        if self.spec.kind == "decision_tree":
+            nodes = {node["id"]: node for node in params["nodes"]}
+            out = np.empty(n_rows, dtype=np.float64)
+            stack = [(nodes[params["root"]], np.arange(n_rows))]
+            while stack:
+                node, rows = stack.pop()
+                if not rows.size:
+                    continue
+                if node["kind"] == "leaf":
+                    out[rows] = float(node["value"])
+                    continue
+                values = columns[node["column"]][rows]
+                if "threshold" in node:
+                    go_left = _numeric(values, rows, node["column"]) < node["threshold"]
+                else:
+                    go_left = values == node["category"]
+                stack.append((nodes[node["right"]], rows[~go_left]))
+                stack.append((nodes[node["left"]], rows[go_left]))
+            return out
+        total = np.full(n_rows, float(params["intercept"]))
+        for name, w in params["coefficients"].items():
             if "=" in name:
                 col, _, cat = name.partition("=")
-                total += w * (1.0 if by_name[col] == cat else 0.0)
+                total += w * (columns[col] == cat).astype(np.float64)
             else:
-                v = by_name[name]
-                if not isinstance(v, Real):
-                    raise ValidationError(
-                        f"row {index}: feature {name!r} needs a numeric value, got {v!r}"
-                    )
-                total += w * float(v)
-        return total
-
-    def _trace_tree(self, values, index):
-        by_name = dict(zip(self.spec.feature_order, values))
-        nodes = {n["id"]: n for n in self.spec.parameters["nodes"]}
-        node = nodes[self.spec.parameters["root"]]
-        while node["kind"] == "split":
-            v = by_name[node["column"]]
-            if "threshold" in node:
-                if not isinstance(v, Real):
-                    raise ValidationError(
-                        f"row {index}: split on {node['column']!r} needs a number, got {v!r}"
-                    )
-                branch = node["left"] if float(v) < node["threshold"] else node["right"]
-            else:
-                branch = node["left"] if v == node["category"] else node["right"]
-            node = nodes[branch]
-        return float(node["value"])
+                total += w * _numeric(columns[name], range(n_rows), name)
+        return expit(total) if self.spec.kind == "logistic" else total
 
 
 # --- external probes --------------------------------------------------------
@@ -304,14 +329,52 @@ class _TransportFailure(Exception):
     """Internal marker: the transport (not the protocol) broke."""
 
 
-class SubprocessModelHandle(ModelHandle):
-    """Newline-delimited JSON over a child process's stdin/stdout."""
+class _ProbeHandle(ModelHandle):
+    """External row scorer: one predict message per batch over a transport
+    (``_exchange``); transport failures are retried, protocol errors never."""
 
     def __init__(self, spec, timeout=None):
         super().__init__(spec)
         self.timeout = probe_timeout() if timeout is None else timeout
         self.transport_retries = 0
         self._next_id = 0
+
+    def _recover(self):
+        """Make the transport usable again after a failure."""
+
+    def predict_batch(self, rows):
+        payload_rows = [
+            _row_values(row, self.spec.feature_order, i) for i, row in enumerate(rows)
+        ]
+        attempts = 0
+        while True:
+            request_id = self._next_id
+            self._next_id += 1
+            message = {"type": "predict", "id": request_id, "rows": payload_rows}
+            try:
+                raw = self._exchange(message)
+            except _TransportFailure as exc:
+                attempts += 1
+                if attempts > MAX_TRANSPORT_RETRIES:
+                    raise ConnectivityError(str(exc)) from None
+                self.transport_retries += 1
+                try:
+                    self._recover()
+                except _TransportFailure as exc2:
+                    raise ConnectivityError(str(exc2)) from None
+                continue
+            try:
+                msg = json.loads(raw)
+            except json.JSONDecodeError:
+                raise ProtocolError("scores reply is not valid JSON", payload=raw) from None
+            return _validate_scores_message(msg, request_id, len(rows), raw)
+
+
+class SubprocessModelHandle(_ProbeHandle):
+    """Newline-delimited JSON over a child process's stdin/stdout."""
+
+    def __init__(self, spec, timeout=None):
+        super().__init__(spec, timeout)
         self._proc = None
         self._lines = None
         self._spawn()
@@ -363,37 +426,13 @@ class SubprocessModelHandle(ModelHandle):
             raise _TransportFailure("probe process closed its output")
         return line.rstrip("\n")
 
-    def _restart(self):
+    def _recover(self):
         self.close()
         self._spawn()
 
-    def predict_batch(self, rows):
-        payload_rows = [
-            _row_values(row, self.spec.feature_order, i) for i, row in enumerate(rows)
-        ]
-        attempts = 0
-        while True:
-            request_id = self._next_id
-            self._next_id += 1
-            message = {"type": "predict", "id": request_id, "rows": payload_rows}
-            try:
-                self._send(message)
-                raw = self._recv_line()
-            except _TransportFailure as exc:
-                attempts += 1
-                if attempts > MAX_TRANSPORT_RETRIES:
-                    raise ConnectivityError(str(exc)) from None
-                self.transport_retries += 1
-                try:
-                    self._restart()
-                except _TransportFailure as exc2:
-                    raise ConnectivityError(str(exc2)) from None
-                continue
-            try:
-                msg = json.loads(raw)
-            except json.JSONDecodeError:
-                raise ProtocolError("scores reply is not valid JSON", payload=raw) from None
-            return _validate_scores_message(msg, request_id, len(rows), raw)
+    def _exchange(self, message):
+        self._send(message)
+        return self._recv_line()
 
     def close(self):
         proc = self._proc
@@ -412,54 +451,33 @@ class SubprocessModelHandle(ModelHandle):
         self._proc = None
 
 
-class HttpModelHandle(ModelHandle):
+class HttpModelHandle(_ProbeHandle):
     """HTTP probe: POST /predict with the subprocess predict payload."""
 
     def __init__(self, spec, timeout=None):
-        super().__init__(spec)
-        self.timeout = probe_timeout() if timeout is None else timeout
-        self.transport_retries = 0
-        self._next_id = 0
+        super().__init__(spec, timeout)
         endpoint = spec.parameters["endpoint"].rstrip("/")
         self._url = endpoint if endpoint.endswith("/predict") else endpoint + "/predict"
         # health check: an empty predict must round-trip
         self.predict_batch([])
 
-    def predict_batch(self, rows):
-        payload_rows = [
-            _row_values(row, self.spec.feature_order, i) for i, row in enumerate(rows)
-        ]
-        attempts = 0
-        while True:
-            request_id = self._next_id
-            self._next_id += 1
-            body = json.dumps(
-                {"type": "predict", "id": request_id, "rows": payload_rows}
-            ).encode("utf-8")
-            request = urllib.request.Request(
-                self._url, data=body, headers={"Content-Type": "application/json"}, method="POST"
-            )
-            try:
-                with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                    status = response.status
-                    raw = response.read().decode("utf-8")
-            except urllib.error.HTTPError as exc:
-                raise ProtocolError(
-                    f"probe answered HTTP {exc.code}", payload=exc.read().decode("utf-8", "replace")
-                ) from None
-            except (urllib.error.URLError, TimeoutError, OSError) as exc:
-                attempts += 1
-                if attempts > MAX_TRANSPORT_RETRIES:
-                    raise ConnectivityError(f"probe endpoint unreachable: {exc}") from None
-                self.transport_retries += 1
-                continue
-            if status != 200:
-                raise ProtocolError(f"probe answered HTTP {status}", payload=raw)
-            try:
-                msg = json.loads(raw)
-            except json.JSONDecodeError:
-                raise ProtocolError("scores reply is not valid JSON", payload=raw) from None
-            return _validate_scores_message(msg, request_id, len(rows), raw)
+    def _exchange(self, message):
+        request = urllib.request.Request(
+            self._url, data=json.dumps(message).encode("utf-8"),
+            headers={"Content-Type": "application/json"}, method="POST",
+        )
+        try:
+            with urllib.request.urlopen(request, timeout=self.timeout) as response:
+                status, raw = response.status, response.read().decode("utf-8")
+        except urllib.error.HTTPError as exc:
+            raise ProtocolError(
+                f"probe answered HTTP {exc.code}", payload=exc.read().decode("utf-8", "replace")
+            ) from None
+        except (urllib.error.URLError, TimeoutError, OSError) as exc:
+            raise _TransportFailure(f"probe endpoint unreachable: {exc}") from None
+        if status != 200:
+            raise ProtocolError(f"probe answered HTTP {status}", payload=raw)
+        return raw
 
 
 def load_model(spec, *, timeout=None):
@@ -474,11 +492,6 @@ def load_model(spec, *, timeout=None):
         raise ConnectivityError(str(exc)) from None
     except OSError as exc:
         raise ConnectivityError(f"could not start probe: {exc}") from None
-
-
-def predict_batch(handle, rows):
-    """One score per row, order-preserving."""
-    return handle.predict_batch(rows)
 
 
 def check_determinism(handle, rows):

@@ -39,7 +39,7 @@ def serve(score_rows, stdin=None):
             return
 
 
-def _affine_scorer(features, rows):
+def _default_scorer(features, rows):
     return [AFFINE_WEIGHT * float(row[0]) + AFFINE_INTERCEPT for row in rows]
 
 
@@ -59,7 +59,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--spec", help="builtin model spec (JSON) to wrap")
     args = parser.parse_args(argv)
-    scorer = _spec_scorer(args.spec) if args.spec else _affine_scorer
+    scorer = _spec_scorer(args.spec) if args.spec else _default_scorer
     serve(scorer)
 
 

@@ -143,6 +143,9 @@ def run_use(
     ice_columns=(), ice_row=None, ice_grid_size=20,
 ):
     """Flip analysis for the assignment list plus ICE sweeps."""
+    row_index = 0 if ice_row is None else ice_row
+    if ice_columns and not (type(row_index) is int and 0 <= row_index < d.n_rows):
+        raise ValidationError(f"use.ice_row must be a row in 0..{d.n_rows - 1}, got {ice_row!r}")
     summary, _records = flip_analysis(
         m, rule, d, assignments, selector,
         flip_rate_floor=flip_rate_floor,
@@ -150,7 +153,6 @@ def run_use(
     )
     curves = []
     if ice_columns:
-        row_index = 0 if ice_row is None else int(ice_row)
         row = d.record(row_index)
         for column in ice_columns:
             curves.append(

@@ -6,6 +6,9 @@ Fractions) and shares no code with the package under test.
 
 import math
 from fractions import Fraction
+from numbers import Real
+
+from scipy.special import expit
 
 
 def entropy(counts):
@@ -165,3 +168,73 @@ def best_split(X, y, n_classes, min_leaf):
             if score > best[2]:
                 best = (j, (lo + hi) / 2.0, score)
     return best
+
+
+class InvalidRow(ValueError):
+    """A row the builtin-model reference refuses to score."""
+
+
+def builtin_scores(kind, parameters, feature_order, rows):
+    """Builtin model spec scored one row at a time.
+
+    Each row is a {feature: value} dict or a sequence in feature order. A
+    linear score starts at the intercept and adds ``w * value`` (or ``w``
+    times a 1.0/0.0 indicator) coefficient by coefficient; a tree walks from
+    the root, left when ``value < threshold`` or ``value == category``;
+    logistic applies ``expit``. Raises InvalidRow for a missing feature, a
+    wrong-length row, a None value, or a non-number where a number is read
+    (for trees, only on the path the row takes).
+    """
+    def number(v, index, name):
+        if not isinstance(v, Real):
+            raise InvalidRow(f"row {index}: {name!r} needs a number, got {v!r}")
+        return float(v)
+
+    nodes = {n["id"]: n for n in parameters.get("nodes", [])}
+    out = []
+    for index, row in enumerate(rows):
+        if isinstance(row, dict):
+            if any(f not in row for f in feature_order):
+                raise InvalidRow(f"row {index}: missing feature")
+            values = [row[f] for f in feature_order]
+        else:
+            values = list(row)
+            if len(values) != len(feature_order):
+                raise InvalidRow(f"row {index}: wrong length")
+        if any(v is None for v in values):
+            raise InvalidRow(f"row {index}: missing value")
+        by_name = dict(zip(feature_order, values))
+        if kind == "decision_tree":
+            node = nodes[parameters["root"]]
+            while node["kind"] == "split":
+                v = by_name[node["column"]]
+                if "threshold" in node:
+                    left = number(v, index, node["column"]) < node["threshold"]
+                else:
+                    left = v == node["category"]
+                node = nodes[node["left"] if left else node["right"]]
+            out.append(float(node["value"]))
+            continue
+        total = float(parameters["intercept"])
+        for name, w in parameters["coefficients"].items():
+            if "=" in name:
+                col, _, cat = name.partition("=")
+                total += w * (1.0 if by_name[col] == cat else 0.0)
+            else:
+                total += w * number(by_name[name], index, name)
+        out.append(total)
+    if kind == "logistic":
+        return [float(expit(z)) for z in out]
+    return out
+
+
+def cart_predict_proba(nodes, n_classes, X):
+    """Class frequencies of the leaf each row of X reaches, one row at a time,
+    in a CART node list (split: feat/thr/left/right; leaf: counts)."""
+    out = []
+    for x in X:
+        node = nodes[0]
+        while "feat" in node:
+            node = nodes[node["left"] if x[node["feat"]] < node["thr"] else node["right"]]
+        out.append([float(c) / float(sum(node["counts"])) for c in node["counts"]])
+    return out

@@ -9,6 +9,7 @@ from proxyaudit.capacity import (
     CapacityScore,
     FeatureEncoder,
     LearnerSpec,
+    _CartTree,
     balanced_accuracy,
     clopper_pearson,
     exact_correspondence,
@@ -447,12 +448,11 @@ def test_feature_encoder_layout():
 def test_exported_spec_reproduces_internal_scores(learner):
     d = mixed_dataset()
     handle = train_learner(d, ("age", "city"), "grp", learner)
-    rows = d.records()
-    internal = handle.predict_batch(rows)
+    internal = handle.model.predict_proba(handle.encoder.matrix(d))[:, 1]
     exported = load_model(handle.to_model_spec())
-    external = exported.predict_batch(rows)
-    assert len(internal) == len(external) == d.n_rows
-    assert max(abs(a - b) for a, b in zip(internal, external)) < 1e-9
+    external = exported.predict_batch(d.records())
+    assert len(external) == d.n_rows
+    assert np.max(np.abs(internal - np.asarray(external))) < 1e-9
 
 
 def test_exported_logistic_matches_spreadsheet_oracle():
@@ -476,6 +476,21 @@ def test_tree_learns_the_generating_rule():
     assert acc > 0.8
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 4))
+def test_tree_predict_proba_matches_row_walk(seed, max_depth, min_leaf):
+    rng = np.random.default_rng(seed)
+    n, p, k = int(rng.integers(2, 60)), int(rng.integers(1, 4)), int(rng.integers(2, 4))
+    X = rng.integers(0, 5, size=(n, p)).astype(np.float64)  # ties on purpose
+    y = rng.integers(0, k, size=n)
+    tree = _CartTree(max_depth, min_leaf).fit(X, y, k)
+    # split thresholds are midpoints of the integer values: query them too
+    grid = rng.choice(np.arange(-1.0, 5.5, 0.5), size=(int(rng.integers(0, 40)), p))
+    queries = np.vstack([X, grid])
+    want = oracles.cart_predict_proba(tree.nodes, k, queries.tolist())
+    assert tree.predict_proba(queries).tolist() == want
+
+
 def test_multiclass_export_is_rejected():
     codes = np.repeat([0, 1, 2], 15)
     rng = np.random.default_rng(2)
@@ -489,9 +504,6 @@ def test_multiclass_export_is_rejected():
     handle = train_learner(d, ("x",), "s", LearnerSpec.decision_tree())
     with pytest.raises(ValidationError):
         handle.to_model_spec()
-    # but multiclass batch scoring still works, returning predicted codes
-    scores = handle.predict_batch(d.records()[:5])
-    assert all(s in (0.0, 1.0, 2.0) for s in scores)
 
 
 def test_logistic_convergence_flag():
@@ -508,7 +520,9 @@ def test_train_learner_drops_incomplete_rows(toy_dataset):
         toy_dataset, ("school_attended",), "sex", LearnerSpec.decision_tree(min_leaf=1)
     )
     # rows 4 and 5 are incomplete in sex/school; 4 complete rows remain
-    assert handle.predict_batch(toy_dataset.records(indices=[0])) is not None
+    assert handle.model.nodes[0]["counts"].sum() == 4
+    codes = handle.predict_codes(handle.encoder.matrix(toy_dataset, [0, 1, 2, 3]))
+    assert codes.shape == (4,)
 
 
 def test_train_learner_validation(toy_dataset):

@@ -2,6 +2,9 @@
 exit-code contract, and report determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -316,6 +319,26 @@ def test_use_without_assignments_exits_2(runner, tmp_path):
     assert "assignments" in result.output
 
 
+@pytest.mark.parametrize("command", ["use", "full"])
+@pytest.mark.parametrize("ice_row", [300, 5000, -1, 1.5, "abc"])
+def test_bad_ice_row_exits_2(runner, tmp_path, command, ice_row):
+    out = synth_out(runner, tmp_path, "james", rows=300)
+    config = json.loads((out / "config.json").read_text())
+    config["use"] = {
+        "assignments": [{"column": "reached_statutory_retirement", "value": "true"}],
+        "ice_columns": ["reached_statutory_retirement"], "ice_row": ice_row,
+    }
+    path = out / "config_ice.json"
+    path.write_text(json.dumps(config))
+    result = runner.invoke(
+        main,
+        [command, "--config", str(path), "--data", str(out / "data.csv"),
+         "--out", str(out / "x")],
+    )
+    assert result.exit_code == 2, result.output
+    assert "ice_row" in result.output
+
+
 # --- config and format error paths ------------------------------------------------
 
 
@@ -372,3 +395,28 @@ def test_version_option(runner):
     result = runner.invoke(main, ["--version"])
     assert result.exit_code == 0
     assert "proxyaudit" in result.output
+
+
+# --- benchmark hooks ---------------------------------------------------------------
+
+
+def test_benchmark_tracer_sees_every_layer_hook(james_dir, tmp_path):
+    """The benchmark's traced run wraps layer functions by name; a refactor
+    that moves one of them must not silently empty its metrics."""
+    root = Path(__file__).resolve().parents[1]
+    spans_path = tmp_path / "spans.json"
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), **EPOCH)
+    proc = subprocess.run(
+        [sys.executable, str(root / "auditbench" / "tracer.py"), str(spans_path),
+         "full", "--config", str(james_dir / "config.json"),
+         "--data", str(james_dir / "data.csv"), "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    trace = json.loads(spans_path.read_text())
+    assert trace["exit_code"] == 0
+    names = {s["name"] for s in trace["spans"]}
+    assert {"models.open", "models.close", "intervention.flip"} <= names
+    flips = [s for s in trace["spans"] if s["name"] == "intervention.flip"]
+    assert all(s["counts"]["rows"] > 0 for s in flips)
+    assert read_report(tmp_path / "out")["red_flag_count"] == 1

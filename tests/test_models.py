@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proxyaudit.errors import (
     ConnectivityError,
@@ -19,7 +21,6 @@ from proxyaudit.models import (
     check_determinism,
     decide,
     load_model,
-    predict_batch,
 )
 
 import goldens
@@ -180,6 +181,105 @@ class TestBuiltinPrediction:
         assert ok and diff == 0.0
 
 
+# --- columnar evaluator vs the per-row reference --------------------------------
+
+CATS = ("a", "b", "c")
+# cells a caller might send by mistake or on purpose: missing, a category in
+# a numeric slot, numbers in a categorical slot
+ODD_CELLS = (None, "a", "zz", 1.5, 2, True)
+# values drawn both as cells and as thresholds, so rows land on a split
+TIES = (-1.0, 0.0, 0.5, 2.0)
+
+
+@st.composite
+def builtin_cases(draw):
+    """A random builtin spec plus a batch of rows, some of them invalid."""
+    names = [f"f{j}" for j in range(draw(st.integers(1, 3)))]
+    numeric = {name: draw(st.booleans()) for name in names}
+    weight = st.floats(-1e3, 1e3) | st.integers(-5, 5)
+    kind = draw(st.sampled_from(("linear", "logistic", "decision_tree")))
+    if kind == "decision_tree":
+        nodes = []
+
+        def grow(depth):
+            node = {"id": len(nodes)}
+            nodes.append(node)
+            if depth == 0 or draw(st.booleans()):
+                node.update(kind="leaf", value=draw(st.floats(-10, 10)))
+                return node["id"]
+            column = draw(st.sampled_from(names))
+            node.update(kind="split", column=column)
+            # mostly the test that fits the column's type, sometimes the other
+            if numeric[column] == (draw(st.integers(0, 4)) > 0):
+                node["threshold"] = draw(st.sampled_from(TIES))
+            else:
+                node["category"] = draw(st.sampled_from(CATS))
+            node["left"] = grow(depth - 1)
+            node["right"] = grow(depth - 1)
+            return node["id"]
+
+        root = grow(3)
+        parameters = {"root": root, "nodes": draw(st.permutations(nodes))}
+    else:
+        coefficients = {}
+        for name in names:
+            if numeric[name]:
+                coefficients[name] = draw(weight)
+                if draw(st.booleans()):  # an indicator no number can match
+                    coefficients[f"{name}=1.0"] = draw(weight)
+            else:
+                for cat in draw(st.lists(st.sampled_from(CATS), min_size=1, unique=True)):
+                    coefficients[f"{name}={cat}"] = draw(weight)
+        order = draw(st.permutations(list(coefficients)))
+        parameters = {
+            "coefficients": {k: coefficients[k] for k in order},
+            "intercept": draw(weight),
+        }
+    spec = ModelSpec(kind, parameters, names)
+
+    def cell(name):
+        if draw(st.integers(0, 29)) == 0:
+            return draw(st.sampled_from(ODD_CELLS))
+        if numeric[name]:
+            return draw(st.sampled_from(TIES) | st.floats(-5, 5) | st.integers(-3, 3))
+        return draw(st.sampled_from(CATS))
+
+    rows = []
+    for _ in range(draw(st.integers(0, 25))):
+        row = {name: cell(name) for name in names}
+        if draw(st.integers(0, 59)) == 0:
+            row.pop(draw(st.sampled_from(names)))
+        rows.append(row if draw(st.booleans()) else [row.get(n) for n in names])
+    return spec, rows
+
+
+def bits(scores):
+    return np.asarray(scores, dtype=np.float64).view(np.uint64).tolist()
+
+
+@settings(max_examples=400, deadline=None)
+@given(builtin_cases())
+def test_columnar_scores_equal_row_reference(case):
+    spec, rows = case
+    m = load_model(spec)
+    try:
+        want = oracles.builtin_scores(spec.kind, spec.parameters, spec.feature_order, rows)
+    except oracles.InvalidRow:
+        with pytest.raises(ValidationError):
+            m.predict_batch(rows)
+        return
+    got = m.predict_batch(rows)
+    assert all(type(s) is float for s in got)
+    assert bits(got) == bits(want)
+    # the same rows as typed columns, the way flip analysis sends them
+    columns = {}
+    for j, name in enumerate(spec.feature_order):
+        cells = [row[name] if isinstance(row, dict) else row[j] for row in rows]
+        numbers = all(isinstance(v, (int, float)) for v in cells)
+        columns[name] = np.array(cells, dtype=np.float64 if numbers else object)
+    assert bits(m.score_columns(columns)) == bits(want)
+
+
 class TestDecide:
     def test_above_favourable(self):
         assert decide(DecisionRule(0.5, "score_above"), 0.6) == "favourable"
@@ -191,6 +291,12 @@ class TestDecide:
     def test_below_direction(self):
         assert decide(DecisionRule(700.0, "score_below"), 650.0) == "favourable"
         assert decide(DecisionRule(700.0, "score_below"), 720.0) == "unfavourable"
+
+    def test_favourable_is_elementwise_decide(self):
+        scores = np.array([0.2, 0.5, 0.7])
+        for rule in (DecisionRule(0.5, "score_above"), DecisionRule(0.5, "score_below")):
+            want = [decide(rule, float(s)) == "favourable" for s in scores]
+            assert rule.favourable(scores).tolist() == want
 
     def test_bad_direction_rejected(self):
         with pytest.raises(ValidationError):
