@@ -293,8 +293,9 @@ def _as_categorical(d, name, bins):
 def association_scan(d, protected, candidates, *, measure="nmi", normalization="arithmetic", bins=10):
     """Score every protected x candidate pair, ranked descending.
 
-    Numeric candidates are binned into equal-frequency bins first. Ties break
-    by ascending p-value, then lexicographic pair name.
+    Numeric candidates are binned into equal-frequency bins first. Pairs with
+    fewer than 2 complete rows are left out of the ranking. Ties break by
+    ascending p-value, then lexicographic pair name.
     """
     if measure not in ("nmi", "cramers_v"):
         raise ValidationError(f"unknown scan measure {measure!r}")
@@ -305,7 +306,7 @@ def association_scan(d, protected, candidates, *, measure="nmi", normalization="
             codes_b, kb = _as_categorical(d, b, bins)
             counts, n_eff = kernels.joint_counts(codes_a, codes_b, ka, kb)
             if n_eff < 2:
-                raise InsufficientDataError(f"pair ({a}, {b}) has {n_eff} complete rows")
+                continue
             p = _significance_of_counts(counts)[0]
             if measure == "nmi":
                 value, degenerate = nmi_from_counts(counts, normalization)

@@ -8,7 +8,10 @@ the protected column from a feature set, using the engine's own learners.
 The internal learners (CART-style decision tree with Gini impurity; L2
 multinomial logistic regression via full-batch gradient descent) are written
 from scratch so audits do not depend on an external ML stack and every detail
-is pinned down by hyperparameters.
+is pinned down by hyperparameters. They are private to predictive capacity:
+they fit multiclass class codes inside each cross-validation fold and are
+never exported as audited models (``models.ModelSpec`` is the one model
+format).
 """
 
 import warnings
@@ -22,9 +25,6 @@ from .association import counts_significance
 from .data import CATEGORICAL
 from .descriptors import SubgroupDescriptor
 from .errors import InsufficientDataError, ParameterError, ValidationError
-from .models import ModelSpec
-
-Criterion = SubgroupDescriptor
 
 # Default report-level thresholds (configurable at the call sites): a purity
 # finding at or above both marks is treated as a deterministic-link candidate;
@@ -46,7 +46,7 @@ def classify_link(score, purity_threshold=RED_FLAG_PURITY, ci_floor=RED_FLAG_CI_
 class CapacityScore:
     """A (proxy, protected value) capacity measurement in [0, 1]."""
 
-    proxy: object  # Criterion or tuple of column names
+    proxy: object  # SubgroupDescriptor or tuple of column names
     protected_value: object  # (column, category) or column name
     measure: str  # purity | predictive | nmi
     value: float
@@ -167,55 +167,19 @@ class LearnerSpec:
     def logistic(l2_penalty=1e-3, max_iter=500):
         return LearnerSpec(kind="logistic", l2_penalty=l2_penalty, max_iter=max_iter)
 
-    def to_json(self):
-        if self.kind == "decision_tree":
-            return {"kind": self.kind, "max_depth": self.max_depth, "min_leaf": self.min_leaf}
-        return {"kind": self.kind, "l2_penalty": self.l2_penalty, "max_iter": self.max_iter}
 
-    @staticmethod
-    def from_json(obj):
-        kind = obj.get("kind")
-        if kind == "decision_tree":
-            return LearnerSpec.decision_tree(
-                max_depth=obj.get("max_depth", 3), min_leaf=obj.get("min_leaf", 5)
-            )
-        if kind == "logistic":
-            return LearnerSpec.logistic(
-                l2_penalty=obj.get("l2_penalty", 1e-3), max_iter=obj.get("max_iter", 500)
-            )
-        raise ValidationError(f"unknown learner kind {kind!r}")
-
-
-class FeatureEncoder:
-    """Numeric matrix encoding: numerics pass through, categoricals expand to
-    one-of-K indicator columns named ``column=category``."""
-
-    def __init__(self, d, features):
-        self.features = tuple(features)
-        self.columns = []  # (encoded name, source column, category-or-None)
-        for name in self.features:
-            schema = d.schema_of(name)
-            if schema.kind == CATEGORICAL:
-                for cat in schema.categories:
-                    self.columns.append((f"{name}={cat}", name, cat))
-            else:
-                self.columns.append((name, name, None))
-
-    @property
-    def encoded_names(self):
-        return [c[0] for c in self.columns]
-
-    def matrix(self, d, rows=None):
-        idx = np.arange(d.n_rows) if rows is None else np.asarray(rows)
-        X = np.empty((idx.shape[0], len(self.columns)), dtype=np.float64)
-        for j, (_, source, cat) in enumerate(self.columns):
-            schema = d.schema_of(source)
-            if cat is None:
-                X[:, j] = d.values(source)[idx]
-            else:
-                code = schema.categories.index(cat)
-                X[:, j] = (d.codes(source)[idx] == code).astype(np.float64)
-        return X
+def _design_matrix(d, features, rows):
+    """Float64 learner input: numerics pass through, categoricals expand to
+    one-of-K indicator columns in category order."""
+    blocks = []
+    for name in features:
+        schema = d.schema_of(name)
+        if schema.kind == CATEGORICAL:
+            codes = d.codes(name)[rows]
+            blocks += [(codes == c).astype(np.float64) for c in range(len(schema.categories))]
+        else:
+            blocks.append(d.values(name)[rows])
+    return np.column_stack(blocks)
 
 
 class _CartTree:
@@ -303,99 +267,8 @@ class _Logistic:
     def decision_function(self, X):
         return np.hstack([X, np.ones((X.shape[0], 1))]) @ self.W
 
-    def predict_proba(self, X):
-        z = self.decision_function(X)
-        z -= z.max(axis=1, keepdims=True)
-        p = np.exp(z)
-        return p / p.sum(axis=1, keepdims=True)
-
     def predict(self, X):
         return np.argmax(self.decision_function(X), axis=1)
-
-
-class InternalModelHandle:
-    """Fitted internal learner: class codes over encoded matrices, and export
-    as a builtin model spec (binary labels) for scoring anywhere else."""
-
-    def __init__(self, model, encoder, label_schema):
-        self.model = model
-        self.encoder = encoder
-        self.label_schema = label_schema
-
-    @property
-    def feature_order(self):
-        return self.encoder.features
-
-    @property
-    def converged(self):
-        return getattr(self.model, "converged", True)
-
-    def predict_codes(self, X):
-        return self.model.predict(X)
-
-    def to_model_spec(self):
-        """Export the fitted learner in the builtin model-spec format
-        (binary labels only; the score is the second category's probability)."""
-        if len(self.label_schema.categories) != 2:
-            raise ValidationError("model-spec export requires a binary label")
-        if isinstance(self.model, _Logistic):
-            w = self.model.W[:, 1] - self.model.W[:, 0]
-            coefficients = {
-                name: float(w[j]) for j, name in enumerate(self.encoder.encoded_names)
-            }
-            return ModelSpec(
-                "logistic",
-                {"coefficients": coefficients, "intercept": float(w[-1])},
-                self.encoder.features,
-            )
-        nodes = []
-        for i, node in enumerate(self.model.nodes):
-            if "feat" in node:
-                name, source, cat = self.encoder.columns[node["feat"]]
-                if cat is None:
-                    nodes.append(
-                        {"id": i, "kind": "split", "column": name,
-                         "threshold": node["thr"], "left": node["left"], "right": node["right"]}
-                    )
-                else:
-                    # indicator < thr means "not this category": swap branches
-                    nodes.append(
-                        {"id": i, "kind": "split", "column": source, "category": cat,
-                         "left": node["right"], "right": node["left"]}
-                    )
-            else:
-                counts = node["counts"]
-                nodes.append(
-                    {"id": i, "kind": "leaf", "value": float(counts[1] / counts.sum())}
-                )
-        return ModelSpec("decision_tree", {"root": 0, "nodes": nodes}, self.encoder.features)
-
-
-def train_learner(d, features, label, learner, *, seed=0):
-    """Fit an internal learner predicting ``label`` from ``features``.
-
-    Rows missing any involved column are dropped. Fitting is deterministic
-    for fixed inputs; logistic non-convergence sets ``converged=False`` on the
-    handle instead of raising.
-    """
-    label_schema = d.schema_of(label)
-    if label_schema.kind != CATEGORICAL:
-        raise ValidationError(f"label column {label!r} must be categorical")
-    if not features:
-        raise ValidationError("feature set must be non-empty")
-    complete = d.complete_mask(list(features) + [label])
-    rows = np.nonzero(complete)[0]
-    if rows.size == 0:
-        raise InsufficientDataError("no complete rows to train on")
-    encoder = FeatureEncoder(d, features)
-    X = encoder.matrix(d, rows)
-    y = d.codes(label)[rows]
-    n_classes = len(label_schema.categories)
-    if learner.kind == "decision_tree":
-        model = _CartTree(learner.max_depth, learner.min_leaf).fit(X, y, n_classes)
-    else:
-        model = _Logistic(learner.l2_penalty, learner.max_iter).fit(X, y, n_classes)
-    return InternalModelHandle(model, encoder, label_schema)
 
 
 def balanced_accuracy(y_true, y_pred, n_classes):
@@ -461,8 +334,7 @@ def predictive_capacity(d, proxy_set, protected, learner=None, folds=5, seed=0):
         )
         warnings.warn(warning)
 
-    encoder = FeatureEncoder(d, proxy_set)
-    X = encoder.matrix(d, rows)
+    X = _design_matrix(d, proxy_set, rows)
     rng = np.random.default_rng(seed)
     fold_of = _stratified_folds(X, y, observed, effective_folds, rng)
 

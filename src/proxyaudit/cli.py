@@ -152,10 +152,7 @@ class RunSettings:
             "thresholds": {
                 "red_flag_purity": RED_FLAG_PURITY,
                 "red_flag_ci_floor": RED_FLAG_CI_FLOOR,
-                "flip_rate_floor": self.use_opts.get("flip_rate_floor", 0.01),
-                "score_floor_fraction": self.use_opts.get(
-                    "score_floor_fraction", 0.05
-                ),
+                **self.use_floors(),
             },
         }
 
@@ -270,6 +267,16 @@ def _discovery_section(rs):
     )
 
 
+def _use_section(rs, m, assignments):
+    return report.run_use(
+        m, rs.decision_rule, rs.dataset, assignments, rs.selector(),
+        ice_columns=rs.use_opts.get("ice_columns", ()),
+        ice_row=rs.use_opts.get("ice_row"),
+        ice_grid_size=rs.use_opts.get("ice_grid_size", 20),
+        **rs.use_floors(),
+    )
+
+
 @click.group()
 @click.version_option(__version__, prog_name="proxyaudit")
 def main():
@@ -326,14 +333,7 @@ def cmd_use(config_path, data_path, model_path, out_dir, seed, formats):
         if rs.decision_rule is None:
             raise ValidationError("config needs a decision_rule for use analysis")
         with rs.open_model() as m:
-            fragment = report.run_use(
-                m, rs.decision_rule, rs.dataset, assignments, rs.selector(),
-                ice_columns=rs.use_opts.get("ice_columns", ()),
-                ice_row=rs.use_opts.get("ice_row"),
-                ice_grid_size=rs.use_opts.get("ice_grid_size", 20),
-                **rs.use_floors(),
-            )
-        sections = {"use": fragment}
+            sections = {"use": _use_section(rs, m, assignments)}
         rpt = report.assemble(rs.config_echo(), rs.dataset, sections, [], rs.seed)
         rs.write(rpt)
 
@@ -375,14 +375,7 @@ def cmd_full(
                 )
                 assignments = rs.assignments()
                 if assignments:
-                    sections["use"] = report.run_use(
-                        m, rs.decision_rule, rs.dataset, assignments,
-                        rs.selector(),
-                        ice_columns=rs.use_opts.get("ice_columns", ()),
-                        ice_row=rs.use_opts.get("ice_row"),
-                        ice_grid_size=rs.use_opts.get("ice_grid_size", 20),
-                        **rs.use_floors(),
-                    )
+                    sections["use"] = _use_section(rs, m, assignments)
                 else:
                     sections["use"] = {"summaries": [], "ice": []}
         rpt = report.assemble(

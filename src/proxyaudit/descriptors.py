@@ -173,8 +173,3 @@ class SubgroupDescriptor:
     @staticmethod
     def from_json(obj):
         return SubgroupDescriptor(tuple(Condition.from_json(c) for c in obj.get("conditions", ())))
-
-
-# A capacity criterion is structurally a conjunctive descriptor over
-# non-protected columns; the capacity module enforces the column restriction.
-Criterion = SubgroupDescriptor

@@ -29,7 +29,7 @@ from .association import association_scan, contingency, scan_to_json
 from .capacity import INEXTRICABLE_LINK, classify_link, predictive_capacity
 from .data import CATEGORICAL, split_holdout
 from .discovery import VALIDATED, beam_search, validate
-from .errors import ValidationError
+from .errors import InsufficientDataError, ValidationError
 from .intervention import (
     TOWARD_UNFAVOURABLE,
     Assignment,
@@ -80,13 +80,21 @@ def run_capacity(
 ):
     """Association scan, contingency drill-down of each top pair, and
     predictive capacity of each configured proxy set against each protected
-    column."""
+    column. Pairs and proxy sets with too few complete rows are listed under
+    ``skipped`` (written only when non-empty) instead of ending the audit."""
     fragment = {"scan": [], "contingency": [], "predictive": []}
+    skipped = []
     if candidates:
         scores = association_scan(
             d, protected, candidates, normalization=normalization, bins=bins
         )
         fragment["scan"] = scan_to_json(scores)
+        ranked = {(s.var_a, s.var_b) for s in scores}
+        skipped += [
+            {"kind": "scan", "columns": [p, c],
+             "reason": "fewer than 2 pairwise-complete rows"}
+            for p in protected for c in candidates if (p, c) not in ranked
+        ]
         for p in protected:
             top = next(
                 (
@@ -100,12 +108,20 @@ def run_capacity(
                 fragment["contingency"].append(table.to_json())
     for proxy_set in proxy_sets:
         for p in protected:
-            score = predictive_capacity(
-                d, tuple(proxy_set), p, folds=folds, seed=seed
-            )
+            try:
+                score = predictive_capacity(
+                    d, tuple(proxy_set), p, folds=folds, seed=seed
+                )
+            except InsufficientDataError as exc:
+                skipped.append(
+                    {"kind": "predictive", "columns": [p, *proxy_set], "reason": str(exc)}
+                )
+                continue
             entry = score.to_json()
             entry["link_class"] = classify_link(score)
             fragment["predictive"].append(entry)
+    if skipped:
+        fragment["skipped"] = skipped
     return fragment
 
 
@@ -340,6 +356,12 @@ def render_markdown(report):
                 ],
             )
             lines.append("")
+        skipped = capacity.get("skipped", [])
+        if skipped:
+            lines += [
+                f"- skipped {s['kind']} ({', '.join(s['columns'])}): {s['reason']}"
+                for s in skipped
+            ] + [""]
     discovery = sections.get("discovery")
     if discovery:
         lines += [

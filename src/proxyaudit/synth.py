@@ -235,19 +235,13 @@ class CausalGraphSpec:
 # --- sampling ----------------------------------------------------------------
 
 
-def _config_index(g, parents, sampled):
-    """Per-row index into a node's parent-configuration list."""
-    configs = g._parent_configs(parents)
-    lookup = {key: i for i, key in enumerate(configs)}
-    n = len(next(iter(sampled.values()))) if sampled else 0
-    if not parents:
-        return np.zeros(n, dtype=np.int64), configs
-    pools = [g.categories_of(p) for p in parents]
+def _config_index(g, parents, sampled, n):
+    """Per-row index into a node's parent-configuration list (the list is in
+    product order, so the index is a mixed-radix number over parent codes)."""
     idx = np.zeros(n, dtype=np.int64)
-    for p, pool in zip(parents, pools):
-        idx = idx * len(pool) + sampled[p]
-    del lookup  # configs are already in product order; the index is direct
-    return idx, configs
+    for p in parents:
+        idx = idx * len(g.categories_of(p)) + sampled[p]
+    return idx, g._parent_configs(parents)
 
 
 def _draw_from_table(rng, table, configs, config_idx):
@@ -271,14 +265,10 @@ def sample(g, n, seed):
         kind = mech["kind"]
         parents = g.parents_of(name)
         if kind == "cpt":
-            idx, configs = _config_index(g, parents, sampled) if parents else (
-                np.zeros(n, dtype=np.int64), g._parent_configs(()),
-            )
+            idx, configs = _config_index(g, parents, sampled, n)
             sampled[name] = _draw_from_table(rng, mech["table"], configs, idx)
         elif kind == "discrete_numeric":
-            idx, configs = _config_index(g, parents, sampled) if parents else (
-                np.zeros(n, dtype=np.int64), g._parent_configs(()),
-            )
+            idx, configs = _config_index(g, parents, sampled, n)
             draws = _draw_from_table(rng, mech["table"], configs, idx)
             sampled[name] = np.asarray(mech["values"], dtype=np.float64)[draws]
         elif kind == "linear_gaussian":

@@ -268,6 +268,25 @@ class TestScan:
         assert [s.var_b for s in scores] == ["b", "const"]
         assert scores[-1].value == 0.0
 
+    def test_pair_without_complete_rows_is_left_out(self):
+        # "x" is all missing and "c" has one observed row: neither pair can be
+        # scored, and neither ends the scan
+        schema = [
+            ColumnSchema("s", CATEGORICAL, ("f", "m")),
+            ColumnSchema("x", NUMERIC),
+            ColumnSchema("c", CATEGORICAL, ("a", "b")),
+            ColumnSchema("ok", CATEGORICAL, ("a", "b")),
+        ]
+        d = Dataset(schema, {
+            "s": np.array([0, 1] * 5),
+            "x": np.full(10, np.nan),
+            "c": np.array([0] + [-1] * 9),
+            "ok": np.array([0, 0, 1, 1, 0] * 2),
+        })
+        for measure in ("nmi", "cramers_v"):
+            scores = association_scan(d, ["s"], ["x", "c", "ok"], measure=measure)
+            assert [s.var_b for s in scores] == ["ok"]
+
     def test_numeric_candidate_is_binned(self, toy_dataset):
         scores = association_scan(toy_dataset, ["sex"], ["years_since_graduation"], bins=2)
         assert len(scores) == 1

@@ -7,14 +7,14 @@ import goldens
 import oracles
 from proxyaudit.capacity import (
     CapacityScore,
-    FeatureEncoder,
     LearnerSpec,
     _CartTree,
+    _design_matrix,
+    _Logistic,
     balanced_accuracy,
     clopper_pearson,
     exact_correspondence,
     predictive_capacity,
-    train_learner,
 )
 from proxyaudit.data import CATEGORICAL, NUMERIC, ColumnSchema, Dataset
 from proxyaudit.descriptors import Condition, SubgroupDescriptor
@@ -23,7 +23,6 @@ from proxyaudit.errors import (
     ParameterError,
     ValidationError,
 )
-from proxyaudit.models import load_model
 
 
 def crit(*conds):
@@ -407,13 +406,7 @@ def test_classify_link_thresholds(table2_dataset):
     assert classify_link(tiny) == STATISTICAL_ASSOCIATION
 
 
-def test_learner_spec_json_round_trip():
-    for spec in (LearnerSpec.decision_tree(max_depth=4, min_leaf=2),
-                 LearnerSpec.logistic(l2_penalty=0.5, max_iter=50)):
-        assert LearnerSpec.from_json(spec.to_json()) == spec
-
-
-# --- train_learner and model-spec export -------------------------------------
+# --- learners on the design matrix -------------------------------------------
 
 
 def mixed_dataset(n=300, seed=17):
@@ -434,46 +427,22 @@ def mixed_dataset(n=300, seed=17):
 
 def test_feature_encoder_layout():
     d = mixed_dataset(40)
-    enc = FeatureEncoder(d, ("age", "city"))
-    assert enc.encoded_names == ["age", "city=north", "city=south", "city=west"]
-    X = enc.matrix(d)
-    assert X.shape == (40, 4)
+    rows = np.arange(40)
+    X = _design_matrix(d, ("age", "city"), rows)
+    assert X.shape == (40, 4) and X.dtype == np.float64
+    # numerics pass through; city expands to north, south, west indicators
+    assert np.array_equal(X[:, 0], d.values("age"))
     assert np.array_equal(X[:, 1] + X[:, 2] + X[:, 3], np.ones(40))
-
-
-@pytest.mark.parametrize("learner", [
-    LearnerSpec.decision_tree(max_depth=3, min_leaf=5),
-    LearnerSpec.logistic(l2_penalty=1e-3, max_iter=500),
-])
-def test_exported_spec_reproduces_internal_scores(learner):
-    d = mixed_dataset()
-    handle = train_learner(d, ("age", "city"), "grp", learner)
-    internal = handle.model.predict_proba(handle.encoder.matrix(d))[:, 1]
-    exported = load_model(handle.to_model_spec())
-    external = exported.predict_batch(d.records())
-    assert len(external) == d.n_rows
-    assert np.max(np.abs(internal - np.asarray(external))) < 1e-9
-
-
-def test_exported_logistic_matches_spreadsheet_oracle():
-    d = mixed_dataset(120, seed=23)
-    handle = train_learner(d, ("age", "city"), "grp", LearnerSpec.logistic())
-    spec = handle.to_model_spec()
-    row = d.records()[0]
-    z = oracles.linear_score(
-        spec.parameters["coefficients"], spec.parameters["intercept"],
-        spec.feature_order, row,
-    )
-    expected = 1.0 / (1.0 + np.exp(-z))
-    assert load_model(spec).predict_batch([row])[0] == pytest.approx(expected, abs=1e-9)
+    assert np.array_equal(np.argmax(X[:, 1:], axis=1), d.codes("city"))
+    assert np.array_equal(_design_matrix(d, ("age", "city"), rows[::3]), X[::3])
 
 
 def test_tree_learns_the_generating_rule():
     d = mixed_dataset()
-    handle = train_learner(d, ("age", "city"), "grp", LearnerSpec.decision_tree())
-    X = handle.encoder.matrix(d)
-    acc = np.mean(handle.predict_codes(X) == d.codes("grp"))
-    assert acc > 0.8
+    X = _design_matrix(d, ("age", "city"), np.arange(d.n_rows))
+    y = d.codes("grp")
+    tree = _CartTree(max_depth=3, min_leaf=5).fit(X, y, 2)
+    assert np.mean(tree.predict(X) == y) > 0.8
 
 
 @settings(max_examples=100, deadline=None)
@@ -491,44 +460,19 @@ def test_tree_predict_proba_matches_row_walk(seed, max_depth, min_leaf):
     assert tree.predict_proba(queries).tolist() == want
 
 
-def test_multiclass_export_is_rejected():
-    codes = np.repeat([0, 1, 2], 15)
-    rng = np.random.default_rng(2)
-    d = Dataset(
-        [
-            ColumnSchema("s", CATEGORICAL, ("a", "b", "c")),
-            ColumnSchema("x", NUMERIC),
-        ],
-        {"s": codes, "x": rng.normal(size=45) + codes},
-    )
-    handle = train_learner(d, ("x",), "s", LearnerSpec.decision_tree())
-    with pytest.raises(ValidationError):
-        handle.to_model_spec()
-
-
 def test_logistic_convergence_flag():
     d = mixed_dataset(150, seed=31)
-    short = train_learner(d, ("age", "city"), "grp", LearnerSpec.logistic(max_iter=2))
-    assert short.converged is False
-    # the decision tree has no iterative fit, so it always reports converged
-    tree = train_learner(d, ("age", "city"), "grp", LearnerSpec.decision_tree())
-    assert tree.converged is True
+    X = _design_matrix(d, ("age", "city"), np.arange(d.n_rows))
+    y = d.codes("grp")
+    assert _Logistic(1e-3, 2).fit(X, y, 2).converged is False
 
 
-def test_train_learner_drops_incomplete_rows(toy_dataset):
-    handle = train_learner(
-        toy_dataset, ("school_attended",), "sex", LearnerSpec.decision_tree(min_leaf=1)
-    )
+def test_predictive_capacity_drops_incomplete_rows(toy_dataset):
     # rows 4 and 5 are incomplete in sex/school; 4 complete rows remain
-    assert handle.model.nodes[0]["counts"].sum() == 4
-    codes = handle.predict_codes(handle.encoder.matrix(toy_dataset, [0, 1, 2, 3]))
-    assert codes.shape == (4,)
+    score = predictive_capacity(toy_dataset, ("school_attended",), "sex", folds=2)
+    assert score.support == 4
 
 
-def test_train_learner_validation(toy_dataset):
+def test_predictive_capacity_rejects_numeric_protected(toy_dataset):
     with pytest.raises(ValidationError):
-        train_learner(toy_dataset, (), "sex", LearnerSpec.decision_tree())
-    with pytest.raises(ValidationError):
-        train_learner(
-            toy_dataset, ("sex",), "years_since_graduation", LearnerSpec.decision_tree()
-        )
+        predictive_capacity(toy_dataset, ("sex",), "years_since_graduation")

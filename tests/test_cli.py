@@ -124,6 +124,7 @@ def test_full_finds_exactly_one_red_flag(runner, james_dir):
     assert flag["protected_target"] == ["sex", "male"]
     assert flag["use"]["direction_of_harm"] == "toward_unfavourable"
     assert flag["holdout_capacity"]["value"] == 1.0
+    assert "skipped" not in rpt["sections"]["capacity"]
     report.validate_report(rpt)
     assert (out / "report.md").exists()
 
@@ -179,6 +180,40 @@ def test_full_without_model_skips_use(runner, james_dir, tmp_path):
     assert rpt["sections"]["use"] == "skipped"
     assert rpt["red_flag_count"] == 0
     assert all(f["use"] == "skipped" for f in rpt["red_flags"])
+
+
+def test_full_skips_all_missing_candidate(runner, tmp_path):
+    out = synth_out(runner, tmp_path, "james", rows=500)
+    header, *rows = (out / "data.csv").read_text().splitlines()
+    age = header.split(",").index("age")
+    blanked = [header]
+    for line in rows:
+        cells = line.split(",")
+        cells[age] = "?"
+        blanked.append(",".join(cells))
+    data = out / "data_no_age.csv"
+    data.write_text("\n".join(blanked) + "\n")
+    run = tmp_path / "run_no_age"
+    result = runner.invoke(
+        main,
+        ["full", "--config", str(out / "config.json"), "--data", str(data),
+         "--out", str(run)],
+        env=EPOCH,
+    )
+    assert result.exit_code == 0, result.output
+    rpt = read_report(run)
+    report.validate_report(rpt)
+    capacity = rpt["sections"]["capacity"]
+    assert [s["var_b"] for s in capacity["scan"]] == ["reached_statutory_retirement"]
+    assert capacity["predictive"] == []
+    assert capacity["skipped"] == [
+        {"kind": "scan", "columns": ["sex", "age"],
+         "reason": "fewer than 2 pairwise-complete rows"},
+        {"kind": "predictive",
+         "columns": ["sex", "age", "reached_statutory_retirement"],
+         "reason": "fewer than 2 complete rows"},
+    ]
+    assert "- skipped scan (sex, age):" in (run / "report.md").read_text()
 
 
 # --- capacity / discover / use subcommands ----------------------------------------

@@ -7,11 +7,12 @@ echoed thresholds alone.
 
 import json
 
+import numpy as np
 import pytest
 
 from proxyaudit import report
 from proxyaudit.capacity import INEXTRICABLE_LINK, RED_FLAG_CI_FLOOR, RED_FLAG_PURITY
-from proxyaudit.data import AuditConfig
+from proxyaudit.data import CATEGORICAL, NUMERIC, AuditConfig, ColumnSchema, Dataset
 from proxyaudit.descriptors import Condition, SubgroupDescriptor
 from proxyaudit.errors import ValidationError
 from proxyaudit.intervention import TOWARD_UNFAVOURABLE
@@ -74,6 +75,30 @@ def test_run_capacity_fragment_shape(james_data):
 def test_run_capacity_empty_candidates(james_data):
     frag = report.run_capacity(james_data, ("sex",), ())
     assert frag == {"scan": [], "contingency": [], "predictive": []}
+
+
+def test_run_capacity_lists_skipped_pairs_and_proxy_sets():
+    d = Dataset(
+        [
+            ColumnSchema("s", CATEGORICAL, ("f", "m")),
+            ColumnSchema("x", NUMERIC),
+            ColumnSchema("c", CATEGORICAL, ("a", "b")),
+        ],
+        {
+            "s": np.array([0, 1] * 10),
+            "x": np.full(20, np.nan),
+            "c": np.array([0, 0, 1, 1] * 5),
+        },
+    )
+    frag = report.run_capacity(d, ("s",), ("x", "c"), proxy_sets=(("x",), ("c",)))
+    assert [e["var_b"] for e in frag["scan"]] == ["c"]
+    assert [p["proxy"] for p in frag["predictive"]] == [["c"]]
+    assert frag["skipped"] == [
+        {"kind": "scan", "columns": ["s", "x"],
+         "reason": "fewer than 2 pairwise-complete rows"},
+        {"kind": "predictive", "columns": ["s", "x"],
+         "reason": "fewer than 2 complete rows"},
+    ]
 
 
 def test_run_discovery_returns_validated_planted(james_discovery, james_data):
