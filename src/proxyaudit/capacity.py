@@ -318,7 +318,7 @@ def predictive_capacity(d, proxy_set, protected, learner=None, folds=5, seed=0):
     observed = np.nonzero(class_counts)[0]
     k = observed.size
     if k < 2:
-        raise ParameterError(
+        raise InsufficientDataError(
             f"protected column {protected!r} has a single category on complete rows"
         )
     min_count = int(class_counts[observed].min())

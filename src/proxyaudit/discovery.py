@@ -7,6 +7,7 @@ text, and every evaluated descriptor is counted toward the Bonferroni budget
 used by holdout validation.
 """
 
+import heapq
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -98,18 +99,26 @@ def enumerate_conditions(d, columns, bins=4):
     return out
 
 
-def _evaluate(d, proxy, protected_target, gamma, min_support):
-    """(quality, capacity, support) for one pair; (None, None, support) when
-    the descriptor matches fewer than min_support complete rows (no
-    statistical test is run below the floor)."""
-    column = protected_target[0]
-    complete = d.complete_mask(list(proxy.columns) + [column])
-    support = int(np.count_nonzero(proxy.mask(d) & complete))
-    if support < min_support:
-        return None, None, support
-    score = exact_correspondence(d, proxy, protected_target)
-    coverage = support / int(np.count_nonzero(complete))
-    return coverage**gamma * score.value, score, support
+def _quality(support, hits, n_complete, gamma):
+    """Coverage-weighted purity from counts: support and hits of the matching
+    rows, n_complete rows complete in the descriptor's and target's columns."""
+    return (support / n_complete) ** gamma * (hits / support)
+
+
+def _target_rows(d, protected_target):
+    """(present, is_target) row masks of a protected (column, category)."""
+    column, category = protected_target
+    schema = d.schema_of(column)
+    if schema.kind != CATEGORICAL:
+        raise ValidationError(f"protected column {column!r} must be categorical")
+    if category not in schema.categories:
+        raise ValidationError(f"category {category!r} not in column {column!r}")
+    codes = d.codes(column)
+    return codes >= 0, codes == schema.categories.index(category)
+
+
+def _count_complete(d, columns, column):
+    return int(np.count_nonzero(d.complete_mask(list(columns) + [column])))
 
 
 def quality(d, proxy, protected_target, gamma):
@@ -120,18 +129,26 @@ def quality(d, proxy, protected_target, gamma):
     """
     if gamma < 0:
         raise ParameterError("gamma must be non-negative")
-    q, _score, _support = _evaluate(d, proxy, protected_target, gamma, min_support=1)
-    return -math.inf if q is None else q
+    column = protected_target[0]
+    if column in proxy.columns:
+        raise ValidationError(f"criterion references the protected column {column!r}")
+    present, is_target = _target_rows(d, protected_target)
+    match = proxy.mask(d) & present
+    support = int(np.count_nonzero(match))
+    if support == 0:
+        return -math.inf
+    hits = int(np.count_nonzero(match & is_target))
+    return _quality(support, hits, _count_complete(d, proxy.columns, column), gamma)
 
 
 def _descriptor_order(entry):
     """Quality-descending, then shallower, then lexicographic descriptor."""
-    q, result = entry
+    q, proxy, target = entry[:3]
     return (
         -q,
-        result.proxy.depth,
-        tuple(c.sort_key() for c in result.proxy.conditions),
-        result.protected_target,
+        proxy.depth,
+        tuple(c.sort_key() for c in proxy.conditions),
+        target,
     )
 
 
@@ -148,6 +165,72 @@ def _targets_of(d, protected_columns):
     return targets
 
 
+def _ranked_pool(d, conditions, targets, beam_width, max_depth, min_support, gamma):
+    """Every scored (quality, descriptor, target) of the per-target beams,
+    lazily in report order, with the evaluated and below-support counts.
+
+    Children are ranked on integer counts alone; each condition's mask is
+    built once, and only the beam's survivors keep their rows.
+    """
+    condition_masks = [cond.mask(d) for cond in conditions]
+    n_complete = {}
+    rows = np.empty(d.n_rows, dtype=bool)
+    # one sorted run of (quality, descriptor, target) per target and level
+    runs = []
+    evaluated = 0
+    below_support = 0
+    for target in targets:
+        column = target[0]
+        present, is_target = _target_rows(d, target)
+        # beam entries: (descriptor, its support, its matching rows with the
+        # protected value present); the neutral root is never itself
+        # reported, only refined
+        beam = [(SubgroupDescriptor(()), None, present)]
+        for depth in range(1, max_depth + 1):
+            # scored entries: pool entry + (parent index, condition index,
+            # support); children of one level all have the same depth, so
+            # no child can repeat one of an earlier level
+            scored = []
+            seen = set()
+            for p, (parent, parent_support, parent_rows) in enumerate(beam):
+                for i, cond in enumerate(conditions):
+                    if cond.column in parent.columns:
+                        continue
+                    child = parent.extended(cond)
+                    if child in seen:
+                        continue
+                    seen.add(child)
+                    np.logical_and(parent_rows, condition_masks[i], out=rows)
+                    support = int(np.count_nonzero(rows))
+                    if parent_support is not None and support > parent_support:
+                        raise ValidationError(
+                            "refinement support exceeded its parent's support"
+                        )
+                    if support < min_support:
+                        below_support += 1
+                        continue
+                    evaluated += 1
+                    np.logical_and(rows, is_target, out=rows)
+                    hits = int(np.count_nonzero(rows))
+                    key = (child.columns, column)
+                    if key not in n_complete:
+                        n_complete[key] = _count_complete(d, *key)
+                    q = _quality(support, hits, n_complete[key], gamma)
+                    scored.append((q, child, target, p, i, support))
+            scored.sort(key=_descriptor_order)
+            runs.append([entry[:3] for entry in scored])
+            if not scored or depth == max_depth:
+                break
+            # survivors' rows are rebuilt from their parent's: keeping every
+            # scored child's rows would hold one mask per child
+            beam = [
+                (child, support, beam[p][2] & condition_masks[i])
+                for _q, child, _t, p, i, support in scored[:beam_width]
+            ]
+    # merging keeps equal keys in run order, as a stable sort of all runs would
+    return heapq.merge(*runs, key=_descriptor_order), evaluated, below_support
+
+
 def beam_search(
     d_train,
     config,
@@ -162,6 +245,13 @@ def beam_search(
 ):
     """Levelwise beam search over candidate-column conjunctions, one beam per
     protected (column, category) target, pooled into a global top_k.
+
+    Children are ranked on two integer counts: support (matching rows with
+    the protected value present) and hits (those carrying the target
+    category); a child's rows are its parent's rows and one condition's
+    mask. The exact statistics (:func:`exact_correspondence`: significance
+    test and Clopper-Pearson interval) run only for the deduplicated top_k
+    results that are returned.
 
     Every scored (descriptor, target) pair counts toward the Bonferroni
     budget reported in ``stats_out['descriptors_evaluated']``, which
@@ -181,64 +271,27 @@ def beam_search(
 
     conditions = enumerate_conditions(d_train, config.candidates, bins)
     targets = _targets_of(d_train, config.protected)
-    pool = []
-    evaluated = 0
-    below_support = 0
+    pool, evaluated, below_support = _ranked_pool(
+        d_train, conditions, targets, beam_width, max_depth, min_support, gamma
+    )
 
-    for target in targets:
-        seen = set()
-        # beam entries: (descriptor, its support); the neutral root is never
-        # itself reported, only refined
-        beam = [(SubgroupDescriptor(()), None)]
-        for _depth in range(1, max_depth + 1):
-            scored = []
-            for parent, parent_support in beam:
-                for cond in conditions:
-                    if cond.column in parent.columns:
-                        continue
-                    child = parent.extended(cond)
-                    if child in seen:
-                        continue
-                    seen.add(child)
-                    q, score, support = _evaluate(
-                        d_train, child, target, gamma, min_support
-                    )
-                    if parent_support is not None and support > parent_support:
-                        raise ValidationError(
-                            "refinement support exceeded its parent's support"
-                        )
-                    if score is None:
-                        below_support += 1
-                        continue
-                    evaluated += 1
-                    result = DiscoveryResult(
-                        proxy=child,
-                        protected_target=target,
-                        quality=q,
-                        capacity=score,
-                        adjusted_p=score.p_value,
-                    )
-                    scored.append((q, result))
-            scored.sort(key=_descriptor_order)
-            beam = [
-                (r.proxy, r.capacity.support) for _q, r in scored[:beam_width]
-            ]
-            pool.extend(scored)
-            if not beam:
-                break
-
-    pool.sort(key=_descriptor_order)
     deduped = []
     seen_masks = set()
-    for q, result in pool:
-        key = (
-            result.protected_target,
-            result.proxy.mask(d_train).tobytes(),
-        )
+    for q, proxy, target in pool:
+        key = (target, proxy.mask(d_train).tobytes())
         if key in seen_masks:
             continue
         seen_masks.add(key)
-        deduped.append(result)
+        score = exact_correspondence(d_train, proxy, target)
+        deduped.append(
+            DiscoveryResult(
+                proxy=proxy,
+                protected_target=target,
+                quality=q,
+                capacity=score,
+                adjusted_p=score.p_value,
+            )
+        )
         if len(deduped) == top_k:
             break
 

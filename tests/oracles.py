@@ -1,7 +1,9 @@
 """Independent reference implementations used to cross-check the engine.
 
 Everything here is deliberately written the slow, obvious way (python loops,
-Fractions) and shares no code with the package under test.
+Fractions) and shares no code with the package under test, except
+``beam_search_reference``, which scores every descriptor through the
+package's ``exact_correspondence`` as the search once did.
 """
 
 import math
@@ -237,4 +239,76 @@ def cart_predict_proba(nodes, n_classes, X):
         while "feat" in node:
             node = nodes[node["left"] if x[node["feat"]] < node["thr"] else node["right"]]
         out.append([float(c) / float(sum(node["counts"])) for c in node["counts"]])
+    return out
+
+
+def beam_search_reference(d, config, beam_width, max_depth, min_support, gamma,
+                          top_k, *, bins, stats_out):
+    """Beam search that scores every child through ``exact_correspondence``.
+
+    Same enumeration, beams, tie order, pooling, deduplication and stats as
+    ``discovery.beam_search``; each child's masks and completeness are
+    rebuilt from the dataset, and its quality is
+    ``coverage ** gamma * score.value``.
+    """
+    from proxyaudit.capacity import exact_correspondence
+    from proxyaudit.descriptors import SubgroupDescriptor
+    from proxyaudit.discovery import DiscoveryResult, enumerate_conditions
+
+    def order(entry):
+        q, r = entry
+        return (-q, r.proxy.depth,
+                tuple(c.sort_key() for c in r.proxy.conditions),
+                r.protected_target)
+
+    conditions = enumerate_conditions(d, config.candidates, bins)
+    targets = []
+    for column in config.protected:
+        counts = d.value_counts(column)
+        targets += [(column, cat) for cat in d.schema_of(column).categories
+                    if counts[cat] > 0]
+    pool, evaluated, below_support = [], 0, 0
+    for target in targets:
+        seen = set()
+        beam = [(SubgroupDescriptor(()), None)]
+        for _depth in range(max_depth):
+            scored = []
+            for parent, parent_support in beam:
+                for cond in conditions:
+                    if cond.column in parent.columns:
+                        continue
+                    child = parent.extended(cond)
+                    if child in seen:
+                        continue
+                    seen.add(child)
+                    complete = d.complete_mask(list(child.columns) + [target[0]])
+                    support = int((child.mask(d) & complete).sum())
+                    assert parent_support is None or support <= parent_support
+                    if support < min_support:
+                        below_support += 1
+                        continue
+                    evaluated += 1
+                    score = exact_correspondence(d, child, target)
+                    coverage = support / int(complete.sum())
+                    q = coverage**gamma * score.value
+                    scored.append((q, DiscoveryResult(
+                        proxy=child, protected_target=target, quality=q,
+                        capacity=score, adjusted_p=score.p_value)))
+            scored.sort(key=order)
+            beam = [(r.proxy, r.capacity.support) for _q, r in scored[:beam_width]]
+            pool.extend(scored)
+            if not beam:
+                break
+    pool.sort(key=order)
+    out, seen_masks = [], set()
+    for _q, result in pool:
+        key = (result.protected_target, result.proxy.mask(d).tobytes())
+        if key in seen_masks:
+            continue
+        seen_masks.add(key)
+        out.append(result)
+        if len(out) == top_k:
+            break
+    stats_out.update(descriptors_evaluated=evaluated, below_support=below_support,
+                     targets=targets, conditions=len(conditions))
     return out

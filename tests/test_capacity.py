@@ -303,7 +303,7 @@ def test_single_observed_class():
         ],
         {"s": np.zeros(20, dtype=np.int64), "x": np.arange(20, dtype=float)},
     )
-    with pytest.raises(ParameterError):
+    with pytest.raises(InsufficientDataError, match="single category"):
         predictive_capacity(d, ("x",), "s", folds=5, seed=0)
 
 

@@ -216,6 +216,36 @@ def test_full_skips_all_missing_candidate(runner, tmp_path):
     assert "- skipped scan (sex, age):" in (run / "report.md").read_text()
 
 
+def test_full_skips_proxy_set_with_single_protected_category(runner, tmp_path):
+    out = synth_out(runner, tmp_path, "james", rows=500)
+    header, *rows = (out / "data.csv").read_text().splitlines()
+    sex = header.split(",").index("sex")
+    males = [header]
+    for line in rows:
+        cells = line.split(",")
+        cells[sex] = "male"
+        males.append(",".join(cells))
+    data = out / "data_all_male.csv"
+    data.write_text("\n".join(males) + "\n")
+    run = tmp_path / "run_all_male"
+    result = runner.invoke(
+        main,
+        ["full", "--config", str(out / "config.json"), "--data", str(data),
+         "--out", str(run)],
+        env=EPOCH,
+    )
+    assert result.exit_code == 0, result.output
+    rpt = read_report(run)
+    report.validate_report(rpt)
+    capacity = rpt["sections"]["capacity"]
+    assert capacity["predictive"] == []
+    assert capacity["skipped"] == [
+        {"kind": "predictive",
+         "columns": ["sex", "age", "reached_statutory_retirement"],
+         "reason": "protected column 'sex' has a single category on complete rows"},
+    ]
+
+
 # --- capacity / discover / use subcommands ----------------------------------------
 
 

@@ -1,9 +1,14 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import goldens
+import oracles
 from proxyaudit.capacity import exact_correspondence
 from proxyaudit.data import CATEGORICAL, NUMERIC, AuditConfig, ColumnSchema, Dataset
 from proxyaudit.descriptors import Condition, SubgroupDescriptor
@@ -336,6 +341,114 @@ def test_extensionally_equal_descriptors_are_deduplicated():
             r.proxy.mask(d).tobytes() for r in results if r.protected_target == target
         ]
         assert len(masks) == len(set(masks))
+
+
+# --- counts-first search against the per-child reference -------------------
+
+
+@st.composite
+def search_cases(draw):
+    """Small tables with missing cells, categorical and numeric candidates
+    (copies of earlier candidates tie every quality they reach), and search
+    parameters, with min_support often at one condition's exact support."""
+    n = draw(st.integers(4, 40))
+    schema, columns = [], {}
+
+    def codes(k):
+        return np.array(draw(st.lists(st.integers(-1, k - 1), min_size=n, max_size=n)))
+
+    protected = []
+    for j in range(draw(st.integers(1, 2))):
+        k = draw(st.integers(1, 3))
+        schema.append(ColumnSchema(f"p{j}", CATEGORICAL, ("f", "m", "x")[:k]))
+        columns[f"p{j}"] = codes(k)
+        protected.append(f"p{j}")
+    candidates = []
+    for j in range(draw(st.integers(1, 4))):
+        name = f"c{j}"
+        kind = draw(st.sampled_from(["categorical", "numeric", "copy"]))
+        if kind == "copy" and candidates:
+            source = draw(st.sampled_from(candidates))
+            col = next(c for c in schema if c.name == source)
+            schema.append(ColumnSchema(name, col.kind, col.categories))
+            columns[name] = columns[source]
+        elif kind == "numeric":
+            cells = st.sampled_from([math.nan, 0.0, 1.0, 2.0, 2.5, 7.0])
+            schema.append(ColumnSchema(name, NUMERIC))
+            columns[name] = np.array(draw(st.lists(cells, min_size=n, max_size=n)))
+        else:
+            k = draw(st.integers(1, 3))
+            schema.append(ColumnSchema(name, CATEGORICAL, ("a", "b", "c")[:k]))
+            columns[name] = codes(k)
+        candidates.append(name)
+    d = Dataset(schema, columns)
+    config = AuditConfig(protected=tuple(protected), candidates=tuple(candidates))
+    bins = draw(st.integers(2, 4))
+    conditions = enumerate_conditions(d, config.candidates, bins)
+    if conditions and draw(st.booleans()):
+        cond = draw(st.sampled_from(conditions))
+        present = ~d.is_missing(draw(st.sampled_from(protected)))
+        boundary = int(np.count_nonzero(cond.mask(d) & present))
+        min_support = max(1, boundary + draw(st.sampled_from([0, 1])))
+    else:
+        min_support = draw(st.integers(1, 6))
+    kwargs = {
+        "beam_width": draw(st.integers(1, 4)),
+        "max_depth": draw(st.integers(1, 3)),
+        "min_support": min_support,
+        "gamma": draw(st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0])),
+        "top_k": draw(st.integers(1, 8)),
+        "bins": bins,
+    }
+    return d, config, kwargs
+
+
+@settings(max_examples=300, deadline=None)
+@given(search_cases())
+def test_counts_first_search_equals_reference(case):
+    d, config, kwargs = case
+    stats, expected_stats = {}, {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        results = beam_search(d, config, stats_out=stats, **kwargs)
+        expected = oracles.beam_search_reference(
+            d, config, stats_out=expected_stats, **kwargs
+        )
+    assert [r.to_json() for r in results] == [r.to_json() for r in expected]
+    assert [r.quality.hex() for r in results] == [r.quality.hex() for r in expected]
+    assert stats == expected_stats
+
+
+def test_search_memory_is_condition_masks_plus_beam():
+    """The traced peak of a search stays near one row mask per condition plus
+    a few per beam slot; a search keeping every scored child's mask exceeds
+    it several times over."""
+    n = 20_000
+    rng = np.random.default_rng(11)
+    schema = [ColumnSchema("s", CATEGORICAL, ("f", "m"))]
+    columns = {"s": rng.integers(-1, 2, n)}
+    for j in range(18):
+        schema.append(ColumnSchema(f"c{j}", CATEGORICAL, ("a", "b")))
+        columns[f"c{j}"] = rng.integers(-1, 2, n)
+    for j in range(2):
+        x = rng.normal(size=n)
+        x[rng.random(n) < 0.02] = np.nan
+        schema.append(ColumnSchema(f"x{j}", NUMERIC))
+        columns[f"x{j}"] = x
+    d = Dataset(schema, columns)
+    config = AuditConfig(protected=("s",), candidates=tuple(c.name for c in schema[1:]))
+    kwargs = {"beam_width": 10, "max_depth": 2, "min_support": 30, "top_k": 20}
+    n_conditions = len(enumerate_conditions(d, config.candidates, bins=4))
+    # the first search fills CPython's free lists (freed sort-key tuples stay
+    # allocated there), so the traced search counts only what it holds
+    beam_search(d, config, **kwargs)
+    tracemalloc.start()
+    try:
+        beam_search(d, config, **kwargs)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= (n_conditions + 4 * kwargs["beam_width"] + 8) * n
 
 
 # --- validate ----------------------------------------------------------------
