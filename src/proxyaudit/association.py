@@ -6,7 +6,6 @@ log; NMI divides mutual information by a mean of the marginal entropies
 (arithmetic by default, configurable) and clamps to [0, 1].
 """
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -15,6 +14,7 @@ from scipy import stats
 
 from . import kernels
 from .data import CATEGORICAL
+from .descriptors import _fmt
 from .errors import InsufficientDataError, ValidationError
 
 NORMALIZATIONS = ("arithmetic", "geometric", "min", "max")
@@ -42,9 +42,6 @@ class ContingencyTable:
 
     def row_marginals(self):
         return self.counts.sum(axis=1)
-
-    def col_marginals(self):
-        return self.counts.sum(axis=0)
 
     def restrict_cols(self, keep):
         """Sub-table keeping only the named column categories."""
@@ -160,23 +157,25 @@ def nmi_from_counts(counts, normalization="arithmetic"):
     return min(1.0, max(0.0, mi / denom)), False
 
 
+def _score(var_a, var_b, counts, n_eff, measure, normalization):
+    """AssociationScore of one pair's joint counts (value first, then p)."""
+    if measure == "nmi":
+        value, degenerate = nmi_from_counts(counts, normalization)
+        extra = {"normalization": normalization, "degenerate": degenerate}
+    else:
+        value, warning = cramers_v_from_counts(counts)
+        extra = {"warning": warning}
+    return AssociationScore(
+        var_a=var_a, var_b=var_b, measure=measure, value=value, n_effective=n_eff,
+        p_value=counts_significance(counts), **extra,
+    )
+
+
 def normalized_mutual_information(d, a, b, *, normalization="arithmetic"):
     """NMI of two categorical columns; symmetric by construction."""
     # canonical orientation so score(a, b) == score(b, a) bit-exactly
-    lo, hi = sorted((a, b))
-    table = contingency(d, lo, hi)
-    value, degenerate = nmi_from_counts(table.counts, normalization)
-    p = _significance_of_counts(table.counts)[0]
-    return AssociationScore(
-        var_a=a,
-        var_b=b,
-        measure="nmi",
-        value=value,
-        n_effective=table.total,
-        p_value=p,
-        normalization=normalization,
-        degenerate=degenerate,
-    )
+    table = contingency(d, *sorted((a, b)))
+    return _score(a, b, table.counts, table.total, "nmi", normalization)
 
 
 def cramers_v_from_counts(counts):
@@ -195,19 +194,8 @@ def cramers_v_from_counts(counts):
 
 def cramers_v(d, a, b):
     """Cramér's V of two categorical columns."""
-    lo, hi = sorted((a, b))
-    table = contingency(d, lo, hi)
-    value, warning = cramers_v_from_counts(table.counts)
-    p = _significance_of_counts(table.counts)[0]
-    return AssociationScore(
-        var_a=a,
-        var_b=b,
-        measure="cramers_v",
-        value=value,
-        n_effective=table.total,
-        p_value=p,
-        warning=warning,
-    )
+    table = contingency(d, *sorted((a, b)))
+    return _score(a, b, table.counts, table.total, "cramers_v", None)
 
 
 def _prune(counts):
@@ -216,8 +204,9 @@ def _prune(counts):
     return counts
 
 
-def _significance_of_counts(counts):
-    """(p_value, method) for a joint count matrix.
+def counts_significance(counts, *, detail=False):
+    """P-value of dependence for a joint count matrix; with ``detail``,
+    ``(p_value, method)``.
 
     Chi-squared test for general tables; Fisher's exact test when the pruned
     table is 2x2 and any expected cell count falls below 5 (the small-support
@@ -228,23 +217,15 @@ def _significance_of_counts(counts):
         raise InsufficientDataError("zero-total contingency table")
     pruned = _prune(counts)
     if min(pruned.shape) < 2:
-        return 1.0, "degenerate"
-    n = pruned.sum()
-    expected = np.outer(pruned.sum(axis=1), pruned.sum(axis=0)) / n
-    if pruned.shape == (2, 2) and (expected < 5).any():
-        return float(stats.fisher_exact(pruned, alternative="two-sided")[1]), "fisher_exact"
-    return float(stats.chi2_contingency(pruned, correction=False)[1]), "chi2"
-
-
-def significance(table, *, detail=False):
-    """P-value of dependence for a contingency table (see module doc)."""
-    p, method = _significance_of_counts(table.counts)
-    return (p, method) if detail else p
-
-
-def counts_significance(counts, *, detail=False):
-    """Same test as :func:`significance`, on a raw count matrix."""
-    p, method = _significance_of_counts(np.asarray(counts, dtype=np.int64))
+        p, method = 1.0, "degenerate"
+    else:
+        expected = np.outer(pruned.sum(axis=1), pruned.sum(axis=0)) / pruned.sum()
+        if pruned.shape == (2, 2) and (expected < 5).any():
+            p = float(stats.fisher_exact(pruned, alternative="two-sided")[1])
+            method = "fisher_exact"
+        else:
+            p = float(stats.chi2_contingency(pruned, correction=False)[1])
+            method = "chi2"
     return (p, method) if detail else p
 
 
@@ -271,14 +252,10 @@ def binned_column(d, name, bins):
     codes[ok] = np.searchsorted(edges, x[ok], side="right")
     labels = []
     for k in range(len(edges) + 1):
-        lo = "-inf" if k == 0 else _fmt_edge(edges[k - 1])
-        hi = "+inf" if k == len(edges) else _fmt_edge(edges[k])
+        lo = "-inf" if k == 0 else _fmt(edges[k - 1])
+        hi = "+inf" if k == len(edges) else _fmt(edges[k])
         labels.append(f"[{lo}, {hi})")
     return codes, tuple(labels)
-
-
-def _fmt_edge(x):
-    return str(int(x)) if float(x).is_integer() else f"{x:g}"
 
 
 def _as_categorical(d, name, bins):
@@ -307,34 +284,9 @@ def association_scan(d, protected, candidates, *, measure="nmi", normalization="
             counts, n_eff = kernels.joint_counts(codes_a, codes_b, ka, kb)
             if n_eff < 2:
                 continue
-            p = _significance_of_counts(counts)[0]
-            if measure == "nmi":
-                value, degenerate = nmi_from_counts(counts, normalization)
-                scores.append(
-                    AssociationScore(
-                        var_a=a, var_b=b, measure=measure, value=value, n_effective=n_eff,
-                        p_value=p, normalization=normalization, degenerate=degenerate,
-                    )
-                )
-            else:
-                value, warning = cramers_v_from_counts(counts)
-                scores.append(
-                    AssociationScore(
-                        var_a=a, var_b=b, measure=measure, value=value, n_effective=n_eff,
-                        p_value=p, warning=warning,
-                    )
-                )
+            scores.append(_score(a, b, counts, n_eff, measure, normalization))
     scores.sort(key=lambda s: (-s.value, s.p_value, s.var_a, s.var_b))
     return scores
-
-
-def scan_to_csv(scores, path):
-    """Flat table of scan results: one row per pair."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["protected", "candidate", "measure", "value", "n_effective", "p_value"])
-        for s in scores:
-            writer.writerow([s.var_a, s.var_b, s.measure, f"{s.value:.6f}", s.n_effective, f"{s.p_value:.6g}"])
 
 
 def scan_to_json(scores):

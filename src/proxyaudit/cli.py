@@ -24,11 +24,13 @@ The config file is JSON::
                     "holdout_fraction": 0.4},
       "use": {"assignments": [{"column": "retired", "value": "false"}],
               "selector": null, "ice_columns": [], "ice_row": 0,
+              "ice_grid_size": 20,
               "flip_rate_floor": 0.01, "score_floor_fraction": 0.05}
     }
 
 Relative ``schema_path``/``model_path`` resolve against the config file's
-directory.
+directory. An unknown key, at the top level or in a section, is a
+configuration error.
 """
 
 import json
@@ -63,6 +65,25 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 EXIT_RED_FLAG = 4
 
+# Each option section's keys with their defaults: the one place a CLI default
+# is written, and the list of keys a config may use.
+SECTIONS = {
+    "scan": {"normalization": "arithmetic", "bins": 10},
+    "capacity": {"folds": 5},
+    "discovery": {
+        "beam_width": 10, "max_depth": 2, "min_support": 30, "gamma": 0.25,
+        "top_k": 20, "bins": 4, "holdout_fraction": 0.4,
+    },
+    "use": {
+        "assignments": (), "selector": None, "ice_columns": (), "ice_row": None,
+        "ice_grid_size": 20, "flip_rate_floor": 0.01, "score_floor_fraction": 0.05,
+    },
+}
+TOP_LEVEL_KEYS = (
+    "protected", "candidates", "target", "seed", "schema", "schema_path",
+    "proxy_sets", "model_path", "decision_rule", *SECTIONS,
+)
+
 
 def _fail(code, message):
     click.echo(f"proxyaudit: error: {message}", err=True)
@@ -94,7 +115,7 @@ class RunSettings:
             raw = json.load(fh)
         if not isinstance(raw, dict):
             raise ValidationError("config file must hold a JSON object")
-        self.raw = raw
+        _check_keys(raw)
         base = config_path.parent
 
         if "schema" in raw:
@@ -128,10 +149,7 @@ class RunSettings:
             ModelSpec.load(resolved_model) if resolved_model else None
         )
         self.proxy_sets = [tuple(s) for s in raw.get("proxy_sets", [])]
-        self.scan_opts = dict(raw.get("scan", {}))
-        self.capacity_opts = dict(raw.get("capacity", {}))
-        self.discovery_opts = dict(raw.get("discovery", {}))
-        self.use_opts = dict(raw.get("use", {}))
+        self.opts = {section: dict(raw.get(section, {})) for section in SECTIONS}
         self.out_dir = Path(out_dir)
         self.formats = formats
 
@@ -145,10 +163,10 @@ class RunSettings:
                 self.decision_rule.to_json() if self.decision_rule else None
             ),
             "model": self.model_spec.kind if self.model_spec else None,
-            "scan": self.scan_opts,
-            "capacity": self.capacity_opts,
-            "discovery": self.discovery_opts,
-            "use": {k: v for k, v in self.use_opts.items() if k != "assignments"},
+            "scan": self.opts["scan"],
+            "capacity": self.opts["capacity"],
+            "discovery": self.opts["discovery"],
+            "use": {k: v for k, v in self.opts["use"].items() if k != "assignments"},
             "thresholds": {
                 "red_flag_purity": RED_FLAG_PURITY,
                 "red_flag_ci_floor": RED_FLAG_CI_FLOOR,
@@ -163,20 +181,24 @@ class RunSettings:
             )
         return load_model(self.model_spec)
 
+    def option(self, section, key):
+        """A section option as configured, else its default from SECTIONS."""
+        return self.opts[section].get(key, SECTIONS[section][key])
+
     def assignments(self):
         return [
             Assignment(a["column"], a["value"])
-            for a in self.use_opts.get("assignments", [])
+            for a in self.option("use", "assignments")
         ]
 
     def selector(self):
-        sel = self.use_opts.get("selector")
+        sel = self.option("use", "selector")
         return SubgroupDescriptor.from_json(sel) if sel else None
 
     def use_floors(self):
         return {
-            "flip_rate_floor": self.use_opts.get("flip_rate_floor", 0.01),
-            "score_floor_fraction": self.use_opts.get("score_floor_fraction", 0.05),
+            key: self.option("use", key)
+            for key in ("flip_rate_floor", "score_floor_fraction")
         }
 
     def write(self, rpt):
@@ -230,6 +252,18 @@ def _settings_options(fn):
     return fn
 
 
+def _check_keys(raw):
+    """Reject config keys the CLI would otherwise silently ignore."""
+    unknown = [k for k in raw if k not in TOP_LEVEL_KEYS]
+    for section, defaults in SECTIONS.items():
+        opts = raw.get(section, {})
+        if not isinstance(opts, dict):
+            raise ValidationError(f"config {section!r} must be a JSON object")
+        unknown += [f"{section}.{k}" for k in opts if k not in defaults]
+    if unknown:
+        raise ValidationError(f"unknown config key(s): {', '.join(sorted(unknown))}")
+
+
 def _parse_formats(formats):
     chosen = tuple(f.strip() for f in formats.split(",") if f.strip())
     bad = [f for f in chosen if f not in _FORMATS]
@@ -244,25 +278,18 @@ def _capacity_section(rs):
         rs.audit.protected,
         rs.audit.candidates,
         rs.proxy_sets,
-        normalization=rs.scan_opts.get("normalization", "arithmetic"),
-        bins=rs.scan_opts.get("bins", 10),
-        folds=rs.capacity_opts.get("folds", 5),
+        normalization=rs.option("scan", "normalization"),
+        bins=rs.option("scan", "bins"),
+        folds=rs.option("capacity", "folds"),
         seed=rs.seed,
     )
 
 
 def _discovery_section(rs):
-    opts = rs.discovery_opts
     return report.run_discovery(
         rs.dataset,
         rs.audit,
-        beam_width=opts.get("beam_width", 10),
-        max_depth=opts.get("max_depth", 2),
-        min_support=opts.get("min_support", 30),
-        gamma=opts.get("gamma", 0.25),
-        top_k=opts.get("top_k", 20),
-        bins=opts.get("bins", 4),
-        holdout_fraction=opts.get("holdout_fraction", 0.4),
+        **{key: rs.option("discovery", key) for key in SECTIONS["discovery"]},
         seed=rs.seed,
     )
 
@@ -270,9 +297,9 @@ def _discovery_section(rs):
 def _use_section(rs, m, assignments):
     return report.run_use(
         m, rs.decision_rule, rs.dataset, assignments, rs.selector(),
-        ice_columns=rs.use_opts.get("ice_columns", ()),
-        ice_row=rs.use_opts.get("ice_row"),
-        ice_grid_size=rs.use_opts.get("ice_grid_size", 20),
+        ice_columns=rs.option("use", "ice_columns"),
+        ice_row=rs.option("use", "ice_row"),
+        ice_grid_size=rs.option("use", "ice_grid_size"),
         **rs.use_floors(),
     )
 
@@ -430,11 +457,7 @@ def cmd_synth(preset_name, rows, seed, out_dir):
             "proxy_sets": [list(roles.get("candidates", ()))]
             if roles.get("candidates")
             else [],
-            "discovery": {
-                "beam_width": 10, "max_depth": 2, "min_support": 30,
-                "gamma": 0.25, "top_k": 20, "bins": 4,
-                "holdout_fraction": 0.4,
-            },
+            "discovery": dict(SECTIONS["discovery"]),
         }
         if scenario.decision_rule is not None:
             config["decision_rule"] = scenario.decision_rule.to_json()

@@ -14,13 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import expr
-from .errors import (
-    ExpressionError,
-    InsufficientDataError,
-    ParseError,
-    ValidationError,
-)
+from .errors import InsufficientDataError, ParseError, ValidationError
 
 CATEGORICAL = "categorical"
 NUMERIC = "numeric"
@@ -367,21 +361,14 @@ def load_csv(path, schema, *, delimiter=",", header=True, strict=False, skip_pre
 
 
 def derive_feature(d, name, rule):
-    """Append a binary categorical column computed from a predicate expression.
+    """Append a binary categorical column: does the row match a descriptor?
 
-    The new column has categories ("false", "true"); rows where any column
-    referenced by the rule is missing get a missing value.
+    ``rule`` is a ``SubgroupDescriptor`` (a conjunction of equality and
+    interval conditions). The new column has categories ("false", "true");
+    rows where any column the rule references is missing get a missing value.
     """
-    if name in d.column_names:
-        raise ValidationError(f"column {name!r} already exists")
-    try:
-        node = expr.parse(rule)
-        truth, valid = expr.evaluate(node, d)
-    except ValidationError as exc:
-        raise ExpressionError(str(exc)) from None
-    codes = np.where(valid, truth.astype(np.int64), np.int64(-1))
-    col = ColumnSchema(name=name, kind=CATEGORICAL, categories=("false", "true"))
-    return d.with_column(col, codes)
+    codes = np.where(d.complete_mask(rule.columns), rule.mask(d), -1)
+    return d.with_column(ColumnSchema(name, CATEGORICAL, ("false", "true")), codes)
 
 
 def split_holdout(d, fraction, seed):
@@ -404,8 +391,6 @@ class AuditConfig:
     protected: tuple
     candidates: tuple
     target: str = None
-    model_ref: object = None
-    decision_rule: object = None
     seed: int = 0
 
     def __post_init__(self):

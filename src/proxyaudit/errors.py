@@ -6,7 +6,7 @@ class ProxyAuditError(Exception):
 
 
 class ParseError(ProxyAuditError):
-    """Malformed input file (CSV row, schema document, expression text)."""
+    """Malformed input file (CSV row, schema document)."""
 
     def __init__(self, message, row_index=None):
         super().__init__(message)
@@ -19,10 +19,6 @@ class ValidationError(ProxyAuditError):
 
 class InsufficientDataError(ProxyAuditError):
     """Too few rows to compute the requested quantity."""
-
-
-class ExpressionError(ProxyAuditError):
-    """Type mismatch or unknown column in a derived-feature expression."""
 
 
 class SpecError(ValidationError):

@@ -493,12 +493,3 @@ def load_model(spec, *, timeout=None):
     except OSError as exc:
         raise ConnectivityError(f"could not start probe: {exc}") from None
 
-
-def check_determinism(handle, rows):
-    """Probe the same batch twice; (deterministic, max_abs_difference)."""
-    if not rows:
-        return True, 0.0
-    first = np.asarray(handle.predict_batch(rows))
-    second = np.asarray(handle.predict_batch(rows))
-    diff = float(np.max(np.abs(first - second)))
-    return diff == 0.0, diff

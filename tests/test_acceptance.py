@@ -40,7 +40,6 @@ from proxyaudit.intervention import (
 )
 from proxyaudit.models import (
     BuiltinModelHandle,
-    DecisionRule,
     ModelSpec,
     decide,
     load_model,

@@ -3,6 +3,7 @@ exit-code contract, and report determinism."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from proxyaudit import report
+from proxyaudit import cli, report
 from proxyaudit.cli import main
 from proxyaudit.models import BuiltinModelHandle, DecisionRule, ModelSpec, decide
 
@@ -420,6 +421,36 @@ def test_config_column_mismatch_exits_2(runner, tmp_path):
     )
     assert result.exit_code == 2
     assert "no_such_column" in result.output
+
+
+@pytest.mark.parametrize(
+    "section, key",
+    [(None, "candiates"), ("discovery", "beam_widht"), ("scan", "bin"),
+     ("capacity", "fold"), ("use", "ice_rows")],
+)
+def test_unknown_config_key_exits_2(runner, tmp_path, section, key):
+    out = synth_out(runner, tmp_path, "james", rows=500)
+    config = json.loads((out / "config.json").read_text())
+    (config if section is None else config.setdefault(section, {}))[key] = 3
+    path = out / "config_typo.json"
+    path.write_text(json.dumps(config))
+    result = runner.invoke(
+        main,
+        ["full", "--config", str(path), "--data", str(out / "data.csv"),
+         "--out", str(out / "x")],
+    )
+    assert result.exit_code == 2, result.output
+    assert (key if section is None else f"{section}.{key}") in result.output
+    assert not (out / "x" / "report.json").exists()
+
+
+def test_readme_config_block_documents_every_key():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("### Config format\n\n```jsonc\n", 1)[1].split("```", 1)[0]
+    config = json.loads(re.sub(r"//.*", "", block))
+    assert set(config) == set(cli.TOP_LEVEL_KEYS) - {"schema"}
+    for section, defaults in cli.SECTIONS.items():
+        assert set(config[section]) == set(defaults), section
 
 
 def test_malformed_config_json_exits_2(runner, tmp_path):

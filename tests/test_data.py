@@ -17,14 +17,8 @@ from proxyaudit.data import (
     split_holdout,
     write_schema_json,
 )
-from proxyaudit.errors import (
-    ExpressionError,
-    InsufficientDataError,
-    ParseError,
-    ValidationError,
-)
-
-import oracles
+from proxyaudit.descriptors import Condition, SubgroupDescriptor
+from proxyaudit.errors import InsufficientDataError, ParseError, ValidationError
 
 
 SCHEMA = [
@@ -156,10 +150,17 @@ class TestDataset:
         assert mask.tolist() == [True, True, True, True, False, True]
 
 
+def rule(*conditions):
+    return SubgroupDescriptor(conditions)
+
+
 class TestDeriveFeature:
     def test_school_conjunction_matches_row_oracle(self, toy_dataset):
-        rule = 'school_attended = "X" AND years_since_graduation >= 30'
-        d2 = derive_feature(toy_dataset, "attended_singlesex_school", rule)
+        school = rule(
+            Condition.equals("school_attended", "X"),
+            Condition.interval("years_since_graduation", lo=30),
+        )
+        d2 = derive_feature(toy_dataset, "attended_singlesex_school", school)
 
         def predicate(r):
             if r["school_attended"] is None or r["years_since_graduation"] is None:
@@ -171,47 +172,42 @@ class TestDeriveFeature:
         assert got == [None if e is None else ("true" if e else "false") for e in expected]
 
     def test_original_untouched_and_length_preserved(self, toy_dataset):
-        d2 = derive_feature(toy_dataset, "flag", "true")
+        d2 = derive_feature(toy_dataset, "flag", rule())
         assert "flag" not in toy_dataset.column_names
         assert d2.n_rows == toy_dataset.n_rows
 
     def test_tautology_constant_column(self, toy_dataset):
-        d2 = derive_feature(toy_dataset, "flag", "true")
+        d2 = derive_feature(toy_dataset, "flag", rule())
         assert set(d2.codes("flag").tolist()) == {1}
 
     def test_missing_propagates(self, toy_dataset):
-        d2 = derive_feature(toy_dataset, "f", "years_since_graduation >= 0")
-        assert d2.cell(4, "f") is None
-
-    def test_missing_propagates_through_not(self, toy_dataset):
-        d2 = derive_feature(toy_dataset, "f", "NOT years_since_graduation >= 0")
+        d2 = derive_feature(
+            toy_dataset, "f", rule(Condition.interval("years_since_graduation", lo=0))
+        )
         assert d2.cell(4, "f") is None
 
     def test_interval_test_on_categorical_errors(self, toy_dataset):
-        with pytest.raises(ExpressionError):
-            derive_feature(toy_dataset, "f", 'school_attended >= 3')
+        with pytest.raises(ValidationError):
+            derive_feature(toy_dataset, "f", rule(Condition.interval("school_attended", lo=3)))
 
     def test_string_compare_on_numeric_errors(self, toy_dataset):
-        with pytest.raises(ExpressionError):
-            derive_feature(toy_dataset, "f", 'years_since_graduation = "ten"')
+        with pytest.raises(ValidationError):
+            derive_feature(
+                toy_dataset, "f", rule(Condition.equals("years_since_graduation", "ten"))
+            )
 
     def test_unknown_column_errors(self, toy_dataset):
-        with pytest.raises(ExpressionError):
-            derive_feature(toy_dataset, "f", "nope = 1")
+        with pytest.raises(ValidationError):
+            derive_feature(toy_dataset, "f", rule(Condition.equals("nope", "1")))
 
     def test_existing_name_rejected(self, toy_dataset):
         with pytest.raises(ValidationError):
-            derive_feature(toy_dataset, "sex", "true")
-
-    def test_or_and_parentheses(self, toy_dataset):
-        d2 = derive_feature(
-            toy_dataset, "f", '(sex = "male" OR sex = "female") AND NOT false'
-        )
-        assert d2.value_counts("f") == {"false": 0, "true": 5}
+            derive_feature(toy_dataset, "sex", rule())
 
     def test_unknown_category_literal_matches_nothing(self, toy_dataset):
-        d2 = derive_feature(toy_dataset, "f", 'sex = "other"')
-        assert d2.value_counts("f")["true"] == 0
+        # a category the column lacks could match no row: the rule is rejected
+        with pytest.raises(ValidationError):
+            derive_feature(toy_dataset, "f", rule(Condition.equals("sex", "other")))
 
 
 class TestSplitHoldout:

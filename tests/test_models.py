@@ -18,7 +18,6 @@ from proxyaudit.errors import (
 from proxyaudit.models import (
     DecisionRule,
     ModelSpec,
-    check_determinism,
     decide,
     load_model,
 )
@@ -174,11 +173,6 @@ class TestBuiltinPrediction:
             }
             want = oracles.linear_score(w, b, ("x", "y", "c"), row)
             assert m.predict_batch([row])[0] == pytest.approx(want, rel=1e-12)
-
-    def test_determinism_check(self):
-        m = load_model(linear_spec({"x": 3.0}, 1.0, ("x",)))
-        ok, diff = check_determinism(m, [[1.0], [2.0]])
-        assert ok and diff == 0.0
 
 
 # --- columnar evaluator vs the per-row reference --------------------------------
