@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from . import kernels
 from .data import CATEGORICAL
@@ -187,7 +187,7 @@ def cramers_v_from_counts(counts):
     pruned = _prune(counts)
     if min(pruned.shape) < 2:
         return 0.0, "degenerate table (a variable is constant); V set to 0"
-    chi2 = stats.chi2_contingency(pruned, correction=False)[0]
+    chi2, _ = _chi2(pruned)
     k = min(pruned.shape) - 1
     return math.sqrt(chi2 / (n * k)), None
 
@@ -202,6 +202,14 @@ def _prune(counts):
     """Drop all-zero rows and columns (empty categories)."""
     counts = counts[counts.sum(axis=1) > 0][:, counts.sum(axis=0) > 0]
     return counts
+
+
+def _chi2(pruned):
+    """(Pearson chi-squared statistic, expected counts) of a pruned table,
+    without continuity correction."""
+    rows, cols = pruned.sum(axis=1, keepdims=True), pruned.sum(axis=0, keepdims=True)
+    expected = rows * cols / pruned.sum()
+    return float(((pruned - expected) ** 2 / expected).sum()), expected
 
 
 def counts_significance(counts, *, detail=False):
@@ -219,12 +227,17 @@ def counts_significance(counts, *, detail=False):
     if min(pruned.shape) < 2:
         p, method = 1.0, "degenerate"
     else:
-        expected = np.outer(pruned.sum(axis=1), pruned.sum(axis=0)) / pruned.sum()
+        chi2, expected = _chi2(pruned)
         if pruned.shape == (2, 2) and (expected < 5).any():
+            # the only caller of scipy.stats, imported here so that other
+            # runs never load it
+            from scipy import stats
+
             p = float(stats.fisher_exact(pruned, alternative="two-sided")[1])
             method = "fisher_exact"
         else:
-            p = float(stats.chi2_contingency(pruned, correction=False)[1])
+            r, c = pruned.shape
+            p = float(special.chdtrc((r - 1) * (c - 1), chi2))
             method = "chi2"
     return (p, method) if detail else p
 

@@ -18,7 +18,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import beta
+from scipy import special
 
 from . import kernels
 from .association import counts_significance
@@ -92,8 +92,12 @@ def clopper_pearson(k, n, alpha=0.05):
     """Exact binomial (Clopper-Pearson) two-sided confidence interval."""
     if n <= 0:
         raise InsufficientDataError("empty sample")
-    lo = 0.0 if k == 0 else float(beta.ppf(alpha / 2, k, n - k + 1))
-    hi = 1.0 if k == n else float(beta.ppf(1 - alpha / 2, k + 1, n - k))
+    if not 0 <= k <= n:
+        raise ParameterError(f"successes k={k} outside [0, n={n}]")
+    if not 0 < alpha < 1:
+        raise ParameterError(f"alpha={alpha} outside (0, 1)")
+    lo = 0.0 if k == 0 else float(special.betaincinv(k, n - k + 1, alpha / 2))
+    hi = 1.0 if k == n else float(special.betaincinv(k + 1, n - k, 1 - alpha / 2))
     return lo, hi
 
 

@@ -4,9 +4,11 @@ the decision rule mapping scores to favourable/unfavourable outcomes.
 Builtin kinds — ``linear``, ``logistic`` (one-of-K coefficients named
 ``column=category`` for categorical features) and ``decision_tree`` (a node
 table) — are evaluated over whole columns (``score_columns``); their
-``predict_batch`` turns rows into columns first. External kinds take rows as
-newline-delimited JSON over a subprocess's stdin/stdout or HTTP POST
-/predict, ``ROWS_PER_CALL`` rows per call when given columns.
+``predict_batch`` turns rows into columns first. Linear and tree specs run on
+numpy alone; only a logistic spec loads ``scipy.special`` for its ``expit``.
+External kinds take rows as newline-delimited JSON over a subprocess's
+stdin/stdout or HTTP POST /predict, ``ROWS_PER_CALL`` rows per call when
+given columns.
 
 External transport failures are retried at most twice (counted, never
 silent); protocol violations are never retried, because retrying can mask a
@@ -24,7 +26,6 @@ from dataclasses import dataclass
 from numbers import Real
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ConnectivityError, ProtocolError, SpecError, ValidationError
 
@@ -302,7 +303,12 @@ class BuiltinModelHandle(ModelHandle):
                 total += w * (columns[col] == cat).astype(np.float64)
             else:
                 total += w * _numeric(columns[name], range(n_rows), name)
-        return expit(total) if self.spec.kind == "logistic" else total
+        if self.spec.kind == "logistic":
+            # imported here so that linear and tree specs run on numpy alone
+            from scipy.special import expit
+
+            return expit(total)
+        return total
 
 
 # --- external probes --------------------------------------------------------

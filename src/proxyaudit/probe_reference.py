@@ -44,7 +44,9 @@ def _default_scorer(features, rows):
 
 
 def _spec_scorer(spec_path):
-    # imported lazily so the affine default has no package dependencies
+    # imported lazily so the affine default has no package dependencies; a
+    # linear or tree spec then runs on numpy alone (a logistic one adds
+    # scipy.special)
     from .models import BuiltinModelHandle, ModelSpec
 
     handle = BuiltinModelHandle(ModelSpec.load(spec_path))

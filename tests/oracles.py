@@ -3,13 +3,16 @@
 Everything here is deliberately written the slow, obvious way (python loops,
 Fractions) and shares no code with the package under test, except
 ``beam_search_reference``, which scores every descriptor through the
-package's ``exact_correspondence`` as the search once did.
+package's ``exact_correspondence`` as the search once did, and the two
+``scipy.stats`` references (``chi2_reference``, ``clopper_pearson_reference``),
+which are the calls the package made before it moved to ``scipy.special``.
 """
 
 import math
 from fractions import Fraction
 from numbers import Real
 
+from scipy import stats
 from scipy.special import expit
 
 
@@ -53,6 +56,20 @@ def chi2_statistic(table):
             e = rows[i] * cols[j] / n
             stat += (c - e) ** 2 / e
     return stat
+
+
+def chi2_reference(pruned):
+    """(statistic, p-value) of Pearson's chi-squared test without continuity
+    correction, for a table with no all-zero row or column."""
+    stat, p = stats.chi2_contingency(pruned, correction=False)[:2]
+    return float(stat), float(p)
+
+
+def clopper_pearson_reference(k, n, alpha):
+    """Clopper-Pearson interval from beta quantiles."""
+    lo = 0.0 if k == 0 else float(stats.beta.ppf(alpha / 2, k, n - k + 1))
+    hi = 1.0 if k == n else float(stats.beta.ppf(1 - alpha / 2, k + 1, n - k))
+    return lo, hi
 
 
 def fisher_exact_two_sided(a, b, c, d):

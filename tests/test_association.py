@@ -1,14 +1,19 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from proxyaudit.association import (
     ContingencyTable,
+    _chi2,
+    _prune,
     association_scan,
     binned_column,
     contingency,
     cramers_v,
+    cramers_v_from_counts,
     nmi_from_counts,
     counts_significance,
     normalized_mutual_information,
@@ -241,6 +246,41 @@ class TestSignificance:
                              np.array([[5, 7], [0, 0]]), 12)
         p, method = counts_significance(t.counts, detail=True)
         assert p == 1.0 and method == "degenerate"
+
+
+@st.composite
+def pruned_tables(draw):
+    """Tables from 2x2 to 6x6 with no all-zero row or column; each cell is
+    drawn at its own magnitude, from single digits up to 10**6."""
+    r, c = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    cell = st.integers(0, 6).flatmap(lambda e: st.integers(0, 10**e))
+    cells = draw(st.lists(cell, min_size=r * c, max_size=r * c))
+    pruned = _prune(np.array(cells, dtype=np.int64).reshape(r, c))
+    assume(min(pruned.shape) >= 2)
+    return pruned
+
+
+class TestChi2Exactness:
+    """The numpy statistic and ``scipy.special.chdtrc`` give the float bits of
+    ``scipy.stats.chi2_contingency(..., correction=False)``."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(pruned_tables())
+    def test_statistic_and_p_value_equal_scipy_stats(self, pruned):
+        want_stat, want_p = oracles.chi2_reference(pruned)
+        stat, expected = _chi2(pruned)
+        assert stat.hex() == want_stat.hex()
+        # the Fisher branch's small-cell check reads the same expected counts
+        outer = np.outer(pruned.sum(axis=1), pruned.sum(axis=0)) / pruned.sum()
+        assert expected.tobytes() == outer.tobytes()
+        n, k = int(pruned.sum()), min(pruned.shape) - 1
+        value, _ = cramers_v_from_counts(pruned)
+        assert value.hex() == math.sqrt(want_stat / (n * k)).hex()
+        p, method = counts_significance(pruned, detail=True)
+        if method == "chi2":
+            assert p.hex() == want_p.hex()
+        else:
+            assert pruned.shape == (2, 2) and (outer < 5).any()
 
 
 class TestScan:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import goldens
@@ -61,6 +61,36 @@ def test_clopper_pearson_brackets_and_widens(n, k_frac, tighter):
 def test_clopper_pearson_empty_sample():
     with pytest.raises(InsufficientDataError):
         clopper_pearson(0, 0)
+
+
+@pytest.mark.parametrize(
+    "k, n, alpha",
+    [(-1, 10, 0.05), (11, 10, 0.05), (2, 1, 0.05), (3, 10, 0.0), (3, 10, 1.0),
+     (3, 10, -0.1), (3, 10, 1.5), (3, 10, float("nan"))],
+)
+def test_clopper_pearson_rejects_impossible_inputs(k, n, alpha):
+    with pytest.raises(ParameterError):
+        clopper_pearson(k, n, alpha)
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    n=st.one_of(st.integers(1, 60), st.integers(1, 10**6)),
+    k_frac=st.floats(0, 1),
+    alpha=st.one_of(
+        st.sampled_from((0.001, 0.01, 0.05, 0.1, 0.2, 0.5, 0.9)),
+        st.floats(1e-6, 1 - 1e-6),
+    ),
+)
+@example(n=1, k_frac=0.0, alpha=0.05)
+@example(n=1, k_frac=1.0, alpha=0.05)
+@example(n=1000, k_frac=0.0, alpha=0.01)
+@example(n=1000, k_frac=1.0, alpha=0.2)
+def test_clopper_pearson_equals_beta_quantiles(n, k_frac, alpha):
+    k = min(n, int(round(k_frac * n)))
+    lo, hi = clopper_pearson(k, n, alpha)
+    want_lo, want_hi = oracles.clopper_pearson_reference(k, n, alpha)
+    assert (lo.hex(), hi.hex()) == (want_lo.hex(), want_hi.hex())
 
 
 # --- exact correspondence ----------------------------------------------------

@@ -1,7 +1,16 @@
-"""Every module-level import under src/ and tests/ is used in its file."""
+"""Imports stay lean: every module-level import under src/ and tests/ is used
+in its file, and a run loads only the scipy modules it calls."""
 
 import ast
+import json
+import math
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted([*ROOT.joinpath("src").rglob("*.py"), *ROOT.joinpath("tests").rglob("*.py")])
@@ -38,3 +47,52 @@ def test_no_unused_module_level_imports():
         for line, name in unused_imports(path.read_text(encoding="utf-8"))
     ]
     assert found == []
+
+
+def loaded_after(code):
+    """Sorted scipy module names in sys.modules after running ``code`` in a
+    fresh interpreter that imports the package from this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    report = (
+        "import json, sys\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", f"{code}\n{report}"],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    # scipy.stats is loaded only by Fisher's small-cell 2x2 branch
+    loaded = loaded_after("import proxyaudit.cli")
+    assert "scipy.special" in loaded
+    assert [m for m in loaded if m.startswith("scipy.stats")] == []
+
+
+def test_models_and_probe_reference_load_no_scipy():
+    assert loaded_after("import proxyaudit.models, proxyaudit.probe_reference") == []
+
+
+@pytest.mark.parametrize(
+    "kind, want, loads_special",
+    [
+        ("linear", [-1.0, 0.0, 5.0], False),
+        ("logistic", [1 / (1 + math.e), 0.5, 1 / (1 + math.exp(-5))], True),
+    ],
+)
+def test_only_logistic_specs_load_scipy_special(kind, want, loads_special):
+    code = textwrap.dedent(f"""
+        import numpy as np
+        from proxyaudit.models import BuiltinModelHandle, ModelSpec
+        spec = ModelSpec({kind!r}, {{"intercept": -1.0, "coefficients": {{"x": 2.0}}}}, ("x",))
+        scores = BuiltinModelHandle(spec).score_columns({{"x": np.array([0.0, 0.5, 3.0])}})
+        assert np.allclose(scores, {want!r}, rtol=1e-15, atol=0), scores
+    """)
+    loaded = loaded_after(code)
+    assert ("scipy.special" in loaded) is loads_special
+    assert [m for m in loaded if m.startswith("scipy.stats")] == []
