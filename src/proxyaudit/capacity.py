@@ -48,13 +48,12 @@ class CapacityScore:
 
     proxy: object  # SubgroupDescriptor or tuple of column names
     protected_value: object  # (column, category) or column name
-    measure: str  # purity | predictive | nmi
+    measure: str  # purity | predictive
     value: float
     support: int
     p_value: float
     ci_low: float
     ci_high: float
-    subgroup: SubgroupDescriptor = None
     warning: str = None
 
     def __post_init__(self):
@@ -101,6 +100,21 @@ def clopper_pearson(k, n, alpha=0.05):
     return lo, hi
 
 
+def target_rows(d, protected_target, columns=()):
+    """(present, is_target) row masks of a protected (column, category) for a
+    criterion over ``columns``, which may not include the protected column."""
+    column, category = protected_target
+    schema = d.schema_of(column)
+    if schema.kind != CATEGORICAL:
+        raise ValidationError(f"protected column {column!r} must be categorical")
+    if category not in schema.categories:
+        raise ValidationError(f"category {category!r} not in column {column!r}")
+    if column in columns:
+        raise ValidationError(f"criterion references the protected column {column!r}")
+    codes = d.codes(column)
+    return codes >= 0, codes == schema.categories.index(category)
+
+
 def exact_correspondence(d, q, protected_value, *, alpha=0.05):
     """Purity of criterion q for a (column, category) protected value.
 
@@ -108,22 +122,14 @@ def exact_correspondence(d, q, protected_value, *, alpha=0.05):
     rows complete in every referenced column; support = number of matching
     rows; significance = chi-squared/Fisher on the q-vs-protected 2x2 table.
     """
-    column, category = protected_value
-    schema = d.schema_of(column)
-    if schema.kind != CATEGORICAL:
-        raise ValidationError(f"protected column {column!r} must be categorical")
-    if category not in schema.categories:
-        raise ValidationError(f"category {category!r} not in column {column!r}")
-    if column in q.columns:
-        raise ValidationError(f"criterion references the protected column {column!r}")
-
-    complete = d.complete_mask(list(q.columns) + [column])
-    match = q.mask(d) & complete
+    present, is_cat = target_rows(d, protected_value, q.columns)
+    # a condition never matches a missing cell, so matching rows are complete
+    complete = d.complete_mask(q.columns) & present
+    match = q.mask(d) & present
     support = int(np.count_nonzero(match))
     if support == 0:
         raise InsufficientDataError("criterion matches no complete rows")
 
-    is_cat = d.codes(column) == schema.categories.index(category)
     hits = int(np.count_nonzero(match & is_cat))
     value = hits / support
 
@@ -136,7 +142,7 @@ def exact_correspondence(d, q, protected_value, *, alpha=0.05):
     lo, hi = clopper_pearson(hits, support, alpha)
     return CapacityScore(
         proxy=q,
-        protected_value=(column, category),
+        protected_value=tuple(protected_value),
         measure="purity",
         value=value,
         support=support,

@@ -212,12 +212,11 @@ class Dataset:
 
     # --- serialization ---------------------------------------------------
 
-    def to_csv(self, path, *, delimiter=",", header=True):
-        """Write the table as CSV; missing cells become the missing token."""
+    def to_csv(self, path):
+        """Write the table as CSV with a header; missing cells become the missing token."""
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, delimiter=delimiter)
-            if header:
-                writer.writerow(self.column_names)
+            writer = csv.writer(fh)
+            writer.writerow(self.column_names)
             cols = [(c, self._columns[c.name]) for c in self._schema]
             for i in range(self._n_rows):
                 row = []
@@ -277,7 +276,7 @@ def read_schema_json(path):
         return schema_from_json(json.load(fh))
 
 
-def load_csv(path, schema, *, delimiter=",", header=True, strict=False, skip_prefixes=()):
+def load_csv(path, schema, *, header=True, strict=False, skip_prefixes=()):
     """Load a CSV file against a schema.
 
     Cells are whitespace-trimmed before interpretation. A cell equal to the
@@ -295,7 +294,7 @@ def load_csv(path, schema, *, delimiter=",", header=True, strict=False, skip_pre
     order = list(range(len(schema)))
 
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
+        reader = csv.reader(fh)
         first = True
         row_index = 0
         for raw_row in reader:

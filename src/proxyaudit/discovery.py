@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .association import equal_frequency_bins
-from .capacity import RED_FLAG_CI_FLOOR, CapacityScore, exact_correspondence
+from .capacity import RED_FLAG_CI_FLOOR, CapacityScore, exact_correspondence, target_rows
 from .data import CATEGORICAL
 from .descriptors import Condition, SubgroupDescriptor
 from .errors import InsufficientDataError, ParameterError, ValidationError
@@ -35,7 +35,6 @@ class DiscoveryResult:
     capacity: CapacityScore
     adjusted_p: float
     holdout_capacity: CapacityScore = None
-    protected_subgroup: SubgroupDescriptor = None
     status: str = CANDIDATE
 
     def __post_init__(self):
@@ -58,8 +57,6 @@ class DiscoveryResult:
         }
         if self.holdout_capacity is not None:
             out["holdout_capacity"] = self.holdout_capacity.to_json()
-        if self.protected_subgroup is not None:
-            out["protected_subgroup"] = self.protected_subgroup.to_json()
         return out
 
 
@@ -105,18 +102,6 @@ def _quality(support, hits, n_complete, gamma):
     return (support / n_complete) ** gamma * (hits / support)
 
 
-def _target_rows(d, protected_target):
-    """(present, is_target) row masks of a protected (column, category)."""
-    column, category = protected_target
-    schema = d.schema_of(column)
-    if schema.kind != CATEGORICAL:
-        raise ValidationError(f"protected column {column!r} must be categorical")
-    if category not in schema.categories:
-        raise ValidationError(f"category {category!r} not in column {column!r}")
-    codes = d.codes(column)
-    return codes >= 0, codes == schema.categories.index(category)
-
-
 def _count_complete(d, columns, column):
     return int(np.count_nonzero(d.complete_mask(list(columns) + [column])))
 
@@ -130,9 +115,7 @@ def quality(d, proxy, protected_target, gamma):
     if gamma < 0:
         raise ParameterError("gamma must be non-negative")
     column = protected_target[0]
-    if column in proxy.columns:
-        raise ValidationError(f"criterion references the protected column {column!r}")
-    present, is_target = _target_rows(d, protected_target)
+    present, is_target = target_rows(d, protected_target, proxy.columns)
     match = proxy.mask(d) & present
     support = int(np.count_nonzero(match))
     if support == 0:
@@ -181,7 +164,7 @@ def _ranked_pool(d, conditions, targets, beam_width, max_depth, min_support, gam
     below_support = 0
     for target in targets:
         column = target[0]
-        present, is_target = _target_rows(d, target)
+        present, is_target = target_rows(d, target)
         # beam entries: (descriptor, its support, its matching rows with the
         # protected value present); the neutral root is never itself
         # reported, only refined

@@ -10,11 +10,13 @@ deltas for deterministic models are exact, and a model that ignores its proxy
 column yields deltas of 0.0 exactly — the capacity-without-use case.
 
 Causal mode propagates an assignment through a
-:class:`~proxyaudit.synth.CausalGraphSpec` before scoring: descendants of the
-assigned nodes are recomputed in topological order (do-intervention
-semantics). Noise is held fixed where the mechanism is invertible
-(linear-Gaussian residuals) and re-drawn from a fixed-seed generator where it
-is not; full abduction is deliberately out of scope.
+:class:`~proxyaudit.synth.CausalGraphSpec` before scoring: nodes with a
+changed parent are recomputed in topological order by the sampler's own
+:func:`~proxyaudit.synth.node_values` (do-intervention semantics), after the
+assignments and the observed row pass the flip analysis's value check. Noise
+is held fixed where the mechanism is invertible (linear-Gaussian residuals)
+and re-drawn from a fixed-seed generator where it is not; full abduction is
+deliberately out of scope.
 """
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -29,7 +31,7 @@ from .errors import (
     ValidationError,
 )
 from .models import decide
-from .synth import apply_mechanism
+from .synth import node_values
 
 TOWARD_UNFAVOURABLE = "toward_unfavourable"
 TOWARD_FAVOURABLE = "toward_favourable"
@@ -227,9 +229,9 @@ def ice_curve(
         elif dataset is not None:
             values = dataset.column_array(column)
             values = values[~np.isnan(values)]
-            if values.size == 0:
+            if values.size == 0 or values.min() == values.max():
                 raise InsufficientDataError(
-                    f"column {column!r} has no observed values to span"
+                    f"column {column!r} has fewer than 2 distinct observed values to span"
                 )
             lo, hi = float(values.min()), float(values.max())
         else:
@@ -265,17 +267,18 @@ class FlipRecords(Sequence):
         return _record_from_scores(float(base[k]), float(cf[k]), rule, int(rows[k]))
 
 
-def _check_assignments_against(d, assignments):
+def _check_assignments_against(schema_of, assignments, what="assignment"):
+    """Each value is a category of its column, or a real for a numeric one."""
     for a in assignments:
-        col = d.schema_of(a.column)
+        col = schema_of(a.column)
         if col.kind == CATEGORICAL:
             if a.value not in col.categories:
                 raise ValidationError(
-                    f"assignment {a.column!r}={a.value!r}: unknown category"
+                    f"{what} {a.column!r}={a.value!r}: unknown category"
                 )
         elif not isinstance(a.value, (int, float)) or isinstance(a.value, bool):
             raise ValidationError(
-                f"assignment {a.column!r}={a.value!r}: numeric column needs a real"
+                f"{what} {a.column!r}={a.value!r}: numeric column needs a real"
             )
 
 
@@ -297,7 +300,7 @@ def flip_analysis(
     if not assignments:
         raise ParameterError("flip_analysis needs at least one assignment")
     _check_feature_assignments(m, assignments)
-    _check_assignments_against(d, assignments)
+    _check_assignments_against(d.schema_of, assignments)
     mask = np.ones(d.n_rows, dtype=bool)
     if selector is not None:
         mask &= selector.mask(d)
@@ -360,6 +363,14 @@ def _require_node_values(g, row):
         )
 
 
+def _node_arrays(schema, row):
+    """A row's node values as one-row category-code or float arrays."""
+    return {
+        n: np.array([c.categories.index(row[n]) if c.kind == CATEGORICAL else float(row[n])])
+        for n, c in schema.items()
+    }
+
+
 def causal_intervention(scm, m, row, assignments, *, seed=0, rule=None, row_index=-1):
     """Do-intervention: assign, recompute descendants, then score.
 
@@ -379,30 +390,29 @@ def causal_intervention(scm, m, row, assignments, *, seed=0, rule=None, row_inde
     for a in assignments:
         if a.column not in node_names:
             raise GraphError(f"assignment targets non-node column {a.column!r}")
-        if scm.kind_of(a.column) == CATEGORICAL:
-            if a.value not in scm.categories_of(a.column):
-                raise ValidationError(
-                    f"assignment {a.column!r}={a.value!r}: unknown category"
-                )
     _require_node_values(scm, row)
+    schema = {col.name: col for col in scm.schema}
+    _check_assignments_against(schema.get, assignments)
+    _check_assignments_against(
+        schema.get, [Assignment(n, row[n]) for n in scm.node_names], "observed"
+    )
 
     cf_row = _with_assignments(row, assignments)
+    observed, values = _node_arrays(schema, row), _node_arrays(schema, cf_row)
     assigned = {a.column for a in assignments}
-    to_recompute = scm.descendants_of(assigned)
     rng = np.random.default_rng(seed)
     for name in scm.topological_order():
-        if name not in to_recompute:
-            continue
-        parents = scm.parents_of(name)
-        new_parents = {p: cf_row[p] for p in parents}
-        old_parents = {p: row[p] for p in parents}
-        if new_parents == old_parents:
+        if name in assigned or all(
+            values[p][0] == observed[p][0] for p in scm.parents_of(name)
+        ):
             continue  # undisturbed: keep the observed value
-        cf_row[name] = apply_mechanism(
-            scm, name, new_parents,
-            {"value": row[name], "parents": old_parents},
-            rng,
-        )
+        noise = None
+        if scm.mechanisms[name]["kind"] == "linear_gaussian":
+            # the observed residual; x + -0.0 is exactly x
+            noise = observed[name] - node_values(scm, name, observed, 1, rng, -0.0)
+        values[name] = node_values(scm, name, values, 1, rng, noise)
+        value, col = values[name][0], schema[name]
+        cf_row[name] = col.categories[value] if col.kind == CATEGORICAL else float(value)
 
     base, cf = m.predict_batch([row, cf_row])
     return _record_from_scores(base, cf, rule, row_index)

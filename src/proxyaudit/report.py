@@ -158,26 +158,37 @@ def run_use(
     *, flip_rate_floor=0.01, score_floor_fraction=0.05,
     ice_columns=(), ice_row=None, ice_grid_size=20,
 ):
-    """Flip analysis for the assignment list plus ICE sweeps."""
+    """Flip analysis for the assignment list plus ICE sweeps. A flip analysis
+    with no selected complete row, and a sweep whose row misses another model
+    feature or whose column has no span of observed values, are listed under
+    ``skipped`` (written only when non-empty) instead of ending the audit."""
     row_index = 0 if ice_row is None else ice_row
     if ice_columns and not (type(row_index) is int and 0 <= row_index < d.n_rows):
         raise ValidationError(f"use.ice_row must be a row in 0..{d.n_rows - 1}, got {ice_row!r}")
-    summary, _records = flip_analysis(
-        m, rule, d, assignments, selector,
-        flip_rate_floor=flip_rate_floor,
-        score_floor_fraction=score_floor_fraction,
-    )
-    curves = []
-    if ice_columns:
-        row = d.record(row_index)
-        for column in ice_columns:
-            curves.append(
-                ice_curve(
-                    m, row, column, ice_grid_size,
-                    dataset=d, row_index=row_index,
-                ).to_json()
-            )
-    return {"summaries": [summary.to_json()], "ice": curves}
+    fragment, skipped = {"summaries": [], "ice": []}, []
+    try:
+        summary, _records = flip_analysis(
+            m, rule, d, assignments, selector,
+            flip_rate_floor=flip_rate_floor,
+            score_floor_fraction=score_floor_fraction,
+        )
+        fragment["summaries"].append(summary.to_json())
+    except InsufficientDataError as exc:
+        columns = [a.column for a in assignments]
+        skipped.append({"kind": "flip", "columns": columns, "reason": str(exc)})
+    row = d.record(row_index) if ice_columns else {}
+    for column in ice_columns:
+        absent = [f for f in m.feature_order if f != column and f in row and row[f] is None]
+        try:
+            if absent:
+                raise InsufficientDataError(f"row {row_index}: missing value for feature {absent[0]!r}")
+            curve = ice_curve(m, row, column, ice_grid_size, dataset=d, row_index=row_index)
+            fragment["ice"].append(curve.to_json())
+        except InsufficientDataError as exc:
+            skipped.append({"kind": "ice", "columns": [column], "reason": str(exc)})
+    if skipped:
+        fragment["skipped"] = skipped
+    return fragment
 
 
 # --- red-flag conjunction -------------------------------------------------------
@@ -297,6 +308,13 @@ def _md_table(headers, rows):
     return out
 
 
+def _skipped_lines(section):
+    return [
+        f"- skipped {s['kind']} ({', '.join(s['columns'])}): {s['reason']}"
+        for s in section.get("skipped", [])
+    ]
+
+
 def render_markdown(report):
     """Human-readable mirror of the JSON, in presentation order: scan table,
     contingency drill-downs, discovery, use, then flags."""
@@ -356,12 +374,9 @@ def render_markdown(report):
                 ],
             )
             lines.append("")
-        skipped = capacity.get("skipped", [])
+        skipped = _skipped_lines(capacity)
         if skipped:
-            lines += [
-                f"- skipped {s['kind']} ({', '.join(s['columns'])}): {s['reason']}"
-                for s in skipped
-            ] + [""]
+            lines += skipped + [""]
     discovery = sections.get("discovery")
     if discovery:
         lines += [
@@ -404,7 +419,7 @@ def render_markdown(report):
                 f"direction {s['direction_of_harm']}, "
                 f"significant: {s['significant_influence_flag']}",
             ]
-        lines.append("")
+        lines += _skipped_lines(use) + [""]
     flags = report["red_flags"]
     lines += ["## Findings", ""]
     if not flags:

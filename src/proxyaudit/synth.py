@@ -7,6 +7,8 @@ equation (``linear_gaussian``), a deterministic parent-dependent threshold
 (``discrete_numeric``). Sampling is ancestral in topological order from one
 NumPy PCG64 stream (``numpy.random.default_rng``), so identical
 (graph, n, seed) inputs reproduce bit-for-bit anywhere NumPy runs.
+:func:`node_values` is the one implementation of each mechanism, used by
+sampling and by causal interventions (on one-row arrays) alike.
 
 Each preset freezes the quantitative choices its scenario needs (CPT
 strengths, value grids, attached model weights) together with the analytic
@@ -62,19 +64,6 @@ class CausalGraphSpec:
     def parents_of(self, name):
         return tuple(p for p, c in self.edges if c == name)
 
-    def children_of(self, name):
-        return tuple(c for p, c in self.edges if p == name)
-
-    def descendants_of(self, names):
-        """All nodes reachable from the given set, excluding the set itself."""
-        out, frontier = set(), list(names)
-        while frontier:
-            for child in self.children_of(frontier.pop()):
-                if child not in out:
-                    out.add(child)
-                    frontier.append(child)
-        return out - set(names)
-
     def topological_order(self):
         ts = TopologicalSorter()
         for name in self.node_names:
@@ -91,6 +80,14 @@ class CausalGraphSpec:
         if mech["kind"] == "cpt":
             return tuple(mech["categories"])
         raise GraphError(f"node {name!r} is not categorical")
+
+    @property
+    def schema(self):
+        """The nodes' column schemas, in declaration order."""
+        return tuple(
+            ColumnSchema(n, k, self.categories_of(n) if k == CATEGORICAL else None)
+            for n, k in self.nodes
+        )
 
     # --- validation --------------------------------------------------------
 
@@ -235,12 +232,12 @@ class CausalGraphSpec:
 # --- sampling ----------------------------------------------------------------
 
 
-def _config_index(g, parents, sampled, n):
+def _config_index(g, parents, values, n):
     """Per-row index into a node's parent-configuration list (the list is in
     product order, so the index is a mixed-radix number over parent codes)."""
     idx = np.zeros(n, dtype=np.int64)
     for p in parents:
-        idx = idx * len(g.categories_of(p)) + sampled[p]
+        idx = idx * len(g.categories_of(p)) + values[p]
     return idx, g._parent_configs(parents)
 
 
@@ -253,76 +250,41 @@ def _draw_from_table(rng, table, configs, config_idx):
     return (u[:, None] > cum[config_idx]).sum(axis=1)
 
 
+def node_values(g, name, values, n, rng, noise=None):
+    """A node's category codes or floats for ``n`` rows from its parents'
+    ``values``. Probability tables draw one uniform per row from ``rng``; a
+    linear-Gaussian node adds ``noise``, drawn from ``rng`` when None."""
+    mech = g.mechanisms[name]
+    kind = mech["kind"]
+    parents = g.parents_of(name)
+    if kind in ("cpt", "discrete_numeric"):
+        idx, configs = _config_index(g, parents, values, n)
+        draws = _draw_from_table(rng, mech["table"], configs, idx)
+        if kind == "cpt":
+            return draws
+        return np.asarray(mech["values"], dtype=np.float64)[draws]
+    if kind == "linear_gaussian":
+        value = np.full(n, float(mech.get("intercept", 0.0)))
+        for p in parents:
+            value += mech["weights"][p] * values[p]
+        if noise is None:
+            noise = rng.normal(0.0, mech.get("noise_sd", 0.0), n)
+        return value + noise
+    # threshold
+    cutoffs = np.array([mech["cutoffs"][c] for c in g.categories_of(mech["by"])])
+    return (values[mech["source"]] >= cutoffs[values[mech["by"]]]).astype(np.int64)
+
+
 def sample(g, n, seed):
     """Ancestral sampling: one PCG64 stream, topological node order, columns
     emitted in declaration order. Bit-for-bit reproducible per (g, n, seed)."""
     if n < 1:
         raise ParameterError("n must be at least 1")
     rng = np.random.default_rng(seed)
-    sampled = {}
+    values = {}
     for name in g.topological_order():
-        mech = g.mechanisms[name]
-        kind = mech["kind"]
-        parents = g.parents_of(name)
-        if kind == "cpt":
-            idx, configs = _config_index(g, parents, sampled, n)
-            sampled[name] = _draw_from_table(rng, mech["table"], configs, idx)
-        elif kind == "discrete_numeric":
-            idx, configs = _config_index(g, parents, sampled, n)
-            draws = _draw_from_table(rng, mech["table"], configs, idx)
-            sampled[name] = np.asarray(mech["values"], dtype=np.float64)[draws]
-        elif kind == "linear_gaussian":
-            value = np.full(n, float(mech.get("intercept", 0.0)))
-            for p in parents:
-                value += mech["weights"][p] * sampled[p]
-            value += rng.normal(0.0, mech.get("noise_sd", 0.0), n)
-            sampled[name] = value
-        else:  # threshold
-            source = sampled[mech["source"]]
-            by = sampled[mech["by"]]
-            cutoffs = np.array(
-                [mech["cutoffs"][c] for c in g.categories_of(mech["by"])]
-            )
-            sampled[name] = (source >= cutoffs[by]).astype(np.int64)
-
-    schema, columns = [], {}
-    for name, kind in g.nodes:
-        if kind == CATEGORICAL:
-            schema.append(ColumnSchema(name, CATEGORICAL, g.categories_of(name)))
-            columns[name] = sampled[name].astype(np.int64)
-        else:
-            schema.append(ColumnSchema(name, NUMERIC))
-            columns[name] = sampled[name].astype(np.float64)
-    return Dataset(schema, columns)
-
-
-def apply_mechanism(g, name, parent_values, observed, rng):
-    """One node's counterfactual value given new parent values.
-
-    Deterministic mechanisms recompute exactly; linear-Gaussian preserves the
-    noise term implied by the observed row; probability tables are re-sampled
-    from ``rng`` (they are not invertible).
-    """
-    mech = g.mechanisms[name]
-    kind = mech["kind"]
-    if kind == "linear_gaussian":
-        base = float(mech.get("intercept", 0.0))
-        observed_base = base
-        for p in g.parents_of(name):
-            base += mech["weights"][p] * parent_values[p]
-            observed_base += mech["weights"][p] * observed["parents"][p]
-        residual = observed["value"] - observed_base
-        return base + residual
-    if kind == "threshold":
-        cutoff = mech["cutoffs"][parent_values[mech["by"]]]
-        return "true" if parent_values[mech["source"]] >= cutoff else "false"
-    parents = g.parents_of(name)
-    key = _config_key(tuple(str(parent_values[p]) for p in parents))
-    probs = mech["table"][key]
-    draw = int((rng.random() > np.cumsum(probs)).sum())
-    if kind == "cpt":
-        return mech["categories"][draw]
-    return float(mech["values"][draw])
+        values[name] = node_values(g, name, values, n, rng)
+    return Dataset(g.schema, values)
 
 
 # --- presets -----------------------------------------------------------------
@@ -485,7 +447,7 @@ def _school():
     )
 
 
-def _u_fork(name, a_strength, p_strength, extra_nodes=(), extra_edges=(), extra_mechs=None, seed=22):
+def _u_fork(a_strength, p_strength, extra_nodes=(), extra_edges=(), extra_mechs=None, seed=22):
     nodes = (("U", CATEGORICAL), ("A", CATEGORICAL), ("P", CATEGORICAL)) + tuple(extra_nodes)
     edges = (("U", "A"), ("U", "P")) + tuple(extra_edges)
     mechanisms = {
@@ -509,7 +471,7 @@ def _u_fork(name, a_strength, p_strength, extra_nodes=(), extra_edges=(), extra_
 def _confounder():
     return ScenarioPreset(
         name="confounder",
-        graph=_u_fork("confounder", 0.9, 0.9, seed=22),
+        graph=_u_fork(0.9, 0.9, seed=22),
         roles={"protected": ("A",), "candidates": ("P",), "stratify": "U"},
         ground_truth={
             "population_nmi": 0.31992295427172024,
@@ -552,7 +514,7 @@ def _descendant():
 
 def _vocabulary():
     graph = _u_fork(
-        "vocabulary", 0.7, 0.7,
+        0.7, 0.7,
         extra_nodes=(("Y", CATEGORICAL),),
         extra_edges=(("P", "Y"),),
         extra_mechs={

@@ -5,13 +5,17 @@ Fractions) and shares no code with the package under test, except
 ``beam_search_reference``, which scores every descriptor through the
 package's ``exact_correspondence`` as the search once did, and the two
 ``scipy.stats`` references (``chi2_reference``, ``clopper_pearson_reference``),
-which are the calls the package made before it moved to ``scipy.special``.
+which are the calls the package made before it moved to ``scipy.special``,
+and ``causal_intervention_reference``, the package's scalar do-intervention
+before it moved onto the sampler's node code (it scores through the model
+handle and returns an ``InterventionRecord``).
 """
 
 import math
 from fractions import Fraction
 from numbers import Real
 
+import numpy as np
 from scipy import stats
 from scipy.special import expit
 
@@ -329,3 +333,83 @@ def beam_search_reference(d, config, beam_width, max_depth, min_support, gamma,
     stats_out.update(descriptors_evaluated=evaluated, below_support=below_support,
                      targets=targets, conditions=len(conditions))
     return out
+
+
+def _descendants_of(g, names):
+    """All graph nodes reachable from the given set, excluding the set."""
+    out, frontier = set(), list(names)
+    while frontier:
+        parent = frontier.pop()
+        for child in (c for p, c in g.edges if p == parent):
+            if child not in out:
+                out.add(child)
+                frontier.append(child)
+    return out - set(names)
+
+
+def _apply_mechanism(g, name, parent_values, observed, rng):
+    """One node's counterfactual value given new parent values, one scalar
+    at a time: linear-Gaussian keeps the observed residual, thresholds
+    recompute, probability tables re-draw one uniform from ``rng``."""
+    mech = g.mechanisms[name]
+    kind = mech["kind"]
+    if kind == "linear_gaussian":
+        base = float(mech.get("intercept", 0.0))
+        observed_base = base
+        for p in g.parents_of(name):
+            base += mech["weights"][p] * parent_values[p]
+            observed_base += mech["weights"][p] * observed["parents"][p]
+        residual = observed["value"] - observed_base
+        return base + residual
+    if kind == "threshold":
+        cutoff = mech["cutoffs"][parent_values[mech["by"]]]
+        return "true" if parent_values[mech["source"]] >= cutoff else "false"
+    parents = g.parents_of(name)
+    key = "|".join(tuple(str(parent_values[p]) for p in parents))
+    probs = mech["table"][key]
+    draw = int((rng.random() > np.cumsum(probs)).sum())
+    if kind == "cpt":
+        return mech["categories"][draw]
+    return float(mech["values"][draw])
+
+
+def causal_intervention_reference(scm, m, row, assignments, *, seed=0, rule=None,
+                                  row_index=-1):
+    """Do-intervention on valid input: descendants of the assigned nodes are
+    recomputed scalar by scalar in topological order (a node whose parents
+    are unchanged keeps its observed value), then both rows are scored in
+    one ``predict_batch`` call."""
+    from proxyaudit.intervention import InterventionRecord
+    from proxyaudit.models import decide
+
+    cf_row = dict(row)
+    for a in assignments:
+        cf_row[a.column] = a.value
+    to_recompute = _descendants_of(scm, {a.column for a in assignments})
+    rng = np.random.default_rng(seed)
+    for name in scm.topological_order():
+        if name not in to_recompute:
+            continue
+        parents = scm.parents_of(name)
+        new_parents = {p: cf_row[p] for p in parents}
+        old_parents = {p: row[p] for p in parents}
+        if new_parents == old_parents:
+            continue
+        cf_row[name] = _apply_mechanism(
+            scm, name, new_parents,
+            {"value": row[name], "parents": old_parents},
+            rng,
+        )
+    base, cf = m.predict_batch([row, cf_row])
+    base_out = cf_out = None
+    if rule is not None:
+        base_out, cf_out = decide(rule, base), decide(rule, cf)
+    return InterventionRecord(
+        row_index=row_index,
+        baseline_score=base,
+        counterfactual_score=cf,
+        delta=cf - base,
+        baseline_outcome=base_out,
+        counterfactual_outcome=cf_out,
+        flipped=base_out is not None and base_out != cf_out,
+    )

@@ -247,6 +247,87 @@ def test_full_skips_proxy_set_with_single_protected_category(runner, tmp_path):
     ]
 
 
+def _blank_cells(path, column, rows):
+    """Rewrite a CSV with the given data rows' cells of one column as '?'."""
+    header, *lines = path.read_text().splitlines()
+    k = header.split(",").index(column)
+    out = [header]
+    for i, line in enumerate(lines):
+        cells = line.split(",")
+        if rows is None or i in rows:
+            cells[k] = "?"
+        out.append(",".join(cells))
+    path.write_text("\n".join(out) + "\n")
+
+
+def _write_use_config(out, use):
+    config = json.loads((out / "config.json").read_text())
+    config["use"] = use
+    path = out / "config_use.json"
+    path.write_text(json.dumps(config))
+    return path
+
+
+def test_full_skips_flip_analysis_without_complete_rows(runner, tmp_path):
+    out = synth_out(runner, tmp_path, "james", rows=500)
+    _blank_cells(out / "data.csv", "reached_statutory_retirement", None)
+    config = _write_use_config(out, {
+        "assignments": [{"column": "reached_statutory_retirement", "value": "false"}],
+    })
+    run = tmp_path / "run"
+    result = runner.invoke(
+        main,
+        ["full", "--config", str(config), "--data", str(out / "data.csv"),
+         "--out", str(run)],
+        env=EPOCH,
+    )
+    assert result.exit_code == 0, result.output
+    rpt = read_report(run)
+    report.validate_report(rpt)
+    assert rpt["sections"]["use"] == {
+        "summaries": [],
+        "ice": [],
+        "skipped": [
+            {"kind": "flip", "columns": ["reached_statutory_retirement"],
+             "reason": "no rows selected for flip analysis"},
+        ],
+    }
+    md = (run / "report.md").read_text()
+    assert (
+        "- skipped flip (reached_statutory_retirement): "
+        "no rows selected for flip analysis"
+    ) in md
+
+
+def test_full_skips_ice_row_missing_another_feature(runner, tmp_path):
+    out = synth_out(runner, tmp_path, "capacity_no_use", rows=300)
+    _blank_cells(out / "data.csv", "X", {0})
+    config = _write_use_config(out, {
+        "assignments": [{"column": "P", "value": "a0"}],
+        "ice_columns": ["P"], "ice_row": 0,
+    })
+    run = tmp_path / "run"
+    result = runner.invoke(
+        main,
+        ["full", "--config", str(config), "--data", str(out / "data.csv"),
+         "--out", str(run)],
+        env=EPOCH,
+    )
+    assert result.exit_code == 0, result.output
+    rpt = read_report(run)
+    report.validate_report(rpt)
+    use = rpt["sections"]["use"]
+    assert len(use["summaries"]) == 1
+    assert use["ice"] == []
+    assert use["skipped"] == [
+        {"kind": "ice", "columns": ["P"],
+         "reason": "row 0: missing value for feature 'X'"},
+    ]
+    assert "- skipped ice (P): row 0: missing value for feature 'X'" in (
+        run / "report.md"
+    ).read_text()
+
+
 # --- capacity / discover / use subcommands ----------------------------------------
 
 

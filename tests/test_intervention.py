@@ -2,12 +2,16 @@
 
 Flip counts are checked against brute-force per-row recomputation; linear
 deltas against the closed form w·Δx (property-tested over random specs);
-causal propagation against a hand-computed chain. The capacity-without-use
-test is the separation the engine exists to draw: a perfect proxy the model
-ignores must show zero use.
+causal propagation against a hand-computed chain and, bit for bit, against
+the scalar reference in ``oracles.py`` over random graphs. The
+capacity-without-use test is the separation the engine exists to draw: a
+perfect proxy the model ignores must show zero use.
 """
 
+import itertools
+
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -42,7 +46,7 @@ from proxyaudit.models import (
     ModelSpec,
     decide,
 )
-from proxyaudit.synth import CausalGraphSpec, preset
+from proxyaudit.synth import CausalGraphSpec, preset, sample
 
 
 def linear_handle(coefficients, intercept=0.0, features=None):
@@ -404,6 +408,16 @@ def test_numeric_range_from_dataset():
     assert curve.grid[-1] == 10.0
 
 
+@pytest.mark.parametrize("value", [np.nan, 1.5])
+def test_ice_without_an_observed_span_is_insufficient_data(value):
+    d = straddle_dataset()
+    d = Dataset(d.schema, {
+        "x": np.full(20, value), "flag": d.codes("flag"), "grp": d.codes("grp"),
+    })
+    with pytest.raises(InsufficientDataError, match="fewer than 2 distinct"):
+        ice_curve(straddle_model(), {"x": 1.0, "flag": "no"}, "x", dataset=d)
+
+
 def test_ice_parameter_errors():
     m = straddle_model()
     row = {"x": 1.0, "flag": "no"}
@@ -552,6 +566,151 @@ def test_graph_errors():
             {"sex": "male", "age": 63.0, "reached_statutory_retirement": "false"},
             [Assignment("sex", "unknown")],
         )
+
+
+@st.composite
+def causal_cases(draw):
+    """A random 2-5 node graph mixing all four mechanism kinds, a linear model
+    reading every node, an observed row sampled from the graph, and
+    assignments to any of its nodes (roots, middle nodes, sinks)."""
+    nodes, edges, mechanisms, categories = [], [], {}, {}
+    weights = st.sampled_from([-2.0, -1.0, -0.5, 0.5, 1.0, 1.5, 3.0])
+
+    def some_of(names):
+        # the latest eligible node is always a parent, so chains are common
+        more = draw(st.lists(st.sampled_from(names[:-1]), max_size=1)) if names[:-1] else []
+        return list(draw(st.permutations(more + [names[-1]])))
+
+    def table(parents, width):
+        out = {}
+        for combo in itertools.product(*(categories[p] for p in parents)):
+            mass = draw(st.lists(st.integers(0, 4), min_size=width, max_size=width))
+            mass[draw(st.integers(0, width - 1))] += 1
+            out["|".join(combo)] = [w / sum(mass) for w in mass]
+        return out
+
+    for i in range(draw(st.integers(2, 5))):
+        name = f"n{i}"
+        cats = [n for n, k in nodes if k == CATEGORICAL]
+        nums = [n for n, k in nodes if k == NUMERIC]
+        kinds = ["cpt", "cpt", "discrete_numeric", "linear_gaussian"]
+        if cats and nums:
+            kinds += ["threshold"] * 3
+        kind = draw(st.sampled_from(kinds))
+        if kind in ("cpt", "discrete_numeric"):
+            parents = some_of(cats) if cats else []
+            width = draw(st.integers(2, 3))
+            mech = {"kind": kind, "parents": parents, "table": table(parents, width)}
+            if kind == "cpt":
+                categories[name] = [f"{name}_{j}" for j in range(width)]
+                mech["categories"] = categories[name]
+            else:
+                mech["values"] = sorted(
+                    draw(st.sets(st.integers(-5, 5), min_size=width, max_size=width))
+                )
+        elif kind == "linear_gaussian":
+            parents = some_of(nums) if nums else []
+            mech = {
+                "kind": kind, "parents": parents,
+                "weights": {p: draw(weights) for p in parents},
+                "intercept": draw(st.sampled_from([0.0, 1.0, -2.5])),
+                "noise_sd": draw(st.sampled_from([0.0, 0.5, 1.0, 2.0])),
+            }
+        else:
+            source, by = draw(st.sampled_from(nums)), draw(st.sampled_from(cats))
+            parents = draw(st.permutations([source, by]))
+            mech = {
+                "kind": kind, "parents": list(parents), "source": source, "by": by,
+                "cutoffs": {
+                    c: draw(st.sampled_from([-1.0, 0.0, 0.5, 2.0])) for c in categories[by]
+                },
+            }
+            categories[name] = ["false", "true"]
+        nodes.append((name, CATEGORICAL if name in categories else NUMERIC))
+        edges += [(p, name) for p in mech["parents"]]
+        mechanisms[name] = mech
+    g = CausalGraphSpec(nodes=nodes, edges=edges, mechanisms=mechanisms)
+
+    row = sample(g, 3, draw(st.integers(0, 50))).record(draw(st.integers(0, 2)))
+    # nodes with children are drawn more often: they start propagation
+    parents = [p for p, _c in g.edges]
+    pool = st.sampled_from(list(g.node_names) + parents)
+    targets = draw(st.lists(pool, unique=True, min_size=1, max_size=2))
+    assignments = [
+        Assignment(t, draw(st.sampled_from(categories[t])) if t in categories
+                   else draw(st.sampled_from([-3.0, -0.5, 0.0, 1.0, 2.5, 4.0])))
+        for t in targets
+    ]
+    coefficients = {}
+    for n, k in nodes:
+        if k == NUMERIC:
+            coefficients[n] = draw(weights)
+        else:
+            coefficients.update({f"{n}={c}": draw(weights) for c in categories[n]})
+    m = linear_handle(coefficients, features=g.node_names)
+    return g, m, row, assignments, draw(st.integers(0, 50))
+
+
+@settings(max_examples=400, deadline=None)
+@given(causal_cases())
+def test_causal_intervention_equals_scalar_reference(case):
+    g, m, row, assignments, seed = case
+    got = causal_intervention(g, m, row, assignments, seed=seed, rule=RULE)
+    want = oracles.causal_intervention_reference(
+        g, m, row, assignments, seed=seed, rule=RULE
+    )
+    assert got.to_json() == want.to_json()
+    assert got.baseline_score.hex() == want.baseline_score.hex()
+    assert got.counterfactual_score.hex() == want.counterfactual_score.hex()
+
+
+class _TopUniform:
+    """Stands in for a generator whose every uniform is 0.9999999999."""
+
+    def random(self, size=None):
+        return 0.9999999999 if size is None else np.full(size, 0.9999999999)
+
+
+def test_redraw_guards_the_last_table_edge(monkeypatch):
+    # [0.5, 0.4999999995] passes the 1e-9 sum check, but its cumulative
+    # sum ends below a uniform of 0.9999999999
+    g = CausalGraphSpec(
+        nodes=(("A", CATEGORICAL), ("B", CATEGORICAL)),
+        edges=(("A", "B"),),
+        mechanisms={
+            "A": {"kind": "cpt", "parents": [], "categories": ["a0", "a1"],
+                  "table": {"": [0.5, 0.5]}},
+            "B": {"kind": "cpt", "parents": ["A"], "categories": ["b0", "b1"],
+                  "table": {"a0": [1.0, 0.0], "a1": [0.5, 0.4999999995]}},
+        },
+    )
+    monkeypatch.setattr(np.random, "default_rng", lambda seed=None: _TopUniform())
+    m = linear_handle({"B=b1": 1.0}, features=("B",))
+    rec = causal_intervention(g, m, {"A": "a0", "B": "b0"}, [Assignment("A", "a1")])
+    assert rec.counterfactual_score == 1.0  # the last category, b1
+
+
+JAMES_ROW = {"sex": "male", "age": 63.0, "reached_statutory_retirement": "false"}
+
+
+@pytest.mark.parametrize("value", ["seventy", True])
+def test_causal_assignment_to_numeric_node_needs_a_real(value):
+    m = linear_handle(
+        {"reached_statutory_retirement=true": 1.0},
+        features=("reached_statutory_retirement",),
+    )
+    with pytest.raises(ValidationError, match="numeric column needs a real"):
+        causal_intervention(preset("james").graph, m, JAMES_ROW, [Assignment("age", value)])
+
+
+def test_causal_observed_row_with_unknown_category_is_rejected():
+    m = linear_handle(
+        {"reached_statutory_retirement=true": 1.0},
+        features=("reached_statutory_retirement",),
+    )
+    row = dict(JAMES_ROW, sex="other")
+    with pytest.raises(ValidationError, match="observed 'sex'='other': unknown category"):
+        causal_intervention(preset("james").graph, m, row, [Assignment("age", 70.0)])
 
 
 # --- capacity without use --------------------------------------------------------

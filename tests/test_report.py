@@ -15,8 +15,8 @@ from proxyaudit.capacity import INEXTRICABLE_LINK, RED_FLAG_CI_FLOOR, RED_FLAG_P
 from proxyaudit.data import CATEGORICAL, NUMERIC, AuditConfig, ColumnSchema, Dataset
 from proxyaudit.descriptors import Condition, SubgroupDescriptor
 from proxyaudit.errors import ValidationError
-from proxyaudit.intervention import TOWARD_UNFAVOURABLE
-from proxyaudit.models import BuiltinModelHandle
+from proxyaudit.intervention import TOWARD_UNFAVOURABLE, Assignment
+from proxyaudit.models import BuiltinModelHandle, DecisionRule, ModelSpec
 from proxyaudit.synth import preset
 
 
@@ -99,6 +99,46 @@ def test_run_capacity_lists_skipped_pairs_and_proxy_sets():
         {"kind": "predictive", "columns": ["s", "x"],
          "reason": "fewer than 2 complete rows"},
     ]
+
+
+def test_run_use_lists_skipped_flips_and_sweeps(monkeypatch):
+    d = Dataset(
+        [
+            ColumnSchema("s", CATEGORICAL, ("f", "m")),
+            ColumnSchema("x", NUMERIC),
+            ColumnSchema("c", CATEGORICAL, ("a", "b")),
+        ],
+        {
+            "s": np.array([0, 1] * 10),
+            "x": np.full(20, np.nan),
+            "c": np.array([0, 0, 1, 1] * 5),
+        },
+    )
+    m = BuiltinModelHandle(
+        ModelSpec("linear", {"coefficients": {"x": 1.0, "c=b": 1.0}, "intercept": 0.0}, ("x", "c"))
+    )
+    rule = DecisionRule(threshold=0.5, favourable_direction="score_above")
+    frag = report.run_use(
+        m, rule, d, [Assignment("c", "b")], ice_columns=("x", "c"), ice_row=0
+    )
+    assert frag == {
+        "summaries": [],
+        "ice": [],
+        "skipped": [
+            {"kind": "flip", "columns": ["c"],
+             "reason": "no rows selected for flip analysis"},
+            {"kind": "ice", "columns": ["x"],
+             "reason": "column 'x' has fewer than 2 distinct observed values to span"},
+            {"kind": "ice", "columns": ["c"],
+             "reason": "row 0: missing value for feature 'x'"},
+        ],
+    }
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    rpt = report.assemble({"thresholds": {}}, d, {"use": frag}, [], seed=0)
+    report.validate_report(rpt)
+    md = report.render_markdown(rpt)
+    assert "- skipped flip (c): no rows selected for flip analysis" in md
+    assert "- skipped ice (c): row 0: missing value for feature 'x'" in md
 
 
 def test_run_discovery_returns_validated_planted(james_discovery, james_data):
