@@ -3,15 +3,13 @@
 Two measures: exact-correspondence *purity* of a conjunctive criterion for a
 protected value (with an exact binomial confidence interval), and *predictive
 capacity* — chance-normalized cross-validated balanced accuracy of predicting
-the protected column from a feature set, using the engine's own learners.
+the protected column from a feature set, using the engine's own learner.
 
-The internal learners (CART-style decision tree with Gini impurity; L2
-multinomial logistic regression via full-batch gradient descent) are written
-from scratch so audits do not depend on an external ML stack and every detail
-is pinned down by hyperparameters. They are private to predictive capacity:
-they fit multiclass class codes inside each cross-validation fold and are
-never exported as audited models (``models.ModelSpec`` is the one model
-format).
+The learner is a CART-style decision tree with Gini impurity, written from
+scratch so audits do not depend on an external ML stack, with its depth and
+leaf size fixed in this module. It is private to predictive capacity: it fits
+multiclass class codes inside each cross-validation fold and is never exported
+as an audited model (``models.ModelSpec`` is the one model format).
 """
 
 import warnings
@@ -26,7 +24,7 @@ from .data import CATEGORICAL
 from .descriptors import SubgroupDescriptor
 from .errors import InsufficientDataError, ParameterError, ValidationError
 
-# Default report-level thresholds (configurable at the call sites): a purity
+# Report-level thresholds on purity and the low end of its 95% interval: a
 # finding at or above both marks is treated as a deterministic-link candidate;
 # anything below stays in statistical-association territory.
 RED_FLAG_PURITY = 0.99
@@ -35,9 +33,9 @@ INEXTRICABLE_LINK = "inextricable-link candidate"
 STATISTICAL_ASSOCIATION = "statistical association (indirect-discrimination territory)"
 
 
-def classify_link(score, purity_threshold=RED_FLAG_PURITY, ci_floor=RED_FLAG_CI_FLOOR):
+def classify_link(score):
     """Label a purity score as a deterministic-link candidate or not."""
-    if score.value >= purity_threshold and score.ci_low >= ci_floor:
+    if score.value >= RED_FLAG_PURITY and score.ci_low >= RED_FLAG_CI_FLOOR:
         return INEXTRICABLE_LINK
     return STATISTICAL_ASSOCIATION
 
@@ -115,12 +113,13 @@ def target_rows(d, protected_target, columns=()):
     return codes >= 0, codes == schema.categories.index(category)
 
 
-def exact_correspondence(d, q, protected_value, *, alpha=0.05):
+def exact_correspondence(d, q, protected_value):
     """Purity of criterion q for a (column, category) protected value.
 
     value = fraction of q-matching rows carrying the protected value, over
     rows complete in every referenced column; support = number of matching
-    rows; significance = chi-squared/Fisher on the q-vs-protected 2x2 table.
+    rows; significance = chi-squared/Fisher on the q-vs-protected 2x2 table;
+    interval = 95% Clopper-Pearson bounds on the value.
     """
     present, is_cat = target_rows(d, protected_value, q.columns)
     # a condition never matches a missing cell, so matching rows are complete
@@ -139,7 +138,7 @@ def exact_correspondence(d, q, protected_value, *, alpha=0.05):
     table = np.array([[hits, support - hits], [hits_out, n_out - hits_out]])
     p_value = counts_significance(table) if table.sum() else 1.0
 
-    lo, hi = clopper_pearson(hits, support, alpha)
+    lo, hi = clopper_pearson(hits, support)
     return CapacityScore(
         proxy=q,
         protected_value=tuple(protected_value),
@@ -152,30 +151,11 @@ def exact_correspondence(d, q, protected_value, *, alpha=0.05):
     )
 
 
-# --- internal learners -------------------------------------------------------
+# --- internal learner --------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class LearnerSpec:
-    """Hyperparameters of an internal audit learner."""
-
-    kind: str  # "decision_tree" | "logistic"
-    max_depth: int = 3
-    min_leaf: int = 5
-    l2_penalty: float = 1e-3
-    max_iter: int = 500
-
-    def __post_init__(self):
-        if self.kind not in ("decision_tree", "logistic"):
-            raise ValidationError(f"unknown learner kind {self.kind!r}")
-
-    @staticmethod
-    def decision_tree(max_depth=3, min_leaf=5):
-        return LearnerSpec(kind="decision_tree", max_depth=max_depth, min_leaf=min_leaf)
-
-    @staticmethod
-    def logistic(l2_penalty=1e-3, max_iter=500):
-        return LearnerSpec(kind="logistic", l2_penalty=l2_penalty, max_iter=max_iter)
+# the CART tree behind every predictive-capacity score
+TREE_MAX_DEPTH = 3
+TREE_MIN_LEAF = 5
 
 
 def _design_matrix(d, features, rows):
@@ -241,46 +221,6 @@ class _CartTree:
         return np.argmax(self.predict_proba(X), axis=1)
 
 
-class _Logistic:
-    """Multinomial logistic regression: L2 penalty (intercept excluded),
-    zero initialization, full-batch gradient descent with a Lipschitz step."""
-
-    def __init__(self, l2_penalty, max_iter):
-        self.l2_penalty = l2_penalty
-        self.max_iter = max_iter
-        self.converged = False
-
-    def fit(self, X, y, n_classes):
-        self.n_classes = n_classes
-        n, d = X.shape
-        Xb = np.hstack([X, np.ones((n, 1))])
-        Y = np.zeros((n, n_classes))
-        Y[np.arange(n), y] = 1.0
-        W = np.zeros((d + 1, n_classes))
-        sigma = np.linalg.norm(Xb, 2)
-        step = 1.0 / (sigma * sigma / (4.0 * n) + self.l2_penalty + 1e-12)
-        penalty_mask = np.ones((d + 1, 1))
-        penalty_mask[-1] = 0.0  # no penalty on the intercept
-        for _ in range(self.max_iter):
-            z = Xb @ W
-            z -= z.max(axis=1, keepdims=True)
-            p = np.exp(z)
-            p /= p.sum(axis=1, keepdims=True)
-            grad = Xb.T @ (p - Y) / n + self.l2_penalty * W * penalty_mask
-            if np.abs(grad).max() < 1e-7:
-                self.converged = True
-                break
-            W -= step * grad
-        self.W = W
-        return self
-
-    def decision_function(self, X):
-        return np.hstack([X, np.ones((X.shape[0], 1))]) @ self.W
-
-    def predict(self, X):
-        return np.argmax(self.decision_function(X), axis=1)
-
-
 def balanced_accuracy(y_true, y_pred, n_classes):
     """Mean per-class recall over classes present in y_true."""
     recalls = []
@@ -307,14 +247,13 @@ def _stratified_folds(X, y, observed_classes, folds, rng):
     return assignment
 
 
-def predictive_capacity(d, proxy_set, protected, learner=None, folds=5, seed=0):
+def predictive_capacity(d, proxy_set, protected, *, folds=5, seed=0):
     """Chance-normalized CV balanced accuracy of predicting the protected
     column from a feature set: value = max(0, (b - 1/k) / (1 - 1/k))."""
     if not proxy_set:
         raise ValidationError("proxy_set must be non-empty")
     if folds < 2:
         raise ParameterError("folds must be at least 2")
-    learner = LearnerSpec.decision_tree() if learner is None else learner
     schema = d.schema_of(protected)
     if schema.kind != CATEGORICAL:
         raise ValidationError(f"protected column {protected!r} must be categorical")
@@ -353,11 +292,8 @@ def predictive_capacity(d, proxy_set, protected, learner=None, folds=5, seed=0):
     for f in range(effective_folds):
         test = fold_of == f
         train = ~test
-        if learner.kind == "decision_tree":
-            model = _CartTree(learner.max_depth, learner.min_leaf).fit(X[train], y[train], n_classes)
-        else:
-            model = _Logistic(learner.l2_penalty, learner.max_iter).fit(X[train], y[train], n_classes)
-        predictions[test] = model.predict(X[test])
+        tree = _CartTree(TREE_MAX_DEPTH, TREE_MIN_LEAF).fit(X[train], y[train], n_classes)
+        predictions[test] = tree.predict(X[test])
 
     b = balanced_accuracy(y, predictions, n_classes)
     chance = 1.0 / k

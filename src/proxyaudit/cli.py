@@ -35,6 +35,7 @@ configuration error.
 
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 import click
@@ -85,6 +86,41 @@ TOP_LEVEL_KEYS = (
 )
 
 
+def _of_default_type(value, default):
+    """An int takes an integer, a float any number; a bool is never a number."""
+    kinds = (int, float) if isinstance(default, float) else type(default)
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+def _names(value):
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+# Each config key with the test its value must pass: a scalar section option
+# takes the type of its SECTIONS default, the other keys their JSON shape.
+VALUE_CHECKS = {
+    **{
+        f"{section}.{key}": partial(_of_default_type, default=default)
+        for section, defaults in SECTIONS.items()
+        for key, default in defaults.items()
+        if isinstance(default, (int, float, str))
+    },
+    "protected": _names,
+    "candidates": _names,
+    "proxy_sets": lambda v: isinstance(v, list) and all(map(_names, v)),
+    "target": lambda v: v is None or isinstance(v, str),
+    "seed": partial(_of_default_type, default=0),
+    "schema_path": lambda v: isinstance(v, str),
+    "model_path": lambda v: v is None or isinstance(v, str),
+    "decision_rule": lambda v: v is None or isinstance(v, dict),
+    "use.assignments": lambda v: isinstance(v, list) and all(
+        isinstance(a, dict) and isinstance(a.get("column"), str) and "value" in a for a in v
+    ),
+    "use.selector": lambda v: v is None or isinstance(v, dict),
+    "use.ice_columns": _names,
+}
+
+
 def _fail(code, message):
     click.echo(f"proxyaudit: error: {message}", err=True)
     sys.exit(code)
@@ -115,7 +151,7 @@ class RunSettings:
             raw = json.load(fh)
         if not isinstance(raw, dict):
             raise ValidationError("config file must hold a JSON object")
-        _check_keys(raw)
+        _check_config(raw)
         base = config_path.parent
 
         if "schema" in raw:
@@ -132,7 +168,7 @@ class RunSettings:
             protected=tuple(raw.get("protected", ())),
             candidates=tuple(raw.get("candidates", ())),
             target=raw.get("target"),
-            seed=int(raw.get("seed", 0)),
+            seed=raw.get("seed", 0),
         )
         self.audit.check_against(self.dataset)
         self.seed = int(seed) if seed is not None else self.audit.seed
@@ -252,16 +288,21 @@ def _settings_options(fn):
     return fn
 
 
-def _check_keys(raw):
-    """Reject config keys the CLI would otherwise silently ignore."""
+def _check_config(raw):
+    """Reject unknown config keys, and values the audit cannot use, by name."""
     unknown = [k for k in raw if k not in TOP_LEVEL_KEYS]
+    values = dict(raw)
     for section, defaults in SECTIONS.items():
         opts = raw.get(section, {})
         if not isinstance(opts, dict):
             raise ValidationError(f"config {section!r} must be a JSON object")
         unknown += [f"{section}.{k}" for k in opts if k not in defaults]
+        values.update((f"{section}.{k}", v) for k, v in opts.items())
     if unknown:
         raise ValidationError(f"unknown config key(s): {', '.join(sorted(unknown))}")
+    for key, ok in VALUE_CHECKS.items():
+        if key in values and not ok(values[key]):
+            raise ValidationError(f"config {key!r} has the wrong type or shape: {values[key]!r}")
 
 
 def _parse_formats(formats):

@@ -48,10 +48,6 @@ class Assignment:
     def to_json(self):
         return {"column": self.column, "value": self.value}
 
-    @staticmethod
-    def from_json(obj):
-        return Assignment(obj["column"], obj["value"])
-
 
 @dataclass(frozen=True)
 class InterventionRecord:

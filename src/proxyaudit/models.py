@@ -16,6 +16,7 @@ nondeterministic model.
 """
 
 import json
+import math
 import os
 import queue
 import subprocess
@@ -41,6 +42,11 @@ MAX_TRANSPORT_RETRIES = 2
 ROWS_PER_CALL = 1_000
 
 
+def _is_real(value):
+    """A JSON number: a real that is not a bool."""
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
 def probe_timeout():
     raw = os.environ.get("PROXYAUDIT_PROBE_TIMEOUT_SECS")
     if raw is None:
@@ -48,9 +54,9 @@ def probe_timeout():
     try:
         value = float(raw)
     except ValueError:
-        raise ValidationError(f"PROXYAUDIT_PROBE_TIMEOUT_SECS must be numeric, got {raw!r}")
-    if value <= 0:
-        raise ValidationError("PROXYAUDIT_PROBE_TIMEOUT_SECS must be positive")
+        value = math.nan
+    if not 0 < value < math.inf:  # nan would turn the timeout off
+        raise ValidationError(f"PROXYAUDIT_PROBE_TIMEOUT_SECS must be finite and above 0, got {raw!r}")
     return value
 
 
@@ -79,8 +85,11 @@ class DecisionRule:
 
     @staticmethod
     def from_json(obj):
+        threshold = obj.get("threshold")
+        if not _is_real(threshold):
+            raise ValidationError(f"decision rule 'threshold' must be a number, got {threshold!r}")
         return DecisionRule(
-            threshold=float(obj["threshold"]),
+            threshold=float(threshold),
             favourable_direction=obj.get("favourable_direction", "score_above"),
         )
 
@@ -109,10 +118,12 @@ class ModelSpec:
             raise SpecError("duplicate names in feature_order")
         p = self.parameters
         if self.kind in ("linear", "logistic"):
-            if "coefficients" not in p or "intercept" not in p:
-                raise SpecError(f"{self.kind} spec needs coefficients and intercept")
+            if not isinstance(p.get("coefficients"), dict) or not _is_real(p.get("intercept")):
+                raise SpecError(f"{self.kind} spec needs coefficients and a numeric intercept")
             covered = set()
-            for name in p["coefficients"]:
+            for name, weight in p["coefficients"].items():
+                if not _is_real(weight):
+                    raise SpecError(f"coefficient {name!r} must be a number, got {weight!r}")
                 col = name.partition("=")[0] if "=" in name else name
                 if col not in self.feature_order:
                     raise SpecError(f"coefficient {name!r} names no declared feature")
@@ -155,13 +166,15 @@ class ModelSpec:
             seen.add(nid)
             kind = node.get("kind")
             if kind == "leaf":
-                if not isinstance(node.get("value"), Real):
+                if not _is_real(node.get("value")):
                     raise SpecError(f"leaf {nid} needs a numeric value")
             elif kind == "split":
                 if node.get("column") not in self.feature_order:
                     raise SpecError(f"split {nid} names no declared feature")
                 if ("threshold" in node) == ("category" in node):
                     raise SpecError(f"split {nid} needs exactly one of threshold/category")
+                if not _is_real(node.get("threshold", 0.0)):
+                    raise SpecError(f"split {nid} threshold must be a number")
                 child_path = path | {nid}
                 stack.append((node.get("left"), child_path))
                 stack.append((node.get("right"), child_path))
@@ -180,6 +193,8 @@ class ModelSpec:
 
     @staticmethod
     def from_json(obj):
+        if not isinstance(obj, dict) or not isinstance(obj.get("feature_order", []), list):
+            raise SpecError("model spec must be a JSON object whose feature_order is a list")
         try:
             return ModelSpec(
                 kind=obj["kind"],
@@ -326,7 +341,7 @@ def _validate_scores_message(msg, expected_id, n_rows, raw):
         raise ProtocolError(
             f"expected {n_rows} scores, got {scores!r}", payload=raw
         )
-    if not all(isinstance(s, Real) and not isinstance(s, bool) for s in scores):
+    if not all(map(_is_real, scores)):
         raise ProtocolError("scores must all be numbers", payload=raw)
     return [float(s) for s in scores]
 

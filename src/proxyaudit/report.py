@@ -131,8 +131,14 @@ def run_discovery(
     top_k=20, bins=4, holdout_fraction=0.4, seed=0,
 ):
     """Holdout split, beam search on the training part, validation on the
-    held-out part. Returns every validated finding plus search accounting."""
-    holdout, train = split_holdout(d, holdout_fraction, seed)
+    held-out part. Returns every validated finding plus search accounting;
+    data too small to split is a recorded skip with empty counts."""
+    try:
+        holdout, train = split_holdout(d, holdout_fraction, seed)
+    except InsufficientDataError as exc:
+        skip = {"kind": "discovery", "columns": list(config.protected), "reason": str(exc)}
+        return {"train_rows": 0, "holdout_rows": 0, "m_tests": 1, "validated": [],
+                "unvalidated": [], "skipped": [skip]}, []
     stats = {}
     results = beam_search(
         train, config,
@@ -387,6 +393,7 @@ def render_markdown(report):
             f"- descriptors tested: {discovery['m_tests']} "
             f"(Bonferroni correction factor)",
             f"- validated findings: {len(discovery['validated'])}",
+            *_skipped_lines(discovery),
             "",
         ]
         if discovery["validated"]:

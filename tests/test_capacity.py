@@ -7,10 +7,8 @@ import goldens
 import oracles
 from proxyaudit.capacity import (
     CapacityScore,
-    LearnerSpec,
     _CartTree,
     _design_matrix,
-    _Logistic,
     balanced_accuracy,
     clopper_pearson,
     exact_correspondence,
@@ -233,16 +231,11 @@ def xor_dataset(per_cell=10):
     )
 
 
-def test_xor_splits_tree_from_logistic():
+def test_xor_splits_tree():
     d = xor_dataset()
-    tree = predictive_capacity(d, ("a", "b"), "s", LearnerSpec.decision_tree(), folds=5, seed=0)
-    logi = predictive_capacity(d, ("a", "b"), "s", LearnerSpec.logistic(), folds=5, seed=0)
+    tree = predictive_capacity(d, ("a", "b"), "s", folds=5, seed=0)
     # a depth-2 tree recovers the parity exactly
     assert tree.value == 1.0
-    # additive scores satisfy at most 3 of the 4 parity constraints, so
-    # balanced accuracy is at most 0.75 and the normalized value at most 0.5
-    assert logi.value <= 0.5 + 1e-9
-    assert tree.value > logi.value
 
 
 def test_copied_column_has_full_capacity():
@@ -343,8 +336,8 @@ def test_parameter_validation():
         predictive_capacity(d, ("a",), "s", folds=1)
     with pytest.raises(ValidationError):
         predictive_capacity(d, (), "s")
-    with pytest.raises(ValidationError):
-        LearnerSpec(kind="forest")
+    with pytest.raises(TypeError):  # folds and seed are keyword-only
+        predictive_capacity(d, ("a",), "s", 5)
 
 
 def test_predictive_capacity_is_deterministic():
@@ -488,13 +481,6 @@ def test_tree_predict_proba_matches_row_walk(seed, max_depth, min_leaf):
     queries = np.vstack([X, grid])
     want = oracles.cart_predict_proba(tree.nodes, k, queries.tolist())
     assert tree.predict_proba(queries).tolist() == want
-
-
-def test_logistic_convergence_flag():
-    d = mixed_dataset(150, seed=31)
-    X = _design_matrix(d, ("age", "city"), np.arange(d.n_rows))
-    y = d.codes("grp")
-    assert _Logistic(1e-3, 2).fit(X, y, 2).converged is False
 
 
 def test_predictive_capacity_drops_incomplete_rows(toy_dataset):

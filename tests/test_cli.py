@@ -525,6 +525,61 @@ def test_unknown_config_key_exits_2(runner, tmp_path, section, key):
     assert not (out / "x" / "report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "key, edit",
+    [
+        ("seed", {"seed": "x"}),
+        ("seed", {"seed": 1.5}),
+        ("protected", {"protected": "sex"}),
+        ("threshold", {"decision_rule": {"threshold": "x"}}),
+        ("threshold", {"decision_rule": {"favourable_direction": "score_above"}}),
+        ("discovery.beam_width", {"discovery": {"beam_width": "10"}}),
+        ("discovery.max_depth", {"discovery": {"max_depth": 1.5}}),
+        ("capacity.folds", {"capacity": {"folds": "5"}}),
+        ("scan.bins", {"scan": {"bins": "x"}}),
+        ("use.assignments", {"use": {"assignments": "x"}}),
+        ("use.assignments", {"use": {"assignments": [{"column": "age"}]}}),
+    ],
+)
+def test_config_value_of_wrong_type_exits_2(runner, tmp_path, key, edit):
+    out = synth_out(runner, tmp_path, "james", rows=600)
+    config = json.loads((out / "config.json").read_text())
+    config.update(edit)
+    path = out / "config_typed.json"
+    path.write_text(json.dumps(config))
+    result = runner.invoke(
+        main,
+        ["full", "--config", str(path), "--data", str(out / "data.csv"),
+         "--out", str(out / "x")],
+    )
+    assert result.exit_code == 2, result.output
+    assert f"'{key}'" in result.output
+    assert not (out / "x" / "report.json").exists()
+
+
+@pytest.mark.parametrize("header_only", [False, True])
+def test_full_skips_discovery_below_two_rows(runner, tmp_path, header_only):
+    out = synth_out(runner, tmp_path, "james", rows=1)
+    data = out / "data.csv"
+    if header_only:
+        data.write_text(data.read_text().splitlines()[0] + "\n")
+    result = runner.invoke(
+        main,
+        ["full", "--config", str(out / "config.json"), "--data", str(data),
+         "--out", str(out / "x")],
+        env=EPOCH,
+    )
+    assert result.exit_code == 0, result.output
+    discovery = read_report(out / "x")["sections"]["discovery"]
+    assert discovery["skipped"] == [
+        {"kind": "discovery", "columns": ["sex"], "reason": "need at least 2 rows to split"}
+    ]
+    assert discovery["m_tests"] == 1 and discovery["validated"] == []
+    assert "- skipped discovery (sex): need at least 2 rows to split" in (
+        (out / "x" / "report.md").read_text()
+    )
+
+
 def test_readme_config_block_documents_every_key():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     block = readme.split("### Config format\n\n```jsonc\n", 1)[1].split("```", 1)[0]

@@ -96,3 +96,68 @@ def test_only_logistic_specs_load_scipy_special(kind, want, loads_special):
     loaded = loaded_after(code)
     assert ("scipy.special" in loaded) is loads_special
     assert [m for m in loaded if m.startswith("scipy.stats")] == []
+
+
+def unreferenced_private_names(sources):
+    """Module-level private functions, classes and constants (``_name``) in
+    ``sources`` (path -> text) that no source mentions outside their own
+    definition."""
+    trees = {path: ast.parse(text) for path, text in sources.items()}
+    references = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            name = (
+                node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute)
+                else node.name if isinstance(node, ast.alias)
+                else None
+            )
+            if name is not None:
+                references.setdefault(name, set()).add(id(node))
+    found = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            own = {id(n) for n in ast.walk(node)}
+            found += [
+                f"{path}: {name}"
+                for name in names
+                if name.startswith("_") and not name.startswith("__")
+                and not references.get(name, set()) - own
+            ]
+    return found
+
+
+def test_guard_flags_an_unreferenced_private_name():
+    sources = {
+        "a.py": "def _dead():\n    return _dead()\n_KEPT = 1\n",
+        "b.py": "from a import _KEPT\nclass _Unused:\n    pass\n",
+    }
+    assert unreferenced_private_names(sources) == ["a.py: _dead", "b.py: _Unused"]
+
+
+def test_every_private_module_level_name_has_a_caller():
+    package = ROOT / "src" / "proxyaudit"
+    sources = {
+        str(path.relative_to(ROOT)): path.read_text(encoding="utf-8")
+        for path in sorted(package.rglob("*.py"))
+    }
+    assert unreferenced_private_names(sources) == []
+
+
+def test_readme_library_imports_resolve():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = [b.split("```", 1)[0] for b in readme.split("```python\n")[1:]]
+    lines = [
+        line for block in blocks for line in block.splitlines()
+        if line.startswith("from proxyaudit")
+    ]
+    assert lines
+    for line in lines:
+        exec(line, {})

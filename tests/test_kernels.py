@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 import oracles
+from test_capacity import mixed_dataset
 from proxyaudit import kernels
 from proxyaudit.association import contingency
-from proxyaudit.capacity import LearnerSpec, predictive_capacity
+from proxyaudit.capacity import predictive_capacity
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -77,12 +78,7 @@ def test_callers_look_up_kernels_at_call_time(monkeypatch, toy_dataset):
     for name in calls:
         monkeypatch.setattr(kernels, name, counting(name))
     contingency(toy_dataset, "sex", "school_attended")
-    predictive_capacity(
-        toy_dataset,
-        ("school_attended", "years_since_graduation"),
-        "sex",
-        LearnerSpec.decision_tree(min_leaf=1),
-        folds=2,
-    )
+    # training folds of 150 rows are large enough for the tree to split
+    predictive_capacity(mixed_dataset(), ("age", "city"), "grp", folds=2)
     assert calls["joint_counts"] > 0
     assert calls["best_split"] > 0

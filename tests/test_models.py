@@ -20,6 +20,7 @@ from proxyaudit.models import (
     ModelSpec,
     decide,
     load_model,
+    probe_timeout,
 )
 
 import goldens
@@ -85,6 +86,31 @@ class TestSpecValidation:
         ]
         with pytest.raises(SpecError):
             ModelSpec("decision_tree", {"root": 0, "nodes": nodes}, ("x",))
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"kind": "linear", "parameters": {"coefficients": {"x": "2"}, "intercept": 0.0},
+             "feature_order": ["x"]},
+            {"kind": "linear", "parameters": {"coefficients": {"x": 2.0}, "intercept": "0.5"},
+             "feature_order": ["x"]},
+            {"kind": "logistic", "parameters": {"coefficients": {"x": True}, "intercept": 0.0},
+             "feature_order": ["x"]},
+            {"kind": "decision_tree", "parameters": {"root": 0, "nodes": [
+                {"id": 0, "kind": "leaf", "value": True}]}, "feature_order": ["x"]},
+            {"kind": "decision_tree", "parameters": {"root": 0, "nodes": [
+                {"id": 0, "kind": "split", "column": "x", "threshold": "1", "left": 1, "right": 1},
+                {"id": 1, "kind": "leaf", "value": 0.0}]}, "feature_order": ["x"]},
+            {"kind": "linear", "parameters": {"coefficients": {"x": 2.0}, "intercept": 0.0},
+             "feature_order": "x"},
+            [{"kind": "linear"}],
+        ],
+    )
+    def test_spec_file_needs_real_numbers_and_json_shapes(self, tmp_path, doc):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SpecError):
+            ModelSpec.load(path)
 
     def test_json_round_trip(self, tmp_path):
         spec = logistic_spec({"x1": 2.0, "x2": -1.0}, 0.5, ("x1", "x2"))
@@ -357,6 +383,13 @@ class TestSubprocessProbe:
         spec = subprocess_spec(str(FIXTURES / "bad_probe.py"), "silent")
         with pytest.raises(ConnectivityError):
             load_model(spec)
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    def test_timeout_env_must_be_finite(self, monkeypatch, raw):
+        # nan would turn the timeout off; inf overflows the platform time_t
+        monkeypatch.setenv("PROXYAUDIT_PROBE_TIMEOUT_SECS", raw)
+        with pytest.raises(ValidationError):
+            probe_timeout()
 
     def test_unspawnable_command(self):
         spec = ModelSpec(
