@@ -96,7 +96,7 @@ def _normalized_lines(path):
             yield ",".join(cells)
 
 
-def load_adult(directory, *, strict=False):
+def load_adult(directory):
     """Load ``adult.data`` + ``adult.test`` from ``directory`` as one Dataset.
 
     Rows appear in file order, training file first.  Raises
@@ -119,7 +119,7 @@ def load_adult(directory, *, strict=False):
                 tmp.write(line + "\n")
         combined = tmp.name
     try:
-        return load_csv(combined, adult_schema(), header=False, strict=strict)
+        return load_csv(combined, adult_schema(), header=False)
     finally:
         os.unlink(combined)
 

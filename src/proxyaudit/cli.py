@@ -153,6 +153,17 @@ class RunSettings:
             raise ValidationError("config file must hold a JSON object")
         _check_config(raw)
         base = config_path.parent
+        # each section as the config sets it (echoed in the report) and as the
+        # pipeline runs it: defaults filled in, assignments and selector built
+        self.configured = {section: dict(raw.get(section, {})) for section in SECTIONS}
+        self.options = {
+            section: {**defaults, **self.configured[section]}
+            for section, defaults in SECTIONS.items()
+        }
+        use = self.options["use"]
+        use["assignments"] = [Assignment(a["column"], a["value"]) for a in use["assignments"]]
+        use["selector"] = _selector(use["selector"])
+        self.floors = {key: use[key] for key in ("flip_rate_floor", "score_floor_fraction")}
 
         if "schema" in raw:
             schema = schema_from_json(raw["schema"])
@@ -185,7 +196,6 @@ class RunSettings:
             ModelSpec.load(resolved_model) if resolved_model else None
         )
         self.proxy_sets = [tuple(s) for s in raw.get("proxy_sets", [])]
-        self.opts = {section: dict(raw.get(section, {})) for section in SECTIONS}
         self.out_dir = Path(out_dir)
         self.formats = formats
 
@@ -199,14 +209,14 @@ class RunSettings:
                 self.decision_rule.to_json() if self.decision_rule else None
             ),
             "model": self.model_spec.kind if self.model_spec else None,
-            "scan": self.opts["scan"],
-            "capacity": self.opts["capacity"],
-            "discovery": self.opts["discovery"],
-            "use": {k: v for k, v in self.opts["use"].items() if k != "assignments"},
+            "scan": self.configured["scan"],
+            "capacity": self.configured["capacity"],
+            "discovery": self.configured["discovery"],
+            "use": {k: v for k, v in self.configured["use"].items() if k != "assignments"},
             "thresholds": {
                 "red_flag_purity": RED_FLAG_PURITY,
                 "red_flag_ci_floor": RED_FLAG_CI_FLOOR,
-                **self.use_floors(),
+                **self.floors,
             },
         }
 
@@ -216,26 +226,6 @@ class RunSettings:
                 "this command needs a model: pass --model or set model_path"
             )
         return load_model(self.model_spec)
-
-    def option(self, section, key):
-        """A section option as configured, else its default from SECTIONS."""
-        return self.opts[section].get(key, SECTIONS[section][key])
-
-    def assignments(self):
-        return [
-            Assignment(a["column"], a["value"])
-            for a in self.option("use", "assignments")
-        ]
-
-    def selector(self):
-        sel = self.option("use", "selector")
-        return SubgroupDescriptor.from_json(sel) if sel else None
-
-    def use_floors(self):
-        return {
-            key: self.option("use", key)
-            for key in ("flip_rate_floor", "score_floor_fraction")
-        }
 
     def write(self, rpt):
         report.validate_report(rpt)
@@ -305,44 +295,22 @@ def _check_config(raw):
             raise ValidationError(f"config {key!r} has the wrong type or shape: {values[key]!r}")
 
 
+def _selector(doc):
+    """The flip analysis's row selector; absent, null or {} selects every row."""
+    if not doc:
+        return None
+    try:
+        return SubgroupDescriptor.from_json(doc)
+    except ValidationError as exc:
+        raise ValidationError(f"config 'use.selector': {exc}") from None
+
+
 def _parse_formats(formats):
     chosen = tuple(f.strip() for f in formats.split(",") if f.strip())
     bad = [f for f in chosen if f not in _FORMATS]
     if bad or not chosen:
         raise ValidationError(f"unknown output format(s): {bad or formats!r}")
     return chosen
-
-
-def _capacity_section(rs):
-    return report.run_capacity(
-        rs.dataset,
-        rs.audit.protected,
-        rs.audit.candidates,
-        rs.proxy_sets,
-        normalization=rs.option("scan", "normalization"),
-        bins=rs.option("scan", "bins"),
-        folds=rs.option("capacity", "folds"),
-        seed=rs.seed,
-    )
-
-
-def _discovery_section(rs):
-    return report.run_discovery(
-        rs.dataset,
-        rs.audit,
-        **{key: rs.option("discovery", key) for key in SECTIONS["discovery"]},
-        seed=rs.seed,
-    )
-
-
-def _use_section(rs, m, assignments):
-    return report.run_use(
-        m, rs.decision_rule, rs.dataset, assignments, rs.selector(),
-        ice_columns=rs.option("use", "ice_columns"),
-        ice_row=rs.option("use", "ice_row"),
-        ice_grid_size=rs.option("use", "ice_grid_size"),
-        **rs.use_floors(),
-    )
 
 
 @click.group()
@@ -359,7 +327,10 @@ def cmd_capacity(config_path, data_path, model_path, out_dir, seed, formats):
     def body():
         fmts = _parse_formats(formats)
         rs = RunSettings(config_path, data_path, model_path, seed, out_dir, fmts)
-        sections = {"capacity": _capacity_section(rs)}
+        sections = {"capacity": report.run_capacity(
+            rs.dataset, rs.audit.protected, rs.audit.candidates, rs.proxy_sets,
+            **rs.options["scan"], **rs.options["capacity"], seed=rs.seed,
+        )}
         rpt = report.assemble(rs.config_echo(), rs.dataset, sections, [], rs.seed)
         rs.write(rpt)
 
@@ -374,10 +345,10 @@ def cmd_discover(config_path, data_path, model_path, out_dir, seed, formats):
     def body():
         fmts = _parse_formats(formats)
         rs = RunSettings(config_path, data_path, model_path, seed, out_dir, fmts)
-        fragment, kept = _discovery_section(rs)
-        findings = report.derive_red_flags(
-            kept, None, None, rs.dataset, **rs.use_floors()
+        fragment, kept = report.run_discovery(
+            rs.dataset, rs.audit, **rs.options["discovery"], seed=rs.seed
         )
+        findings = report.derive_red_flags(kept, None, None, rs.dataset, **rs.floors)
         sections = {"discovery": fragment}
         rpt = report.assemble(
             rs.config_echo(), rs.dataset, sections, findings, rs.seed
@@ -395,13 +366,14 @@ def cmd_use(config_path, data_path, model_path, out_dir, seed, formats):
     def body():
         fmts = _parse_formats(formats)
         rs = RunSettings(config_path, data_path, model_path, seed, out_dir, fmts)
-        assignments = rs.assignments()
-        if not assignments:
+        if not rs.options["use"]["assignments"]:
             raise ValidationError("config use.assignments is empty")
         if rs.decision_rule is None:
             raise ValidationError("config needs a decision_rule for use analysis")
         with rs.open_model() as m:
-            sections = {"use": _use_section(rs, m, assignments)}
+            sections = {"use": report.run_use(
+                m, rs.decision_rule, rs.dataset, **rs.options["use"]
+            )}
         rpt = report.assemble(rs.config_echo(), rs.dataset, sections, [], rs.seed)
         rs.write(rpt)
 
@@ -424,14 +396,16 @@ def cmd_full(
     def body():
         fmts = _parse_formats(formats)
         rs = RunSettings(config_path, data_path, model_path, seed, out_dir, fmts)
-        sections = {"capacity": _capacity_section(rs)}
-        discovery_fragment, kept = _discovery_section(rs)
-        sections["discovery"] = discovery_fragment
+        sections = {"capacity": report.run_capacity(
+            rs.dataset, rs.audit.protected, rs.audit.candidates, rs.proxy_sets,
+            **rs.options["scan"], **rs.options["capacity"], seed=rs.seed,
+        )}
+        sections["discovery"], kept = report.run_discovery(
+            rs.dataset, rs.audit, **rs.options["discovery"], seed=rs.seed
+        )
         if rs.model_spec is None:
             sections["use"] = report.USE_SKIPPED
-            findings = report.derive_red_flags(
-                kept, None, None, rs.dataset, **rs.use_floors()
-            )
+            findings = report.derive_red_flags(kept, None, None, rs.dataset, **rs.floors)
         else:
             if rs.decision_rule is None:
                 raise ValidationError(
@@ -439,11 +413,12 @@ def cmd_full(
                 )
             with rs.open_model() as m:
                 findings = report.derive_red_flags(
-                    kept, m, rs.decision_rule, rs.dataset, **rs.use_floors()
+                    kept, m, rs.decision_rule, rs.dataset, **rs.floors
                 )
-                assignments = rs.assignments()
-                if assignments:
-                    sections["use"] = _use_section(rs, m, assignments)
+                if rs.options["use"]["assignments"]:
+                    sections["use"] = report.run_use(
+                        m, rs.decision_rule, rs.dataset, **rs.options["use"]
+                    )
                 else:
                     sections["use"] = {"summaries": [], "ice": []}
         rpt = report.assemble(

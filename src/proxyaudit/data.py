@@ -166,10 +166,6 @@ class Dataset:
         names = self.column_names if columns is None else list(columns)
         return {name: self.cell(i, name) for name in names}
 
-    def records(self, indices=None, columns=None):
-        idx = range(self._n_rows) if indices is None else indices
-        return [self.record(int(i), columns) for i in idx]
-
     def value_counts(self, name):
         """Counts of non-missing categories, in schema order."""
         col = self.schema_of(name)
@@ -276,17 +272,17 @@ def read_schema_json(path):
         return schema_from_json(json.load(fh))
 
 
-def load_csv(path, schema, *, header=True, strict=False, skip_prefixes=()):
+def load_csv(path, schema, *, header=True):
     """Load a CSV file against a schema.
 
-    Cells are whitespace-trimmed before interpretation. A cell equal to the
-    column's missing token is missing. Unknown categorical values, and
-    numeric cells that do not parse to a finite number (``nan``, ``inf``,
-    ``-inf`` included), become missing and are recorded in the load report,
-    unless ``strict``, which raises. ``header=True`` requires the first row to
-    name exactly the schema's columns (any order); ``header=False`` takes
-    cells in schema order. Lines starting with one of ``skip_prefixes`` are
-    ignored (some distribution files carry comment lines).
+    Cells are whitespace-trimmed before interpretation, and blank lines are
+    skipped. A cell equal to the column's missing token is missing. Unknown
+    categorical values, and numeric cells that do not parse to a finite
+    number (``nan``, ``inf``, ``-inf`` included), become missing and are
+    recorded in the load report. A row with the wrong number of cells is a
+    ``ParseError``. ``header=True`` requires the first row to name exactly
+    the schema's columns (any order); ``header=False`` takes cells in schema
+    order.
     """
     schema = tuple(schema)
     report = LoadReport(missing_by_column={c.name: 0 for c in schema})
@@ -299,8 +295,6 @@ def load_csv(path, schema, *, header=True, strict=False, skip_prefixes=()):
         row_index = 0
         for raw_row in reader:
             if not raw_row or (len(raw_row) == 1 and not raw_row[0].strip()):
-                continue
-            if skip_prefixes and raw_row[0].lstrip().startswith(tuple(skip_prefixes)):
                 continue
             cells = [c.strip() for c in raw_row]
             if first and header:
@@ -322,10 +316,6 @@ def load_csv(path, schema, *, header=True, strict=False, skip_prefixes=()):
                 if col.kind == CATEGORICAL:
                     code = col.code_of(raw)
                     if code == -2:
-                        if strict:
-                            raise ValidationError(
-                                f"row {row_index}: unknown category {raw!r} for {col.name!r}"
-                            )
                         report.record_unknown(row_index, col.name, raw)
                         code = -1
                     if code < 0:
@@ -341,10 +331,6 @@ def load_csv(path, schema, *, header=True, strict=False, skip_prefixes=()):
                         except ValueError:
                             value = math.nan
                         if not math.isfinite(value):
-                            if strict:
-                                raise ValidationError(
-                                    f"row {row_index}: bad numeric {raw!r} for {col.name!r}"
-                                )
                             report.record_unknown(row_index, col.name, raw)
                             report.missing_by_column[col.name] += 1
                             value = math.nan

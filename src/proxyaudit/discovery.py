@@ -8,7 +8,6 @@ used by holdout validation.
 """
 
 import heapq
-import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -104,24 +103,6 @@ def _quality(support, hits, n_complete, gamma):
 
 def _count_complete(d, columns, column):
     return int(np.count_nonzero(d.complete_mask(list(columns) + [column])))
-
-
-def quality(d, proxy, protected_target, gamma):
-    """Coverage-weighted purity: (support / N_effective)^gamma x purity.
-
-    A descriptor matching no complete rows scores -inf so that beams and
-    result pools can discard it uniformly.
-    """
-    if gamma < 0:
-        raise ParameterError("gamma must be non-negative")
-    column = protected_target[0]
-    present, is_target = target_rows(d, protected_target, proxy.columns)
-    match = proxy.mask(d) & present
-    support = int(np.count_nonzero(match))
-    if support == 0:
-        return -math.inf
-    hits = int(np.count_nonzero(match & is_target))
-    return _quality(support, hits, _count_complete(d, proxy.columns, column), gamma)
 
 
 def _descriptor_order(entry):

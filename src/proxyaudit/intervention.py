@@ -30,7 +30,7 @@ from .errors import (
     ParameterError,
     ValidationError,
 )
-from .models import decide
+from .models import _is_real, decide
 from .synth import node_values
 
 TOWARD_UNFAVOURABLE = "toward_unfavourable"
@@ -272,7 +272,7 @@ def _check_assignments_against(schema_of, assignments, what="assignment"):
                 raise ValidationError(
                     f"{what} {a.column!r}={a.value!r}: unknown category"
                 )
-        elif not isinstance(a.value, (int, float)) or isinstance(a.value, bool):
+        elif not _is_real(a.value):
             raise ValidationError(
                 f"{what} {a.column!r}={a.value!r}: numeric column needs a real"
             )

@@ -117,6 +117,8 @@ class ModelSpec:
         if len(set(self.feature_order)) != len(self.feature_order):
             raise SpecError("duplicate names in feature_order")
         p = self.parameters
+        if not isinstance(p, dict):
+            raise SpecError(f"model parameters must be a JSON object, got {p!r}")
         if self.kind in ("linear", "logistic"):
             if not isinstance(p.get("coefficients"), dict) or not _is_real(p.get("intercept")):
                 raise SpecError(f"{self.kind} spec needs coefficients and a numeric intercept")
@@ -135,8 +137,8 @@ class ModelSpec:
             self._validate_tree()
         elif self.kind == "external_subprocess":
             cmd = p.get("command")
-            if not isinstance(cmd, (list, tuple)) or not cmd:
-                raise SpecError("external_subprocess spec needs a non-empty command list")
+            if not isinstance(cmd, (list, tuple)) or not cmd or not all(isinstance(c, str) for c in cmd):
+                raise SpecError("external_subprocess spec needs a non-empty list of command strings")
         else:  # external_http
             if not isinstance(p.get("endpoint"), str) or not p["endpoint"]:
                 raise SpecError("external_http spec needs an endpoint URL")
@@ -148,6 +150,8 @@ class ModelSpec:
             raise SpecError("decision_tree spec needs a node list and a root id")
         by_id = {}
         for node in nodes:
+            if not isinstance(node, dict):
+                raise SpecError(f"tree node must be a JSON object, got {node!r}")
             nid = node.get("id")
             if nid in by_id:
                 raise SpecError(f"duplicate node id {nid}")
@@ -267,7 +271,7 @@ def _numeric(values, rows, name):
     """``values`` as float64; object cells must be numbers (rows name them)."""
     if values.dtype == object:
         for i, v in zip(rows, values):
-            if not isinstance(v, Real):
+            if not _is_real(v):
                 raise ValidationError(
                     f"row {i}: feature {name!r} needs a numeric value, got {v!r}"
                 )

@@ -160,7 +160,7 @@ def run_discovery(
 
 
 def run_use(
-    m, rule, d, assignments, selector=None,
+    m, rule, d, assignments=(), selector=None,
     *, flip_rate_floor=0.01, score_floor_fraction=0.05,
     ice_columns=(), ice_row=None, ice_grid_size=20,
 ):

@@ -205,11 +205,11 @@ def builtin_scores(kind, parameters, feature_order, rows):
     times a 1.0/0.0 indicator) coefficient by coefficient; a tree walks from
     the root, left when ``value < threshold`` or ``value == category``;
     logistic applies ``expit``. Raises InvalidRow for a missing feature, a
-    wrong-length row, a None value, or a non-number where a number is read
-    (for trees, only on the path the row takes).
+    wrong-length row, a None value, or a non-number (a bool is not a number)
+    where a number is read (for trees, only on the path the row takes).
     """
     def number(v, index, name):
-        if not isinstance(v, Real):
+        if not isinstance(v, Real) or isinstance(v, bool):
             raise InvalidRow(f"row {index}: {name!r} needs a number, got {v!r}")
         return float(v)
 

@@ -106,7 +106,7 @@ def test_wife_purity_matches_published_counts(table2_dataset):
 
 
 def test_wife_purity_against_loop_oracle(table2_dataset):
-    rows = table2_dataset.records()
+    rows = [table2_dataset.record(i) for i in range(table2_dataset.n_rows)]
     expected, n = oracles.purity(
         rows, lambda r: r["relationship"] == "Wife", lambda r: r["sex"] == "Female"
     )

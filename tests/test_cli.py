@@ -1,6 +1,7 @@
 """End-to-end command-line tests: synth artifacts, the audit subcommands,
 exit-code contract, and report determinism."""
 
+import inspect
 import json
 import os
 import re
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from proxyaudit import cli, report
+from proxyaudit import cli, intervention, report
 from proxyaudit.cli import main
 from proxyaudit.models import BuiltinModelHandle, DecisionRule, ModelSpec, decide
 
@@ -525,6 +526,9 @@ def test_unknown_config_key_exits_2(runner, tmp_path, section, key):
     assert not (out / "x" / "report.json").exists()
 
 
+_USE_RETIRED = {"assignments": [{"column": "reached_statutory_retirement", "value": "true"}]}
+
+
 @pytest.mark.parametrize(
     "key, edit",
     [
@@ -539,6 +543,20 @@ def test_unknown_config_key_exits_2(runner, tmp_path, section, key):
         ("scan.bins", {"scan": {"bins": "x"}}),
         ("use.assignments", {"use": {"assignments": "x"}}),
         ("use.assignments", {"use": {"assignments": [{"column": "age"}]}}),
+        *(
+            ("use.selector", {"use": {**_USE_RETIRED, "selector": selector}})
+            for selector in (
+                {"conditions": [{"kind": "equals"}]},
+                {"conditions": "x"},
+                {"conditions": ["x"]},
+                {"conditions": [{"kind": "equals", "column": "sex"}]},
+                {"conditions": [{"kind": "equals", "column": 1, "category": "male"}]},
+                {"conditions": [{"kind": "in_interval", "column": "age", "lo": "x"}]},
+                {"conditions": [{"kind": "in_interval", "column": "age", "hi": True}]},
+                {"conditions": [{"kind": "in_interval", "column": "age", "lo": 60,
+                                 "lo_closed": "false"}]},
+            )
+        ),
     ],
 )
 def test_config_value_of_wrong_type_exits_2(runner, tmp_path, key, edit):
@@ -555,6 +573,49 @@ def test_config_value_of_wrong_type_exits_2(runner, tmp_path, key, edit):
     assert result.exit_code == 2, result.output
     assert f"'{key}'" in result.output
     assert not (out / "x" / "report.json").exists()
+
+
+def test_empty_use_selector_selects_every_row(runner, tmp_path):
+    out = synth_out(runner, tmp_path, "james", rows=600)
+    uses = []
+    for name, use in (("absent", _USE_RETIRED), ("null", {**_USE_RETIRED, "selector": None}),
+                      ("empty", {**_USE_RETIRED, "selector": {}})):
+        path = _write_use_config(out, use)
+        result = runner.invoke(
+            main,
+            ["full", "--config", str(path), "--data", str(out / "data.csv"),
+             "--out", str(out / name)],
+            env=EPOCH,
+        )
+        assert result.exit_code == 0, result.output
+        uses.append(read_report(out / name)["sections"]["use"])
+    assert uses[0]["summaries"][0]["n"] == 600
+    assert uses[1] == uses[0] and uses[2] == uses[0]
+
+
+def test_section_options_match_the_fragments_they_are_spread_into():
+    """Each SECTIONS key is passed by name into its pipeline fragment, so it
+    must be a keyword parameter there with the same default."""
+    keyword = (inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.KEYWORD_ONLY)
+    receivers = {
+        "scan": report.run_capacity,
+        "capacity": report.run_capacity,
+        "discovery": report.run_discovery,
+        "use": report.run_use,
+    }
+    checks = [
+        (receivers[section], key, default)
+        for section, defaults in cli.SECTIONS.items()
+        for key, default in defaults.items()
+    ] + [
+        (fn, key, cli.SECTIONS["use"][key])
+        for fn in (report.derive_red_flags, intervention.flip_analysis)
+        for key in ("flip_rate_floor", "score_floor_fraction")
+    ]
+    for fn, key, default in checks:
+        param = inspect.signature(fn).parameters.get(key)
+        assert param is not None and param.kind in keyword, (fn.__name__, key)
+        assert param.default == default, (fn.__name__, key, param.default, default)
 
 
 @pytest.mark.parametrize("header_only", [False, True])

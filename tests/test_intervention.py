@@ -153,6 +153,16 @@ def test_assignment_outside_model_features_rejected():
         counterfactual_delta(m, {"x": 1.0}, [Assignment("ghost", 1.0)])
 
 
+def test_bool_is_not_a_number_for_a_numeric_feature():
+    # scoring and flip analysis share one test: a bool is no real
+    m = linear_handle({"x": 2.0})
+    with pytest.raises(ValidationError, match="numeric value"):
+        counterfactual_delta(m, {"x": 1.0}, [Assignment("x", True)])
+    d = Dataset([ColumnSchema("x", NUMERIC)], {"x": np.array([1.0, 2.0])})
+    with pytest.raises(ValidationError, match="numeric column needs a real"):
+        flip_analysis(m, RULE, d, [Assignment("x", True)])
+
+
 def test_record_invariants_enforced():
     with pytest.raises(ValidationError, match="delta"):
         InterventionRecord(0, 1.0, 2.0, 5.0)

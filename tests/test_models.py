@@ -104,6 +104,11 @@ class TestSpecValidation:
             {"kind": "linear", "parameters": {"coefficients": {"x": 2.0}, "intercept": 0.0},
              "feature_order": "x"},
             [{"kind": "linear"}],
+            {"kind": "linear", "parameters": "x", "feature_order": ["x"]},
+            {"kind": "decision_tree", "parameters": {"root": 0, "nodes": ["x"]},
+             "feature_order": ["x"]},
+            {"kind": "external_subprocess", "parameters": {"command": [1, 2]},
+             "feature_order": ["x"]},
         ],
     )
     def test_spec_file_needs_real_numbers_and_json_shapes(self, tmp_path, doc):
@@ -120,6 +125,18 @@ class TestSpecValidation:
 
 
 class TestBuiltinPrediction:
+    @pytest.mark.parametrize("kind", ["linear", "decision_tree"])
+    def test_bool_feature_value_is_not_a_number(self, kind):
+        if kind == "linear":
+            spec = linear_spec({"x": 2.0}, 0.0, ("x",))
+        else:
+            spec = ModelSpec("decision_tree", {"root": 0, "nodes": [
+                {"id": 0, "kind": "split", "column": "x", "threshold": 0.5, "left": 1, "right": 2},
+                {"id": 1, "kind": "leaf", "value": 0.0},
+                {"id": 2, "kind": "leaf", "value": 1.0}]}, ("x",))
+        with pytest.raises(ValidationError, match="numeric value"):
+            load_model(spec).predict_batch([[True]])
+
     def test_logistic_closed_form(self):
         m = load_model(logistic_spec({"x1": 2.0, "x2": -1.0}, 0.5, ("x1", "x2")))
         assert m.predict_batch([[1.0, 1.0]])[0] == pytest.approx(goldens.SIGMOID_1_5, abs=1e-12)
@@ -332,11 +349,6 @@ def subprocess_spec(*args, features=("x",)):
 
 
 class TestSubprocessProbe:
-    def test_reference_affine_round_trip(self):
-        spec = subprocess_spec("-m", "proxyaudit.probe_reference")
-        with load_model(spec, timeout=15) as m:
-            assert m.predict_batch([[0.0], [1.5], [-2.0]]) == [1.0, 4.0, -3.0]
-
     def test_spec_wrapped_probe_matches_builtin(self, tmp_path):
         inner = logistic_spec({"x1": 2.0, "x2": -1.0}, 0.5, ("x1", "x2"))
         spec_path = tmp_path / "inner.json"
