@@ -10,6 +10,12 @@ scratch so audits do not depend on an external ML stack, with its depth and
 leaf size fixed in this module. It is private to predictive capacity: it fits
 multiclass class codes inside each cross-validation fold and is never exported
 as an audited model (``models.ModelSpec`` is the one model format).
+
+Each ``predictive_capacity`` call ranks the columns of its design matrix once,
+over all complete rows (``_value_ranks``), and every fold's tree fits on those
+ranks: a node is an array of row indices, and ``kernels.best_split`` counts
+classes per distinct value instead of sorting the node. The trees, and so the
+scores, are those a sort-and-copy fit on each fold's rows would give.
 """
 
 import warnings
@@ -172,36 +178,54 @@ def _design_matrix(d, features, rows):
     return np.column_stack(blocks)
 
 
+def _value_ranks(X):
+    """Each column of X as (ranks, values): ``values[j]`` holds the sorted
+    distinct values of column j and ``ranks[j]`` each row's index into them.
+    One sort per column serves every node of every fold's tree."""
+    ranks = np.empty((X.shape[1], X.shape[0]), dtype=np.intp)
+    values = []
+    for j in range(X.shape[1]):
+        distinct, ranks[j] = np.unique(X[:, j], return_inverse=True)
+        values.append(distinct)
+    return ranks, values
+
+
 class _CartTree:
     """CART-style classifier: Gini impurity, deterministic tie-breaks,
-    zero-gain splits allowed while a node is impure."""
+    zero-gain splits allowed while a node is impure. It fits on value ranks
+    (``_value_ranks``) and a row-index array, and predicts from values."""
 
     def __init__(self, max_depth, min_leaf):
         self.max_depth = max_depth
         self.min_leaf = min_leaf
         self.nodes = []  # dicts: split {feat, thr, left, right} | leaf {counts}
 
-    def fit(self, X, y, n_classes):
+    def fit(self, ranks, values, rows, y, n_classes):
+        """Fit on the rows ``rows`` of the ranked columns and labels ``y``."""
         self.n_classes = n_classes
-        self._build(X, y, depth=0)
+        self._build(ranks, values, rows, y, depth=0)
         return self
 
-    def _build(self, X, y, depth):
+    def _build(self, ranks, values, rows, y, depth):
         index = len(self.nodes)
-        counts = np.bincount(y, minlength=self.n_classes)
+        counts = np.bincount(y[rows], minlength=self.n_classes)
         node = {"counts": counts}
         self.nodes.append(node)
         pure = np.count_nonzero(counts) <= 1
-        if depth >= self.max_depth or pure or y.shape[0] < 2 * self.min_leaf:
+        if depth >= self.max_depth or pure or rows.shape[0] < 2 * self.min_leaf:
             return index
-        feat, thr, _score = kernels.best_split(X, y, self.n_classes, self.min_leaf)
+        feat, thr, _score = kernels.best_split(
+            ranks, values, rows, y, self.n_classes, self.min_leaf
+        )
         if feat < 0:
             return index
-        left_mask = X[:, feat] < thr
+        # compare values, not ranks, exactly as prediction does
+        left = values[feat][ranks[feat][rows]] < thr
         node["feat"] = int(feat)
         node["thr"] = float(thr)
-        node["left"] = self._build(X[left_mask], y[left_mask], depth + 1)
-        node["right"] = self._build(X[~left_mask], y[~left_mask], depth + 1)
+        # compress: a boolean index is several times slower on large nodes
+        node["left"] = self._build(ranks, values, rows.compress(left), y, depth + 1)
+        node["right"] = self._build(ranks, values, rows.compress(~left), y, depth + 1)
         return index
 
     def predict_proba(self, X):
@@ -284,6 +308,7 @@ def predictive_capacity(d, proxy_set, protected, *, folds=5, seed=0):
         warnings.warn(warning)
 
     X = _design_matrix(d, proxy_set, rows)
+    ranks, values = _value_ranks(X)
     rng = np.random.default_rng(seed)
     fold_of = _stratified_folds(X, y, observed, effective_folds, rng)
 
@@ -291,8 +316,8 @@ def predictive_capacity(d, proxy_set, protected, *, folds=5, seed=0):
     predictions = np.empty(y.shape[0], dtype=np.int64)
     for f in range(effective_folds):
         test = fold_of == f
-        train = ~test
-        tree = _CartTree(TREE_MAX_DEPTH, TREE_MIN_LEAF).fit(X[train], y[train], n_classes)
+        train = np.nonzero(~test)[0]
+        tree = _CartTree(TREE_MAX_DEPTH, TREE_MIN_LEAF).fit(ranks, values, train, y, n_classes)
         predictions[test] = tree.predict(X[test])
 
     b = balanced_accuracy(y, predictions, n_classes)

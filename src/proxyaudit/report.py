@@ -15,6 +15,7 @@ reported, but labeled capacity-only.
 """
 
 import datetime as _dt
+import functools
 import hashlib
 import importlib.resources
 import json
@@ -167,7 +168,14 @@ def run_use(
     """Flip analysis for the assignment list plus ICE sweeps. A flip analysis
     with no selected complete row, and a sweep whose row misses another model
     feature or whose column has no span of observed values, are listed under
-    ``skipped`` (written only when non-empty) instead of ending the audit."""
+    ``skipped`` (written only when non-empty) instead of ending the audit.
+    An ICE column the model does not read is a config error whatever the
+    data holds, so it is checked before anything is skipped."""
+    unread = [c for c in ice_columns if c not in m.feature_order]
+    if unread:
+        raise ValidationError(
+            f"use.ice_columns names {unread[0]!r}, which the model does not read"
+        )
     row_index = 0 if ice_row is None else ice_row
     if ice_columns and not (type(row_index) is int and 0 <= row_index < d.n_rows):
         raise ValidationError(f"use.ice_row must be a row in 0..{d.n_rows - 1}, got {ice_row!r}")
@@ -298,12 +306,20 @@ def report_schema():
     return json.loads(path.read_text(encoding="utf-8"))
 
 
+@functools.cache
+def _report_validator():
+    """Validator of the bundled schema, built on first use. It skips the
+    metaschema check that ``jsonschema.validate`` repeats on every call; the
+    bundled schema is checked against its metaschema by the tests."""
+    schema = report_schema()
+    return jsonschema.validators.validator_for(schema)(schema)
+
+
 def validate_report(report):
     """Check the report against the published schema; raises on mismatch."""
-    try:
-        jsonschema.validate(instance=report, schema=report_schema())
-    except jsonschema.ValidationError as exc:
-        raise ValidationError(f"report fails its schema: {exc.message}") from None
+    error = jsonschema.exceptions.best_match(_report_validator().iter_errors(report))
+    if error is not None:
+        raise ValidationError(f"report fails its schema: {error.message}")
 
 
 def _md_table(headers, rows):

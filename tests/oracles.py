@@ -8,7 +8,10 @@ package's ``exact_correspondence`` as the search once did, and the two
 which are the calls the package made before it moved to ``scipy.special``,
 and ``causal_intervention_reference``, the package's scalar do-intervention
 before it moved onto the sampler's node code (it scores through the model
-handle and returns an ``InterventionRecord``).
+handle and returns an ``InterventionRecord``), and ``best_split_sorted`` and
+``cart_fit_copies``, the package's split scan and tree fit before they moved
+onto value ranks and row-index nodes (one argsort per column per node, and a
+copy of the node's rows at every split).
 """
 
 import math
@@ -191,6 +194,71 @@ def best_split(X, y, n_classes, min_leaf):
             if score > best[2]:
                 best = (j, (lo + hi) / 2.0, score)
     return best
+
+
+def best_split_sorted(X, y, n_classes, min_leaf):
+    """Gini split scan by sorting: argsort each column of the node, cumsum an
+    n x C one-hot of the sorted labels, and score each boundary between
+    distinct values class by class, as ``best_split`` (same result)."""
+    n = X.shape[0]
+    best_feat = -1
+    best_thr = 0.0
+    best_score = -np.inf
+    for j in range(X.shape[1]):
+        xj = X[:, j]
+        order = np.argsort(xj, kind="stable")
+        xs = xj[order]
+        ys = y[order]
+        pos = np.nonzero(xs[1:] != xs[:-1])[0] + 1
+        pos = pos[(pos >= min_leaf) & ((n - pos) >= min_leaf)]
+        if pos.size == 0:
+            continue
+        onehot = np.zeros((n, n_classes), dtype=np.int64)
+        onehot[np.arange(n), ys] = 1
+        cum = np.cumsum(onehot, axis=0)
+        total = cum[-1]
+        nl = pos.astype(np.float64)
+        nr = (n - pos).astype(np.float64)
+        score_l = np.zeros(pos.shape[0])
+        score_r = np.zeros(pos.shape[0])
+        for c in range(n_classes):
+            cl = cum[pos - 1, c].astype(np.float64)
+            cr = total[c] - cl
+            score_l += cl * cl / nl
+            score_r += cr * cr / nr
+        score = score_l + score_r
+        idx = int(np.argmax(score))
+        if score[idx] > best_score:
+            best_score = score[idx]
+            best_feat = j
+            best_thr = (xs[pos[idx] - 1] + xs[pos[idx]]) / 2.0
+    return best_feat, best_thr, best_score
+
+
+def cart_fit_copies(X, y, n_classes, max_depth, min_leaf):
+    """CART node list (split: feat/thr/left/right; leaf: counts) grown with
+    ``best_split_sorted`` on copies ``X[mask]`` of each node's rows."""
+    nodes = []
+
+    def build(X, y, depth):
+        index = len(nodes)
+        counts = np.bincount(y, minlength=n_classes)
+        node = {"counts": counts}
+        nodes.append(node)
+        if depth >= max_depth or np.count_nonzero(counts) <= 1 or y.shape[0] < 2 * min_leaf:
+            return index
+        feat, thr, _score = best_split_sorted(X, y, n_classes, min_leaf)
+        if feat < 0:
+            return index
+        left = X[:, feat] < thr
+        node["feat"] = int(feat)
+        node["thr"] = float(thr)
+        node["left"] = build(X[left], y[left], depth + 1)
+        node["right"] = build(X[~left], y[~left], depth + 1)
+        return index
+
+    build(X, y, 0)
+    return nodes
 
 
 class InvalidRow(ValueError):

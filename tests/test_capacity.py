@@ -7,8 +7,10 @@ import goldens
 import oracles
 from proxyaudit.capacity import (
     CapacityScore,
+    TREE_MIN_LEAF,
     _CartTree,
     _design_matrix,
+    _value_ranks,
     balanced_accuracy,
     clopper_pearson,
     exact_correspondence,
@@ -464,8 +466,56 @@ def test_tree_learns_the_generating_rule():
     d = mixed_dataset()
     X = _design_matrix(d, ("age", "city"), np.arange(d.n_rows))
     y = d.codes("grp")
-    tree = _CartTree(max_depth=3, min_leaf=5).fit(X, y, 2)
+    tree = _CartTree(max_depth=3, min_leaf=5).fit(*_value_ranks(X), np.arange(d.n_rows), y, 2)
     assert np.mean(tree.predict(X) == y) > 0.8
+
+
+def test_value_ranks_index_sorted_distinct_values():
+    X = np.array([[2.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [5.5, 1.0]])
+    ranks, values = _value_ranks(X)
+    assert [v.tolist() for v in values] == [[0.0, 2.0, 5.5], [1.0]]
+    assert ranks.tolist() == [[1, 0, 0, 2], [0, 0, 0, 0]]
+    for j in range(2):
+        assert np.array_equal(values[j][ranks[j]], X[:, j])
+
+
+def node_bits(nodes):
+    """Tree nodes with thresholds as float bits, comparable with ``==``."""
+    out = []
+    for node in nodes:
+        entry = {"counts": [int(c) for c in node["counts"]]}
+        if "feat" in node:
+            entry.update(feat=node["feat"], thr=float(node["thr"]).hex(),
+                         left=node["left"], right=node["right"])
+        out.append(entry)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, TREE_MIN_LEAF))
+def test_tree_on_ranks_equals_copy_based_fit_node_for_node(seed, max_depth, min_leaf):
+    rng = np.random.default_rng(seed)
+    n, p, k = int(rng.integers(2, 120)), int(rng.integers(1, 4)), int(rng.integers(2, 4))
+    X = rng.integers(-3, 4, size=(n, p)).astype(np.float64)
+    if seed % 3 == 0:
+        X[:, 0] = rng.normal(size=n)  # distinct values
+    X[X == 0.0] = rng.choice([-0.0, 0.0], size=int(np.count_nonzero(X == 0.0)))
+    y = rng.integers(0, k, size=n)
+    rows = np.nonzero(rng.random(n) < 0.8)[0]  # a training fold's rows
+    tree = _CartTree(max_depth, min_leaf).fit(*_value_ranks(X), rows, y, k)
+    want = oracles.cart_fit_copies(X[rows], y[rows], k, max_depth, min_leaf)
+    assert node_bits(tree.nodes) == node_bits(want)
+
+
+def test_tree_partitions_by_value_where_a_midpoint_rounds_onto_a_value():
+    # the midpoint of 1.0 and the next float rounds to 1.0, so ``x < thr``
+    # sends both values right; a split by rank would send 1.0 left
+    X = np.array([[1.0], [np.nextafter(1.0, 2.0)]] * 6)
+    y = np.array([0, 1] * 6)
+    tree = _CartTree(2, 1).fit(*_value_ranks(X), np.arange(12), y, 2)
+    assert tree.nodes[0]["thr"] == 1.0
+    assert tree.nodes[1]["counts"].tolist() == [0, 0]
+    assert node_bits(tree.nodes) == node_bits(oracles.cart_fit_copies(X, y, 2, 2, 1))
 
 
 @settings(max_examples=100, deadline=None)
@@ -475,7 +525,7 @@ def test_tree_predict_proba_matches_row_walk(seed, max_depth, min_leaf):
     n, p, k = int(rng.integers(2, 60)), int(rng.integers(1, 4)), int(rng.integers(2, 4))
     X = rng.integers(0, 5, size=(n, p)).astype(np.float64)  # ties on purpose
     y = rng.integers(0, k, size=n)
-    tree = _CartTree(max_depth, min_leaf).fit(X, y, k)
+    tree = _CartTree(max_depth, min_leaf).fit(*_value_ranks(X), np.arange(n), y, k)
     # split thresholds are midpoints of the integer values: query them too
     grid = rng.choice(np.arange(-1.0, 5.5, 0.5), size=(int(rng.integers(0, 40)), p))
     queries = np.vstack([X, grid])

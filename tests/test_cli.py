@@ -329,6 +329,28 @@ def test_full_skips_ice_row_missing_another_feature(runner, tmp_path):
     ).read_text()
 
 
+@pytest.mark.parametrize("blank_flags", [False, True])
+def test_full_ice_column_the_model_does_not_read_exits_2(runner, tmp_path, blank_flags):
+    # the james model reads only the flag; with every flag cell missing the
+    # sweep would be skipped, but the config error must not depend on data
+    out = synth_out(runner, tmp_path, "james", rows=40)
+    if blank_flags:
+        _blank_cells(out / "data.csv", "reached_statutory_retirement", None)
+    config = _write_use_config(out, {
+        "assignments": [{"column": "reached_statutory_retirement", "value": "true"}],
+        "ice_columns": ["age"],
+    })
+    run = tmp_path / "run"
+    result = runner.invoke(
+        main,
+        ["full", "--config", str(config), "--data", str(out / "data.csv"),
+         "--out", str(run)],
+    )
+    assert result.exit_code == 2, result.output
+    assert "use.ice_columns names 'age', which the model does not read" in result.output
+    assert not (run / "report.json").exists()
+
+
 # --- capacity / discover / use subcommands ----------------------------------------
 
 

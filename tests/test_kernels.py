@@ -1,14 +1,16 @@
-"""Oracle tests: the numpy kernels must equal the loop references in
-``oracles`` exactly, tie-breaks included."""
+"""Oracle tests: the numpy kernels must equal the references in ``oracles``
+exactly, tie-breaks and score bits included."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from test_capacity import mixed_dataset
 from proxyaudit import kernels
 from proxyaudit.association import contingency
-from proxyaudit.capacity import predictive_capacity
+from proxyaudit.capacity import _value_ranks, predictive_capacity
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -26,6 +28,18 @@ def test_joint_counts_backends_agree(seed):
     assert n_eff == want_n
 
 
+def split_of(X, y, rows, n_classes, min_leaf):
+    """``kernels.best_split`` on the node ``rows`` of X, with X ranked over
+    all of its rows as predictive capacity ranks its complete rows."""
+    ranks, values = _value_ranks(X)
+    return kernels.best_split(ranks, values, rows, y, n_classes, min_leaf)
+
+
+def bits(split):
+    feat, thr, score = split
+    return feat, float(thr).hex(), float(score).hex()
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_best_split_backends_and_oracle_agree(seed):
     rng = np.random.default_rng(200 + seed)
@@ -39,21 +53,59 @@ def test_best_split_backends_and_oracle_agree(seed):
         X = rng.integers(0, 6, (n, f)).astype(np.float64)
     y = rng.integers(0, k, n)
     min_leaf = int(rng.integers(1, 4))
-    got = kernels.best_split(X, y, k, min_leaf)
+    got = split_of(X, y, np.arange(n), k, min_leaf)
     assert got == oracles.best_split(X, y, k, min_leaf)
+    assert bits(got) == bits(oracles.best_split_sorted(X, y, k, min_leaf))
+
+
+# cell values per column kind: 0/1 indicators, integers, rounded floats, and
+# signed zeros, which compare equal and so share one distinct value
+CELLS = {
+    "indicator": st.sampled_from([0.0, 1.0]),
+    "integer": st.integers(-3, 3).map(float),
+    "rounded": st.floats(-2.0, 2.0).map(lambda v: round(v, 1)),
+    "signed_zero": st.sampled_from([-0.0, 0.0, 0.5, -1.0]),
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_best_split_bit_equal_to_sort_oracle_on_row_subsets(data):
+    n = data.draw(st.integers(1, 40), label="n")
+    kinds = data.draw(st.lists(st.sampled_from(sorted(CELLS)), min_size=1, max_size=3),
+                      label="kinds")
+    k = data.draw(st.integers(2, 3), label="n_classes")
+    min_leaf = data.draw(st.integers(1, 4), label="min_leaf")
+    X = np.column_stack([
+        np.array(data.draw(st.lists(CELLS[kind], min_size=n, max_size=n)), dtype=np.float64)
+        for kind in kinds
+    ])
+    y = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)),
+                 dtype=np.int64)
+    rows = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1)), label="rows")),
+                    dtype=np.intp)
+    got = split_of(X, y, rows, k, min_leaf)
+    assert bits(got) == bits(oracles.best_split_sorted(X[rows], y[rows], k, min_leaf))
 
 
 def test_best_split_no_admissible_split():
     X = np.ones((10, 2))
     y = np.array([0, 1] * 5)
-    assert kernels.best_split(X, y, 2, 1)[0] == -1
+    assert split_of(X, y, np.arange(10), 2, 1)[0] == -1
+
+
+def test_best_split_ignores_values_absent_from_the_node():
+    # value 1 lies only outside the node: the one boundary is 0 | 2
+    X = np.array([[0.0], [1.0], [2.0], [0.0], [2.0]])
+    y = np.array([0, 1, 1, 0, 1])
+    assert split_of(X, y, np.array([0, 2, 3, 4]), 2, 1) == (0, 1.0, 4.0)
 
 
 def test_zero_gain_split_still_found():
     # XOR: no single split reduces impurity, but admissible splits exist
     X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]] * 10)
     y = np.array([0, 1, 1, 0] * 10)
-    feat, thr, score = kernels.best_split(X, y, 2, 1)
+    feat, thr, score = split_of(X, y, np.arange(40), 2, 1)
     assert feat == 0 and thr == 0.5  # first candidate wins the tie
 
 

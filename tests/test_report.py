@@ -7,6 +7,7 @@ echoed thresholds alone.
 
 import json
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -266,6 +267,30 @@ def test_schema_rejects_malformed_reports(monkeypatch, james, james_data, james_
     bad_label["red_flags"][0]["label"] = "definitely illegal"
     with pytest.raises(ValidationError, match="schema"):
         report.validate_report(bad_label)
+
+
+def test_bundled_schema_is_valid_under_its_metaschema():
+    # validate_report reuses one validator and so no longer checks the
+    # schema itself on every audit
+    schema = report.report_schema()
+    cls = jsonschema.validators.validator_for(schema)
+    assert cls is jsonschema.Draft202012Validator
+    cls.check_schema(schema)
+
+
+def test_schema_error_message_is_jsonschemas_best_match(
+    monkeypatch, james, james_data, james_discovery
+):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    rpt = full_james_report(james, james_data, james_discovery, "use")
+    broken = json.loads(report.report_json_bytes(rpt))
+    broken["red_flag_count"] = "one"
+    del broken["seed"]
+    with pytest.raises(jsonschema.ValidationError) as want:
+        jsonschema.validate(instance=broken, schema=report.report_schema())
+    with pytest.raises(ValidationError) as got:
+        report.validate_report(broken)
+    assert str(got.value) == f"report fails its schema: {want.value.message}"
 
 
 def test_red_flag_labels_rederivable_from_json_alone(
