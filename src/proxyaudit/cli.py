@@ -415,12 +415,9 @@ def cmd_full(
                 findings = report.derive_red_flags(
                     kept, m, rs.decision_rule, rs.dataset, **rs.floors
                 )
-                if rs.options["use"]["assignments"]:
-                    sections["use"] = report.run_use(
-                        m, rs.decision_rule, rs.dataset, **rs.options["use"]
-                    )
-                else:
-                    sections["use"] = {"summaries": [], "ice": []}
+                sections["use"] = report.run_use(
+                    m, rs.decision_rule, rs.dataset, **rs.options["use"]
+                )
         rpt = report.assemble(
             rs.config_echo(), rs.dataset, sections, findings, rs.seed
         )

@@ -10,9 +10,15 @@ External kinds take rows as newline-delimited JSON over a subprocess's
 stdin/stdout or HTTP POST /predict, ``ROWS_PER_CALL`` rows per call when
 given columns.
 
-External transport failures are retried at most twice (counted, never
-silent); protocol violations are never retried, because retrying can mask a
-nondeterministic model.
+Up to ``WINDOW`` predict messages may await replies at once: 4 on a
+subprocess probe, 1 on HTTP (urllib is synchronous). A probe answers in
+request order, each reply echoing its request's id; a reply that does not
+echo the oldest outstanding id is a protocol violation.
+
+External transport failures are retried (counted, never silent): the probe
+is restarted and every unanswered request resent, until the oldest one has
+failed more than twice. Protocol violations are never retried, because
+retrying can mask a nondeterministic model.
 """
 
 import json
@@ -23,7 +29,9 @@ import subprocess
 import threading
 import urllib.error
 import urllib.request
+from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from numbers import Real
 
 import numpy as np
@@ -249,13 +257,8 @@ class ModelHandle:
 
     def score_columns(self, columns):
         """Float64 scores of feature columns: each feature maps to a 1-D array,
-        float64 if numeric, category strings (object) if categorical. Row
-        scorers see the rows again, ``ROWS_PER_CALL`` per ``predict_batch``."""
-        rows = list(zip(*(columns[f].tolist() for f in self.feature_order)))
-        scores = []
-        for start in range(0, len(rows), ROWS_PER_CALL):
-            scores += self.predict_batch(rows[start : start + ROWS_PER_CALL])
-        return np.array(scores, dtype=np.float64)
+        float64 if numeric, category strings (object) if categorical."""
+        raise NotImplementedError
 
     def close(self):
         pass
@@ -345,9 +348,11 @@ def _validate_scores_message(msg, expected_id, n_rows, raw):
         raise ProtocolError(
             f"expected {n_rows} scores, got {scores!r}", payload=raw
         )
-    if not all(map(_is_real, scores)):
+    # ``type(v) in (int, float)`` for every score: the JSON numbers of
+    # ``json.loads``, and not ``true``/``false`` (bool subclasses int)
+    if not set(map(type, scores)) <= {int, float}:
         raise ProtocolError("scores must all be numbers", payload=raw)
-    return [float(s) for s in scores]
+    return list(map(float, scores))
 
 
 class _TransportFailure(Exception):
@@ -356,7 +361,9 @@ class _TransportFailure(Exception):
 
 class _ProbeHandle(ModelHandle):
     """External row scorer: one predict message per batch over a transport
-    (``_exchange``); transport failures are retried, protocol errors never."""
+    (``_send``, then ``_recv`` for the oldest reply), with up to ``WINDOW``
+    messages in flight; transport failures are retried, protocol errors
+    never."""
 
     def __init__(self, spec, timeout=None):
         super().__init__(spec)
@@ -371,37 +378,104 @@ class _ProbeHandle(ModelHandle):
         payload_rows = [
             _row_values(row, self.spec.feature_order, i) for i, row in enumerate(rows)
         ]
-        attempts = 0
+        [scores] = self._score_batches([payload_rows])
+        return scores
+
+    def score_columns(self, columns):
+        """Float64 scores of feature columns, ``ROWS_PER_CALL`` rows per
+        predict message; each batch's rows are sliced from the columns as it
+        is sent, and go out as tuples (JSON writes them as lists)."""
+        order = self.spec.feature_order
+        n_rows = len(columns[order[0]]) if order else 0
+        batches = (
+            list(zip(*(columns[f][start : start + ROWS_PER_CALL].tolist() for f in order)))
+            for start in range(0, n_rows, ROWS_PER_CALL)
+        )
+        scores = chain.from_iterable(self._score_batches(batches))
+        return np.fromiter(scores, dtype=np.float64, count=n_rows)
+
+    def _score_batches(self, batches):
+        """Scores of each batch of payload rows, yielded in order. Up to
+        ``WINDOW`` predict messages are in flight, and replies must come in
+        request order. After a transport failure the transport is recovered
+        and every unanswered batch resent in order under fresh ids; once the
+        oldest unanswered batch has failed more than ``MAX_TRANSPORT_RETRIES``
+        times, the probe is unreachable."""
+        batches = iter(batches)
+        unsent = deque()  # batches to send again before drawing on ``batches``
+        in_flight = deque()  # (request id, rows), oldest first
+        failures = 0  # of the oldest unanswered batch
         while True:
-            request_id = self._next_id
-            self._next_id += 1
-            message = {"type": "predict", "id": request_id, "rows": payload_rows}
             try:
-                raw = self._exchange(message)
+                while len(in_flight) < self.WINDOW:
+                    rows = unsent.popleft() if unsent else next(batches, None)
+                    if rows is None:
+                        break
+                    request_id = self._next_id
+                    self._next_id += 1
+                    in_flight.append((request_id, rows))
+                    self._send({"type": "predict", "id": request_id, "rows": rows})
+                if not in_flight:
+                    return
+                raw = self._recv()
             except _TransportFailure as exc:
-                attempts += 1
-                if attempts > MAX_TRANSPORT_RETRIES:
+                failures += 1
+                if failures > MAX_TRANSPORT_RETRIES:
                     raise ConnectivityError(str(exc)) from None
                 self.transport_retries += 1
                 try:
                     self._recover()
                 except _TransportFailure as exc2:
                     raise ConnectivityError(str(exc2)) from None
+                unsent.extendleft(reversed([rows for _, rows in in_flight]))
+                in_flight.clear()
                 continue
+            request_id, rows = in_flight.popleft()
             try:
                 msg = json.loads(raw)
             except json.JSONDecodeError:
                 raise ProtocolError("scores reply is not valid JSON", payload=raw) from None
-            return _validate_scores_message(msg, request_id, len(rows), raw)
+            scores = _validate_scores_message(msg, request_id, len(rows), raw)
+            failures = 0
+            yield scores
+
+
+def _pump(stdout, lines):
+    """Queue the probe's output lines, then ``None`` when it closes."""
+    with stdout:
+        for line in stdout:
+            lines.put(line)
+    lines.put(None)
+
+
+def _feed(outbox, stdin):
+    """Write queued lines to the probe's stdin until ``None``, then close it.
+    Writing here keeps a probe that stops reading from blocking the caller
+    past its reply timeout; a write to a dead probe ends the feed, and the
+    caller sees the probe's output close."""
+    try:
+        for line in iter(outbox.get, None):
+            stdin.write(line)
+            stdin.flush()
+    except (OSError, ValueError):
+        pass
+    finally:
+        try:
+            stdin.close()
+        except OSError:
+            pass
 
 
 class SubprocessModelHandle(_ProbeHandle):
     """Newline-delimited JSON over a child process's stdin/stdout."""
 
+    WINDOW = 4
+
     def __init__(self, spec, timeout=None):
         super().__init__(spec, timeout)
         self._proc = None
         self._lines = None
+        self._outbox = None
         self._spawn()
 
     def _spawn(self):
@@ -414,18 +488,18 @@ class SubprocessModelHandle(_ProbeHandle):
             encoding="utf-8",
         )
         self._lines = queue.Queue()
-
-        def pump(proc, q):
-            for line in proc.stdout:
-                q.put(line)
-            q.put(None)
-
-        threading.Thread(target=pump, args=(self._proc, self._lines), daemon=True).start()
-        self._handshake()
+        self._outbox = queue.Queue()
+        threading.Thread(target=_pump, args=(self._proc.stdout, self._lines), daemon=True).start()
+        threading.Thread(target=_feed, args=(self._outbox, self._proc.stdin), daemon=True).start()
+        try:
+            self._handshake()
+        except (ProtocolError, _TransportFailure):
+            self.close()  # the feed would keep the probe's stdin open
+            raise
 
     def _handshake(self):
         self._send({"type": "hello", "features": list(self.spec.feature_order)})
-        raw = self._recv_line()
+        raw = self._recv()
         try:
             msg = json.loads(raw)
         except json.JSONDecodeError:
@@ -434,13 +508,9 @@ class SubprocessModelHandle(_ProbeHandle):
             raise ProtocolError(f"expected a ready message, got {msg!r}", payload=raw)
 
     def _send(self, obj):
-        try:
-            self._proc.stdin.write(json.dumps(obj) + "\n")
-            self._proc.stdin.flush()
-        except (BrokenPipeError, OSError, ValueError) as exc:
-            raise _TransportFailure(f"probe stdin write failed: {exc}") from None
+        self._outbox.put(json.dumps(obj) + "\n")
 
-    def _recv_line(self):
+    def _recv(self):
         try:
             line = self._lines.get(timeout=self.timeout)
         except queue.Empty:
@@ -455,19 +525,11 @@ class SubprocessModelHandle(_ProbeHandle):
         self.close()
         self._spawn()
 
-    def _exchange(self, message):
-        self._send(message)
-        return self._recv_line()
-
     def close(self):
         proc = self._proc
         if proc is None:
             return
-        try:
-            if proc.stdin:
-                proc.stdin.close()
-        except OSError:
-            pass
+        self._outbox.put(None)  # the feed closes stdin
         try:
             proc.terminate()
             proc.wait(timeout=2)
@@ -479,14 +541,18 @@ class SubprocessModelHandle(_ProbeHandle):
 class HttpModelHandle(_ProbeHandle):
     """HTTP probe: POST /predict with the subprocess predict payload."""
 
+    WINDOW = 1  # urllib is synchronous
+
     def __init__(self, spec, timeout=None):
         super().__init__(spec, timeout)
         endpoint = spec.parameters["endpoint"].rstrip("/")
         self._url = endpoint if endpoint.endswith("/predict") else endpoint + "/predict"
+        self._replies = deque()
         # health check: an empty predict must round-trip
         self.predict_batch([])
 
-    def _exchange(self, message):
+    def _send(self, message):
+        """POST one message; its reply waits for ``_recv``."""
         request = urllib.request.Request(
             self._url, data=json.dumps(message).encode("utf-8"),
             headers={"Content-Type": "application/json"}, method="POST",
@@ -502,7 +568,10 @@ class HttpModelHandle(_ProbeHandle):
             raise _TransportFailure(f"probe endpoint unreachable: {exc}") from None
         if status != 200:
             raise ProtocolError(f"probe answered HTTP {status}", payload=raw)
-        return raw
+        self._replies.append(raw)
+
+    def _recv(self):
+        return self._replies.popleft()
 
 
 def load_model(spec, *, timeout=None):

@@ -165,11 +165,11 @@ def run_use(
     *, flip_rate_floor=0.01, score_floor_fraction=0.05,
     ice_columns=(), ice_row=None, ice_grid_size=20,
 ):
-    """Flip analysis for the assignment list plus ICE sweeps. A flip analysis
-    with no selected complete row, and a sweep whose row misses another model
-    feature or whose column has no span of observed values, are listed under
-    ``skipped`` (written only when non-empty) instead of ending the audit.
-    An ICE column the model does not read is a config error whatever the
+    """Flip analysis for the assignment list (if any) plus ICE sweeps. A flip
+    analysis with no selected complete row, and a sweep whose row misses
+    another model feature or whose column has no span of observed values, are
+    listed under ``skipped`` (written only when non-empty) instead of ending
+    the audit. An ICE column the model does not read is a config error whatever the
     data holds, so it is checked before anything is skipped."""
     unread = [c for c in ice_columns if c not in m.feature_order]
     if unread:
@@ -180,16 +180,17 @@ def run_use(
     if ice_columns and not (type(row_index) is int and 0 <= row_index < d.n_rows):
         raise ValidationError(f"use.ice_row must be a row in 0..{d.n_rows - 1}, got {ice_row!r}")
     fragment, skipped = {"summaries": [], "ice": []}, []
-    try:
-        summary, _records = flip_analysis(
-            m, rule, d, assignments, selector,
-            flip_rate_floor=flip_rate_floor,
-            score_floor_fraction=score_floor_fraction,
-        )
-        fragment["summaries"].append(summary.to_json())
-    except InsufficientDataError as exc:
-        columns = [a.column for a in assignments]
-        skipped.append({"kind": "flip", "columns": columns, "reason": str(exc)})
+    if assignments:
+        try:
+            summary, _records = flip_analysis(
+                m, rule, d, assignments, selector,
+                flip_rate_floor=flip_rate_floor,
+                score_floor_fraction=score_floor_fraction,
+            )
+            fragment["summaries"].append(summary.to_json())
+        except InsufficientDataError as exc:
+            columns = [a.column for a in assignments]
+            skipped.append({"kind": "flip", "columns": columns, "reason": str(exc)})
     row = d.record(row_index) if ice_columns else {}
     for column in ice_columns:
         absent = [f for f in m.feature_order if f != column and f in row and row[f] is None]

@@ -1,16 +1,23 @@
 """Misbehaving probe processes for protocol-violation tests.
 
 Usage: python bad_probe.py <mode>, where mode is one of:
-  no-ready      answers the handshake with a wrong message type
-  wrong-id      answers predicts with a non-echoing id
-  short-scores  returns one score fewer than requested
-  not-json      answers predicts with a non-JSON line
-  silent        never answers anything (forces a timeout)
-  dies          exits cleanly right after the handshake
+  no-ready        answers the handshake with a wrong message type
+  wrong-id        answers predicts with a non-echoing id
+  short-scores    returns one score fewer than requested
+  not-json        answers predicts with a non-JSON line
+  bool-scores     answers ``true`` as every score
+  swapped         holds the first predict and answers the second one first
+  silent          never answers anything (forces a timeout)
+  stalls          stops reading its input right after the handshake
+  dies            exits cleanly right after the handshake
+  dies-after-one  answers its first predict, then exits
+
+Any other mode is a healthy probe scoring each row ``[x]`` as ``2x + 1``.
 """
 
 import json
 import sys
+import time
 
 
 def reply(obj):
@@ -18,8 +25,14 @@ def reply(obj):
     sys.stdout.flush()
 
 
+def scores(msg):
+    return {"type": "scores", "id": msg.get("id"),
+            "scores": [2.0 * row[0] + 1.0 for row in msg.get("rows", [])]}
+
+
 def main():
     mode = sys.argv[1]
+    held = None
     for line in sys.stdin:
         line = line.strip()
         if not line:
@@ -34,6 +47,8 @@ def main():
                 reply({"type": "ready"})
             if mode == "dies":
                 return
+            if mode == "stalls":
+                time.sleep(60)
         elif msg.get("type") == "predict":
             rows = msg.get("rows", [])
             if mode == "silent":
@@ -45,8 +60,17 @@ def main():
             elif mode == "not-json":
                 sys.stdout.write("scores: all fine\n")
                 sys.stdout.flush()
+            elif mode == "bool-scores":
+                reply({"type": "scores", "id": msg.get("id"), "scores": [True] * len(rows)})
+            elif mode == "swapped" and held is None:
+                held = msg
+            elif mode == "swapped":
+                reply(scores(msg))
+                reply(scores(held))
             else:
-                reply({"type": "scores", "id": msg.get("id"), "scores": [0.0] * len(rows)})
+                reply(scores(msg))
+                if mode == "dies-after-one":
+                    return
 
 
 if __name__ == "__main__":

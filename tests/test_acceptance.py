@@ -364,7 +364,7 @@ def test_criterion_8_probe_differential(tmp_path):
     direct = BuiltinModelHandle(inner).predict_batch(rows)
     with load_model(outer, timeout=30) as probe:
         probed = probe.predict_batch(rows)
-    np.testing.assert_allclose(probed, direct, rtol=0, atol=1e-9)
+    assert np.array(probed).tobytes() == np.array(direct).tobytes()
 
     for mode in ("wrong-id", "short-scores", "not-json"):
         bad = ModelSpec(

@@ -489,6 +489,30 @@ def test_use_without_assignments_exits_2(runner, tmp_path):
     assert "assignments" in result.output
 
 
+def test_full_runs_ice_sweeps_without_assignments(runner, tmp_path):
+    out = synth_out(runner, tmp_path, "james", rows=300)
+    config = json.loads((out / "config.json").read_text())
+    assert "use" not in config
+    result = runner.invoke(
+        main, ["full", "--config", str(out / "config.json"),
+               "--data", str(out / "data.csv"), "--out", str(out / "plain")],
+    )
+    assert result.exit_code == 0, result.output
+    assert read_report(out / "plain")["sections"]["use"] == {"summaries": [], "ice": []}
+
+    config["use"] = {"ice_columns": ["reached_statutory_retirement"]}
+    path = out / "config_ice.json"
+    path.write_text(json.dumps(config))
+    result = runner.invoke(
+        main, ["full", "--config", str(path), "--data", str(out / "data.csv"),
+               "--out", str(out / "x")],
+    )
+    assert result.exit_code == 0, result.output
+    use = read_report(out / "x")["sections"]["use"]
+    assert use["summaries"] == []
+    assert [curve["column"] for curve in use["ice"]] == ["reached_statutory_retirement"]
+
+
 @pytest.mark.parametrize("command", ["use", "full"])
 @pytest.mark.parametrize("ice_row", [300, 5000, -1, 1.5, "abc"])
 def test_bad_ice_row_exits_2(runner, tmp_path, command, ice_row):

@@ -16,8 +16,11 @@ from proxyaudit.errors import (
     ValidationError,
 )
 from proxyaudit.models import (
+    ROWS_PER_CALL,
+    BuiltinModelHandle,
     DecisionRule,
     ModelSpec,
+    SubprocessModelHandle,
     decide,
     load_model,
     probe_timeout,
@@ -362,9 +365,69 @@ class TestSubprocessProbe:
         direct = load_model(inner).predict_batch(rows)
         with load_model(outer, timeout=15) as m:
             probed = m.predict_batch(rows)
-        np.testing.assert_allclose(probed, direct, rtol=0, atol=1e-9)
+        # JSON floats round-trip exactly
+        assert np.array(probed).tobytes() == np.array(direct).tobytes()
 
-    @pytest.mark.parametrize("mode", ["wrong-id", "short-scores", "not-json"])
+    def test_pipelined_columns_match_builtin(self, tmp_path):
+        # 4,500 rows: more batches than the window holds, the last one partial
+        n = 4 * ROWS_PER_CALL + ROWS_PER_CALL // 2
+        assert SubprocessModelHandle.WINDOW < -(-n // ROWS_PER_CALL)
+        inner = logistic_spec(
+            {"x1": 2.0, "x2": -1.0, "c=a": 0.5, "c=b": -0.25}, 0.5, ("x1", "c", "x2")
+        )
+        spec_path = tmp_path / "inner.json"
+        inner.save(spec_path)
+        outer = subprocess_spec(
+            "-m", "proxyaudit.probe_reference", "--spec", str(spec_path),
+            features=inner.feature_order,
+        )
+        rng = np.random.default_rng(3)
+        columns = {
+            "x1": rng.normal(size=n),
+            "x2": rng.normal(size=n) * 1e3,
+            "c": rng.choice(np.array(["a", "b", "z"], dtype=object), size=n),
+        }
+        # the probe sums coefficients in the order of the saved (sorted) spec
+        direct = BuiltinModelHandle(ModelSpec.load(spec_path)).score_columns(columns)
+        with load_model(outer, timeout=15) as m:
+            probed = m.score_columns(columns)
+            assert m.transport_retries == 0
+        assert probed.dtype == np.float64
+        assert probed.tobytes() == direct.tobytes()
+
+    def test_probe_dying_with_requests_outstanding_is_resent(self):
+        # each probe answers one batch: 3 failures, one more than a batch may
+        # have, so the count must restart with every accepted reply
+        columns = {"x": np.arange(4 * ROWS_PER_CALL) / 7.0}
+        with load_model(subprocess_spec(str(FIXTURES / "bad_probe.py"), "healthy"), timeout=15) as m:
+            healthy = m.score_columns(columns)
+        spec = subprocess_spec(str(FIXTURES / "bad_probe.py"), "dies-after-one")
+        with load_model(spec, timeout=15) as m:
+            probed = m.score_columns(columns)
+            assert m.transport_retries == 3
+        assert probed.tobytes() == healthy.tobytes()
+
+    def test_out_of_order_reply_is_protocol_error(self):
+        spec = subprocess_spec(str(FIXTURES / "bad_probe.py"), "swapped")
+        with load_model(spec, timeout=5) as m:
+            with pytest.raises(ProtocolError) as exc:
+                m.score_columns({"x": np.zeros(2 * ROWS_PER_CALL)})
+            assert "does not echo" in str(exc.value)
+            assert m.transport_retries == 0
+
+    def test_probe_that_stops_reading_times_out(self):
+        # each predict message outgrows a pipe buffer, so a blocking write
+        # would wait on the probe forever instead of timing out
+        features = tuple(f"x{i}" for i in range(8))
+        columns = {f: np.random.default_rng(i).normal(size=4 * ROWS_PER_CALL)
+                   for i, f in enumerate(features)}
+        spec = subprocess_spec(str(FIXTURES / "bad_probe.py"), "stalls", features=features)
+        with load_model(spec, timeout=0.5) as m:
+            with pytest.raises(ConnectivityError):
+                m.score_columns(columns)
+            assert m.transport_retries == 2
+
+    @pytest.mark.parametrize("mode", ["wrong-id", "short-scores", "not-json", "bool-scores"])
     def test_protocol_violations_never_retried(self, mode):
         spec = subprocess_spec(str(FIXTURES / "bad_probe.py"), mode)
         with load_model(spec, timeout=15) as m:
