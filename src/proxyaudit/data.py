@@ -5,12 +5,23 @@ missing) against an ordered category list; numeric columns are float64 (NaN =
 missing). Arrays are marked read-only; every transformation returns a new
 Dataset. Rows with missing values are dropped per computation (pairwise
 deletion) by the measurement modules, never globally at load.
+
+``load_csv`` decodes column by column. It reads the file in line-aligned
+chunks; a plain chunk (no quote, NUL or bare ``\\r``, and ``width - 1`` commas
+on every line, checked on its bytes with numpy) is tokenized with
+``str.split``, any other chunk by ``csv.reader``, which takes over the rest of
+the file from the first chunk holding a quote. Both tokenizers hand one list
+of raw cells per column to the same decoder. Bytes that are not UTF-8 and
+``csv.Error`` are ``ParseError`` (exit 2 on the command line).
 """
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -62,11 +73,6 @@ class LoadReport:
     n_unknown: int = 0
 
     _CAP = 100
-
-    def record_unknown(self, row, column, raw):
-        self.n_unknown += 1
-        if len(self.unknown_values) < self._CAP:
-            self.unknown_values.append((row, column, raw))
 
 
 class Dataset:
@@ -272,6 +278,12 @@ def read_schema_json(path):
         return schema_from_json(json.load(fh))
 
 
+# Bytes read from the CSV at a time; each chunk is extended to the end of its line.
+_CHUNK_BYTES = 1 << 18
+# Rows that csv.reader hands to the decoder at a time.
+_READER_ROWS = 1 << 13
+
+
 def load_csv(path, schema, *, header=True):
     """Load a CSV file against a schema.
 
@@ -280,69 +292,231 @@ def load_csv(path, schema, *, header=True):
     categorical values, and numeric cells that do not parse to a finite
     number (``nan``, ``inf``, ``-inf`` included), become missing and are
     recorded in the load report. A row with the wrong number of cells is a
-    ``ParseError``. ``header=True`` requires the first row to name exactly
-    the schema's columns (any order); ``header=False`` takes cells in schema
-    order.
+    ``ParseError``, and so are bytes that are not UTF-8 and any ``csv.Error``
+    (a NUL on Python 3.10, a field over ``csv.field_size_limit()``); each
+    names the data row it stopped at. ``header=True`` requires the first row
+    to name exactly the schema's columns (any order); ``header=False`` takes
+    cells in schema order.
+
+    The file is read in line-aligned chunks of about 256 KiB. A plain chunk
+    (no quote, no NUL, no ``\\r`` outside ``\\r\\n``, no line longer than the
+    field limit, and the same number of commas on every line) is tokenized
+    with ``str.split``; any other chunk goes through ``csv.reader``, and from
+    the first chunk holding a quote ``csv.reader`` reads the rest of the file,
+    since a quoted field may span chunks. Both feed one column decoder.
     """
-    schema = tuple(schema)
-    report = LoadReport(missing_by_column={c.name: 0 for c in schema})
-    store = {c.name: [] for c in schema}
-    order = list(range(len(schema)))
-
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        first = True
-        row_index = 0
-        for raw_row in reader:
-            if not raw_row or (len(raw_row) == 1 and not raw_row[0].strip()):
-                continue
-            cells = [c.strip() for c in raw_row]
-            if first and header:
-                first = False
-                names = [c.name for c in schema]
-                if sorted(cells) != sorted(names):
-                    raise ParseError(
-                        f"header {cells!r} does not match schema columns {names!r}", row_index=0
+    table = _ColumnDecoder(tuple(schema), header)
+    try:
+        with open(path, "rb") as fh:
+            chunks = _chunks(fh)
+            for raw, text in chunks:
+                if b'"' in raw:
+                    lines = chain.from_iterable(
+                        io.StringIO(t, newline="") for _, t in chain([(raw, text)], chunks)
                     )
-                order = [cells.index(n) for n in names]
-                continue
-            first = False
-            if len(cells) != len(schema):
-                raise ParseError(
-                    f"row has {len(cells)} cells, expected {len(schema)}", row_index=row_index
-                )
-            for k, col in enumerate(schema):
-                raw = cells[order[k]]
-                if col.kind == CATEGORICAL:
-                    code = col.code_of(raw)
-                    if code == -2:
-                        report.record_unknown(row_index, col.name, raw)
-                        code = -1
-                    if code < 0:
-                        report.missing_by_column[col.name] += 1
-                    store[col.name].append(code)
+                    for rows in _reader_batches(lines):
+                        table.add_rows(rows)
+                    break
+                if _is_plain(raw, table.width):
+                    table.add_plain(text)
                 else:
-                    if raw == col.missing_token or raw == "":
-                        report.missing_by_column[col.name] += 1
-                        store[col.name].append(np.nan)
-                    else:
-                        try:
-                            value = float(raw)
-                        except ValueError:
-                            value = math.nan
-                        if not math.isfinite(value):
-                            report.record_unknown(row_index, col.name, raw)
-                            report.missing_by_column[col.name] += 1
-                            value = math.nan
-                        store[col.name].append(value)
-            row_index += 1
+                    for rows in _reader_batches(io.StringIO(text, newline="")):
+                        table.add_rows(rows)
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"data row {table.n_rows} is not valid UTF-8: {exc.reason}", row_index=table.n_rows
+        ) from None
+    except csv.Error as exc:
+        raise ParseError(f"data row {table.n_rows}: {exc}", row_index=table.n_rows) from None
+    return table.dataset()
 
-    report.n_rows = row_index
-    cols = {
-        c.name: np.asarray(store[c.name], dtype=np.int64 if c.kind == CATEGORICAL else np.float64)
-        for c in schema
-    }
-    return Dataset(schema, cols, load_report=report)
+
+def _chunks(fh):
+    """Line-aligned ``(bytes, text)`` chunks of a binary file.
+
+    Where the bytes are not UTF-8, the whole lines before the bad byte come
+    out as a chunk of their own, and then the ``UnicodeDecodeError`` is raised.
+    """
+    while True:
+        raw = fh.read(_CHUNK_BYTES)
+        if not raw:
+            return
+        if not raw.endswith(b"\n"):
+            raw += fh.readline()
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            cut = max(raw.rfind(b"\n", 0, exc.start), raw.rfind(b"\r", 0, exc.start)) + 1
+            if cut:
+                yield raw[:cut], raw[:cut].decode("utf-8")
+            raise
+        yield raw, text
+
+
+def _is_plain(raw, width):
+    """Whether ``str.split`` tokenizes the chunk exactly as ``csv.reader`` does.
+
+    That holds without quotes, NULs and bare ``\\r``, when no line is longer
+    than the field limit and every line has ``width - 1`` commas: among the
+    comma and newline bytes, every ``width``-th is a newline and no other is.
+    """
+    if not width or b"\0" in raw or raw.count(b"\r") != raw.count(b"\r\n"):
+        return False
+    b = np.frombuffer(raw, np.uint8)
+    seps = np.flatnonzero((b == 44) | (b == 10))
+    newlines = np.flatnonzero(b[seps] == 10)
+    tail = not raw.endswith(b"\n")  # the last line has no newline
+    if len(seps) + tail != (len(newlines) + tail) * width or not np.array_equal(
+        newlines, np.arange(width - 1, len(seps), width)
+    ):
+        return False
+    bounds = np.concatenate(([-1], seps[newlines], [len(raw)]))
+    return int(np.diff(bounds).max()) - 1 < csv.field_size_limit()
+
+
+def _reader_batches(lines):
+    """Rows of ``csv.reader`` in lists of up to ``_READER_ROWS``.
+
+    On a ``csv.Error`` or ``UnicodeDecodeError`` the rows read before it come
+    out first, so a bad row earlier in the file is still reported first.
+    """
+    batch, error = [], None
+    try:
+        for row in csv.reader(lines):
+            batch.append(row)
+            if len(batch) == _READER_ROWS:
+                yield batch
+                batch = []
+    except (csv.Error, UnicodeDecodeError) as exc:
+        error = exc
+    yield batch
+    if error is not None:
+        raise error
+
+
+class _ColumnDecoder:
+    """Turns tokenized cells into typed columns and a ``LoadReport``.
+
+    Each batch arrives as one list of raw cells per column, and each column
+    is decoded in one pass: a categorical column looks every distinct raw
+    string up once, a numeric column maps ``float`` over its cells and falls
+    back to cell-by-cell handling only when that raises or when its missing
+    token parses as a number.
+    """
+
+    def __init__(self, schema, header):
+        self.schema = schema
+        self.width = len(schema)
+        self.header_pending = header
+        self.order = list(range(self.width))  # file column of each schema column
+        self.n_rows = 0
+        self.report = LoadReport(missing_by_column={c.name: 0 for c in schema})
+        self.parts = [[] for _ in schema]
+        self.lookups = [{} for _ in schema]  # categorical: raw cell -> code
+
+    def add_plain(self, text):
+        """Cells of a plain chunk, split on commas and newlines."""
+        if text.endswith("\n"):
+            text = text[:-1]
+        flat = text.replace("\n", ",").split(",")
+        if self.width == 1:
+            flat = list(filter(str.strip, flat))  # a blank line is no row
+        if self.header_pending and flat:
+            self._read_header(flat[: self.width])
+            del flat[: self.width]
+        self._decode([flat[j :: self.width] for j in self.order], len(flat) // self.width)
+
+    def add_rows(self, rows):
+        """Cells of rows from ``csv.reader``."""
+        rows = [r for r in rows if len(r) > 1 or (r and r[0].strip())]
+        if self.header_pending and rows:
+            self._read_header(rows.pop(0))
+        for i, row in enumerate(rows):
+            if len(row) != self.width:
+                raise ParseError(
+                    f"row has {len(row)} cells, expected {self.width}", row_index=self.n_rows + i
+                )
+        self._decode([list(map(itemgetter(j), rows)) for j in self.order], len(rows))
+
+    def _read_header(self, cells):
+        cells = [c.strip() for c in cells]
+        names = [c.name for c in self.schema]
+        if sorted(cells) != sorted(names):
+            raise ParseError(f"header {cells!r} does not match schema columns {names!r}", row_index=0)
+        self.order = [cells.index(n) for n in names]
+        self.header_pending = False
+
+    def _decode(self, columns, n):
+        keys = []  # row * width + schema column of each unknown cell
+        for k, (col, cells) in enumerate(zip(self.schema, columns)):
+            if col.kind == CATEGORICAL:
+                lookup = self.lookups[k]
+                for raw in set(cells).difference(lookup):
+                    lookup[raw] = col.code_of(raw.strip())
+                values = np.fromiter(map(lookup.__getitem__, cells), np.int64, n)
+                unknown = values == -2
+                values[unknown] = -1
+                missing = values < 0
+            else:
+                values, blank = _floats(cells, col.missing_token)
+                missing = ~np.isfinite(values)
+                values[missing] = np.nan
+                unknown = missing.copy()
+                unknown[blank] = False
+            self.report.missing_by_column[col.name] += int(np.count_nonzero(missing))
+            keys.append(np.flatnonzero(unknown) * self.width + k)
+            self.parts[k].append(values)
+        keys = np.sort(np.concatenate(keys)) if keys else np.empty(0, np.int64)
+        report = self.report
+        report.n_unknown += len(keys)
+        for key in keys[: report._CAP - len(report.unknown_values)].tolist():
+            i, k = divmod(key, self.width)
+            report.unknown_values.append(
+                (self.n_rows + i, self.schema[k].name, columns[k][i].strip())
+            )
+        self.n_rows += n
+
+    def dataset(self):
+        self.report.n_rows = self.n_rows
+        columns = {
+            col.name: np.concatenate(parts) if parts else []
+            for col, parts in zip(self.schema, self.parts)
+        }
+        return Dataset(self.schema, columns, load_report=self.report)
+
+
+def _parses_as_float(token):
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _floats(cells, token):
+    """Float64 values of numeric cells, and the rows that hold no value.
+
+    Every cell goes through ``float()``. Cells equal to the missing token or
+    empty after stripping are NaN and listed in the second result; a cell
+    that does not parse is NaN too, but not listed.
+    """
+    if not _parses_as_float(token):
+        try:
+            return np.fromiter(map(float, cells), np.float64, len(cells)), []
+        except ValueError:
+            pass
+    values, blank = [], []
+    for cell in cells:
+        cell = cell.strip()
+        if cell == token or not cell:
+            blank.append(len(values))
+            values.append(math.nan)
+            continue
+        try:
+            values.append(float(cell))
+        except ValueError:
+            values.append(math.nan)
+    return np.array(values, dtype=np.float64), blank
 
 
 def derive_feature(d, name, rule):

@@ -118,6 +118,10 @@ class ModelSpec:
     def __post_init__(self):
         object.__setattr__(self, "feature_order", tuple(self.feature_order))
         self.validate()
+        if self.kind in ("linear", "logistic"):
+            # scores sum coefficients in dict order: keep the order save() writes
+            coefficients = dict(sorted(self.parameters["coefficients"].items()))
+            object.__setattr__(self, "parameters", {**self.parameters, "coefficients": coefficients})
 
     def validate(self):
         if self.kind not in BUILTIN_KINDS + EXTERNAL_KINDS:

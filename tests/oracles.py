@@ -11,9 +11,12 @@ before it moved onto the sampler's node code (it scores through the model
 handle and returns an ``InterventionRecord``), and ``best_split_sorted`` and
 ``cart_fit_copies``, the package's split scan and tree fit before they moved
 onto value ranks and row-index nodes (one argsort per column per node, and a
-copy of the node's rows at every split).
+copy of the node's rows at every split), and ``load_csv_reference``, the
+package's row-by-row CSV loader before columnar decode (it builds the
+package's ``Dataset`` and ``LoadReport``).
 """
 
+import csv
 import math
 from fractions import Fraction
 from numbers import Real
@@ -481,3 +484,85 @@ def causal_intervention_reference(scm, m, row, assignments, *, seed=0, rule=None
         counterfactual_outcome=cf_out,
         flipped=base_out is not None and base_out != cf_out,
     )
+
+
+def _record_unknown(report, row, column, raw):
+    report.n_unknown += 1
+    if len(report.unknown_values) < report._CAP:
+        report.unknown_values.append((row, column, raw))
+
+
+def load_csv_reference(path, schema, *, header=True):
+    """The package's row-by-row CSV loader before it moved to columnar decode:
+    ``csv.reader`` over the text file, every cell stripped and decoded on its
+    own. Bytes that are not UTF-8 and ``csv.Error`` become ``ParseError``
+    naming the data row the reader had reached."""
+    from proxyaudit.data import CATEGORICAL, Dataset, LoadReport
+    from proxyaudit.errors import ParseError
+
+    schema = tuple(schema)
+    report = LoadReport(missing_by_column={c.name: 0 for c in schema})
+    store = {c.name: [] for c in schema}
+    order = list(range(len(schema)))
+
+    row_index = 0
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            first = True
+            for raw_row in reader:
+                if not raw_row or (len(raw_row) == 1 and not raw_row[0].strip()):
+                    continue
+                cells = [c.strip() for c in raw_row]
+                if first and header:
+                    first = False
+                    names = [c.name for c in schema]
+                    if sorted(cells) != sorted(names):
+                        raise ParseError(
+                            f"header {cells!r} does not match schema columns {names!r}", row_index=0
+                        )
+                    order = [cells.index(n) for n in names]
+                    continue
+                first = False
+                if len(cells) != len(schema):
+                    raise ParseError(
+                        f"row has {len(cells)} cells, expected {len(schema)}", row_index=row_index
+                    )
+                for k, col in enumerate(schema):
+                    raw = cells[order[k]]
+                    if col.kind == CATEGORICAL:
+                        code = col.code_of(raw)
+                        if code == -2:
+                            _record_unknown(report, row_index, col.name, raw)
+                            code = -1
+                        if code < 0:
+                            report.missing_by_column[col.name] += 1
+                        store[col.name].append(code)
+                    else:
+                        if raw == col.missing_token or raw == "":
+                            report.missing_by_column[col.name] += 1
+                            store[col.name].append(np.nan)
+                        else:
+                            try:
+                                value = float(raw)
+                            except ValueError:
+                                value = math.nan
+                            if not math.isfinite(value):
+                                _record_unknown(report, row_index, col.name, raw)
+                                report.missing_by_column[col.name] += 1
+                                value = math.nan
+                            store[col.name].append(value)
+                row_index += 1
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"data row {row_index} is not valid UTF-8: {exc.reason}", row_index=row_index
+        ) from None
+    except csv.Error as exc:
+        raise ParseError(f"data row {row_index}: {exc}", row_index=row_index) from None
+
+    report.n_rows = row_index
+    cols = {
+        c.name: np.asarray(store[c.name], dtype=np.int64 if c.kind == CATEGORICAL else np.float64)
+        for c in schema
+    }
+    return Dataset(schema, cols, load_report=report)

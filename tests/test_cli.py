@@ -7,14 +7,20 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proxyaudit import cli, intervention, report
 from proxyaudit.cli import main
+from proxyaudit.data import read_schema_json
 from proxyaudit.models import BuiltinModelHandle, DecisionRule, ModelSpec, decide
+
+from csv_cases import csv_files
 
 EPOCH = {"SOURCE_DATE_EPOCH": "1700000000"}
 
@@ -267,6 +273,37 @@ def _write_use_config(out, use):
     path = out / "config_use.json"
     path.write_text(json.dumps(config))
     return path
+
+
+@pytest.fixture(scope="module")
+def james_use_inputs(tmp_path_factory):
+    """A small james synth with a use assignment: its schema and config."""
+    out = tmp_path_factory.mktemp("degenerate") / "james"
+    assert CliRunner().invoke(
+        main, ["synth", "--preset", "james", "--rows", "200", "--out", str(out)]
+    ).exit_code == 0
+    config = _write_use_config(out, {
+        "assignments": [{"column": "reached_statutory_retirement", "value": "false"}],
+    })
+    return read_schema_json(out / "schema.json"), config
+
+
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_degenerate_data_fails_soft(james_use_inputs, data):
+    # tiny n; constant, single-category and all-missing columns; nan and inf
+    # cells; random missingness: the audit runs (0) or rejects the input (2)
+    schema, config = james_use_inputs
+    text, _, _ = data.draw(csv_files(schema, header=True, max_rows=30, malformed=False))
+    with tempfile.TemporaryDirectory() as tmp:
+        csv_path, out = Path(tmp) / "data.csv", Path(tmp) / "audit"
+        csv_path.write_text(text, encoding="utf-8", newline="")
+        result = CliRunner().invoke(
+            main, ["full", "--config", str(config), "--data", str(csv_path), "--out", str(out)]
+        )
+        assert result.exit_code in (0, 2), result.output
+        if result.exit_code == 0:
+            report.validate_report(read_report(out))
 
 
 def test_full_skips_flip_analysis_without_complete_rows(runner, tmp_path):
@@ -728,6 +765,26 @@ def test_missing_model_file_exits_2(runner, tmp_path):
          "--model", str(out / "no_model.json"), "--out", str(out / "x")],
     )
     assert result.exit_code == 2
+
+
+def test_undecodable_data_exits_2(runner, tmp_path):
+    out = synth_out(runner, tmp_path, "james", rows=50)
+    lines = (out / "data.csv").read_bytes().splitlines(keepends=True)
+    lines[30] = lines[30].replace(b"male", b"ma\xffle", 1)
+    (out / "data.csv").write_bytes(b"".join(lines))
+    result, _ = run_full(runner, out, "x")
+    assert result.exit_code == 2, result.output
+    assert "data row 29 is not valid UTF-8: invalid start byte" in result.output
+
+
+def test_field_over_the_csv_limit_exits_2(runner, tmp_path):
+    out = synth_out(runner, tmp_path, "james", rows=50)
+    lines = (out / "data.csv").read_text().splitlines()
+    lines[10] = '"' + "x" * 140_000 + '",70,true'
+    (out / "data.csv").write_text("\n".join(lines) + "\n")
+    result, _ = run_full(runner, out, "x")
+    assert result.exit_code == 2, result.output
+    assert "data row 9: field larger than field limit" in result.output
 
 
 def test_version_option(runner):

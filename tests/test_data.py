@@ -1,10 +1,15 @@
+import csv
 import math
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from proxyaudit import data
 from proxyaudit.data import (
     CATEGORICAL,
     NUMERIC,
@@ -19,6 +24,9 @@ from proxyaudit.data import (
 )
 from proxyaudit.descriptors import Condition, SubgroupDescriptor
 from proxyaudit.errors import InsufficientDataError, ParseError, ValidationError
+
+from csv_cases import csv_files
+from oracles import load_csv_reference
 
 
 SCHEMA = [
@@ -107,6 +115,122 @@ class TestLoadCsv:
         schema2 = read_schema_json(tmp_path / "out.schema.json")
         d2 = load_csv(out, schema2)
         assert d.equals(d2)
+
+
+def load_outcome(loader, path, schema, header):
+    """The Dataset a loader returns, or its exception's type, message and row."""
+    try:
+        return loader(path, schema, header=header)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "row_index", None)
+
+
+def assert_loads_like_reference(path, schema, header=True):
+    got = load_outcome(load_csv, path, schema, header)
+    want = load_outcome(load_csv_reference, path, schema, header)
+    if isinstance(want, Dataset):
+        assert isinstance(got, Dataset), got
+        assert got.equals(want)
+        assert vars(got.load_report) == vars(want.load_report)
+    else:
+        assert got == want
+    return got
+
+
+class TestColumnarLoadMatchesReference:
+    """``load_csv`` against the row-by-row loader it replaced, on generated
+    files, with chunks and reader batches down to one line and one row so
+    that every file spans many of them."""
+
+    @given(
+        case=csv_files(),
+        chunk_bytes=st.sampled_from([1, 7, 64, data._CHUNK_BYTES]),
+        reader_rows=st.sampled_from([1, 3, data._READER_ROWS]),
+        field_limit=st.sampled_from([None, 12]),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_generated_files(self, case, chunk_bytes, reader_rows, field_limit):
+        text, schema, header = case
+        limit = csv.field_size_limit()
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(data, "_CHUNK_BYTES", chunk_bytes), \
+                mock.patch.object(data, "_READER_ROWS", reader_rows):
+            path = Path(tmp) / "data.csv"
+            path.write_bytes(text.encode("utf-8"))
+            try:
+                if field_limit is not None:
+                    csv.field_size_limit(field_limit)
+                assert_loads_like_reference(path, schema, header)
+            finally:
+                csv.field_size_limit(limit)
+
+    def test_quote_in_a_late_chunk(self, tmp_path):
+        # plain chunks first, then a quoted newline far past the first chunk
+        schema = [ColumnSchema("color", CATEGORICAL, ("red", "green", "blue")),
+                  ColumnSchema("size", NUMERIC)]
+        lines = ["size,color"] + [f"{i % 7}.5,{('red', 'blue', 'pink')[i % 3]}" for i in range(80_000)]
+        lines[65_000] = '"4\n",green'
+        lines[70_000] = "nan,?"
+        p = write(tmp_path, "\n".join(lines) + "\n")
+        assert p.stat().st_size > 2 * data._CHUNK_BYTES
+        d = assert_loads_like_reference(p, schema)
+        assert d.n_rows == 80_000 and d.cell(64_999, "size") == 4.0
+        assert d.load_report.n_unknown == 80_000 // 3 + 1
+        assert len(d.load_report.unknown_values) == 100
+
+    def test_first_ragged_row_is_reported(self, tmp_path):
+        lines = ["color,size"] + ["red,1"] * 30_000 + ["red"] + ["green,2"] * 10 + ["a,b,c"]
+        p = write(tmp_path, "\r\n".join(lines))
+        with pytest.raises(ParseError, match="row has 1 cells") as exc:
+            load_csv(p, SCHEMA)
+        assert exc.value.row_index == 30_000
+        assert_loads_like_reference(p, SCHEMA)
+
+    @pytest.mark.parametrize("last", ["green", "green,2,3"])
+    def test_ragged_last_line_without_newline(self, tmp_path, last):
+        p = write(tmp_path, "color,size\nred,1\n" + last)
+        with pytest.raises(ParseError, match="row has") as exc:
+            load_csv(p, SCHEMA)
+        assert exc.value.row_index == 1
+        assert_loads_like_reference(p, SCHEMA)
+
+    def test_missing_token_that_parses_as_a_number(self, tmp_path):
+        schema = [ColumnSchema("x", NUMERIC, missing_token="-1")]
+        p = write(tmp_path, "x\n-1\n 2 \n-1.0\n\x1c3\x1c\n")
+        d = assert_loads_like_reference(p, schema)
+        assert d.values("x").tolist()[1:] == [2.0, -1.0, 3.0]
+        assert d.load_report.missing_by_column == {"x": 1}
+
+    def test_one_column_with_blank_lines(self, tmp_path):
+        schema = [ColumnSchema("x", NUMERIC)]
+        p = write(tmp_path, "\n7\n \n\t\r\n8\n\n", name="raw.csv")
+        d = assert_loads_like_reference(p, schema, header=False)
+        assert d.values("x").tolist() == [7.0, 8.0]
+
+    def test_unicode_line_separators_stay_inside_cells(self, tmp_path):
+        schema = [ColumnSchema("c", CATEGORICAL, ("a\u2028b", "c")), ColumnSchema("x", NUMERIC)]
+        p = write(tmp_path, "c,x\na\u2028b,1\x85\nc\x1c,2\n")
+        d = assert_loads_like_reference(p, schema)
+        assert d.record(0) == {"c": "a\u2028b", "x": 1.0}
+        assert d.record(1) == {"c": "c", "x": 2.0}
+
+    @pytest.mark.parametrize("first", [b"red", b'"red"'])
+    def test_undecodable_bytes_name_their_row(self, tmp_path, first):
+        # plain chunks, and csv.reader once a quote comes before the bad byte
+        p = tmp_path / "bad.csv"
+        p.write_bytes(b"color,size\n" + first + b",1\ngreen,2\nbl\xffue,3\nred,4\n")
+        with pytest.raises(ParseError, match="data row 2 is not valid UTF-8: invalid start byte"):
+            load_csv(p, SCHEMA)
+        with pytest.raises(ParseError, match="invalid start byte"):
+            load_csv_reference(p, SCHEMA)
+
+    def test_field_over_the_limit_is_a_parse_error(self, tmp_path):
+        p = write(tmp_path, f'color,size\nred,1\n"{"x" * 140_000}",2\n')
+        with pytest.raises(ParseError, match=r"data row 1: field larger than field limit") as exc:
+            load_csv(p, SCHEMA)
+        assert exc.value.row_index == 1
+        assert_loads_like_reference(p, SCHEMA)
+
 
 
 class TestDataset:

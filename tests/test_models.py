@@ -126,6 +126,26 @@ class TestSpecValidation:
         spec.save(path)
         assert ModelSpec.load(path) == spec
 
+    def test_save_and_load_score_bit_equal(self, tmp_path):
+        # coefficients given out of sorted order: the saved file sorts them,
+        # and the spec in memory must sum them in that same order
+        spec = logistic_spec(
+            {"x1": 2.0, "x2": -1.0, "c=a": 0.5, "c=b": -0.25}, 0.5, ("x1", "c", "x2")
+        )
+        assert list(spec.parameters["coefficients"]) == ["c=a", "c=b", "x1", "x2"]
+        path = tmp_path / "model.json"
+        spec.save(path)
+        n = 4_500
+        rng = np.random.default_rng(3)
+        columns = {
+            "x1": rng.normal(size=n),
+            "x2": rng.normal(size=n) * 1e3,
+            "c": rng.choice(np.array(["a", "b", "z"], dtype=object), size=n),
+        }
+        before = BuiltinModelHandle(spec).score_columns(columns)
+        after = BuiltinModelHandle(ModelSpec.load(path)).score_columns(columns)
+        assert before.tobytes() == after.tobytes()
+
 
 class TestBuiltinPrediction:
     @pytest.mark.parametrize("kind", ["linear", "decision_tree"])
@@ -387,8 +407,7 @@ class TestSubprocessProbe:
             "x2": rng.normal(size=n) * 1e3,
             "c": rng.choice(np.array(["a", "b", "z"], dtype=object), size=n),
         }
-        # the probe sums coefficients in the order of the saved (sorted) spec
-        direct = BuiltinModelHandle(ModelSpec.load(spec_path)).score_columns(columns)
+        direct = BuiltinModelHandle(inner).score_columns(columns)
         with load_model(outer, timeout=15) as m:
             probed = m.score_columns(columns)
             assert m.transport_retries == 0
