@@ -15,7 +15,7 @@ from scipy import special
 from . import kernels
 from .data import CATEGORICAL
 from .descriptors import _fmt
-from .errors import InsufficientDataError, ValidationError
+from .errors import InsufficientDataError, ParameterError, ValidationError
 
 NORMALIZATIONS = ("arithmetic", "geometric", "min", "max")
 
@@ -289,6 +289,8 @@ def association_scan(d, protected, candidates, *, measure="nmi", normalization="
     """
     if measure not in ("nmi", "cramers_v"):
         raise ValidationError(f"unknown scan measure {measure!r}")
+    if bins < 2:
+        raise ParameterError("bins must be at least 2")
     scores = []
     for a in protected:
         codes_a, ka = _as_categorical(d, a, bins)

@@ -1,5 +1,11 @@
 """Command-line entry points: capacity, discover, use, full, synth.
 
+The audit commands run one pipeline, ``_run_audit``, over their ``STAGES``:
+``full`` runs capacity, discovery and use; ``capacity``, ``discover`` and
+``use`` each run one stage and write the section ``full`` would. The use
+step's preconditions (assignments, a model and a decision rule, ICE columns
+the model reads, an ICE row inside the data) are checked before any stage.
+
 Exit codes separate findings from failures: 0 means the audit ran (whatever
 it found), 2 is a usage or configuration error, 3 is a runtime failure, and
 ``--fail-on-red-flag`` opts into exit 4 when red flags are present — so a CI
@@ -33,6 +39,7 @@ directory. An unknown key, at the top level or in a section, is a
 configuration error.
 """
 
+import contextlib
 import json
 import sys
 from functools import partial
@@ -57,9 +64,18 @@ from .errors import (
     ValidationError,
 )
 from .intervention import Assignment
-from .models import DecisionRule, ModelSpec, load_model
+from .models import JSON_DECODER, DecisionRule, ModelSpec, load_model
 
 _FORMATS = ("json", "md")
+
+# The stages each command runs, in pipeline order. ``full`` is the paper's
+# test: the capacity step, the use step, and a red flag only where both hold.
+STAGES = {
+    "capacity": ("capacity",),
+    "discover": ("discovery",),
+    "use": ("use",),
+    "full": ("capacity", "discovery", "use"),
+}
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -146,9 +162,16 @@ class RunSettings:
     """Everything a command needs, resolved from config file + flags."""
 
     def __init__(self, config_path, data_path, model_path, seed, out_dir, formats):
+        self.formats = tuple(f.strip() for f in formats.split(",") if f.strip())
+        bad = [f for f in self.formats if f not in _FORMATS]
+        if bad or not self.formats:
+            raise ValidationError(f"unknown output format(s): {bad or formats!r}")
         config_path = Path(config_path)
-        with open(config_path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+        try:
+            with open(config_path, "r", encoding="utf-8") as fh:
+                raw = JSON_DECODER.decode(fh.read())
+        except ParseError as exc:
+            raise ValidationError(f"config: {exc}") from None
         if not isinstance(raw, dict):
             raise ValidationError("config file must hold a JSON object")
         _check_config(raw)
@@ -197,7 +220,6 @@ class RunSettings:
         )
         self.proxy_sets = [tuple(s) for s in raw.get("proxy_sets", [])]
         self.out_dir = Path(out_dir)
-        self.formats = formats
 
     def config_echo(self):
         return {
@@ -220,13 +242,6 @@ class RunSettings:
             },
         }
 
-    def open_model(self):
-        if self.model_spec is None:
-            raise ValidationError(
-                "this command needs a model: pass --model or set model_path"
-            )
-        return load_model(self.model_spec)
-
     def write(self, rpt):
         report.validate_report(rpt)
         self.out_dir.mkdir(parents=True, exist_ok=True)
@@ -243,6 +258,45 @@ class RunSettings:
             click.echo(f"wrote {path}")
         click.echo(f"red flags: {rpt['red_flag_count']}")
         return rpt
+
+
+def _run_audit(rs, stages):
+    """Run ``stages`` in pipeline order and write the report, raising the use
+    step's config errors before the first stage runs. Findings come from
+    discovery, through the use step when there is a model."""
+    use, alone = rs.options["use"], stages == STAGES["use"]
+    model = rs.model_spec if "use" in stages else None
+    if alone and not use["assignments"]:
+        raise ValidationError("config use.assignments is empty")
+    if (alone or model is not None) and rs.decision_rule is None:
+        raise ValidationError("config needs a decision_rule to audit model use")
+    if alone and model is None:
+        raise ValidationError("this command needs a model: pass --model or set model_path")
+    if model is not None:
+        report.check_use(model.feature_order, rs.dataset, use["ice_columns"], use["ice_row"])
+
+    sections, findings = {}, []
+    if "capacity" in stages:
+        sections["capacity"] = report.run_capacity(
+            rs.dataset, rs.audit.protected, rs.audit.candidates, rs.proxy_sets,
+            **rs.options["scan"], **rs.options["capacity"], seed=rs.seed,
+        )
+    if "discovery" in stages:
+        sections["discovery"], kept = report.run_discovery(
+            rs.dataset, rs.audit, **rs.options["discovery"], seed=rs.seed
+        )
+    if "use" in stages and model is None:
+        sections["use"] = report.USE_SKIPPED
+    with load_model(model) if model is not None else contextlib.nullcontext() as m:
+        if "discovery" in stages:
+            findings = report.derive_red_flags(
+                kept, m, rs.decision_rule, rs.dataset, **rs.floors
+            )
+        if m is not None:
+            sections["use"] = report.run_use(m, rs.decision_rule, rs.dataset, **use)
+    return rs.write(
+        report.assemble(rs.config_echo(), rs.dataset, sections, findings, rs.seed)
+    )
 
 
 def _settings_options(fn):
@@ -305,14 +359,6 @@ def _selector(doc):
         raise ValidationError(f"config 'use.selector': {exc}") from None
 
 
-def _parse_formats(formats):
-    chosen = tuple(f.strip() for f in formats.split(",") if f.strip())
-    bad = [f for f in chosen if f not in _FORMATS]
-    if bad or not chosen:
-        raise ValidationError(f"unknown output format(s): {bad or formats!r}")
-    return chosen
-
-
 @click.group()
 @click.version_option(__version__, prog_name="proxyaudit")
 def main():
@@ -321,63 +367,23 @@ def main():
 
 @main.command("capacity")
 @_settings_options
-def cmd_capacity(config_path, data_path, model_path, out_dir, seed, formats):
+def cmd_capacity(**settings):
     """Association scan, contingency drill-downs, predictive capacity."""
-
-    def body():
-        fmts = _parse_formats(formats)
-        rs = RunSettings(config_path, data_path, model_path, seed, out_dir, fmts)
-        sections = {"capacity": report.run_capacity(
-            rs.dataset, rs.audit.protected, rs.audit.candidates, rs.proxy_sets,
-            **rs.options["scan"], **rs.options["capacity"], seed=rs.seed,
-        )}
-        rpt = report.assemble(rs.config_echo(), rs.dataset, sections, [], rs.seed)
-        rs.write(rpt)
-
-    _guard(body)
+    _guard(lambda: _run_audit(RunSettings(**settings), STAGES["capacity"]))
 
 
 @main.command("discover")
 @_settings_options
-def cmd_discover(config_path, data_path, model_path, out_dir, seed, formats):
+def cmd_discover(**settings):
     """Beam-search subgroup discovery with holdout validation."""
-
-    def body():
-        fmts = _parse_formats(formats)
-        rs = RunSettings(config_path, data_path, model_path, seed, out_dir, fmts)
-        fragment, kept = report.run_discovery(
-            rs.dataset, rs.audit, **rs.options["discovery"], seed=rs.seed
-        )
-        findings = report.derive_red_flags(kept, None, None, rs.dataset, **rs.floors)
-        sections = {"discovery": fragment}
-        rpt = report.assemble(
-            rs.config_echo(), rs.dataset, sections, findings, rs.seed
-        )
-        rs.write(rpt)
-
-    _guard(body)
+    _guard(lambda: _run_audit(RunSettings(**settings), STAGES["discover"]))
 
 
 @main.command("use")
 @_settings_options
-def cmd_use(config_path, data_path, model_path, out_dir, seed, formats):
+def cmd_use(**settings):
     """Flip analysis and ICE curves for configured interventions."""
-
-    def body():
-        fmts = _parse_formats(formats)
-        rs = RunSettings(config_path, data_path, model_path, seed, out_dir, fmts)
-        if not rs.options["use"]["assignments"]:
-            raise ValidationError("config use.assignments is empty")
-        if rs.decision_rule is None:
-            raise ValidationError("config needs a decision_rule for use analysis")
-        with rs.open_model() as m:
-            sections = {"use": report.run_use(
-                m, rs.decision_rule, rs.dataset, **rs.options["use"]
-            )}
-        rpt = report.assemble(rs.config_echo(), rs.dataset, sections, [], rs.seed)
-        rs.write(rpt)
-
-    _guard(body)
+    _guard(lambda: _run_audit(RunSettings(**settings), STAGES["use"]))
 
 
 @main.command("full")
@@ -386,46 +392,13 @@ def cmd_use(config_path, data_path, model_path, out_dir, seed, formats):
     "--fail-on-red-flag", is_flag=True,
     help="Exit 4 when the report contains at least one red flag.",
 )
-def cmd_full(
-    config_path, data_path, model_path, out_dir, seed, formats, fail_on_red_flag
-):
+def cmd_full(fail_on_red_flag, **settings):
     """Capacity, discovery, then use; findings labeled by the two-part
     standard (validated near-deterministic proxy AND significant influence
     toward the unfavourable outcome)."""
-
-    def body():
-        fmts = _parse_formats(formats)
-        rs = RunSettings(config_path, data_path, model_path, seed, out_dir, fmts)
-        sections = {"capacity": report.run_capacity(
-            rs.dataset, rs.audit.protected, rs.audit.candidates, rs.proxy_sets,
-            **rs.options["scan"], **rs.options["capacity"], seed=rs.seed,
-        )}
-        sections["discovery"], kept = report.run_discovery(
-            rs.dataset, rs.audit, **rs.options["discovery"], seed=rs.seed
-        )
-        if rs.model_spec is None:
-            sections["use"] = report.USE_SKIPPED
-            findings = report.derive_red_flags(kept, None, None, rs.dataset, **rs.floors)
-        else:
-            if rs.decision_rule is None:
-                raise ValidationError(
-                    "config needs a decision_rule to audit model use"
-                )
-            with rs.open_model() as m:
-                findings = report.derive_red_flags(
-                    kept, m, rs.decision_rule, rs.dataset, **rs.floors
-                )
-                sections["use"] = report.run_use(
-                    m, rs.decision_rule, rs.dataset, **rs.options["use"]
-                )
-        rpt = report.assemble(
-            rs.config_echo(), rs.dataset, sections, findings, rs.seed
-        )
-        rs.write(rpt)
-        if fail_on_red_flag and rpt["red_flag_count"] > 0:
-            sys.exit(EXIT_RED_FLAG)
-
-    _guard(body)
+    rpt = _guard(lambda: _run_audit(RunSettings(**settings), STAGES["full"]))
+    if fail_on_red_flag and rpt["red_flag_count"] > 0:
+        sys.exit(EXIT_RED_FLAG)
 
 
 @main.command("synth")

@@ -36,7 +36,7 @@ from numbers import Real
 
 import numpy as np
 
-from .errors import ConnectivityError, ProtocolError, SpecError, ValidationError
+from .errors import ConnectivityError, ParseError, ProtocolError, SpecError, ValidationError
 
 FAVOURABLE = "favourable"
 UNFAVOURABLE = "unfavourable"
@@ -48,6 +48,15 @@ DEFAULT_PROBE_TIMEOUT_SECS = 10.0
 MAX_TRANSPORT_RETRIES = 2
 # rows per predict call when columns are scored through the row protocol
 ROWS_PER_CALL = 1_000
+
+
+def _reject_constant(name):
+    raise ParseError(f"{name} is not a JSON number")
+
+
+# Decodes the config, model specs and probe replies, raising ``ParseError`` on
+# the NaN and Infinity that ``json`` accepts; one instance serves every reply.
+JSON_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
 def _is_real(value):
@@ -222,8 +231,12 @@ class ModelSpec:
 
     @staticmethod
     def load(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            return ModelSpec.from_json(json.load(fh))
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                obj = JSON_DECODER.decode(fh.read())
+        except ParseError as exc:
+            raise SpecError(f"model spec: {exc}") from None
+        return ModelSpec.from_json(obj)
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -353,7 +366,7 @@ def _validate_scores_message(msg, expected_id, n_rows, raw):
             f"expected {n_rows} scores, got {scores!r}", payload=raw
         )
     # ``type(v) in (int, float)`` for every score: the JSON numbers of
-    # ``json.loads``, and not ``true``/``false`` (bool subclasses int)
+    # ``JSON_DECODER``, and not ``true``/``false`` (bool subclasses int)
     if not set(map(type, scores)) <= {int, float}:
         raise ProtocolError("scores must all be numbers", payload=raw)
     return list(map(float, scores))
@@ -436,8 +449,8 @@ class _ProbeHandle(ModelHandle):
                 continue
             request_id, rows = in_flight.popleft()
             try:
-                msg = json.loads(raw)
-            except json.JSONDecodeError:
+                msg = JSON_DECODER.decode(raw)
+            except (json.JSONDecodeError, ParseError):
                 raise ProtocolError("scores reply is not valid JSON", payload=raw) from None
             scores = _validate_scores_message(msg, request_id, len(rows), raw)
             failures = 0
@@ -505,8 +518,8 @@ class SubprocessModelHandle(_ProbeHandle):
         self._send({"type": "hello", "features": list(self.spec.feature_order)})
         raw = self._recv()
         try:
-            msg = json.loads(raw)
-        except json.JSONDecodeError:
+            msg = JSON_DECODER.decode(raw)
+        except (json.JSONDecodeError, ParseError):
             raise ProtocolError("handshake reply is not valid JSON", payload=raw) from None
         if not isinstance(msg, dict) or msg.get("type") != "ready":
             raise ProtocolError(f"expected a ready message, got {msg!r}", payload=raw)

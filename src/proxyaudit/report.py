@@ -160,6 +160,21 @@ def run_discovery(
     }, kept
 
 
+def check_use(feature_order, d, ice_columns=(), ice_row=None):
+    """Raise on a use config that no data could satisfy: an ICE column the
+    model does not read, or an ICE row outside ``d``. Needs only the model's
+    declared features, so it runs before any stage; returns the ICE row."""
+    unread = [c for c in ice_columns if c not in feature_order]
+    if unread:
+        raise ValidationError(
+            f"use.ice_columns names {unread[0]!r}, which the model does not read"
+        )
+    row_index = 0 if ice_row is None else ice_row
+    if ice_columns and not (type(row_index) is int and 0 <= row_index < d.n_rows):
+        raise ValidationError(f"use.ice_row must be a row in 0..{d.n_rows - 1}, got {ice_row!r}")
+    return row_index
+
+
 def run_use(
     m, rule, d, assignments=(), selector=None,
     *, flip_rate_floor=0.01, score_floor_fraction=0.05,
@@ -169,16 +184,8 @@ def run_use(
     analysis with no selected complete row, and a sweep whose row misses
     another model feature or whose column has no span of observed values, are
     listed under ``skipped`` (written only when non-empty) instead of ending
-    the audit. An ICE column the model does not read is a config error whatever the
-    data holds, so it is checked before anything is skipped."""
-    unread = [c for c in ice_columns if c not in m.feature_order]
-    if unread:
-        raise ValidationError(
-            f"use.ice_columns names {unread[0]!r}, which the model does not read"
-        )
-    row_index = 0 if ice_row is None else ice_row
-    if ice_columns and not (type(row_index) is int and 0 <= row_index < d.n_rows):
-        raise ValidationError(f"use.ice_row must be a row in 0..{d.n_rows - 1}, got {ice_row!r}")
+    the audit. The config errors of :func:`check_use` are raised first."""
+    row_index = check_use(m.feature_order, d, ice_columns, ice_row)
     fragment, skipped = {"summaries": [], "ice": []}, []
     if assignments:
         try:

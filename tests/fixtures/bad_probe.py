@@ -6,6 +6,7 @@ Usage: python bad_probe.py <mode>, where mode is one of:
   short-scores    returns one score fewer than requested
   not-json        answers predicts with a non-JSON line
   bool-scores     answers ``true`` as every score
+  nan-scores      answers ``NaN`` as every score (Python's json writes it)
   swapped         holds the first predict and answers the second one first
   silent          never answers anything (forces a timeout)
   stalls          stops reading its input right after the handshake
@@ -62,6 +63,8 @@ def main():
                 sys.stdout.flush()
             elif mode == "bool-scores":
                 reply({"type": "scores", "id": msg.get("id"), "scores": [True] * len(rows)})
+            elif mode == "nan-scores":
+                reply({"type": "scores", "id": msg.get("id"), "scores": [float("nan")] * len(rows)})
             elif mode == "swapped" and held is None:
                 held = msg
             elif mode == "swapped":

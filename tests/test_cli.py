@@ -388,6 +388,41 @@ def test_full_ice_column_the_model_does_not_read_exits_2(runner, tmp_path, blank
     assert not (run / "report.json").exists()
 
 
+def _no_stage(*_args, **_kwargs):
+    raise AssertionError("a stage ran before the config was checked")
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"decision_rule": None}, "config needs a decision_rule to audit model use"),
+        ({"use": {"ice_columns": ["age"]}},
+         "use.ice_columns names 'age', which the model does not read"),
+        ({"use": {"ice_columns": ["reached_statutory_retirement"], "ice_row": 40}},
+         "use.ice_row must be a row in 0..39, got 40"),
+    ],
+)
+def test_full_checks_the_config_before_any_stage_runs(
+    runner, tmp_path, monkeypatch, edit, message
+):
+    out = synth_out(runner, tmp_path, "james", rows=40)
+    config = json.loads((out / "config.json").read_text())
+    config.update(edit)
+    path = out / "config_late.json"
+    path.write_text(json.dumps(config))
+    monkeypatch.setattr(report, "run_capacity", _no_stage)
+    monkeypatch.setattr(report, "run_discovery", _no_stage)
+    run = tmp_path / "run"
+    result = runner.invoke(
+        main,
+        ["full", "--config", str(path), "--data", str(out / "data.csv"),
+         "--out", str(run)],
+    )
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+    assert not (run / "report.json").exists()
+
+
 # --- capacity / discover / use subcommands ----------------------------------------
 
 
@@ -570,6 +605,49 @@ def test_bad_ice_row_exits_2(runner, tmp_path, command, ice_row):
     assert "ice_row" in result.output
 
 
+# each preset's use section, or None where it ships no model for ``use``
+_AGREEMENT_USE = {
+    "james": {"assignments": [{"column": "reached_statutory_retirement", "value": "true"}],
+              "ice_columns": ["reached_statutory_retirement"]},
+    "capacity_no_use": {"assignments": [{"column": "P", "value": "a0"}], "ice_columns": ["X"]},
+    "school": None,
+    "independence": None,
+}
+
+
+@pytest.mark.parametrize("preset", sorted(_AGREEMENT_USE))
+def test_each_command_writes_its_section_of_full(runner, tmp_path, preset):
+    """``capacity``, ``discover`` and ``use`` are stages of ``full``: each
+    writes its section byte for byte as ``full`` does, and the rest of the
+    report too, save the findings."""
+    out = synth_out(runner, tmp_path, preset, rows=600)
+    use = _AGREEMENT_USE[preset]
+    config = _write_use_config(out, use) if use else out / "config.json"
+    reports = {}
+    for command in ("full", "capacity", "discover", "use"):
+        result = runner.invoke(
+            main,
+            [command, "--config", str(config), "--data", str(out / "data.csv"),
+             "--out", str(out / command), "--format", "json"],
+            env=EPOCH,
+        )
+        if command == "use" and not use:
+            assert result.exit_code == 2, result.output
+            continue
+        assert result.exit_code == 0, result.output
+        reports[command] = read_report(out / command)
+    full = reports.pop("full")
+    for command, rpt in reports.items():
+        section = {"capacity": "capacity", "discover": "discovery", "use": "use"}[command]
+        assert list(rpt["sections"]) == [section]
+        assert report.report_json_bytes(rpt["sections"][section]) == (
+            report.report_json_bytes(full["sections"][section])
+        ), command
+        assert rpt.keys() == full.keys()
+        for key in rpt.keys() - {"sections", "red_flags", "red_flag_count"}:
+            assert rpt[key] == full[key], (command, key)
+
+
 # --- config and format error paths ------------------------------------------------
 
 
@@ -655,6 +733,50 @@ def test_config_value_of_wrong_type_exits_2(runner, tmp_path, key, edit):
     )
     assert result.exit_code == 2, result.output
     assert f"'{key}'" in result.output
+    assert not (out / "x" / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "edit, constant",
+    [
+        ({"decision_rule": {"threshold": float("nan")}}, "NaN"),
+        ({"discovery": {"gamma": float("inf")}}, "Infinity"),
+        ({"use": {**_USE_RETIRED, "flip_rate_floor": float("nan")}}, "NaN"),
+        ({"use": {**_USE_RETIRED, "score_floor_fraction": -float("inf")}}, "-Infinity"),
+    ],
+)
+def test_config_non_finite_constant_exits_2(runner, tmp_path, edit, constant):
+    # Python's json writes and reads NaN and Infinity; JSON has neither
+    out = synth_out(runner, tmp_path, "james", rows=300)
+    config = json.loads((out / "config.json").read_text())
+    config.update(edit)
+    path = out / "config_nan.json"
+    path.write_text(json.dumps(config))
+    assert constant in path.read_text()
+    result = runner.invoke(
+        main,
+        ["full", "--config", str(path), "--data", str(out / "data.csv"),
+         "--out", str(out / "x")],
+    )
+    assert result.exit_code == 2, result.output
+    assert f"config: {constant} is not a JSON number" in result.output
+    assert not (out / "x" / "report.json").exists()
+
+
+@pytest.mark.parametrize("bins", [0, 1, -3])
+def test_scan_bins_below_two_exits_2(runner, tmp_path, bins):
+    out = synth_out(runner, tmp_path, "james", rows=300)
+    config = json.loads((out / "config.json").read_text())
+    config["scan"] = {"bins": bins}
+    path = out / "config_bins.json"
+    path.write_text(json.dumps(config))
+    result = runner.invoke(
+        main,
+        ["capacity", "--config", str(path), "--data", str(out / "data.csv"),
+         "--out", str(out / "x")],
+    )
+    assert result.exit_code == 2, result.output
+    assert "bins must be at least 2" in result.output
     assert not (out / "x" / "report.json").exists()
 
 

@@ -112,6 +112,12 @@ class TestSpecValidation:
              "feature_order": ["x"]},
             {"kind": "external_subprocess", "parameters": {"command": [1, 2]},
              "feature_order": ["x"]},
+            # json.dumps writes these as NaN and -Infinity, which are not JSON
+            {"kind": "linear", "parameters": {"coefficients": {"x": float("nan")},
+                                              "intercept": 0.0}, "feature_order": ["x"]},
+            {"kind": "logistic", "parameters": {"coefficients": {"x": 1.0},
+                                                "intercept": -float("inf")},
+             "feature_order": ["x"]},
         ],
     )
     def test_spec_file_needs_real_numbers_and_json_shapes(self, tmp_path, doc):
@@ -446,7 +452,9 @@ class TestSubprocessProbe:
                 m.score_columns(columns)
             assert m.transport_retries == 2
 
-    @pytest.mark.parametrize("mode", ["wrong-id", "short-scores", "not-json", "bool-scores"])
+    @pytest.mark.parametrize(
+        "mode", ["wrong-id", "short-scores", "not-json", "bool-scores", "nan-scores"]
+    )
     def test_protocol_violations_never_retried(self, mode):
         spec = subprocess_spec(str(FIXTURES / "bad_probe.py"), mode)
         with load_model(spec, timeout=15) as m:
