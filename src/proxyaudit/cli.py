@@ -2,9 +2,12 @@
 
 The audit commands run one pipeline, ``_run_audit``, over their ``STAGES``:
 ``full`` runs capacity, discovery and use; ``capacity``, ``discover`` and
-``use`` each run one stage and write the section ``full`` would. The use
-step's preconditions (assignments, a model and a decision rule, ICE columns
-the model reads, an ICE row inside the data) are checked before any stage.
+``use`` each run one stage and write the section ``full`` would. Each
+config value's type and range (``VALUE_CHECKS``), the decision rule and the
+model spec are checked before the data is loaded; the use step's
+preconditions (assignments to columns the model reads and to values their
+schema allows, a model and a decision rule, ICE columns the model reads, an
+ICE row inside the data) before any stage.
 
 Exit codes separate findings from failures: 0 means the audit ran (whatever
 it found), 2 is a usage or configuration error, 3 is a runtime failure, and
@@ -64,7 +67,7 @@ from .errors import (
     ValidationError,
 )
 from .intervention import Assignment
-from .models import JSON_DECODER, DecisionRule, ModelSpec, load_model
+from .models import JSON_DECODER, DecisionRule, ModelSpec, _is_real, load_model
 
 _FORMATS = ("json", "md")
 
@@ -103,37 +106,71 @@ TOP_LEVEL_KEYS = (
 
 
 def _of_default_type(value, default):
-    """An int takes an integer, a float any number; a bool is never a number."""
-    kinds = (int, float) if isinstance(default, float) else type(default)
-    return isinstance(value, kinds) and not isinstance(value, bool)
+    """An int takes an integer, a float any finite number; a bool is never a
+    number."""
+    if isinstance(default, float):
+        return _is_real(value)
+    return isinstance(value, type(default)) and not isinstance(value, bool)
 
 
 def _names(value):
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
-# Each config key with the test its value must pass: a scalar section option
-# takes the type of its SECTIONS default, the other keys their JSON shape.
+_KINDS = {int: "an integer", float: "a finite number", str: "a string"}
+
+# The bounds of numeric section options, beyond the type of their default:
+# a value outside them would fail only once its stage ran, after the load.
+BOUNDS = {
+    **dict.fromkeys(("scan.bins", "discovery.bins", "capacity.folds"),
+                    (lambda v: v >= 2, "of at least 2")),
+    **dict.fromkeys(
+        ("discovery.beam_width", "discovery.max_depth", "discovery.min_support", "discovery.top_k"),
+        (lambda v: v >= 1, "of at least 1"),
+    ),
+    "discovery.gamma": (lambda v: v >= 0, "of at least 0"),
+    "discovery.holdout_fraction": (lambda v: 0 < v < 1, "above 0 and below 1"),
+}
+
+
+def _option(key, default):
+    """The check of a scalar section option: its default's type, then its
+    bounds, with the value it wants in words."""
+    in_bounds, words = BOUNDS.get(key, (lambda v: True, ""))
+    return (
+        lambda v: _of_default_type(v, default) and in_bounds(v),
+        f"{_KINDS[type(default)]} {words}".rstrip(),
+    )
+
+
+# Each config key with the test its value must pass and what it wants, in
+# words: a scalar section option takes the type of its SECTIONS default and
+# its BOUNDS, the other keys their JSON shape.
 VALUE_CHECKS = {
     **{
-        f"{section}.{key}": partial(_of_default_type, default=default)
+        f"{section}.{key}": _option(f"{section}.{key}", default)
         for section, defaults in SECTIONS.items()
         for key, default in defaults.items()
         if isinstance(default, (int, float, str))
     },
-    "protected": _names,
-    "candidates": _names,
-    "proxy_sets": lambda v: isinstance(v, list) and all(map(_names, v)),
-    "target": lambda v: v is None or isinstance(v, str),
-    "seed": partial(_of_default_type, default=0),
-    "schema_path": lambda v: isinstance(v, str),
-    "model_path": lambda v: v is None or isinstance(v, str),
-    "decision_rule": lambda v: v is None or isinstance(v, dict),
-    "use.assignments": lambda v: isinstance(v, list) and all(
-        isinstance(a, dict) and isinstance(a.get("column"), str) and "value" in a for a in v
+    "protected": (_names, "a list of column names"),
+    "candidates": (_names, "a list of column names"),
+    "proxy_sets": (lambda v: isinstance(v, list) and all(map(_names, v)),
+                   "a list of lists of column names"),
+    "target": (lambda v: v is None or isinstance(v, str), "a column name or null"),
+    "seed": (partial(_of_default_type, default=0), "an integer"),
+    "schema_path": (lambda v: isinstance(v, str), "a path"),
+    "model_path": (lambda v: v is None or isinstance(v, str), "a path or null"),
+    "decision_rule": (lambda v: v is None or isinstance(v, dict), "an object or null"),
+    "use.assignments": (
+        lambda v: isinstance(v, list) and all(
+            isinstance(a, dict) and isinstance(a.get("column"), str) and "value" in a
+            for a in v
+        ),
+        "a list of objects with a column name and a value",
     ),
-    "use.selector": lambda v: v is None or isinstance(v, dict),
-    "use.ice_columns": _names,
+    "use.selector": (lambda v: v is None or isinstance(v, dict), "an object or null"),
+    "use.ice_columns": (_names, "a list of column names"),
 }
 
 
@@ -188,6 +225,18 @@ class RunSettings:
         use["selector"] = _selector(use["selector"])
         self.floors = {key: use[key] for key in ("flip_rate_floor", "score_floor_fraction")}
 
+        self.decision_rule = (
+            DecisionRule.from_json(raw["decision_rule"])
+            if raw.get("decision_rule")
+            else None
+        )
+        resolved_model = model_path or (
+            base / raw["model_path"] if raw.get("model_path") else None
+        )
+        self.model_spec = (
+            ModelSpec.load(resolved_model) if resolved_model else None
+        )
+
         if "schema" in raw:
             schema = schema_from_json(raw["schema"])
         elif "schema_path" in raw:
@@ -206,18 +255,6 @@ class RunSettings:
         )
         self.audit.check_against(self.dataset)
         self.seed = int(seed) if seed is not None else self.audit.seed
-
-        self.decision_rule = (
-            DecisionRule.from_json(raw["decision_rule"])
-            if raw.get("decision_rule")
-            else None
-        )
-        resolved_model = model_path or (
-            base / raw["model_path"] if raw.get("model_path") else None
-        )
-        self.model_spec = (
-            ModelSpec.load(resolved_model) if resolved_model else None
-        )
         self.proxy_sets = [tuple(s) for s in raw.get("proxy_sets", [])]
         self.out_dir = Path(out_dir)
 
@@ -273,7 +310,9 @@ def _run_audit(rs, stages):
     if alone and model is None:
         raise ValidationError("this command needs a model: pass --model or set model_path")
     if model is not None:
-        report.check_use(model.feature_order, rs.dataset, use["ice_columns"], use["ice_row"])
+        report.check_use(
+            model.feature_order, rs.dataset, use["assignments"], use["ice_columns"], use["ice_row"]
+        )
 
     sections, findings = {}, []
     if "capacity" in stages:
@@ -344,9 +383,9 @@ def _check_config(raw):
         values.update((f"{section}.{k}", v) for k, v in opts.items())
     if unknown:
         raise ValidationError(f"unknown config key(s): {', '.join(sorted(unknown))}")
-    for key, ok in VALUE_CHECKS.items():
+    for key, (ok, wanted) in VALUE_CHECKS.items():
         if key in values and not ok(values[key]):
-            raise ValidationError(f"config {key!r} has the wrong type or shape: {values[key]!r}")
+            raise ValidationError(f"config {key!r} must be {wanted}, got {values[key]!r}")
 
 
 def _selector(doc):

@@ -124,7 +124,7 @@ class Condition:
         if kind == IN_INTERVAL:
             for bound in ("lo", "hi"):
                 if obj.get(bound) is not None and not _is_real(obj[bound]):
-                    raise ValidationError(f"interval {bound!r} must be a number or null, got {obj[bound]!r}")
+                    raise ValidationError(f"interval {bound!r} must be a finite number or null, got {obj[bound]!r}")
             for flag in ("lo_closed", "hi_closed"):
                 if not isinstance(obj.get(flag, False), bool):
                     raise ValidationError(f"interval {flag!r} must be true or false, got {obj[flag]!r}")

@@ -3,11 +3,14 @@ curves, do-style causal interventions, and group-level use summaries.
 
 Capacity (a column *could* reconstruct the protected attribute) and use (the
 model's output *actually moves* when that column moves) are measured
-separately; this module covers use. Baseline and counterfactual rows are
-scored together in one :class:`~proxyaudit.models.ModelHandle` call
-(``score_columns`` for group-level flips, ``predict_batch`` otherwise), so
-deltas for deterministic models are exact, and a model that ignores its proxy
-column yields deltas of 0.0 exactly — the capacity-without-use case.
+separately; this module covers use. Flips, ICE sweeps, counterfactual
+deltas and causal interventions reach every model kind through one scoring
+path, :meth:`~proxyaudit.models.ModelHandle.score_columns`: flips hand it
+columns, the others rows through ``predict_batch``, which rejects a missing
+value for builtins and probes alike. Baseline and counterfactual rows are
+scored together in one call, so deltas for deterministic models are exact,
+and a model that ignores its proxy column yields deltas of 0.0 exactly — the
+capacity-without-use case.
 
 Causal mode propagates an assignment through a
 :class:`~proxyaudit.synth.CausalGraphSpec` before scoring: nodes with a
@@ -153,10 +156,9 @@ class UseSummary:
 # --- single-row interventions --------------------------------------------------
 
 
-def _check_feature_assignments(m, assignments):
-    features = set(m.feature_order)
+def _check_feature_assignments(feature_order, assignments):
     for a in assignments:
-        if a.column not in features:
+        if a.column not in feature_order:
             raise ValidationError(
                 f"assignment targets {a.column!r}, which the model does not read"
             )
@@ -191,7 +193,7 @@ def counterfactual_delta(m, row, assignments, *, rule=None, row_index=-1):
     models an empty assignment list yields a delta of exactly 0.0. Without a
     decision rule the outcome fields are None and ``flipped`` is False.
     """
-    _check_feature_assignments(m, assignments)
+    _check_feature_assignments(m.feature_order, assignments)
     cf_row = _with_assignments(row, assignments)
     try:
         base, cf = m.predict_batch([row, cf_row])
@@ -213,7 +215,7 @@ def ice_curve(
     the row's own value appears on the grid and reproduces the baseline
     score exactly.
     """
-    _check_feature_assignments(m, (Assignment(column, None),))
+    _check_feature_assignments(m.feature_order, (Assignment(column, None),))
     grid = None
     if categories is not None:
         grid = tuple(categories)
@@ -295,7 +297,7 @@ def flip_analysis(
     """
     if not assignments:
         raise ParameterError("flip_analysis needs at least one assignment")
-    _check_feature_assignments(m, assignments)
+    _check_feature_assignments(m.feature_order, assignments)
     _check_assignments_against(d.schema_of, assignments)
     mask = np.ones(d.n_rows, dtype=bool)
     if selector is not None:
@@ -315,7 +317,7 @@ def flip_analysis(
         columns[f] = np.repeat(observed, 2)
     for a in assignments:
         columns[a.column][1::2] = a.value
-    scores = m.score_columns(columns)
+    scores = m.score_columns(columns, 2 * indices.size)
     baselines, counterfactuals = scores[0::2], scores[1::2]
 
     deltas = counterfactuals - baselines

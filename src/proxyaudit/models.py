@@ -1,19 +1,20 @@
 """Uniform prediction interface: builtin model formats, external probes, and
 the decision rule mapping scores to favourable/unfavourable outcomes.
 
-Builtin kinds — ``linear``, ``logistic`` (one-of-K coefficients named
-``column=category`` for categorical features) and ``decision_tree`` (a node
-table) — are evaluated over whole columns (``score_columns``); their
-``predict_batch`` turns rows into columns first. Linear and tree specs run on
-numpy alone; only a logistic spec loads ``scipy.special`` for its ``expit``.
-External kinds take rows as newline-delimited JSON over a subprocess's
-stdin/stdout or HTTP POST /predict, ``ROWS_PER_CALL`` rows per call when
-given columns.
+Every model kind implements one scoring method, ``score_columns``, over one
+array per feature; ``ModelHandle.predict_batch`` turns rows into columns for
+all of them and rejects a missing (``None``) value. Builtin kinds —
+``linear``, ``logistic`` (one-of-K coefficients named ``column=category``)
+and ``decision_tree`` (a node table) — run on numpy alone, bar the logistic's
+``scipy.special.expit``. External kinds take rows as newline-delimited JSON
+over a subprocess's stdin/stdout or HTTP POST /predict, ``ROWS_PER_CALL``
+rows per call.
 
 Up to ``WINDOW`` predict messages may await replies at once: 4 on a
 subprocess probe, 1 on HTTP (urllib is synchronous). A probe answers in
 request order, each reply echoing its request's id; a reply that does not
-echo the oldest outstanding id is a protocol violation.
+echo the oldest outstanding id, or holds a score that is not a finite
+number, is a protocol violation.
 
 External transport failures are retried (counted, never silent): the probe
 is restarted and every unanswered request resent, until the oldest one has
@@ -31,7 +32,6 @@ import urllib.error
 import urllib.request
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain
 from numbers import Real
 
 import numpy as np
@@ -60,8 +60,12 @@ JSON_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
 def _is_real(value):
-    """A JSON number: a real that is not a bool."""
-    return isinstance(value, Real) and not isinstance(value, bool)
+    """A finite JSON number: a real that is not a bool. ``1e999`` reads as
+    infinity, and an integer too large for a float overflows."""
+    try:
+        return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def probe_timeout():
@@ -104,7 +108,7 @@ class DecisionRule:
     def from_json(obj):
         threshold = obj.get("threshold")
         if not _is_real(threshold):
-            raise ValidationError(f"decision rule 'threshold' must be a number, got {threshold!r}")
+            raise ValidationError(f"decision rule 'threshold' must be a finite number, got {threshold!r}")
         return DecisionRule(
             threshold=float(threshold),
             favourable_direction=obj.get("favourable_direction", "score_above"),
@@ -260,7 +264,8 @@ def _row_values(row, feature_order, index):
 
 
 class ModelHandle:
-    """Opaque batch scorer; stateless with respect to calls."""
+    """Opaque batch scorer; stateless with respect to calls. Each kind
+    implements ``score_columns``; ``predict_batch`` serves them all."""
 
     def __init__(self, spec):
         self.spec = spec
@@ -270,11 +275,22 @@ class ModelHandle:
         return self.spec.feature_order
 
     def predict_batch(self, rows):
-        raise NotImplementedError
+        """Scores of rows, each a dict by feature name or a sequence in
+        declared order, as a list of floats. A missing (``None``) value is
+        an error for every model kind, raised before any row is scored."""
+        order = self.spec.feature_order
+        columns = {f: np.empty(len(rows), dtype=object) for f in order}
+        for i, row in enumerate(rows):
+            for f, v in zip(order, _row_values(row, order, i)):
+                if v is None:
+                    raise ValidationError(f"row {i}: missing value for feature {f!r}")
+                columns[f][i] = v
+        return self.score_columns(columns, len(rows)).tolist()
 
-    def score_columns(self, columns):
-        """Float64 scores of feature columns: each feature maps to a 1-D array,
-        float64 if numeric, category strings (object) if categorical."""
+    def score_columns(self, columns, n_rows):
+        """Float64 scores of ``n_rows`` rows given as feature columns: each
+        feature maps to a 1-D array, float64 if numeric, category strings
+        (object) if categorical."""
         raise NotImplementedError
 
     def close(self):
@@ -299,22 +315,10 @@ def _numeric(values, rows, name):
 
 
 class BuiltinModelHandle(ModelHandle):
-    def predict_batch(self, rows):
-        order = self.spec.feature_order
-        columns = {f: np.empty(len(rows), dtype=object) for f in order}
-        for i, row in enumerate(rows):
-            for f, v in zip(order, _row_values(row, order, i)):
-                if v is None:
-                    raise ValidationError(f"row {i}: missing value for feature {f!r}")
-                columns[f][i] = v
-        return self.score_columns(columns, n_rows=len(rows)).tolist()
-
-    def score_columns(self, columns, n_rows=None):
+    def score_columns(self, columns, n_rows):
         """Scores of whole columns; linear sums run coefficient by coefficient
         (the float operations of scoring each row alone), trees split row-index
         arrays node by node. ``columns == category`` is elementwise (numpy 1.25+)."""
-        if n_rows is None:
-            n_rows = len(next(iter(columns.values()), ()))
         params = self.spec.parameters
         if self.spec.kind == "decision_tree":
             nodes = {node["id"]: node for node in params["nodes"]}
@@ -369,7 +373,14 @@ def _validate_scores_message(msg, expected_id, n_rows, raw):
     # ``JSON_DECODER``, and not ``true``/``false`` (bool subclasses int)
     if not set(map(type, scores)) <= {int, float}:
         raise ProtocolError("scores must all be numbers", payload=raw)
-    return list(map(float, scores))
+    try:
+        values = np.array(scores, dtype=np.float64)
+        finite = np.isfinite(values).all()  # ``1e999`` decodes to infinity
+    except OverflowError:  # an integer too large for a float
+        finite = False
+    if not finite:
+        raise ProtocolError("scores must all be finite numbers", payload=raw)
+    return values
 
 
 class _TransportFailure(Exception):
@@ -391,25 +402,21 @@ class _ProbeHandle(ModelHandle):
     def _recover(self):
         """Make the transport usable again after a failure."""
 
-    def predict_batch(self, rows):
-        payload_rows = [
-            _row_values(row, self.spec.feature_order, i) for i, row in enumerate(rows)
-        ]
-        [scores] = self._score_batches([payload_rows])
-        return scores
-
-    def score_columns(self, columns):
+    def score_columns(self, columns, n_rows):
         """Float64 scores of feature columns, ``ROWS_PER_CALL`` rows per
         predict message; each batch's rows are sliced from the columns as it
         is sent, and go out as tuples (JSON writes them as lists)."""
         order = self.spec.feature_order
-        n_rows = len(columns[order[0]]) if order else 0
         batches = (
+            # a spec with no features still sends one empty row per row
             list(zip(*(columns[f][start : start + ROWS_PER_CALL].tolist() for f in order)))
+            or [()] * min(ROWS_PER_CALL, n_rows - start)
             for start in range(0, n_rows, ROWS_PER_CALL)
         )
-        scores = chain.from_iterable(self._score_batches(batches))
-        return np.fromiter(scores, dtype=np.float64, count=n_rows)
+        out = np.empty(n_rows, dtype=np.float64)
+        for start, scores in zip(range(0, n_rows, ROWS_PER_CALL), self._score_batches(batches)):
+            out[start : start + ROWS_PER_CALL] = scores
+        return out
 
     def _score_batches(self, batches):
         """Scores of each batch of payload rows, yielded in order. Up to
@@ -566,7 +573,7 @@ class HttpModelHandle(_ProbeHandle):
         self._url = endpoint if endpoint.endswith("/predict") else endpoint + "/predict"
         self._replies = deque()
         # health check: an empty predict must round-trip
-        self.predict_batch([])
+        list(self._score_batches([[]]))
 
     def _send(self, message):
         """POST one message; its reply waits for ``_recv``."""

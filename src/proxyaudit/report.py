@@ -34,6 +34,8 @@ from .errors import InsufficientDataError, ValidationError
 from .intervention import (
     TOWARD_UNFAVOURABLE,
     Assignment,
+    _check_assignments_against,
+    _check_feature_assignments,
     flip_analysis,
     ice_curve,
 )
@@ -160,10 +162,14 @@ def run_discovery(
     }, kept
 
 
-def check_use(feature_order, d, ice_columns=(), ice_row=None):
-    """Raise on a use config that no data could satisfy: an ICE column the
-    model does not read, or an ICE row outside ``d``. Needs only the model's
-    declared features, so it runs before any stage; returns the ICE row."""
+def check_use(feature_order, d, assignments=(), ice_columns=(), ice_row=None):
+    """Raise on a use config that no data could satisfy: an assignment to a
+    column the model does not read or to a value outside its column's schema,
+    an ICE column the model does not read, or an ICE row outside ``d``. Needs
+    only the model's declared features, so it runs before any stage; returns
+    the ICE row."""
+    _check_feature_assignments(feature_order, assignments)
+    _check_assignments_against(d.schema_of, assignments)
     unread = [c for c in ice_columns if c not in feature_order]
     if unread:
         raise ValidationError(
@@ -185,7 +191,7 @@ def run_use(
     another model feature or whose column has no span of observed values, are
     listed under ``skipped`` (written only when non-empty) instead of ending
     the audit. The config errors of :func:`check_use` are raised first."""
-    row_index = check_use(m.feature_order, d, ice_columns, ice_row)
+    row_index = check_use(m.feature_order, d, assignments, ice_columns, ice_row)
     fragment, skipped = {"summaries": [], "ice": []}, []
     if assignments:
         try:

@@ -7,6 +7,8 @@ Usage: python bad_probe.py <mode>, where mode is one of:
   not-json        answers predicts with a non-JSON line
   bool-scores     answers ``true`` as every score
   nan-scores      answers ``NaN`` as every score (Python's json writes it)
+  huge-scores     answers an integer too large for a float as every score
+  overflow-scores answers ``1e999`` as every score, a float that overflows
   swapped         holds the first predict and answers the second one first
   silent          never answers anything (forces a timeout)
   stalls          stops reading its input right after the handshake
@@ -65,6 +67,12 @@ def main():
                 reply({"type": "scores", "id": msg.get("id"), "scores": [True] * len(rows)})
             elif mode == "nan-scores":
                 reply({"type": "scores", "id": msg.get("id"), "scores": [float("nan")] * len(rows)})
+            elif mode == "huge-scores":
+                reply({"type": "scores", "id": msg.get("id"), "scores": [10**400] * len(rows)})
+            elif mode == "overflow-scores":
+                sys.stdout.write(json.dumps({"type": "scores", "id": msg.get("id"),
+                                             "scores": [1.0] * len(rows)}).replace("1.0", "1e999") + "\n")
+                sys.stdout.flush()
             elif mode == "swapped" and held is None:
                 held = msg
             elif mode == "swapped":

@@ -19,7 +19,7 @@ from proxyaudit.association import (
     normalized_mutual_information,
 )
 from proxyaudit.data import CATEGORICAL, NUMERIC, ColumnSchema, Dataset
-from proxyaudit.errors import InsufficientDataError, ValidationError
+from proxyaudit.errors import InsufficientDataError, ParameterError, ValidationError
 
 import goldens
 import oracles
@@ -324,6 +324,11 @@ class TestScan:
         for measure in ("nmi", "cramers_v"):
             scores = association_scan(d, ["s"], ["x", "c", "ok"], measure=measure)
             assert [s.var_b for s in scores] == ["ok"]
+
+    @pytest.mark.parametrize("bins", [0, 1, -3])
+    def test_bins_below_two_raises(self, toy_dataset, bins):
+        with pytest.raises(ParameterError, match="bins must be at least 2"):
+            association_scan(toy_dataset, ["sex"], ["years_since_graduation"], bins=bins)
 
     def test_numeric_candidate_is_binned(self, toy_dataset):
         scores = association_scan(toy_dataset, ["sex"], ["years_since_graduation"], bins=2)

@@ -400,6 +400,10 @@ def _no_stage(*_args, **_kwargs):
          "use.ice_columns names 'age', which the model does not read"),
         ({"use": {"ice_columns": ["reached_statutory_retirement"], "ice_row": 40}},
          "use.ice_row must be a row in 0..39, got 40"),
+        ({"use": {"assignments": [{"column": "reached_statutory_retirement", "value": "maybe"}]}},
+         "assignment 'reached_statutory_retirement'='maybe': unknown category"),
+        ({"use": {"assignments": [{"column": "age", "value": 70.0}]}},
+         "assignment targets 'age', which the model does not read"),
     ],
 )
 def test_full_checks_the_config_before_any_stage_runs(
@@ -420,6 +424,45 @@ def test_full_checks_the_config_before_any_stage_runs(
     )
     assert result.exit_code == 2, result.output
     assert message in result.output
+    assert not (run / "report.json").exists()
+
+
+def _no_load(*_args, **_kwargs):
+    raise AssertionError("the data was loaded before the config was checked")
+
+
+@pytest.mark.parametrize(
+    "section, key, value, wanted",
+    [
+        ("scan", "bins", 1, "an integer of at least 2"),
+        ("discovery", "bins", 1, "an integer of at least 2"),
+        ("capacity", "folds", 1, "an integer of at least 2"),
+        ("discovery", "beam_width", 0, "an integer of at least 1"),
+        ("discovery", "max_depth", 0, "an integer of at least 1"),
+        ("discovery", "min_support", 0, "an integer of at least 1"),
+        ("discovery", "top_k", -1, "an integer of at least 1"),
+        ("discovery", "gamma", -0.5, "a finite number of at least 0"),
+        ("discovery", "holdout_fraction", 0, "a finite number above 0 and below 1"),
+        ("discovery", "holdout_fraction", 1, "a finite number above 0 and below 1"),
+        ("discovery", "holdout_fraction", 1.5, "a finite number above 0 and below 1"),
+    ],
+)
+def test_option_out_of_range_exits_2_before_the_load(
+    runner, tmp_path, monkeypatch, section, key, value, wanted
+):
+    out = synth_out(runner, tmp_path, "james", rows=40)
+    config = json.loads((out / "config.json").read_text())
+    config[section] = {**config.get(section, {}), key: value}
+    path = out / "config_range.json"
+    path.write_text(json.dumps(config))
+    monkeypatch.setattr(cli, "load_csv", _no_load)
+    run = tmp_path / "run"
+    result = runner.invoke(
+        main,
+        ["full", "--config", str(path), "--data", str(out / "data.csv"), "--out", str(run)],
+    )
+    assert result.exit_code == 2, result.output
+    assert f"config '{section}.{key}' must be {wanted}, got {value!r}" in result.output
     assert not (run / "report.json").exists()
 
 
@@ -688,6 +731,8 @@ def test_unknown_config_key_exits_2(runner, tmp_path, section, key):
 
 
 _USE_RETIRED = {"assignments": [{"column": "reached_statutory_retirement", "value": "true"}]}
+# a float that no config holds, swapped for the text 1e999 once written
+_HUGE = 1.2345e300
 
 
 @pytest.mark.parametrize(
@@ -743,23 +788,33 @@ def test_config_value_of_wrong_type_exits_2(runner, tmp_path, key, edit):
         ({"discovery": {"gamma": float("inf")}}, "Infinity"),
         ({"use": {**_USE_RETIRED, "flip_rate_floor": float("nan")}}, "NaN"),
         ({"use": {**_USE_RETIRED, "score_floor_fraction": -float("inf")}}, "-Infinity"),
+        # written as 1e999, which reads as a float too large to be finite
+        ({"decision_rule": {"threshold": _HUGE}}, "1e999"),
+        ({"discovery": {"gamma": _HUGE}}, "1e999"),
+        ({"use": {**_USE_RETIRED, "flip_rate_floor": _HUGE}}, "1e999"),
+        ({"use": {**_USE_RETIRED, "score_floor_fraction": -_HUGE}}, "-1e999"),
     ],
 )
-def test_config_non_finite_constant_exits_2(runner, tmp_path, edit, constant):
+def test_config_non_finite_constant_exits_2(runner, tmp_path, monkeypatch, edit, constant):
     # Python's json writes and reads NaN and Infinity; JSON has neither
     out = synth_out(runner, tmp_path, "james", rows=300)
     config = json.loads((out / "config.json").read_text())
     config.update(edit)
     path = out / "config_nan.json"
-    path.write_text(json.dumps(config))
+    path.write_text(json.dumps(config).replace(repr(_HUGE), "1e999"))
     assert constant in path.read_text()
+    monkeypatch.setattr(cli, "load_csv", _no_load)
     result = runner.invoke(
         main,
         ["full", "--config", str(path), "--data", str(out / "data.csv"),
          "--out", str(out / "x")],
     )
     assert result.exit_code == 2, result.output
-    assert f"config: {constant} is not a JSON number" in result.output
+    if "1e999" in constant:
+        got = "inf" if constant == "1e999" else "-inf"
+        assert re.search(f"'[a-z_.]+' must be a finite number.*, got {got}$", result.output, re.M)
+    else:
+        assert f"config: {constant} is not a JSON number" in result.output
     assert not (out / "x" / "report.json").exists()
 
 
@@ -776,7 +831,7 @@ def test_scan_bins_below_two_exits_2(runner, tmp_path, bins):
          "--out", str(out / "x")],
     )
     assert result.exit_code == 2, result.output
-    assert "bins must be at least 2" in result.output
+    assert f"config 'scan.bins' must be an integer of at least 2, got {bins}" in result.output
     assert not (out / "x" / "report.json").exists()
 
 

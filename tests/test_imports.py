@@ -90,7 +90,7 @@ def test_only_logistic_specs_load_scipy_special(kind, want, loads_special):
         import numpy as np
         from proxyaudit.models import BuiltinModelHandle, ModelSpec
         spec = ModelSpec({kind!r}, {{"intercept": -1.0, "coefficients": {{"x": 2.0}}}}, ("x",))
-        scores = BuiltinModelHandle(spec).score_columns({{"x": np.array([0.0, 0.5, 3.0])}})
+        scores = BuiltinModelHandle(spec).score_columns({{"x": np.array([0.0, 0.5, 3.0])}}, 3)
         assert np.allclose(scores, {want!r}, rtol=1e-15, atol=0), scores
     """)
     loaded = loaded_after(code)

@@ -30,6 +30,8 @@ import goldens
 import oracles
 
 FIXTURES = Path(__file__).parent / "fixtures"
+# a float no test spec holds otherwise, swapped for the text 1e999 once written
+HUGE = 1.2345e300
 
 
 def linear_spec(coefficients, intercept, features):
@@ -118,11 +120,23 @@ class TestSpecValidation:
             {"kind": "logistic", "parameters": {"coefficients": {"x": 1.0},
                                                 "intercept": -float("inf")},
              "feature_order": ["x"]},
+            # HUGE is written as 1e999, a float too large to be finite
+            {"kind": "linear", "parameters": {"coefficients": {"x": HUGE},
+                                              "intercept": 0.0}, "feature_order": ["x"]},
+            {"kind": "decision_tree", "parameters": {"root": 0, "nodes": [
+                {"id": 0, "kind": "split", "column": "x", "threshold": -HUGE,
+                 "left": 1, "right": 1},
+                {"id": 1, "kind": "leaf", "value": 0.0}]}, "feature_order": ["x"]},
+            {"kind": "decision_tree", "parameters": {"root": 0, "nodes": [
+                {"id": 0, "kind": "leaf", "value": HUGE}]}, "feature_order": ["x"]},
+            # an integer too large for a float
+            {"kind": "linear", "parameters": {"coefficients": {"x": 1.0},
+                                              "intercept": 10**400}, "feature_order": ["x"]},
         ],
     )
     def test_spec_file_needs_real_numbers_and_json_shapes(self, tmp_path, doc):
         path = tmp_path / "model.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(doc).replace(repr(HUGE), "1e999"))
         with pytest.raises(SpecError):
             ModelSpec.load(path)
 
@@ -148,8 +162,8 @@ class TestSpecValidation:
             "x2": rng.normal(size=n) * 1e3,
             "c": rng.choice(np.array(["a", "b", "z"], dtype=object), size=n),
         }
-        before = BuiltinModelHandle(spec).score_columns(columns)
-        after = BuiltinModelHandle(ModelSpec.load(path)).score_columns(columns)
+        before = BuiltinModelHandle(spec).score_columns(columns, n)
+        after = BuiltinModelHandle(ModelSpec.load(path)).score_columns(columns, n)
         assert before.tobytes() == after.tobytes()
 
 
@@ -343,7 +357,7 @@ def test_columnar_scores_equal_row_reference(case):
         cells = [row[name] if isinstance(row, dict) else row[j] for row in rows]
         numbers = all(isinstance(v, (int, float)) for v in cells)
         columns[name] = np.array(cells, dtype=np.float64 if numbers else object)
-    assert bits(m.score_columns(columns)) == bits(want)
+    assert bits(m.score_columns(columns, len(rows))) == bits(want)
 
 
 class TestDecide:
@@ -413,30 +427,49 @@ class TestSubprocessProbe:
             "x2": rng.normal(size=n) * 1e3,
             "c": rng.choice(np.array(["a", "b", "z"], dtype=object), size=n),
         }
-        direct = BuiltinModelHandle(inner).score_columns(columns)
+        direct = BuiltinModelHandle(inner).score_columns(columns, n)
         with load_model(outer, timeout=15) as m:
-            probed = m.score_columns(columns)
+            probed = m.score_columns(columns, n)
             assert m.transport_retries == 0
         assert probed.dtype == np.float64
         assert probed.tobytes() == direct.tobytes()
 
-    def test_probe_dying_with_requests_outstanding_is_resent(self):
+    @pytest.mark.parametrize("entry", ["score_columns", "predict_batch"])
+    def test_probe_dying_with_requests_outstanding_is_resent(self, entry):
         # each probe answers one batch: 3 failures, one more than a batch may
-        # have, so the count must restart with every accepted reply
-        columns = {"x": np.arange(4 * ROWS_PER_CALL) / 7.0}
+        # have, so the count must restart with every accepted reply; rows
+        # given to either entry point go out ROWS_PER_CALL to a message
+        x = np.arange(4 * ROWS_PER_CALL) / 7.0
+
+        def score(m):
+            if entry == "score_columns":
+                return m.score_columns({"x": x}, x.size)
+            return np.array(m.predict_batch([[v] for v in x.tolist()]))
+
         with load_model(subprocess_spec(str(FIXTURES / "bad_probe.py"), "healthy"), timeout=15) as m:
-            healthy = m.score_columns(columns)
+            healthy = score(m)
         spec = subprocess_spec(str(FIXTURES / "bad_probe.py"), "dies-after-one")
         with load_model(spec, timeout=15) as m:
-            probed = m.score_columns(columns)
+            probed = score(m)
             assert m.transport_retries == 3
         assert probed.tobytes() == healthy.tobytes()
+
+    def test_missing_row_value_raises_before_any_message(self, monkeypatch):
+        spec = subprocess_spec(str(FIXTURES / "bad_probe.py"), "healthy")
+        with load_model(spec, timeout=15) as m:
+
+            def send(_message):
+                raise AssertionError("a row with a missing value reached the probe")
+
+            monkeypatch.setattr(m, "_send", send)
+            with pytest.raises(ValidationError, match="row 1: missing value for feature 'x'"):
+                m.predict_batch([[1.0], {"x": None}])
 
     def test_out_of_order_reply_is_protocol_error(self):
         spec = subprocess_spec(str(FIXTURES / "bad_probe.py"), "swapped")
         with load_model(spec, timeout=5) as m:
             with pytest.raises(ProtocolError) as exc:
-                m.score_columns({"x": np.zeros(2 * ROWS_PER_CALL)})
+                m.score_columns({"x": np.zeros(2 * ROWS_PER_CALL)}, 2 * ROWS_PER_CALL)
             assert "does not echo" in str(exc.value)
             assert m.transport_retries == 0
 
@@ -449,11 +482,13 @@ class TestSubprocessProbe:
         spec = subprocess_spec(str(FIXTURES / "bad_probe.py"), "stalls", features=features)
         with load_model(spec, timeout=0.5) as m:
             with pytest.raises(ConnectivityError):
-                m.score_columns(columns)
+                m.score_columns(columns, 4 * ROWS_PER_CALL)
             assert m.transport_retries == 2
 
     @pytest.mark.parametrize(
-        "mode", ["wrong-id", "short-scores", "not-json", "bool-scores", "nan-scores"]
+        "mode",
+        ["wrong-id", "short-scores", "not-json", "bool-scores", "nan-scores", "huge-scores",
+         "overflow-scores"],
     )
     def test_protocol_violations_never_retried(self, mode):
         spec = subprocess_spec(str(FIXTURES / "bad_probe.py"), mode)
