@@ -6,8 +6,9 @@ The audit commands run one pipeline, ``_run_audit``, over their ``STAGES``:
 config value's type and range (``VALUE_CHECKS``), the decision rule and the
 model spec are checked before the data is loaded; the use step's
 preconditions (assignments to columns the model reads and to values their
-schema allows, a model and a decision rule, ICE columns the model reads, an
-ICE row inside the data) before any stage.
+schema allows, a selector the schema can test, a model and a decision rule,
+ICE columns the model reads, a grid of at least 2 points for a numeric ICE
+column, an ICE row inside the data) before any stage.
 
 Exit codes separate findings from failures: 0 means the audit ran (whatever
 it found), 2 is a usage or configuration error, 3 is a runtime failure, and
@@ -311,7 +312,8 @@ def _run_audit(rs, stages):
         raise ValidationError("this command needs a model: pass --model or set model_path")
     if model is not None:
         report.check_use(
-            model.feature_order, rs.dataset, use["assignments"], use["ice_columns"], use["ice_row"]
+            model.feature_order, rs.dataset, use["assignments"], use["selector"],
+            use["ice_columns"], use["ice_row"], use["ice_grid_size"],
         )
 
     sections, findings = {}, []

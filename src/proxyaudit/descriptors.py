@@ -55,8 +55,9 @@ class Condition:
             column=column, kind=IN_INTERVAL, lo=lo, hi=hi, lo_closed=lo_closed, hi_closed=hi_closed
         )
 
-    def mask(self, d):
-        """Boolean row mask; missing values never match."""
+    def check_against(self, d):
+        """The schema of the column, which must exist, be of the kind this
+        condition tests and, for equality, hold its category."""
         schema = d.schema_of(self.column)
         if self.kind == EQUALS:
             if schema.kind != "categorical":
@@ -65,9 +66,15 @@ class Condition:
                 raise ValidationError(
                     f"category {self.category!r} not in column {self.column!r}"
                 )
-            return d.codes(self.column) == schema.categories.index(self.category)
-        if schema.kind != "numeric":
+        elif schema.kind != "numeric":
             raise ValidationError(f"interval condition on non-numeric {self.column!r}")
+        return schema
+
+    def mask(self, d):
+        """Boolean row mask; missing values never match."""
+        schema = self.check_against(d)
+        if self.kind == EQUALS:
+            return d.codes(self.column) == schema.categories.index(self.category)
         x = d.values(self.column)
         with np.errstate(invalid="ignore"):
             left = x >= self.lo if self.lo_closed else x > self.lo

@@ -3,12 +3,15 @@ the decision rule mapping scores to favourable/unfavourable outcomes.
 
 Every model kind implements one scoring method, ``score_columns``, over one
 array per feature; ``ModelHandle.predict_batch`` turns rows into columns for
-all of them and rejects a missing (``None``) value. Builtin kinds —
-``linear``, ``logistic`` (one-of-K coefficients named ``column=category``)
-and ``decision_tree`` (a node table) — run on numpy alone, bar the logistic's
-``scipy.special.expit``. External kinds take rows as newline-delimited JSON
-over a subprocess's stdin/stdout or HTTP POST /predict, ``ROWS_PER_CALL``
-rows per call.
+all of them and rejects a missing (``None``) value. Rows that are all lists
+or tuples of one value per feature, none of them ``None`` (a probe's predict
+rows), are transposed whole; any other batch is checked row by row, which
+raises every row error. Builtin kinds — ``linear``, ``logistic`` (one-of-K
+coefficients named ``column=category``) and ``decision_tree`` (a node table)
+— run on numpy alone, bar the logistic's ``scipy.special.expit``. External
+kinds take rows as newline-delimited JSON over a subprocess's stdin/stdout
+or HTTP POST /predict, ``ROWS_PER_CALL`` rows per call; urllib is imported
+only when an ``external_http`` probe sends.
 
 Up to ``WINDOW`` predict messages may await replies at once: 4 on a
 subprocess probe, 1 on HTTP (urllib is synchronous). A probe answers in
@@ -24,14 +27,14 @@ retrying can mask a nondeterministic model.
 
 import json
 import math
+import operator
 import os
 import queue
 import subprocess
 import threading
-import urllib.error
-import urllib.request
 from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 from numbers import Real
 
 import numpy as np
@@ -248,6 +251,30 @@ class ModelSpec:
             fh.write("\n")
 
 
+# row types ``predict_batch`` transposes whole
+_ROW_SEQUENCES = {list, tuple}
+
+
+def _transposed(rows, feature_order):
+    """Feature columns (object arrays) of ``rows`` when every row is a list
+    or tuple of one value per feature and no value is ``None``, else
+    ``None``. ``np.fromiter`` stores each value as one object, so a
+    list-valued cell is never broadcast."""
+    if not (
+        set(map(type, rows)) <= _ROW_SEQUENCES
+        and set(map(len, rows)) == {len(feature_order)}
+    ):
+        return None
+    cells = list(zip(*rows))
+    # by identity, as the checked loop tests: ``==`` on an array cell is elementwise
+    if any(any(map(operator.is_, column, repeat(None))) for column in cells):
+        return None
+    return {
+        f: np.fromiter(column, dtype=object, count=len(rows))
+        for f, column in zip(feature_order, cells)
+    }
+
+
 def _row_values(row, feature_order, index):
     """Feature values of one row, in declared order."""
     if isinstance(row, dict):
@@ -279,12 +306,14 @@ class ModelHandle:
         declared order, as a list of floats. A missing (``None``) value is
         an error for every model kind, raised before any row is scored."""
         order = self.spec.feature_order
-        columns = {f: np.empty(len(rows), dtype=object) for f in order}
-        for i, row in enumerate(rows):
-            for f, v in zip(order, _row_values(row, order, i)):
-                if v is None:
-                    raise ValidationError(f"row {i}: missing value for feature {f!r}")
-                columns[f][i] = v
+        columns = _transposed(rows, order)
+        if columns is None:  # the checked loop, the one source of row errors
+            columns = {f: np.empty(len(rows), dtype=object) for f in order}
+            for i, row in enumerate(rows):
+                for f, v in zip(order, _row_values(row, order, i)):
+                    if v is None:
+                        raise ValidationError(f"row {i}: missing value for feature {f!r}")
+                    columns[f][i] = v
         return self.score_columns(columns, len(rows)).tolist()
 
     def score_columns(self, columns, n_rows):
@@ -577,6 +606,9 @@ class HttpModelHandle(_ProbeHandle):
 
     def _send(self, message):
         """POST one message; its reply waits for ``_recv``."""
+        import urllib.error  # imported here: only HTTP probes pay for urllib
+        import urllib.request
+
         request = urllib.request.Request(
             self._url, data=json.dumps(message).encode("utf-8"),
             headers={"Content-Type": "application/json"}, method="POST",

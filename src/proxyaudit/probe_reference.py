@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 
+from .errors import ValidationError
 from .models import BuiltinModelHandle, ModelSpec
 
 
@@ -20,8 +21,8 @@ def _reply(obj):
 
 def serve(handle):
     """Protocol loop on stdin/stdout: hello/ready handshake, then
-    predict/scores; any other message type is answered with an error and
-    ends the loop."""
+    predict/scores. A predict whose rows the model rejects, and any other
+    message type, is answered with an error and ends the loop."""
     for line in sys.stdin:
         line = line.strip()
         if not line:
@@ -30,7 +31,11 @@ def serve(handle):
         if msg.get("type") == "hello":
             _reply({"type": "ready"})
         elif msg.get("type") == "predict":
-            scores = handle.predict_batch(msg.get("rows", []))
+            try:
+                scores = handle.predict_batch(msg.get("rows", []))
+            except ValidationError as exc:
+                _reply({"type": "error", "id": msg.get("id"), "message": str(exc)})
+                return
             _reply({"type": "scores", "id": msg.get("id"), "scores": scores})
         else:
             _reply({"type": "error", "message": f"unknown message type {msg.get('type')!r}"})

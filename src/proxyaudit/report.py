@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .association import association_scan, contingency, scan_to_json
 from .capacity import INEXTRICABLE_LINK, classify_link, predictive_capacity
-from .data import CATEGORICAL, split_holdout
+from .data import CATEGORICAL, NUMERIC, split_holdout
 from .discovery import VALIDATED, beam_search, validate
 from .errors import InsufficientDataError, ValidationError
 from .intervention import (
@@ -162,23 +162,43 @@ def run_discovery(
     }, kept
 
 
-def check_use(feature_order, d, assignments=(), ice_columns=(), ice_row=None):
+def check_use(
+    feature_order, d, assignments=(), selector=None,
+    ice_columns=(), ice_row=None, ice_grid_size=20,
+):
     """Raise on a use config that no data could satisfy: an assignment to a
     column the model does not read or to a value outside its column's schema,
-    an ICE column the model does not read, or an ICE row outside ``d``. Needs
-    only the model's declared features, so it runs before any stage; returns
-    the ICE row."""
+    a flip selector condition the schema cannot test, an ICE column the model
+    does not read, a numeric ICE column swept on fewer than 2 points, or an
+    ICE row outside ``d``. Needs only the model's declared features, so it
+    runs before any stage; returns the ICE row, or ``None`` when ``ice_row``
+    is unset and ``d`` has no rows to sweep."""
     _check_feature_assignments(feature_order, assignments)
     _check_assignments_against(d.schema_of, assignments)
+    if assignments and selector is not None:  # only flip analysis reads it
+        for cond in selector.conditions:
+            try:
+                cond.check_against(d)
+            except ValidationError as exc:
+                raise ValidationError(f"use.selector: {exc}") from None
     unread = [c for c in ice_columns if c not in feature_order]
     if unread:
         raise ValidationError(
             f"use.ice_columns names {unread[0]!r}, which the model does not read"
         )
-    row_index = 0 if ice_row is None else ice_row
-    if ice_columns and not (type(row_index) is int and 0 <= row_index < d.n_rows):
+    numeric = [c for c in ice_columns if d.schema_of(c).kind == NUMERIC]
+    if numeric and ice_grid_size < 2:
+        raise ValidationError(
+            f"use.ice_grid_size must be at least 2 to sweep numeric column "
+            f"{numeric[0]!r}, got {ice_grid_size!r}"
+        )
+    if ice_row is None:
+        return 0 if d.n_rows else None
+    if ice_columns and not (type(ice_row) is int and 0 <= ice_row < d.n_rows):
+        if not d.n_rows:
+            raise ValidationError(f"use.ice_row is {ice_row!r}, but the data has no rows")
         raise ValidationError(f"use.ice_row must be a row in 0..{d.n_rows - 1}, got {ice_row!r}")
-    return row_index
+    return ice_row
 
 
 def run_use(
@@ -187,11 +207,13 @@ def run_use(
     ice_columns=(), ice_row=None, ice_grid_size=20,
 ):
     """Flip analysis for the assignment list (if any) plus ICE sweeps. A flip
-    analysis with no selected complete row, and a sweep whose row misses
-    another model feature or whose column has no span of observed values, are
-    listed under ``skipped`` (written only when non-empty) instead of ending
+    analysis with no selected complete row, and a sweep with no row (empty
+    data and no ``ice_row``), whose row misses another model feature or whose
+    column has no span of observed values, are listed under ``skipped`` (written only when non-empty) instead of ending
     the audit. The config errors of :func:`check_use` are raised first."""
-    row_index = check_use(m.feature_order, d, assignments, ice_columns, ice_row)
+    row_index = check_use(
+        m.feature_order, d, assignments, selector, ice_columns, ice_row, ice_grid_size
+    )
     fragment, skipped = {"summaries": [], "ice": []}, []
     if assignments:
         try:
@@ -204,10 +226,12 @@ def run_use(
         except InsufficientDataError as exc:
             columns = [a.column for a in assignments]
             skipped.append({"kind": "flip", "columns": columns, "reason": str(exc)})
-    row = d.record(row_index) if ice_columns else {}
+    row = d.record(row_index) if ice_columns and row_index is not None else {}
     for column in ice_columns:
         absent = [f for f in m.feature_order if f != column and f in row and row[f] is None]
         try:
+            if row_index is None:
+                raise InsufficientDataError("no data row to sweep")
             if absent:
                 raise InsufficientDataError(f"row {row_index}: missing value for feature {absent[0]!r}")
             curve = ice_curve(m, row, column, ice_grid_size, dataset=d, row_index=row_index)

@@ -13,7 +13,9 @@ handle and returns an ``InterventionRecord``), and ``best_split_sorted`` and
 onto value ranks and row-index nodes (one argsort per column per node, and a
 copy of the node's rows at every split), and ``load_csv_reference``, the
 package's row-by-row CSV loader before columnar decode (it builds the
-package's ``Dataset`` and ``LoadReport``).
+package's ``Dataset`` and ``LoadReport``), and ``predict_batch_reference``,
+the package's row-to-column loop before list rows were transposed whole (it
+scores through the model handle's ``score_columns``).
 """
 
 import csv
@@ -320,6 +322,32 @@ def builtin_scores(kind, parameters, feature_order, rows):
     if kind == "logistic":
         return [float(expit(z)) for z in out]
     return out
+
+
+def predict_batch_reference(handle, rows):
+    """``handle.predict_batch(rows)`` as a checked loop: each row (a dict by
+    feature name or a sequence in feature order) is checked and copied cell
+    by cell into one object column per feature, then the columns are scored
+    by ``handle.score_columns``."""
+    from proxyaudit.errors import ValidationError
+
+    order = handle.feature_order
+    columns = {f: np.empty(len(rows), dtype=object) for f in order}
+    for i, row in enumerate(rows):
+        if isinstance(row, dict):
+            try:
+                values = [row[f] for f in order]
+            except KeyError as exc:
+                raise ValidationError(f"row {i}: missing feature {exc}") from None
+        else:
+            values = list(row)
+            if len(values) != len(order):
+                raise ValidationError(f"row {i}: got {len(values)} values for {len(order)} features")
+        for f, v in zip(order, values):
+            if v is None:
+                raise ValidationError(f"row {i}: missing value for feature {f!r}")
+            columns[f][i] = v
+    return handle.score_columns(columns, len(rows)).tolist()
 
 
 def cart_predict_proba(nodes, n_classes, X):

@@ -404,6 +404,20 @@ def _no_stage(*_args, **_kwargs):
          "assignment 'reached_statutory_retirement'='maybe': unknown category"),
         ({"use": {"assignments": [{"column": "age", "value": 70.0}]}},
          "assignment targets 'age', which the model does not read"),
+        *(
+            ({"use": {
+                "assignments": [{"column": "reached_statutory_retirement", "value": "true"}],
+                "selector": {"conditions": [condition]},
+            }}, message)
+            for condition, message in (
+                ({"kind": "equals", "column": "nope", "category": "x"},
+                 "use.selector: unknown column 'nope'"),
+                ({"kind": "equals", "column": "sex", "category": "x"},
+                 "use.selector: category 'x' not in column 'sex'"),
+                ({"kind": "in_interval", "column": "sex", "lo": 1},
+                 "use.selector: interval condition on non-numeric 'sex'"),
+            )
+        ),
     ],
 )
 def test_full_checks_the_config_before_any_stage_runs(
@@ -425,6 +439,59 @@ def test_full_checks_the_config_before_any_stage_runs(
     assert result.exit_code == 2, result.output
     assert message in result.output
     assert not (run / "report.json").exists()
+
+
+def test_ice_grid_size_is_checked_for_numeric_ice_columns_only(runner, tmp_path, monkeypatch):
+    # the capacity_no_use model reads numeric X and categorical P; a
+    # categorical sweep takes every category, whatever the grid size
+    out = synth_out(runner, tmp_path, "capacity_no_use", rows=300)
+    data = ["--data", str(out / "data.csv")]
+    numeric = _write_use_config(out, {"ice_columns": ["P", "X"], "ice_grid_size": 1})
+    with monkeypatch.context() as patch:
+        patch.setattr(report, "run_capacity", _no_stage)
+        patch.setattr(report, "run_discovery", _no_stage)
+        result = runner.invoke(
+            main, ["full", "--config", str(numeric), *data, "--out", str(tmp_path / "x")]
+        )
+    assert result.exit_code == 2, result.output
+    assert "use.ice_grid_size must be at least 2 to sweep numeric column 'X', got 1" in (
+        result.output
+    )
+    categorical = _write_use_config(out, {"ice_columns": ["P"], "ice_grid_size": 1})
+    result = runner.invoke(
+        main, ["full", "--config", str(categorical), *data, "--out", str(tmp_path / "p")],
+        env=EPOCH,
+    )
+    assert result.exit_code == 0, result.output
+    (curve,) = read_report(tmp_path / "p")["sections"]["use"]["ice"]
+    assert curve["column"] == "P" and len(curve["grid"]) > 1
+
+
+def test_header_only_data_skips_ice_sweeps_unless_a_row_is_named(runner, tmp_path):
+    out = synth_out(runner, tmp_path, "james", rows=1)
+    data = out / "data.csv"
+    data.write_text(data.read_text().splitlines()[0] + "\n")
+    sweep = {"ice_columns": ["reached_statutory_retirement"]}
+    config = _write_use_config(out, sweep)
+    result = runner.invoke(
+        main, ["full", "--config", str(config), "--data", str(data), "--out", str(out / "x")],
+        env=EPOCH,
+    )
+    assert result.exit_code == 0, result.output
+    rpt = read_report(out / "x")
+    report.validate_report(rpt)
+    assert rpt["sections"]["use"] == {
+        "summaries": [],
+        "ice": [],
+        "skipped": [{"kind": "ice", "columns": ["reached_statutory_retirement"],
+                     "reason": "no data row to sweep"}],
+    }
+    config = _write_use_config(out, {**sweep, "ice_row": 0})
+    result = runner.invoke(
+        main, ["full", "--config", str(config), "--data", str(data), "--out", str(out / "y")],
+    )
+    assert result.exit_code == 2, result.output
+    assert "use.ice_row is 0, but the data has no rows" in result.output
 
 
 def _no_load(*_args, **_kwargs):

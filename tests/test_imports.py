@@ -1,5 +1,6 @@
 """Imports stay lean: every module-level import under src/ and tests/ is used
-in its file, and a run loads only the scipy modules it calls."""
+in its file, a run loads only the scipy modules it calls, and only an HTTP
+probe loads urllib's client."""
 
 import ast
 import json
@@ -49,16 +50,17 @@ def test_no_unused_module_level_imports():
     assert found == []
 
 
-def loaded_after(code):
-    """Sorted scipy module names in sys.modules after running ``code`` in a
-    fresh interpreter that imports the package from this checkout."""
+def loaded_after(code, package="scipy"):
+    """Sorted names of ``package`` and its modules in sys.modules after
+    running ``code`` in a fresh interpreter that imports the package from
+    this checkout."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     report = (
         "import json, sys\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+        f"print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == {package!r})))"
     )
     out = subprocess.run(
         [sys.executable, "-c", f"{code}\n{report}"],
@@ -76,6 +78,12 @@ def test_cli_import_leaves_scipy_stats_out():
 
 def test_models_and_probe_reference_load_no_scipy():
     assert loaded_after("import proxyaudit.models, proxyaudit.probe_reference") == []
+
+
+@pytest.mark.parametrize("module", ["proxyaudit.cli", "proxyaudit.probe_reference"])
+def test_urllib_request_loads_only_for_http_probes(module):
+    # the parent audit and the probe child import no HTTP client
+    assert "urllib.request" not in loaded_after(f"import {module}", package="urllib")
 
 
 @pytest.mark.parametrize(

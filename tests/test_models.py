@@ -19,6 +19,7 @@ from proxyaudit.models import (
     ROWS_PER_CALL,
     BuiltinModelHandle,
     DecisionRule,
+    ModelHandle,
     ModelSpec,
     SubprocessModelHandle,
     decide,
@@ -360,6 +361,132 @@ def test_columnar_scores_equal_row_reference(case):
     assert bits(m.score_columns(columns, len(rows))) == bits(want)
 
 
+# --- row batches: whole-batch transpose vs the checked loop ----------------------
+
+# each spec reads its features in the order given: numeric "x", categorical "c"
+ROW_SPECS = (
+    linear_spec({"x": 1.5, "c=a": -2.0, "c=b": 0.25}, 0.5, ("x", "c")),
+    ModelSpec(
+        "decision_tree",
+        {"root": 0, "nodes": [
+            {"id": 0, "kind": "split", "column": "c", "category": "a", "left": 1, "right": 2},
+            {"id": 1, "kind": "leaf", "value": 0.25},
+            {"id": 2, "kind": "split", "column": "x", "threshold": 0.5, "left": 3, "right": 4},
+            {"id": 3, "kind": "leaf", "value": -1.0},
+            {"id": 4, "kind": "leaf", "value": 3.0},
+        ]},
+        ("c", "x"),
+    ),
+    linear_spec({}, 2.0, ()),  # no features: every row is empty
+)
+# cells that are not plain numbers or categories, each valid in some slot
+ROW_ODD_CELLS = (
+    None, True, False, np.float64(0.75), np.int64(-2), np.bool_(True), np.str_("a"),
+    [1.0], [1.0, 2.0], ["a"], [[0.5]],
+)
+
+
+class _Recorder(ModelHandle):
+    """Keeps the columns it is asked to score; scores every row 0."""
+
+    def score_columns(self, columns, n_rows):
+        self.columns = columns
+        return np.zeros(n_rows)
+
+
+@st.composite
+def row_batches(draw):
+    """A spec and rows as lists, tuples or dicts; some batches clean, some
+    with odd cells, wrong lengths or missing keys in any row."""
+    spec = draw(st.sampled_from(ROW_SPECS))
+    order = spec.feature_order
+    shape = draw(st.sampled_from(("list", "tuple", "mixed")))
+    odd_rate = draw(st.sampled_from((0, 0, 5, 40)))  # in 100 cells
+    bad_rows = draw(st.sampled_from((0, 0, 3)))  # in 100 rows
+
+    def cell(name):
+        if draw(st.integers(0, 99)) < odd_rate:
+            return draw(st.sampled_from(ROW_ODD_CELLS))
+        if name == "x":
+            return draw(st.sampled_from(TIES) | st.floats(-5, 5) | st.integers(-3, 3))
+        return draw(st.sampled_from(CATS))
+
+    rows = []
+    for _ in range(draw(st.integers(0, 30))):
+        values = [cell(f) for f in order]
+        if draw(st.integers(0, 99)) < bad_rows:
+            if values and draw(st.booleans()):
+                values.pop(draw(st.integers(0, len(values) - 1)))
+            else:
+                values.append(cell("x"))
+        kind = shape if shape != "mixed" else draw(st.sampled_from(("list", "tuple", "dict")))
+        if kind == "dict":
+            rows.append(dict(zip(order, values)))
+        else:
+            rows.append(values if kind == "list" else tuple(values))
+    return spec, rows
+
+
+def _outcome(score, rows):
+    try:
+        return [s.hex() for s in score(rows)]
+    except Exception as exc:  # the same class and message from both
+        return (type(exc).__name__, str(exc))
+
+
+@settings(max_examples=600, deadline=None)
+@given(row_batches())
+def test_predict_batch_equals_checked_loop(case):
+    spec, rows = case
+    m = load_model(spec)
+    want = _outcome(lambda r: oracles.predict_batch_reference(m, r), rows)
+    assert _outcome(m.predict_batch, rows) == want
+    # both fill each column with the rows' own cell objects, in row order
+    recorder, reference = _Recorder(spec), _Recorder(spec)
+    if isinstance(want, list):
+        recorder.predict_batch(rows)
+        oracles.predict_batch_reference(reference, rows)
+        for f in spec.feature_order:
+            got, wanted = recorder.columns[f], reference.columns[f]
+            assert got.dtype == object and got.shape == (len(rows),)
+            assert list(map(id, got)) == list(map(id, wanted))
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        # a None in a row before a wrong-length row is what the loop meets first
+        ([[1.0, "a"], [None, "a"], [1.0]], "row 1: missing value for feature 'x'"),
+        ([[1.0, "a"], [1.0], [None, "a"]], "row 1: got 1 values for 2 features"),
+        ([(1.0, "a")] * 50 + [(1.0, None)], "row 50: missing value for feature 'c'"),
+        ([[1.0, "a"], {"x": 1.0}], "row 1: missing feature 'c'"),
+        ([[True, "a"]], "row 0: feature 'x' needs a numeric value, got True"),
+    ],
+)
+def test_predict_batch_names_the_first_bad_row(rows, message):
+    m = load_model(ROW_SPECS[0])
+    with pytest.raises(ValidationError) as exc:
+        m.predict_batch(rows)
+    assert str(exc.value) == message
+    with pytest.raises(ValidationError) as ref:
+        oracles.predict_batch_reference(m, rows)
+    assert str(ref.value) == message
+
+
+@pytest.mark.parametrize("n_rows", [1, 2, 3])
+def test_list_cell_reaches_score_columns_as_one_object(n_rows):
+    # n lists of n values would broadcast into an (n, n) block; one list of
+    # one value would be unpacked into its cell
+    rows = [[[float(i)] * n_rows] for i in range(n_rows)]
+    m = _Recorder(ModelSpec("linear", {"coefficients": {"x": 1.0}, "intercept": 0.0}, ("x",)))
+    m.predict_batch(rows)
+    column = m.columns["x"]
+    assert column.dtype == object and column.shape == (n_rows,)
+    assert all(cell is row[0] for cell, row in zip(column, rows))
+    with pytest.raises(ValidationError, match=r"row 0: feature 'x' needs a numeric value, got \["):
+        load_model(m.spec).predict_batch(rows)
+
+
 class TestDecide:
     def test_above_favourable(self):
         assert decide(DecisionRule(0.5, "score_above"), 0.6) == "favourable"
@@ -496,6 +623,19 @@ class TestSubprocessProbe:
             with pytest.raises(ProtocolError) as exc:
                 m.predict_batch([[1.0]])
             assert exc.value.payload is not None
+            assert m.transport_retries == 0
+
+    def test_rejected_row_is_answered_not_retried(self, tmp_path):
+        # the reference probe replies with the model's error and stops, so a
+        # bad row is a protocol error at once, never a dead probe to respawn
+        spec_path = tmp_path / "inner.json"
+        linear_spec({"x": 2.0}, 1.0, ("x",)).save(spec_path)
+        outer = subprocess_spec("-m", "proxyaudit.probe_reference", "--spec", str(spec_path))
+        with load_model(outer, timeout=15) as m:
+            with pytest.raises(ProtocolError) as exc:
+                m.predict_batch([["abc"]])
+            assert "row 0: feature 'x' needs a numeric value, got 'abc'" in str(exc.value)
+            assert json.loads(exc.value.payload)["type"] == "error"
             assert m.transport_retries == 0
 
     def test_handshake_violation(self):

@@ -142,6 +142,31 @@ def test_run_use_lists_skipped_flips_and_sweeps(monkeypatch):
     assert "- skipped ice (c): row 0: missing value for feature 'x'" in md
 
 
+def test_check_use_tests_the_selector_only_where_flips_read_it():
+    d = Dataset(
+        [ColumnSchema("c", CATEGORICAL, ("a", "b")), ColumnSchema("x", NUMERIC)],
+        {"c": np.array([0, 1]), "x": np.array([0.5, 1.5])},
+    )
+    lost = SubgroupDescriptor((Condition.equals("c", "a"), Condition.equals("nope", "x")))
+    assignment = [Assignment("c", "b")]
+    assert report.check_use(("c", "x"), d, (), lost) == 0
+    with pytest.raises(ValidationError, match="use.selector: unknown column 'nope'"):
+        report.check_use(("c", "x"), d, assignment, lost)
+    kind = SubgroupDescriptor((Condition.interval("c", 0, 1),))
+    with pytest.raises(ValidationError, match="use.selector: interval condition on non-numeric 'c'"):
+        report.check_use(("c", "x"), d, assignment, kind)
+    assert report.check_use(("c", "x"), d, assignment, SubgroupDescriptor(
+        (Condition.equals("c", "b"), Condition.interval("x", 1.0))
+    )) == 0
+
+
+def test_check_use_has_no_ice_row_in_empty_data():
+    d = Dataset([ColumnSchema("x", NUMERIC)], {"x": np.array([], dtype=np.float64)})
+    assert report.check_use(("x",), d, ice_columns=("x",)) is None
+    with pytest.raises(ValidationError, match="use.ice_grid_size must be at least 2"):
+        report.check_use(("x",), d, ice_columns=("x",), ice_grid_size=1)
+
+
 def test_run_discovery_returns_validated_planted(james_discovery, james_data):
     fragment, kept = james_discovery
     assert fragment["train_rows"] + fragment["holdout_rows"] == 4000
