@@ -2,56 +2,34 @@
 
 The audit commands run one pipeline, ``_run_audit``, over their ``STAGES``:
 ``full`` runs capacity, discovery and use; ``capacity``, ``discover`` and
-``use`` each run one stage and write the section ``full`` would. Each
-config value's type and range (``VALUE_CHECKS``), the decision rule and the
-model spec are checked before the data is loaded; the use step's
-preconditions (assignments to columns the model reads and to values their
-schema allows, a selector the schema can test, a model and a decision rule,
-ICE columns the model reads, a grid of at least 2 points for a numeric ICE
-column, an ICE row inside the data) before any stage.
+``use`` each run one stage and write the section ``full`` would. Before the
+data is loaded, the config and the dataset schema are checked against the
+bundled ``schemas/config.schema.json`` and ``schemas/dataset_schema.schema.json``
+(keys, types, ranges, finite numbers; the config schema also holds each
+option section's defaults), and the decision rule and the model spec are
+built. The use step's preconditions (assignments to columns the model reads
+and to values their schema allows, a selector the schema can test, a model
+and a decision rule, ICE columns the model reads, a grid of at least 2
+points for a numeric ICE column, an ICE row inside the data) are checked
+before any stage.
 
 Exit codes separate findings from failures: 0 means the audit ran (whatever
 it found), 2 is a usage or configuration error, 3 is a runtime failure, and
 ``--fail-on-red-flag`` opts into exit 4 when red flags are present — so a CI
 pipeline can distinguish "found discrimination" from "tool broke".
 
-The config file is JSON::
-
-    {
-      "protected": ["sex"],                  # required
-      "candidates": ["age", "retired"],      # may be empty
-      "target": null,
-      "seed": 0,
-      "schema_path": "schema.json",          # or inline "schema": {...}
-      "proxy_sets": [["age", "retired"]],    # predictive-capacity inputs
-      "model_path": "model.json",            # --model overrides
-      "decision_rule": {"threshold": 0.5,
-                        "favourable_direction": "score_above"},
-      "scan": {"normalization": "arithmetic", "bins": 10},
-      "capacity": {"folds": 5},
-      "discovery": {"beam_width": 10, "max_depth": 2, "min_support": 30,
-                    "gamma": 0.25, "top_k": 20, "bins": 4,
-                    "holdout_fraction": 0.4},
-      "use": {"assignments": [{"column": "retired", "value": "false"}],
-              "selector": null, "ice_columns": [], "ice_row": 0,
-              "ice_grid_size": 20,
-              "flip_rate_floor": 0.01, "score_floor_fraction": 0.05}
-    }
-
 Relative ``schema_path``/``model_path`` resolve against the config file's
-directory. An unknown key, at the top level or in a section, is a
-configuration error.
+directory.
 """
 
 import contextlib
 import json
 import sys
-from functools import partial
 from pathlib import Path
 
 import click
 
-from . import __version__, report, synth
+from . import __version__, documents, report, synth
 from .capacity import RED_FLAG_CI_FLOOR, RED_FLAG_PURITY
 from .data import (
     AuditConfig,
@@ -68,7 +46,7 @@ from .errors import (
     ValidationError,
 )
 from .intervention import Assignment
-from .models import JSON_DECODER, DecisionRule, ModelSpec, _is_real, load_model
+from .models import JSON_DECODER, DecisionRule, ModelSpec, load_model
 
 _FORMATS = ("json", "md")
 
@@ -86,92 +64,17 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 EXIT_RED_FLAG = 4
 
-# Each option section's keys with their defaults: the one place a CLI default
-# is written, and the list of keys a config may use.
+_CONFIG_PROPERTIES = documents.schema("config")["properties"]
+TOP_LEVEL_KEYS = tuple(_CONFIG_PROPERTIES)
+# The option sections, the config objects whose every key has a default, with
+# those defaults; a JSON list default becomes a tuple, which no run can change.
 SECTIONS = {
-    "scan": {"normalization": "arithmetic", "bins": 10},
-    "capacity": {"folds": 5},
-    "discovery": {
-        "beam_width": 10, "max_depth": 2, "min_support": 30, "gamma": 0.25,
-        "top_k": 20, "bins": 4, "holdout_fraction": 0.4,
-    },
-    "use": {
-        "assignments": (), "selector": None, "ice_columns": (), "ice_row": None,
-        "ice_grid_size": 20, "flip_rate_floor": 0.01, "score_floor_fraction": 0.05,
-    },
-}
-TOP_LEVEL_KEYS = (
-    "protected", "candidates", "target", "seed", "schema", "schema_path",
-    "proxy_sets", "model_path", "decision_rule", *SECTIONS,
-)
-
-
-def _of_default_type(value, default):
-    """An int takes an integer, a float any finite number; a bool is never a
-    number."""
-    if isinstance(default, float):
-        return _is_real(value)
-    return isinstance(value, type(default)) and not isinstance(value, bool)
-
-
-def _names(value):
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
-
-
-_KINDS = {int: "an integer", float: "a finite number", str: "a string"}
-
-# The bounds of numeric section options, beyond the type of their default:
-# a value outside them would fail only once its stage ran, after the load.
-BOUNDS = {
-    **dict.fromkeys(("scan.bins", "discovery.bins", "capacity.folds"),
-                    (lambda v: v >= 2, "of at least 2")),
-    **dict.fromkeys(
-        ("discovery.beam_width", "discovery.max_depth", "discovery.min_support", "discovery.top_k"),
-        (lambda v: v >= 1, "of at least 1"),
-    ),
-    "discovery.gamma": (lambda v: v >= 0, "of at least 0"),
-    "discovery.holdout_fraction": (lambda v: 0 < v < 1, "above 0 and below 1"),
-}
-
-
-def _option(key, default):
-    """The check of a scalar section option: its default's type, then its
-    bounds, with the value it wants in words."""
-    in_bounds, words = BOUNDS.get(key, (lambda v: True, ""))
-    return (
-        lambda v: _of_default_type(v, default) and in_bounds(v),
-        f"{_KINDS[type(default)]} {words}".rstrip(),
-    )
-
-
-# Each config key with the test its value must pass and what it wants, in
-# words: a scalar section option takes the type of its SECTIONS default and
-# its BOUNDS, the other keys their JSON shape.
-VALUE_CHECKS = {
-    **{
-        f"{section}.{key}": _option(f"{section}.{key}", default)
-        for section, defaults in SECTIONS.items()
-        for key, default in defaults.items()
-        if isinstance(default, (int, float, str))
-    },
-    "protected": (_names, "a list of column names"),
-    "candidates": (_names, "a list of column names"),
-    "proxy_sets": (lambda v: isinstance(v, list) and all(map(_names, v)),
-                   "a list of lists of column names"),
-    "target": (lambda v: v is None or isinstance(v, str), "a column name or null"),
-    "seed": (partial(_of_default_type, default=0), "an integer"),
-    "schema_path": (lambda v: isinstance(v, str), "a path"),
-    "model_path": (lambda v: v is None or isinstance(v, str), "a path or null"),
-    "decision_rule": (lambda v: v is None or isinstance(v, dict), "an object or null"),
-    "use.assignments": (
-        lambda v: isinstance(v, list) and all(
-            isinstance(a, dict) and isinstance(a.get("column"), str) and "value" in a
-            for a in v
-        ),
-        "a list of objects with a column name and a value",
-    ),
-    "use.selector": (lambda v: v is None or isinstance(v, dict), "an object or null"),
-    "use.ice_columns": (_names, "a list of column names"),
+    section: {
+        key: tuple(p["default"]) if isinstance(p["default"], list) else p["default"]
+        for key, p in prop["properties"].items()
+    }
+    for section, prop in _CONFIG_PROPERTIES.items()
+    if "properties" in prop and all("default" in p for p in prop["properties"].values())
 }
 
 
@@ -210,9 +113,7 @@ class RunSettings:
                 raw = JSON_DECODER.decode(fh.read())
         except ParseError as exc:
             raise ValidationError(f"config: {exc}") from None
-        if not isinstance(raw, dict):
-            raise ValidationError("config file must hold a JSON object")
-        _check_config(raw)
+        documents.check("config", raw, "config")
         base = config_path.parent
         # each section as the config sets it (echoed in the report) and as the
         # pipeline runs it: defaults filled in, assignments and selector built
@@ -223,7 +124,8 @@ class RunSettings:
         }
         use = self.options["use"]
         use["assignments"] = [Assignment(a["column"], a["value"]) for a in use["assignments"]]
-        use["selector"] = _selector(use["selector"])
+        # an absent, null or {} selector selects every row
+        use["selector"] = SubgroupDescriptor.from_json(use["selector"]) if use["selector"] else None
         self.floors = {key: use[key] for key in ("flip_rate_floor", "score_floor_fraction")}
 
         self.decision_rule = (
@@ -360,7 +262,7 @@ def _settings_options(fn):
             ),
             click.option("--out", "out_dir", default=".", help="Output directory."),
             click.option(
-                "--seed", default=None, type=int,
+                "--seed", default=None, type=click.IntRange(min=0),
                 help="Override the config seed.",
             ),
             click.option(
@@ -371,33 +273,6 @@ def _settings_options(fn):
     ):
         fn = deco(fn)
     return fn
-
-
-def _check_config(raw):
-    """Reject unknown config keys, and values the audit cannot use, by name."""
-    unknown = [k for k in raw if k not in TOP_LEVEL_KEYS]
-    values = dict(raw)
-    for section, defaults in SECTIONS.items():
-        opts = raw.get(section, {})
-        if not isinstance(opts, dict):
-            raise ValidationError(f"config {section!r} must be a JSON object")
-        unknown += [f"{section}.{k}" for k in opts if k not in defaults]
-        values.update((f"{section}.{k}", v) for k, v in opts.items())
-    if unknown:
-        raise ValidationError(f"unknown config key(s): {', '.join(sorted(unknown))}")
-    for key, (ok, wanted) in VALUE_CHECKS.items():
-        if key in values and not ok(values[key]):
-            raise ValidationError(f"config {key!r} must be {wanted}, got {values[key]!r}")
-
-
-def _selector(doc):
-    """The flip analysis's row selector; absent, null or {} selects every row."""
-    if not doc:
-        return None
-    try:
-        return SubgroupDescriptor.from_json(doc)
-    except ValidationError as exc:
-        raise ValidationError(f"config 'use.selector': {exc}") from None
 
 
 @click.group()
@@ -446,7 +321,7 @@ def cmd_full(fail_on_red_flag, **settings):
 @click.option("--preset", "preset_name", required=True, help="Scenario name.")
 @click.option("--rows", default=5000, show_default=True, help="Sample size.")
 @click.option(
-    "--seed", default=None, type=int,
+    "--seed", default=None, type=click.IntRange(min=0),
     help="Sampling seed (defaults to the preset's frozen seed).",
 )
 @click.option("--out", "out_dir", default=".", help="Output directory.")

@@ -25,7 +25,9 @@ from operator import itemgetter
 
 import numpy as np
 
+from . import documents
 from .errors import InsufficientDataError, ParseError, ValidationError
+from .models import JSON_DECODER
 
 CATEGORICAL = "categorical"
 NUMERIC = "numeric"
@@ -252,19 +254,8 @@ def schema_to_json(schema):
 
 
 def schema_from_json(obj):
-    try:
-        cols = obj["columns"]
-        return tuple(
-            ColumnSchema(
-                name=c["name"],
-                kind=c["kind"],
-                categories=tuple(c["categories"]) if c.get("categories") is not None else None,
-                missing_token=c.get("missing_token", "?"),
-            )
-            for c in cols
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed schema document: {exc}") from None
+    documents.check("dataset_schema", obj, "dataset schema")
+    return tuple(ColumnSchema(**c) for c in obj["columns"])
 
 
 def write_schema_json(schema, path):
@@ -275,7 +266,7 @@ def write_schema_json(schema, path):
 
 def read_schema_json(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return schema_from_json(json.load(fh))
+        return schema_from_json(JSON_DECODER.decode(fh.read()))
 
 
 # Bytes read from the CSV at a time; each chunk is extended to the end of its line.

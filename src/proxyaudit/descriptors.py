@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .models import _is_real
 
 EQUALS = "equals"
 IN_INTERVAL = "in_interval"
@@ -121,28 +120,7 @@ class Condition:
 
     @staticmethod
     def from_json(obj):
-        if not isinstance(obj, dict) or not isinstance(obj.get("column"), str):
-            raise ValidationError(f"a condition is an object with a string 'column', got {obj!r}")
-        kind = obj.get("kind")
-        if kind == EQUALS:
-            if not isinstance(obj.get("category"), str):
-                raise ValidationError(f"equals condition needs a string 'category', got {obj!r}")
-            return Condition.equals(obj["column"], obj["category"])
-        if kind == IN_INTERVAL:
-            for bound in ("lo", "hi"):
-                if obj.get(bound) is not None and not _is_real(obj[bound]):
-                    raise ValidationError(f"interval {bound!r} must be a finite number or null, got {obj[bound]!r}")
-            for flag in ("lo_closed", "hi_closed"):
-                if not isinstance(obj.get(flag, False), bool):
-                    raise ValidationError(f"interval {flag!r} must be true or false, got {obj[flag]!r}")
-            return Condition.interval(
-                obj["column"],
-                lo=obj.get("lo"),
-                hi=obj.get("hi"),
-                lo_closed=obj.get("lo_closed", True),
-                hi_closed=obj.get("hi_closed", False),
-            )
-        raise ValidationError(f"unknown condition kind {kind!r}")
+        return Condition(**obj)
 
 
 def _fmt(x):
@@ -190,6 +168,4 @@ class SubgroupDescriptor:
 
     @staticmethod
     def from_json(obj):
-        if not isinstance(obj, dict) or not isinstance(obj.get("conditions", []), list):
-            raise ValidationError(f"a descriptor is an object whose 'conditions' is a list, got {obj!r}")
-        return SubgroupDescriptor(tuple(Condition.from_json(c) for c in obj.get("conditions", ())))
+        return SubgroupDescriptor(tuple(map(Condition.from_json, obj.get("conditions", ()))))

@@ -92,6 +92,7 @@ class DecisionRule:
     favourable_direction: str = "score_above"
 
     def __post_init__(self):
+        object.__setattr__(self, "threshold", float(self.threshold))
         if self.favourable_direction not in ("score_above", "score_below"):
             raise ValidationError(
                 f"favourable_direction must be score_above or score_below, "
@@ -109,18 +110,19 @@ class DecisionRule:
 
     @staticmethod
     def from_json(obj):
-        threshold = obj.get("threshold")
-        if not _is_real(threshold):
-            raise ValidationError(f"decision rule 'threshold' must be a finite number, got {threshold!r}")
-        return DecisionRule(
-            threshold=float(threshold),
-            favourable_direction=obj.get("favourable_direction", "score_above"),
-        )
+        return DecisionRule(**obj)
 
 
 def decide(rule, score):
     """Outcome of one score; a score exactly on the threshold is unfavourable."""
     return FAVOURABLE if rule.favourable(score) else UNFAVOURABLE
+
+
+def _node_ref(nid):
+    """A tree node's id, or a reference to one: an integer or a string."""
+    if not isinstance(nid, (int, str)) or isinstance(nid, bool):
+        raise SpecError(f"tree node id must be an integer or a string, got {nid!r}")
+    return nid
 
 
 @dataclass(frozen=True)
@@ -180,17 +182,17 @@ class ModelSpec:
         for node in nodes:
             if not isinstance(node, dict):
                 raise SpecError(f"tree node must be a JSON object, got {node!r}")
-            nid = node.get("id")
+            nid = _node_ref(node.get("id"))
             if nid in by_id:
                 raise SpecError(f"duplicate node id {nid}")
             by_id[nid] = node
-        if p["root"] not in by_id:
+        if _node_ref(p["root"]) not in by_id:
             raise SpecError("root id not in node table")
         seen = set()
         stack = [(p["root"], frozenset())]
         while stack:
             nid, path = stack.pop()
-            if nid in path:
+            if _node_ref(nid) in path:
                 raise SpecError(f"cycle through node {nid}")
             if nid not in by_id:
                 raise SpecError(f"child id {nid} not in node table")

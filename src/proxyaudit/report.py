@@ -15,9 +15,7 @@ reported, but labeled capacity-only.
 """
 
 import datetime as _dt
-import functools
 import hashlib
-import importlib.resources
 import json
 import math
 import os
@@ -25,7 +23,7 @@ import os
 import jsonschema
 import numpy as np
 
-from . import __version__
+from . import __version__, documents
 from .association import association_scan, contingency, scan_to_json
 from .capacity import INEXTRICABLE_LINK, classify_link, predictive_capacity
 from .data import CATEGORICAL, NUMERIC, split_holdout
@@ -43,8 +41,6 @@ from .intervention import (
 RED_FLAG_LABEL = "potential inherent-discrimination red flag"
 CAPACITY_ONLY_LABEL = "capacity-only finding"
 USE_SKIPPED = "skipped"
-
-_SCHEMA_RESOURCE = "audit_report.schema.json"
 
 
 def utc_timestamp():
@@ -339,23 +335,11 @@ def report_json_bytes(report):
     return (json.dumps(report, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
-def report_schema():
-    path = importlib.resources.files("proxyaudit.schemas") / _SCHEMA_RESOURCE
-    return json.loads(path.read_text(encoding="utf-8"))
-
-
-@functools.cache
-def _report_validator():
-    """Validator of the bundled schema, built on first use. It skips the
-    metaschema check that ``jsonschema.validate`` repeats on every call; the
-    bundled schema is checked against its metaschema by the tests."""
-    schema = report_schema()
-    return jsonschema.validators.validator_for(schema)(schema)
-
-
 def validate_report(report):
     """Check the report against the published schema; raises on mismatch."""
-    error = jsonschema.exceptions.best_match(_report_validator().iter_errors(report))
+    error = jsonschema.exceptions.best_match(
+        documents.validator("audit_report").iter_errors(report)
+    )
     if error is not None:
         raise ValidationError(f"report fails its schema: {error.message}")
 

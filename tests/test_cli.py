@@ -15,9 +15,11 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proxyaudit import cli, intervention, report
+from proxyaudit import cli, documents, intervention, report, synth
 from proxyaudit.cli import main
-from proxyaudit.data import read_schema_json
+from proxyaudit.association import NORMALIZATIONS
+from proxyaudit.data import ColumnSchema, read_schema_json
+from proxyaudit.descriptors import Condition
 from proxyaudit.models import BuiltinModelHandle, DecisionRule, ModelSpec, decide
 
 from csv_cases import csv_files
@@ -808,27 +810,36 @@ _HUGE = 1.2345e300
         ("seed", {"seed": "x"}),
         ("seed", {"seed": 1.5}),
         ("protected", {"protected": "sex"}),
-        ("threshold", {"decision_rule": {"threshold": "x"}}),
-        ("threshold", {"decision_rule": {"favourable_direction": "score_above"}}),
+        pytest.param("decision_rule.threshold", {"decision_rule": {"threshold": "x"}},
+                     id="threshold-edit3"),
+        pytest.param("decision_rule.threshold",
+                     {"decision_rule": {"favourable_direction": "score_above"}},
+                     id="threshold-edit4"),
         ("discovery.beam_width", {"discovery": {"beam_width": "10"}}),
         ("discovery.max_depth", {"discovery": {"max_depth": 1.5}}),
         ("capacity.folds", {"capacity": {"folds": "5"}}),
         ("scan.bins", {"scan": {"bins": "x"}}),
         ("use.assignments", {"use": {"assignments": "x"}}),
-        ("use.assignments", {"use": {"assignments": [{"column": "age"}]}}),
+        pytest.param("use.assignments[0].value", {"use": {"assignments": [{"column": "age"}]}},
+                     id="use.assignments-edit10"),
         *(
-            ("use.selector", {"use": {**_USE_RETIRED, "selector": selector}})
-            for selector in (
-                {"conditions": [{"kind": "equals"}]},
-                {"conditions": "x"},
-                {"conditions": ["x"]},
-                {"conditions": [{"kind": "equals", "column": "sex"}]},
-                {"conditions": [{"kind": "equals", "column": 1, "category": "male"}]},
-                {"conditions": [{"kind": "in_interval", "column": "age", "lo": "x"}]},
-                {"conditions": [{"kind": "in_interval", "column": "age", "hi": True}]},
-                {"conditions": [{"kind": "in_interval", "column": "age", "lo": 60,
-                                 "lo_closed": "false"}]},
-            )
+            pytest.param(f"use.selector.{key}", {"use": {**_USE_RETIRED, "selector": selector}},
+                         id=f"use.selector-edit{i}")
+            for i, (key, selector) in enumerate((
+                ("conditions[0].category", {"conditions": [{"kind": "equals"}]}),
+                ("conditions", {"conditions": "x"}),
+                ("conditions[0]", {"conditions": ["x"]}),
+                ("conditions[0].category", {"conditions": [{"kind": "equals", "column": "sex"}]}),
+                ("conditions[0].column",
+                 {"conditions": [{"kind": "equals", "column": 1, "category": "male"}]}),
+                ("conditions[0].lo",
+                 {"conditions": [{"kind": "in_interval", "column": "age", "lo": "x"}]}),
+                ("conditions[0].hi",
+                 {"conditions": [{"kind": "in_interval", "column": "age", "hi": True}]}),
+                ("conditions[0].lo_closed",
+                 {"conditions": [{"kind": "in_interval", "column": "age", "lo": 60,
+                                  "lo_closed": "false"}]}),
+            ), start=11)
         ),
     ],
 )
@@ -846,6 +857,130 @@ def test_config_value_of_wrong_type_exits_2(runner, tmp_path, key, edit):
     assert result.exit_code == 2, result.output
     assert f"'{key}'" in result.output
     assert not (out / "x" / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"decision_rule": {"threshold": 0.5, "favorable_direction": "score_below"}},
+         "unknown config key(s): decision_rule.favorable_direction"),
+        ({"use": {**_USE_RETIRED, "selector": {"condition": [
+            {"kind": "equals", "column": "sex", "category": "male"}]}}},
+         "unknown config key(s): use.selector.condition"),
+        ({"use": {**_USE_RETIRED, "selector": {"conditions": [
+            {"kind": "equals", "column": "sex", "categroy": "male"}]}}},
+         "unknown config key(s): use.selector.conditions[0].categroy"),
+        ({"use": {"assignments": [{"column": "sex", "value": "male", "vlaue": "female"}]}},
+         "unknown config key(s): use.assignments[0].vlaue"),
+        ({"seed": -1}, "config 'seed' must be a non-negative integer, got -1"),
+        ({"seed": 2.0}, "config 'seed' must be a non-negative integer, got 2.0"),
+        ({"scan": {"normalization": "arithmetc"}},
+         "config 'scan.normalization' must be one of"),
+        ({"scan": 10}, "config 'scan' must be an object, got 10"),
+        # what the schema cannot say is checked when the selector is built
+        ({"use": {**_USE_RETIRED, "selector": {"conditions": [
+            {"kind": "in_interval", "column": "age", "lo": 60, "hi": 50}]}}},
+         "interval bounds must satisfy lo < hi, got [60.0, 50.0]"),
+        ({"use": {**_USE_RETIRED, "selector": {"conditions": [
+            {"kind": "in_interval", "column": "age", "lo": 60},
+            {"kind": "in_interval", "column": "age", "hi": 50}]}}},
+         "at most one condition per column"),
+    ],
+    ids=["favorable_direction", "selector.condition", "condition.categroy",
+         "assignment.vlaue", "seed-1", "seed2.0", "normalization", "scan",
+         "selector.lo_above_hi", "selector.same_column"],
+)
+def test_config_defect_exits_2_before_the_load(runner, tmp_path, monkeypatch, edit, message):
+    out = synth_out(runner, tmp_path, "james", rows=40)
+    config = json.loads((out / "config.json").read_text())
+    config.update(edit)
+    path = out / "config_defect.json"
+    path.write_text(json.dumps(config))
+    monkeypatch.setattr(cli, "load_csv", _no_load)
+    result = runner.invoke(
+        main,
+        ["full", "--config", str(path), "--data", str(out / "data.csv"),
+         "--out", str(out / "x")],
+    )
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+    assert not (out / "x" / "report.json").exists()
+
+
+def _set(index, **values):
+    """An edit of a dataset schema document that sets keys of one column."""
+    return lambda doc: doc["columns"][index].update(values)
+
+
+@pytest.mark.parametrize("inline", [False, True], ids=["schema_path", "inline"])
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_set(0, name=7), "dataset schema 'columns[0].name' must be a column name, got 7"),
+        (_set(0, categories=[1, 2]), "dataset schema 'columns[0].categories["),
+        (_set(1, missing_token=5), "dataset schema 'columns[1].missing_token' must be a string, got 5"),
+        (_set(1, missing_token=None),
+         "dataset schema 'columns[1].missing_token' must be a string, got None"),
+        (_set(1, kind="number"), "dataset schema 'columns[1].kind' must be"),
+        (_set(2, label="flag"), "unknown dataset schema key(s): columns[2].label"),
+        (lambda doc: doc.update(version=2), "unknown dataset schema key(s): version"),
+        (lambda doc: doc.pop("columns"), "dataset schema 'columns' must be a list of columns"),
+        # json.dumps writes NaN, which is not JSON
+        (_set(1, missing_token=float("nan")), "NaN is not a JSON number"),
+    ],
+    ids=["name7", "categories12", "missing_token5", "missing_token_null", "kind",
+         "column_key", "top_level_key", "no_columns", "nan"],
+)
+def test_dataset_schema_defect_exits_2_before_the_load(
+    runner, tmp_path, monkeypatch, inline, edit, message
+):
+    # the inline "schema" and the file at "schema_path" are checked alike
+    out = synth_out(runner, tmp_path, "james", rows=40)
+    schema = json.loads((out / "schema.json").read_text())
+    edit(schema)
+    config = json.loads((out / "config.json").read_text())
+    if inline:
+        del config["schema_path"]
+        config["schema"] = schema
+    else:
+        (out / "schema_defect.json").write_text(json.dumps(schema))
+        config["schema_path"] = "schema_defect.json"
+    path = out / "config_defect.json"
+    path.write_text(json.dumps(config))
+    monkeypatch.setattr(cli, "load_csv", _no_load)
+    result = runner.invoke(
+        main,
+        ["full", "--config", str(path), "--data", str(out / "data.csv"),
+         "--out", str(out / "x")],
+    )
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+    assert not (out / "x" / "report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["full", "synth"])
+def test_negative_seed_flag_exits_2(runner, tmp_path, monkeypatch, command):
+    out = synth_out(runner, tmp_path, "james", rows=40)
+    monkeypatch.setattr(cli, "load_csv", _no_load)
+    args = (
+        ["synth", "--preset", "james", "--seed", "-1", "--out", str(tmp_path / "s")]
+        if command == "synth"
+        else ["full", "--config", str(out / "config.json"), "--data", str(out / "data.csv"),
+              "--seed", "-5", "--out", str(out / "x")]
+    )
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert "--seed" in result.output
+    assert not (tmp_path / "s").exists() and not (out / "x").exists()
+
+
+@pytest.mark.parametrize("name", synth.PRESET_NAMES)
+def test_synth_documents_meet_the_bundled_schemas(runner, tmp_path, name):
+    # every config and dataset schema that synth writes stays valid
+    out = synth_out(runner, tmp_path, name, rows=30)
+    documents.check("config", json.loads((out / "config.json").read_text()), "config")
+    schema = json.loads((out / "schema.json").read_text())
+    documents.check("dataset_schema", schema, "dataset schema")
 
 
 @pytest.mark.parametrize(
@@ -920,10 +1055,38 @@ def test_empty_use_selector_selects_every_row(runner, tmp_path):
     assert uses[1] == uses[0] and uses[2] == uses[0]
 
 
+def _declared_defaults(node):
+    """Every ``default`` that a JSON Schema declares, at any depth."""
+    if isinstance(node, dict):
+        yield from ([node["default"]] if "default" in node else [])
+        for value in node.values():
+            yield from _declared_defaults(value)
+
+
 def test_section_options_match_the_fragments_they_are_spread_into():
     """Each SECTIONS key is passed by name into its pipeline fragment, so it
-    must be a keyword parameter there with the same default."""
+    must be a keyword parameter there with the same default; every other
+    default a bundled input schema declares is its receiver's default too."""
     keyword = (inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.KEYWORD_ONLY)
+    config, dataset = documents.schema("config"), documents.schema("dataset_schema")
+    rule = config["properties"]["decision_rule"]["properties"]
+    condition = (
+        config["properties"]["use"]["properties"]["selector"]["properties"]["conditions"]
+        ["items"]["properties"]
+    )
+    column = dataset["properties"]["columns"]["items"]["properties"]
+    documented = [
+        (DecisionRule, "favourable_direction", rule["favourable_direction"]["default"]),
+        (Condition, "lo_closed", condition["lo_closed"]["default"]),
+        (Condition, "hi_closed", condition["hi_closed"]["default"]),
+        (ColumnSchema, "missing_token", column["missing_token"]["default"]),
+    ]
+    assert len([*_declared_defaults(config), *_declared_defaults(dataset)]) == (
+        sum(map(len, cli.SECTIONS.values())) + len(documented)
+    )
+    assert config["properties"]["scan"]["properties"]["normalization"]["enum"] == list(
+        NORMALIZATIONS
+    )
     receivers = {
         "scan": report.run_capacity,
         "capacity": report.run_capacity,
@@ -938,7 +1101,7 @@ def test_section_options_match_the_fragments_they_are_spread_into():
         (fn, key, cli.SECTIONS["use"][key])
         for fn in (report.derive_red_flags, intervention.flip_analysis)
         for key in ("flip_rate_floor", "score_floor_fraction")
-    ]
+    ] + documented
     for fn, key, default in checks:
         param = inspect.signature(fn).parameters.get(key)
         assert param is not None and param.kind in keyword, (fn.__name__, key)
@@ -975,6 +1138,7 @@ def test_readme_config_block_documents_every_key():
     assert set(config) == set(cli.TOP_LEVEL_KEYS) - {"schema"}
     for section, defaults in cli.SECTIONS.items():
         assert set(config[section]) == set(defaults), section
+    documents.check("config", config, "config")
 
 
 def test_malformed_config_json_exits_2(runner, tmp_path):

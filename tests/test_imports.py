@@ -86,6 +86,22 @@ def test_urllib_request_loads_only_for_http_probes(module):
     assert "urllib.request" not in loaded_after(f"import {module}", package="urllib")
 
 
+def test_probe_child_loads_a_spec_without_jsonschema(tmp_path):
+    # the probe child's start-up is on every probe audit's critical path, so
+    # model specs keep their hand-written checks and import no jsonschema
+    spec = tmp_path / "model.json"
+    spec.write_text(json.dumps({
+        "kind": "linear", "parameters": {"intercept": 0.0, "coefficients": {"x": 1.0}},
+        "feature_order": ["x"],
+    }))
+    code = (
+        "import proxyaudit.probe_reference\n"
+        "from proxyaudit.models import ModelSpec\n"
+        f"ModelSpec.load({str(spec)!r})"
+    )
+    assert loaded_after(code, package="jsonschema") == []
+
+
 @pytest.mark.parametrize(
     "kind, want, loads_special",
     [

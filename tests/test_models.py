@@ -133,6 +133,18 @@ class TestSpecValidation:
             # an integer too large for a float
             {"kind": "linear", "parameters": {"coefficients": {"x": 1.0},
                                               "intercept": 10**400}, "feature_order": ["x"]},
+            # a node id or reference that is neither an integer nor a string
+            {"kind": "decision_tree", "parameters": {"root": 0, "nodes": [
+                {"id": [0], "kind": "leaf", "value": 0.0}]}, "feature_order": ["x"]},
+            {"kind": "decision_tree", "parameters": {"root": [0], "nodes": [
+                {"id": 0, "kind": "leaf", "value": 0.0}]}, "feature_order": ["x"]},
+            *(
+                {"kind": "decision_tree", "parameters": {"root": 0, "nodes": [
+                    {"id": 0, "kind": "split", "column": "x", "threshold": 1.0,
+                     "left": 1, "right": 1, side: [1]},
+                    {"id": 1, "kind": "leaf", "value": 0.0}]}, "feature_order": ["x"]}
+                for side in ("left", "right")
+            ),
         ],
     )
     def test_spec_file_needs_real_numbers_and_json_shapes(self, tmp_path, doc):

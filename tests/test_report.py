@@ -6,12 +6,13 @@ echoed thresholds alone.
 """
 
 import json
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
-from proxyaudit import report
+from proxyaudit import documents, report
 from proxyaudit.capacity import INEXTRICABLE_LINK, RED_FLAG_CI_FLOOR, RED_FLAG_PURITY
 from proxyaudit.data import CATEGORICAL, NUMERIC, AuditConfig, ColumnSchema, Dataset
 from proxyaudit.descriptors import Condition, SubgroupDescriptor
@@ -19,6 +20,8 @@ from proxyaudit.errors import ValidationError
 from proxyaudit.intervention import TOWARD_UNFAVOURABLE, Assignment
 from proxyaudit.models import BuiltinModelHandle, DecisionRule, ModelSpec
 from proxyaudit.synth import preset
+
+SCHEMAS = Path(documents.__file__).parent / "schemas"
 
 
 @pytest.fixture(scope="module")
@@ -294,13 +297,30 @@ def test_schema_rejects_malformed_reports(monkeypatch, james, james_data, james_
         report.validate_report(bad_label)
 
 
-def test_bundled_schema_is_valid_under_its_metaschema():
-    # validate_report reuses one validator and so no longer checks the
-    # schema itself on every audit
-    schema = report.report_schema()
+@pytest.mark.parametrize(
+    "path", sorted(SCHEMAS.glob("*.schema.json")), ids=lambda path: path.name
+)
+def test_bundled_schema_is_valid_under_its_metaschema(path):
+    # the shared validators are built once and so do not check the schema
+    # itself on every document
+    schema = json.loads(path.read_text(encoding="utf-8"))
     cls = jsonschema.validators.validator_for(schema)
     assert cls is jsonschema.Draft202012Validator
     cls.check_schema(schema)
+
+
+@pytest.mark.parametrize(
+    "kind, value, ok",
+    [
+        ("number", 1, True), ("number", -2.5, True), ("number", float("nan"), False),
+        ("number", float("inf"), False), ("number", True, False), ("number", 10**400, False),
+        ("integer", 3, True), ("integer", 2.0, False), ("integer", True, False),
+    ],
+)
+def test_shared_validator_types_are_finite_and_never_bool(kind, value, ok):
+    # every bundled schema is checked with these types: JSON has no NaN or
+    # Infinity, and a bool is never a number
+    assert documents.validator("audit_report").is_type(value, kind) is ok
 
 
 def test_schema_error_message_is_jsonschemas_best_match(
@@ -312,7 +332,7 @@ def test_schema_error_message_is_jsonschemas_best_match(
     broken["red_flag_count"] = "one"
     del broken["seed"]
     with pytest.raises(jsonschema.ValidationError) as want:
-        jsonschema.validate(instance=broken, schema=report.report_schema())
+        jsonschema.validate(instance=broken, schema=documents.schema("audit_report"))
     with pytest.raises(ValidationError) as got:
         report.validate_report(broken)
     assert str(got.value) == f"report fails its schema: {want.value.message}"
