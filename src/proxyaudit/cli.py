@@ -6,8 +6,9 @@ The audit commands run one pipeline, ``_run_audit``, over their ``STAGES``:
 data is loaded, the config and the dataset schema are checked against the
 bundled ``schemas/config.schema.json`` and ``schemas/dataset_schema.schema.json``
 (keys, types, ranges, finite numbers; the config schema also holds each
-option section's defaults), and the decision rule and the model spec are
-built. The use step's preconditions (assignments to columns the model reads
+option section's defaults), the decision rule, the model spec and the use
+selector are built, and the audit roles are checked against the schema's
+columns. The use step's preconditions (assignments to columns the model reads
 and to values their schema allows, a selector the schema can test, a model
 and a decision rule, ICE columns the model reads, a grid of at least 2
 points for a numeric ICE column, an ICE row inside the data) are checked
@@ -125,7 +126,12 @@ class RunSettings:
         use = self.options["use"]
         use["assignments"] = [Assignment(a["column"], a["value"]) for a in use["assignments"]]
         # an absent, null or {} selector selects every row
-        use["selector"] = SubgroupDescriptor.from_json(use["selector"]) if use["selector"] else None
+        try:
+            use["selector"] = (
+                SubgroupDescriptor.from_json(use["selector"]) if use["selector"] else None
+            )
+        except ValidationError as exc:  # what the config schema cannot say
+            raise ValidationError(f"config 'use.selector': {exc}") from None
         self.floors = {key: use[key] for key in ("flip_rate_floor", "score_floor_fraction")}
 
         self.decision_rule = (
@@ -148,15 +154,14 @@ class RunSettings:
             raise ValidationError(
                 "config needs a dataset schema ('schema' or 'schema_path')"
             )
-        self.dataset = load_csv(data_path, schema)
-
         self.audit = AuditConfig(
             protected=tuple(raw.get("protected", ())),
             candidates=tuple(raw.get("candidates", ())),
             target=raw.get("target"),
             seed=raw.get("seed", 0),
         )
-        self.audit.check_against(self.dataset)
+        self.audit.check_against(schema)
+        self.dataset = load_csv(data_path, schema)
         self.seed = int(seed) if seed is not None else self.audit.seed
         self.proxy_sets = [tuple(s) for s in raw.get("proxy_sets", [])]
         self.out_dir = Path(out_dir)

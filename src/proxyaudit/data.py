@@ -266,7 +266,11 @@ def write_schema_json(schema, path):
 
 def read_schema_json(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return schema_from_json(JSON_DECODER.decode(fh.read()))
+        try:
+            obj = JSON_DECODER.decode(fh.read())
+        except ParseError as exc:
+            raise ValidationError(f"dataset schema: {exc}") from None
+    return schema_from_json(obj)
 
 
 # Bytes read from the CSV at a time; each chunk is extended to the end of its line.
@@ -552,9 +556,10 @@ class AuditConfig:
         if not self.protected:
             raise ValidationError("at least one protected column is required")
 
-    def check_against(self, d):
-        """Verify every named column exists in the dataset schema."""
-        names = set(d.column_names)
+    def check_against(self, schema):
+        """Verify every named column exists in the dataset schema (a
+        sequence of ``ColumnSchema``), so no data is needed."""
+        names = {c.name for c in schema}
         for group, cols in (("protected", self.protected), ("candidates", self.candidates)):
             for c in cols:
                 if c not in names:

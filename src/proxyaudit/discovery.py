@@ -231,7 +231,7 @@ def beam_search(
         raise ParameterError("min_support must be at least 1")
     if gamma < 0:
         raise ParameterError("gamma must be non-negative")
-    config.check_against(d_train)
+    config.check_against(d_train.schema)
 
     conditions = enumerate_conditions(d_train, config.candidates, bins)
     targets = _targets_of(d_train, config.protected)

@@ -289,8 +289,9 @@ def flip_analysis(
     Selection is the selector's match set (everything when absent)
     intersected with rows complete in the model's feature columns. Baseline
     and counterfactual rows are interleaved and scored in one
-    ``score_columns`` call (probes: 500 pairs per batch); the records come
-    back as a lazy :class:`FlipRecords`.
+    ``score_columns`` call (a probe receives each distinct row once: a model
+    reading one two-valued column is sent two rows); the records come back
+    as a lazy :class:`FlipRecords`.
     ``significant_influence_flag`` is set when the flip rate reaches
     ``flip_rate_floor`` or the mean absolute delta is nonzero and reaches
     ``score_floor_fraction`` of the baseline-score interquartile range.

@@ -10,8 +10,12 @@ raises every row error. Builtin kinds — ``linear``, ``logistic`` (one-of-K
 coefficients named ``column=category``) and ``decision_tree`` (a node table)
 — run on numpy alone, bar the logistic's ``scipy.special.expit``. External
 kinds take rows as newline-delimited JSON over a subprocess's stdin/stdout
-or HTTP POST /predict, ``ROWS_PER_CALL`` rows per call; urllib is imported
-only when an ``external_http`` probe sends.
+or HTTP POST /predict: each distinct row of a call once, in order of first
+occurrence, ``ROWS_PER_CALL`` distinct rows per message. Rows are the same
+when they would be sent as the same JSON, and each takes the score of its
+distinct row; like the rest of the audit, this assumes a probe's score is a
+deterministic function of its row. urllib is imported only when an
+``external_http`` probe sends.
 
 Up to ``WINDOW`` predict messages may await replies at once: 4 on a
 subprocess probe, 1 on HTTP (urllib is synchronous). A probe answers in
@@ -414,6 +418,65 @@ def _validate_scores_message(msg, expected_id, n_rows, raw):
     return values
 
 
+# rows may be merged through a boolean table of at most this many cells per row
+_SEEN_CELLS_PER_ROW = 4
+
+
+def _column_codes(column):
+    """``(codes, k)``: codes in ``range(k)`` of a feature column, equal
+    exactly where the cells write the same JSON, or ``None`` when cells are
+    not compared. A float64 column is keyed by its bits, so ``-0.0`` and
+    ``0.0`` stay apart; an object column of ``str`` cells by the strings.
+    Other cells (``1``, ``1.0`` and ``True`` are equal but write apart;
+    lists and dicts) are never compared."""
+    if column.dtype == np.float64:
+        values, codes = np.unique(column.view(np.int64), return_inverse=True)
+        return codes, values.size
+    if column.dtype == object and set(map(type, column)) == {str}:
+        lookup = dict(zip(dict.fromkeys(column), range(column.size)))
+        return np.fromiter(map(lookup.__getitem__, column), np.int64, column.size), len(lookup)
+    return None
+
+
+def _row_ids(columns, order, n_rows):
+    """``(ids, firsts)``: the int64 id of each of ``n_rows`` rows, two rows
+    sharing one exactly where every feature's cells write the same JSON, and
+    the first row of each id; ids count distinct rows in order of first
+    occurrence. Memory stays O(rows): per-column codes are folded in one
+    column at a time, through a boolean table of seen keys while it has at
+    most ``_SEEN_CELLS_PER_ROW`` cells per row, else through ``np.unique``."""
+    ids, m = None, min(n_rows, 1)
+    for f in order:
+        coded = _column_codes(columns[f]) if m < n_rows else None
+        if coded is None or coded[1] == n_rows:  # no cells compared, or all rows distinct
+            rows = np.arange(n_rows)
+            return rows, rows
+        key, k = coded
+        if ids is not None:  # in place: a row's key is (id, code)
+            ids *= k
+            ids += key
+            key = ids
+        if m * k <= _SEEN_CELLS_PER_ROW * n_rows:
+            seen = np.zeros(m * k, dtype=bool)
+            seen[key] = True
+            dense = np.cumsum(seen)
+            ids = dense[key]
+            ids -= 1
+            m = int(dense[-1])
+        else:
+            present, ids = np.unique(key, return_inverse=True)
+            m = present.size
+        del coded, key  # free the codes before the next column's
+    if ids is None:  # no features: every row is the empty row
+        return np.zeros(n_rows, dtype=np.int64), np.zeros(m, dtype=np.int64)
+    first = np.full(m, n_rows, dtype=np.int64)
+    np.minimum.at(first, ids, np.arange(n_rows))
+    by_first = np.argsort(first)
+    rank = np.empty(m, dtype=np.int64)
+    rank[by_first] = np.arange(m)
+    return rank[ids], first[by_first]
+
+
 class _TransportFailure(Exception):
     """Internal marker: the transport (not the protocol) broke."""
 
@@ -434,20 +497,25 @@ class _ProbeHandle(ModelHandle):
         """Make the transport usable again after a failure."""
 
     def score_columns(self, columns, n_rows):
-        """Float64 scores of feature columns, ``ROWS_PER_CALL`` rows per
-        predict message; each batch's rows are sliced from the columns as it
-        is sent, and go out as tuples (JSON writes them as lists)."""
+        """Float64 scores of feature columns. Each distinct row is sent once,
+        in order of first occurrence, ``ROWS_PER_CALL`` rows per predict
+        message; rows are sliced from the columns as their batch is sent, go
+        out as tuples (JSON writes them as lists), and every row takes the
+        score of its distinct row. This assumes the probe, like every model
+        the audit measures, is a deterministic function of its row."""
         order = self.spec.feature_order
+        ids, firsts = _row_ids(columns, order, n_rows)
+        starts = range(0, firsts.size, ROWS_PER_CALL)
         batches = (
-            # a spec with no features still sends one empty row per row
-            list(zip(*(columns[f][start : start + ROWS_PER_CALL].tolist() for f in order)))
-            or [()] * min(ROWS_PER_CALL, n_rows - start)
-            for start in range(0, n_rows, ROWS_PER_CALL)
+            # with no features every row is the empty row, sent once
+            list(zip(*(columns[f][firsts[start : start + ROWS_PER_CALL]].tolist() for f in order)))
+            or [()] * min(ROWS_PER_CALL, firsts.size - start)
+            for start in starts
         )
-        out = np.empty(n_rows, dtype=np.float64)
-        for start, scores in zip(range(0, n_rows, ROWS_PER_CALL), self._score_batches(batches)):
-            out[start : start + ROWS_PER_CALL] = scores
-        return out
+        scores = np.empty(firsts.size, dtype=np.float64)
+        for start, batch_scores in zip(starts, self._score_batches(batches)):
+            scores[start : start + ROWS_PER_CALL] = batch_scores
+        return scores[ids]
 
     def _score_batches(self, batches):
         """Scores of each batch of payload rows, yielded in order. Up to

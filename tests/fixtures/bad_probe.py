@@ -14,10 +14,16 @@ Usage: python bad_probe.py <mode>, where mode is one of:
   stalls          stops reading its input right after the handshake
   dies            exits cleanly right after the handshake
   dies-after-one  answers its first predict, then exits
+  counting        scores the k-th row it receives as k (from 1), so a row's
+                  score is its place in the rows received, and the highest
+                  score their number
+  digest          scores each row by a digest of its JSON text, so two rows
+                  score alike only when they are written alike
 
 Any other mode is a healthy probe scoring each row ``[x]`` as ``2x + 1``.
 """
 
+import hashlib
 import json
 import sys
 import time
@@ -33,9 +39,16 @@ def scores(msg):
             "scores": [2.0 * row[0] + 1.0 for row in msg.get("rows", [])]}
 
 
+def digest(row):
+    """A float from 52 bits of the SHA-256 of the row's JSON text."""
+    text = json.dumps(row).encode("utf-8")
+    return int.from_bytes(hashlib.sha256(text).digest()[:7], "big") % 2**52 / 2**20
+
+
 def main():
     mode = sys.argv[1]
     held = None
+    received = 0
     for line in sys.stdin:
         line = line.strip()
         if not line:
@@ -73,6 +86,12 @@ def main():
                 sys.stdout.write(json.dumps({"type": "scores", "id": msg.get("id"),
                                              "scores": [1.0] * len(rows)}).replace("1.0", "1e999") + "\n")
                 sys.stdout.flush()
+            elif mode == "counting":
+                reply({"type": "scores", "id": msg.get("id"),
+                       "scores": list(range(received + 1, received + len(rows) + 1))})
+                received += len(rows)
+            elif mode == "digest":
+                reply({"type": "scores", "id": msg.get("id"), "scores": list(map(digest, rows))})
             elif mode == "swapped" and held is None:
                 held = msg
             elif mode == "swapped":

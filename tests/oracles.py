@@ -15,7 +15,10 @@ copy of the node's rows at every split), and ``load_csv_reference``, the
 package's row-by-row CSV loader before columnar decode (it builds the
 package's ``Dataset`` and ``LoadReport``), and ``predict_batch_reference``,
 the package's row-to-column loop before list rows were transposed whole (it
-scores through the model handle's ``score_columns``).
+scores through the model handle's ``score_columns``), and
+``probe_score_columns_reference``, an external probe's ``score_columns``
+before duplicate rows were collapsed (it sends every row through the
+handle's ``_score_batches``).
 """
 
 import csv
@@ -594,3 +597,18 @@ def load_csv_reference(path, schema, *, header=True):
         for c in schema
     }
     return Dataset(schema, cols, load_report=report)
+
+
+def probe_score_columns_reference(handle, columns, n_rows):
+    """An external probe's ``handle.score_columns(columns, n_rows)`` sending
+    every row: row ``i`` is the tuple of each feature column's ``.tolist()``
+    cell ``i`` (an empty tuple when the spec has no features), rows go
+    ``ROWS_PER_CALL`` to a message through ``handle._score_batches``, and the
+    scores come back in row order."""
+    from proxyaudit.models import ROWS_PER_CALL
+
+    cells = [columns[f].tolist() for f in handle.feature_order]
+    rows = [tuple(cell[i] for cell in cells) for i in range(n_rows)]
+    batches = [rows[start : start + ROWS_PER_CALL] for start in range(0, n_rows, ROWS_PER_CALL)]
+    scores = [s for batch in handle._score_batches(batches) for s in batch.tolist()]
+    return np.array(scores, dtype=np.float64)

@@ -880,15 +880,20 @@ def test_config_value_of_wrong_type_exits_2(runner, tmp_path, key, edit):
         # what the schema cannot say is checked when the selector is built
         ({"use": {**_USE_RETIRED, "selector": {"conditions": [
             {"kind": "in_interval", "column": "age", "lo": 60, "hi": 50}]}}},
-         "interval bounds must satisfy lo < hi, got [60.0, 50.0]"),
+         "config 'use.selector': interval bounds must satisfy lo < hi, got [60.0, 50.0]"),
         ({"use": {**_USE_RETIRED, "selector": {"conditions": [
             {"kind": "in_interval", "column": "age", "lo": 60},
             {"kind": "in_interval", "column": "age", "hi": 50}]}}},
-         "at most one condition per column"),
+         "config 'use.selector': at most one condition per column in a descriptor"),
+        # the audit roles need only the schema's column names
+        ({"protected": []}, "at least one protected column is required"),
+        ({"candidates": ["nope"]}, "candidates column 'nope' not in dataset"),
+        ({"candidates": ["sex", "age"]}, "protected and candidate columns overlap: ['sex']"),
     ],
     ids=["favorable_direction", "selector.condition", "condition.categroy",
          "assignment.vlaue", "seed-1", "seed2.0", "normalization", "scan",
-         "selector.lo_above_hi", "selector.same_column"],
+         "selector.lo_above_hi", "selector.same_column", "no_protected",
+         "unknown_candidate", "protected_candidate"],
 )
 def test_config_defect_exits_2_before_the_load(runner, tmp_path, monkeypatch, edit, message):
     out = synth_out(runner, tmp_path, "james", rows=40)
@@ -925,8 +930,10 @@ def _set(index, **values):
         (_set(2, label="flag"), "unknown dataset schema key(s): columns[2].label"),
         (lambda doc: doc.update(version=2), "unknown dataset schema key(s): version"),
         (lambda doc: doc.pop("columns"), "dataset schema 'columns' must be a list of columns"),
-        # json.dumps writes NaN, which is not JSON
-        (_set(1, missing_token=float("nan")), "NaN is not a JSON number"),
+        # json.dumps writes NaN, which is not JSON; the message names the document
+        (_set(1, missing_token=float("nan")),
+         {True: "config: NaN is not a JSON number",
+          False: "dataset schema: NaN is not a JSON number"}),
     ],
     ids=["name7", "categories12", "missing_token5", "missing_token_null", "kind",
          "column_key", "top_level_key", "no_columns", "nan"],
@@ -954,6 +961,8 @@ def test_dataset_schema_defect_exits_2_before_the_load(
          "--out", str(out / "x")],
     )
     assert result.exit_code == 2, result.output
+    if isinstance(message, dict):  # the inline schema is part of the config
+        message = message[inline]
     assert message in result.output
     assert not (out / "x" / "report.json").exists()
 

@@ -360,8 +360,8 @@ class TestAuditConfig:
     def test_check_against_unknown_column(self, toy_dataset):
         cfg = AuditConfig(protected=("sex",), candidates=("nope",))
         with pytest.raises(ValidationError):
-            cfg.check_against(toy_dataset)
+            cfg.check_against(toy_dataset.schema)
 
     def test_valid_config_passes(self, toy_dataset):
         cfg = AuditConfig(protected=("sex",), candidates=("school_attended",))
-        cfg.check_against(toy_dataset)
+        cfg.check_against(toy_dataset.schema)

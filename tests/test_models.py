@@ -9,12 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from proxyaudit.data import CATEGORICAL, ColumnSchema, Dataset
 from proxyaudit.errors import (
     ConnectivityError,
     ProtocolError,
     SpecError,
     ValidationError,
 )
+from proxyaudit.intervention import Assignment, flip_analysis
 from proxyaudit.models import (
     ROWS_PER_CALL,
     BuiltinModelHandle,
@@ -608,7 +610,9 @@ class TestSubprocessProbe:
         spec = subprocess_spec(str(FIXTURES / "bad_probe.py"), "swapped")
         with load_model(spec, timeout=5) as m:
             with pytest.raises(ProtocolError) as exc:
-                m.score_columns({"x": np.zeros(2 * ROWS_PER_CALL)}, 2 * ROWS_PER_CALL)
+                # distinct rows: equal ones would go out once, in one message
+                x = np.arange(2 * ROWS_PER_CALL, dtype=np.float64)
+                m.score_columns({"x": x}, x.size)
             assert "does not echo" in str(exc.value)
             assert m.transport_retries == 0
 
@@ -686,6 +690,158 @@ class TestSubprocessProbe:
         )
         with pytest.raises(ConnectivityError):
             load_model(spec)
+
+
+# --- each distinct row sent once ---------------------------------------------------
+
+
+def _predict_sizes(m, monkeypatch):
+    """Rows in each predict message ``m`` sends from now on."""
+    sizes, send = [], m._send
+
+    def counted(message):
+        if message["type"] == "predict":
+            sizes.append(len(message["rows"]))
+        send(message)
+
+    monkeypatch.setattr(m, "_send", counted)
+    return sizes
+
+
+def _objects(values):
+    return np.fromiter(values, dtype=object, count=len(values))
+
+
+class TestDistinctRows:
+    def test_two_category_flip_sends_two_rows(self, monkeypatch):
+        # 50k rows, baseline and counterfactual: 100k rows scored, 2 distinct
+        flag = np.arange(50_000) % 3 == 0
+        d = Dataset([ColumnSchema("flag", CATEGORICAL, ("no", "yes"))], {"flag": flag.astype(int)})
+        spec = subprocess_spec(str(FIXTURES / "bad_probe.py"), "counting", features=("flag",))
+        with load_model(spec, timeout=15) as m:
+            sizes = _predict_sizes(m, monkeypatch)
+            _, records = flip_analysis(m, DecisionRule(1.5), d, [Assignment("flag", "yes")])
+        assert sizes == [2]
+        # row 0 is a "yes" row, so ["yes"] is received first and ["no"] second
+        assert [r.counterfactual_score for r in records] == [1.0] * flag.size
+        assert [r.baseline_score for r in records] == np.where(flag, 1.0, 2.0).tolist()
+
+    @pytest.mark.parametrize(
+        "column, received",
+        [
+            # all distinct: every row, ROWS_PER_CALL to a message, in row order
+            (np.arange(2 * ROWS_PER_CALL + 500) / 7.0, list(range(1, 2 * ROWS_PER_CALL + 501))),
+            # floats by their bits: -0.0 and 0.0 write apart
+            (np.array([0.0, -0.0, 0.0, -0.0, 1.0]), [1, 2, 1, 2, 3]),
+            (_objects(["b", "a", "b", "b", "c"]), [1, 2, 1, 1, 3]),
+            # equal under == but written apart, or not hashable: never compared
+            (_objects([1, 1.0, True, 1, [1], [1], {"x": 1}]), [1, 2, 3, 4, 5, 6, 7]),
+            (_objects(["a", "a", 1.0]), [1, 2, 3]),
+        ],
+    )
+    def test_rows_received(self, monkeypatch, column, received):
+        spec = subprocess_spec(str(FIXTURES / "bad_probe.py"), "counting")
+        with load_model(spec, timeout=15) as m:
+            sizes = _predict_sizes(m, monkeypatch)
+            scores = m.score_columns({"x": column}, column.size)
+        assert scores.tolist() == received
+        distinct = max(received)
+        assert sizes == [min(ROWS_PER_CALL, distinct - s) for s in range(0, distinct, ROWS_PER_CALL)]
+
+    def test_two_columns_key_rows_together(self):
+        # each column alone repeats; the rows repeat only where both do
+        x = np.array([0.0, 0.0, 1.0, 1.0, 0.0, -0.0])
+        c = _objects(["a", "b", "a", "a", "b", "b"])
+        spec = subprocess_spec(str(FIXTURES / "bad_probe.py"), "counting", features=("x", "c"))
+        with load_model(spec, timeout=15) as m:
+            assert m.score_columns({"x": x, "c": c}, x.size).tolist() == [1, 2, 3, 3, 2, 4]
+
+    def test_no_features_send_one_empty_row(self, monkeypatch):
+        spec = subprocess_spec(str(FIXTURES / "bad_probe.py"), "counting", features=())
+        with load_model(spec, timeout=15) as m:
+            sizes = _predict_sizes(m, monkeypatch)
+            assert m.score_columns({}, 3 * ROWS_PER_CALL).tolist() == [1.0] * (3 * ROWS_PER_CALL)
+            assert m.score_columns({}, 0).tolist() == []
+        assert sizes == [1]
+
+
+DIFF_FEATURES = ("x", "c", "y")
+DIFF_INNER = (
+    linear_spec({"x": 1.5, "y": -0.25, "c=a": 2.0, "c=1": -1.0}, 0.5, DIFF_FEATURES),
+    logistic_spec({"x": 0.75, "y": -0.5, "c=a": 1.0, "c=1": -0.5}, -0.25, DIFF_FEATURES),
+    ModelSpec(
+        "decision_tree",
+        {"root": 0, "nodes": [
+            {"id": 0, "kind": "split", "column": "c", "category": "a", "left": 1, "right": 2},
+            {"id": 1, "kind": "split", "column": "x", "threshold": 0.0, "left": 3, "right": 4},
+            {"id": 2, "kind": "split", "column": "y", "threshold": 1.0, "left": 5, "right": 6},
+            {"id": 3, "kind": "leaf", "value": -1.0},
+            {"id": 4, "kind": "leaf", "value": 0.5},
+            {"id": 5, "kind": "leaf", "value": 2.0},
+            {"id": 6, "kind": "leaf", "value": 3.25},
+        ]},
+        DIFF_FEATURES,
+    ),
+)
+
+
+@pytest.fixture(scope="module")
+def diff_probes(tmp_path_factory):
+    """The reference probe serving each ``DIFF_INNER`` spec, and a probe
+    scoring each row by its JSON text, which no two rows written apart share."""
+    specs = []
+    for i, inner in enumerate(DIFF_INNER):
+        path = tmp_path_factory.mktemp("probes") / f"inner{i}.json"
+        inner.save(path)
+        specs.append(subprocess_spec(
+            "-m", "proxyaudit.probe_reference", "--spec", str(path), features=DIFF_FEATURES
+        ))
+    specs.append(subprocess_spec(str(FIXTURES / "bad_probe.py"), "digest", features=DIFF_FEATURES))
+    handles = [load_model(spec, timeout=15) for spec in specs]
+    yield handles
+    for m in handles:
+        m.close()
+
+
+# number cells: 1, 1.0 and -0.0, 0.0 score alike but are written apart
+NUMBER_CELLS = (0, 0.0, -0.0, 1, 1.0, 2, -2.5)
+# category cells of many types, each equal to another under == or a category
+MIXED_CELLS = ("a", "b", "1", 1, 1.0, True, False, 0, ["a"], {"a": 1}, [])
+
+
+def _diff_column(rng, pattern, n):
+    if pattern == "repeats":  # duplicate-heavy, -0.0 and 0.0 among them
+        return rng.choice(np.array([-0.0, 0.0, 1.0, 0.5, -2.0]), n)
+    if pattern == "distinct":
+        return rng.normal(size=n)
+    if pattern == "many":  # up to a few hundred values
+        return rng.integers(0, int(rng.integers(2, 400)), n) / 8.0
+    if pattern == "numbers":
+        return _objects([NUMBER_CELLS[i] for i in rng.integers(0, len(NUMBER_CELLS), n)])
+    if pattern == "categories":
+        return _objects([("a", "b", "1", "zz")[i] for i in rng.integers(0, 4, n)])
+    if pattern == "labels":  # distinct strings
+        return _objects([f"r{i}" for i in rng.permutation(n)])
+    return _objects([MIXED_CELLS[i] for i in rng.integers(0, len(MIXED_CELLS), n)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 10) | st.integers(0, 2 * ROWS_PER_CALL + 100),
+    numeric=st.tuples(*[st.sampled_from(("repeats", "distinct", "many", "numbers"))] * 2),
+    categorical=st.sampled_from(("categories", "labels", "mixed")),
+)
+def test_distinct_row_scores_equal_every_row_scores(diff_probes, seed, n, numeric, categorical):
+    rng = np.random.default_rng(seed)
+    columns = {
+        "x": _diff_column(rng, numeric[0], n),
+        "c": _diff_column(rng, categorical, n),
+        "y": _diff_column(rng, numeric[1], n),
+    }
+    for m in diff_probes:
+        want = oracles.probe_score_columns_reference(m, columns, n)
+        assert m.score_columns(columns, n).tobytes() == want.tobytes()
 
 
 class _ProbeHTTPHandler(http.server.BaseHTTPRequestHandler):
