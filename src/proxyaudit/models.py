@@ -418,10 +418,6 @@ def _validate_scores_message(msg, expected_id, n_rows, raw):
     return values
 
 
-# rows may be merged through a boolean table of at most this many cells per row
-_SEEN_CELLS_PER_ROW = 4
-
-
 def _column_codes(column):
     """``(codes, k)``: codes in ``range(k)`` of a feature column, equal
     exactly where the cells write the same JSON, or ``None`` when cells are
@@ -442,9 +438,9 @@ def _row_ids(columns, order, n_rows):
     """``(ids, firsts)``: the int64 id of each of ``n_rows`` rows, two rows
     sharing one exactly where every feature's cells write the same JSON, and
     the first row of each id; ids count distinct rows in order of first
-    occurrence. Memory stays O(rows): per-column codes are folded in one
-    column at a time, through a boolean table of seen keys while it has at
-    most ``_SEEN_CELLS_PER_ROW`` cells per row, else through ``np.unique``."""
+    occurrence. Memory stays O(rows): the first column's codes are the ids,
+    and each later column is folded in with ``np.unique`` of ``(id, code)``
+    keys, each below ``n_rows ** 2``."""
     ids, m = None, min(n_rows, 1)
     for f in order:
         coded = _column_codes(columns[f]) if m < n_rows else None
@@ -452,19 +448,10 @@ def _row_ids(columns, order, n_rows):
             rows = np.arange(n_rows)
             return rows, rows
         key, k = coded
-        if ids is not None:  # in place: a row's key is (id, code)
-            ids *= k
-            ids += key
-            key = ids
-        if m * k <= _SEEN_CELLS_PER_ROW * n_rows:
-            seen = np.zeros(m * k, dtype=bool)
-            seen[key] = True
-            dense = np.cumsum(seen)
-            ids = dense[key]
-            ids -= 1
-            m = int(dense[-1])
+        if ids is None:
+            ids, m = key, k
         else:
-            present, ids = np.unique(key, return_inverse=True)
+            present, ids = np.unique(ids * k + key, return_inverse=True)
             m = present.size
         del coded, key  # free the codes before the next column's
     if ids is None:  # no features: every row is the empty row
