@@ -11,11 +11,17 @@ leaf size fixed in this module. It is private to predictive capacity: it fits
 multiclass class codes inside each cross-validation fold and is never exported
 as an audited model (``models.ModelSpec`` is the one model format).
 
-Each ``predictive_capacity`` call ranks the columns of its design matrix once,
-over all complete rows (``_value_ranks``), and every fold's tree fits on those
-ranks: a node is an array of row indices, and ``kernels.best_split`` counts
-classes per distinct value instead of sorting the node. The trees, and so the
-scores, are those a sort-and-copy fit on each fold's rows would give.
+Each ``predictive_capacity`` call numbers the distinct feature rows among
+its complete rows once (``_fold_counts``) and counts every (fold, distinct
+row, class) cell with one ``bincount``. A fold's tree fits on the nonzero
+cells of the other folds, each weighted by its count, over the design matrix
+of the distinct rows, ranked once (``_value_ranks``): a node is an array of
+cells, and ``kernels.best_split`` sums their weights per distinct value
+instead of sorting the node. Each distinct row is predicted once per fold,
+and the confusion matrix behind every statistic comes from the counts. Rows
+are dealt to folds in the ``np.lexsort`` order of their design rows, and a
+repeated row only adds weight, so the folds, the trees and the scores are
+those of a fit on every row.
 """
 
 import warnings
@@ -190,32 +196,72 @@ def _value_ranks(X):
     return ranks, values
 
 
+def _fold_counts(d, features, rows, y, observed, folds, n_classes, seed):
+    """Deal ``rows`` (labels ``y``) to folds and count them by distinct
+    feature row.
+
+    Rows are put in the ``np.lexsort`` order of their design-matrix rows
+    (first column primary, ties in row order), so the deal depends only on
+    the data's content; within each observed class, in class order, they are
+    permuted once and dealt round-robin. Distinct feature rows are numbered
+    in that order; numeric cells compare by value, so ``-0.0`` and ``0.0``
+    are one value. Returns (counts, firsts): ``counts[fold, t, class]`` rows
+    of distinct feature row t, and ``firsts[t]`` one dataset row that has it.
+    """
+    keys = []
+    for name in features:
+        if d.schema_of(name).kind == CATEGORICAL:
+            # a one-of-K block sorts with its last category lowest
+            keys.append(-d.codes(name)[rows])
+        else:
+            keys.append(d.values(name)[rows])
+    order = np.lexsort(keys[::-1])
+    new = np.zeros(order.shape[0], dtype=bool)
+    new[0] = True
+    for key in keys:
+        key = key[order]
+        new[1:] |= key[1:] != key[:-1]
+    ids = np.cumsum(new) - 1
+    y = y[order]
+    fold_of = np.empty(order.shape[0], dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    for c in observed:
+        at = np.nonzero(y == c)[0]
+        fold_of[at[rng.permutation(at.shape[0])]] = np.arange(at.shape[0]) % folds
+    n_distinct = int(ids[-1]) + 1
+    counts = np.bincount((fold_of * n_distinct + ids) * n_classes + y,
+                         minlength=folds * n_distinct * n_classes)
+    return counts.reshape(folds, n_distinct, n_classes), rows[order[new]]
+
+
 class _CartTree:
     """CART-style classifier: Gini impurity, deterministic tie-breaks,
-    zero-gain splits allowed while a node is impure. It fits on value ranks
-    (``_value_ranks``) and a row-index array, and predicts from values."""
+    zero-gain splits allowed while a node is impure. It fits on weighted
+    cells of a ranked table (``_value_ranks``) and predicts from values."""
 
     def __init__(self, max_depth, min_leaf):
         self.max_depth = max_depth
         self.min_leaf = min_leaf
         self.nodes = []  # dicts: split {feat, thr, left, right} | leaf {counts}
 
-    def fit(self, ranks, values, rows, y, n_classes):
-        """Fit on the rows ``rows`` of the ranked columns and labels ``y``."""
+    def fit(self, ranks, values, rows, y, weights, n_classes):
+        """Fit on weighted cells: cell i is row ``rows[i]`` of the ranked
+        table with label ``y[i]``, counted ``weights[i]`` times. The tree is
+        the one a fit on every row, each cell repeated, would give."""
         self.n_classes = n_classes
-        self._build(ranks, values, rows, y, depth=0)
+        self._build(ranks, values, rows, y, weights, depth=0)
         return self
 
-    def _build(self, ranks, values, rows, y, depth):
+    def _build(self, ranks, values, rows, y, weights, depth):
         index = len(self.nodes)
-        counts = np.bincount(y[rows], minlength=self.n_classes)
+        counts = np.bincount(y, weights=weights, minlength=self.n_classes).astype(np.int64)
         node = {"counts": counts}
         self.nodes.append(node)
         pure = np.count_nonzero(counts) <= 1
-        if depth >= self.max_depth or pure or rows.shape[0] < 2 * self.min_leaf:
+        if depth >= self.max_depth or pure or counts.sum() < 2 * self.min_leaf:
             return index
         feat, thr, _score = kernels.best_split(
-            ranks, values, rows, y, self.n_classes, self.min_leaf
+            ranks, values, rows, y, weights, self.n_classes, self.min_leaf
         )
         if feat < 0:
             return index
@@ -224,51 +270,34 @@ class _CartTree:
         node["feat"] = int(feat)
         node["thr"] = float(thr)
         # compress: a boolean index is several times slower on large nodes
-        node["left"] = self._build(ranks, values, rows.compress(left), y, depth + 1)
-        node["right"] = self._build(ranks, values, rows.compress(~left), y, depth + 1)
+        right = ~left
+        node["left"] = self._build(ranks, values, rows.compress(left), y.compress(left),
+                                   weights.compress(left), depth + 1)
+        node["right"] = self._build(ranks, values, rows.compress(right), y.compress(right),
+                                    weights.compress(right), depth + 1)
         return index
 
-    def predict_proba(self, X):
-        out = np.empty((X.shape[0], self.n_classes), dtype=np.float64)
+    def predict(self, X):
+        """Class of the leaf each row of X reaches: its most frequent training
+        class, the lowest on a tie, and 0 in a leaf no training row reached."""
+        out = np.empty(X.shape[0], dtype=np.int64)
         stack = [(self.nodes[0], np.arange(X.shape[0]))]
         while stack:
             node, rows = stack.pop()
             if "feat" not in node:
-                out[rows] = node["counts"] / node["counts"].sum()
+                out[rows] = np.argmax(node["counts"])
                 continue
             left = X[rows, node["feat"]] < node["thr"]
             stack.append((self.nodes[node["left"]], rows[left]))
             stack.append((self.nodes[node["right"]], rows[~left]))
         return out
 
-    def predict(self, X):
-        return np.argmax(self.predict_proba(X), axis=1)
 
-
-def balanced_accuracy(y_true, y_pred, n_classes):
-    """Mean per-class recall over classes present in y_true."""
-    recalls = []
-    for c in range(n_classes):
-        mask = y_true == c
-        if mask.any():
-            recalls.append(np.count_nonzero(y_pred[mask] == c) / np.count_nonzero(mask))
+def balanced_accuracy(confusion):
+    """Mean per-class recall over the classes present: row c of the
+    confusion matrix counts the rows of class c by predicted class."""
+    recalls = [int(row[c]) / int(row.sum()) for c, row in enumerate(confusion) if row.any()]
     return float(np.mean(recalls))
-
-
-def _stratified_folds(X, y, observed_classes, folds, rng):
-    """Round-robin per-class fold assignment; returns a fold-id array.
-
-    Rows are first put in a canonical feature-value order so the deal depends
-    only on the data's content, never on its storage order.
-    """
-    assignment = np.empty(y.shape[0], dtype=np.int64)
-    for c in observed_classes:
-        idx = np.nonzero(y == c)[0]
-        canonical = np.lexsort(tuple(X[idx, j] for j in reversed(range(X.shape[1]))))
-        idx = idx[canonical]
-        idx = idx[rng.permutation(idx.shape[0])]
-        assignment[idx] = np.arange(idx.shape[0]) % folds
-    return assignment
 
 
 def predictive_capacity(d, proxy_set, protected, *, folds=5, seed=0):
@@ -307,20 +336,29 @@ def predictive_capacity(d, proxy_set, protected, *, folds=5, seed=0):
         )
         warnings.warn(warning)
 
-    X = _design_matrix(d, proxy_set, rows)
-    ranks, values = _value_ranks(X)
-    rng = np.random.default_rng(seed)
-    fold_of = _stratified_folds(X, y, observed, effective_folds, rng)
-
     n_classes = len(schema.categories)
-    predictions = np.empty(y.shape[0], dtype=np.int64)
+    counts, firsts = _fold_counts(
+        d, proxy_set, rows, y, observed, effective_folds, n_classes, seed
+    )
+    X = _design_matrix(d, proxy_set, firsts)
+    ranks, values = _value_ranks(X)
+    total = counts.sum(axis=0)
+    # whole numbers, exact in float64 below 2**53
+    confusion = np.zeros((n_classes, n_classes))
     for f in range(effective_folds):
-        test = fold_of == f
-        train = np.nonzero(~test)[0]
-        tree = _CartTree(TREE_MAX_DEPTH, TREE_MIN_LEAF).fit(ranks, values, train, y, n_classes)
-        predictions[test] = tree.predict(X[test])
+        others = total - counts[f]
+        train, label = np.nonzero(others)
+        tree = _CartTree(TREE_MAX_DEPTH, TREE_MIN_LEAF).fit(
+            ranks, values, train, label, others[train, label].astype(np.float64), n_classes
+        )
+        held = np.nonzero(counts[f].any(axis=1))[0]
+        predicted = tree.predict(X[held])
+        for c in range(n_classes):
+            confusion[c] += np.bincount(predicted, weights=counts[f, held, c],
+                                        minlength=n_classes)
+    confusion = confusion.astype(np.int64)
 
-    b = balanced_accuracy(y, predictions, n_classes)
+    b = balanced_accuracy(confusion)
     chance = 1.0 / k
     value = max(0.0, (b - chance) / (1.0 - chance))
 
@@ -328,18 +366,13 @@ def predictive_capacity(d, proxy_set, protected, *, folds=5, seed=0):
     # then chance-normalized
     los, his = [], []
     for c in observed:
-        mask = y == c
-        n_c = int(np.count_nonzero(mask))
-        k_c = int(np.count_nonzero(predictions[mask] == c))
-        lo, hi = clopper_pearson(k_c, n_c)
+        lo, hi = clopper_pearson(int(confusion[c, c]), int(confusion[c].sum()))
         los.append(lo)
         his.append(hi)
     value_lo = max(0.0, (float(np.mean(los)) - chance) / (1.0 - chance))
     value_hi = max(0.0, (float(np.mean(his)) - chance) / (1.0 - chance))
     value_lo, value_hi = min(value_lo, value), max(value_hi, value)
 
-    confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
-    np.add.at(confusion, (y, predictions), 1)
     p_value = counts_significance(confusion)
 
     return CapacityScore(

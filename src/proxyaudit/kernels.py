@@ -6,12 +6,15 @@ capacity. Callers look both up as module attributes at call time, so they
 can be wrapped (for tracing) without touching the callers.
 
 ``best_split`` sorts nothing. Its caller ranks each feature column once
-(the sorted distinct values and every row's rank among them), and a tree node
-is a row-index array. Per node and column, one ``bincount`` over
-``rank * n_classes + label`` gives the class counts of each distinct value; a
-``cumsum`` over the values present in the node gives the exact left-side
-counts at every boundary between them. This is a histogram split with one
-bin per distinct value, so it finds the same split as a full sort.
+(the sorted distinct values and every table row's rank among them), and a
+tree node is an array of weighted cells: a table row, a class label and a
+count. Per node and column, a weighted ``bincount`` over the ranks gives the
+weight at each distinct value, and one over ``rank * n_classes + label`` its
+class counts; a ``cumsum`` over the values present in the node gives the
+exact left-side counts at every boundary between them. This is a histogram
+split with one bin per distinct value, so it finds the split a full sort of
+the node's rows, each cell repeated by its count, would find. Counts are
+whole numbers held as float64, exact below 2**53.
 
 ``best_split`` fixes the order in which it accumulates scores: the float bits
 of a score decide its tie-breaks, and the tie-breaks decide the trees and so
@@ -33,45 +36,47 @@ def joint_counts(a_codes, b_codes, ka, kb):
     return flat.reshape(ka, kb), int(a.shape[0])
 
 
-def best_split(ranks, values, rows, y, n_classes, min_leaf):
-    """Best Gini split of the node ``rows`` for labels ``y`` in
+def best_split(ranks, values, rows, y, weights, n_classes, min_leaf):
+    """Best Gini split of a node of weighted cells, labels in
     ``0..n_classes-1``.
 
     Column ``j`` is given by ``values[j]``, its sorted distinct values, and
-    ``ranks[j]``, each row's index into them; ``rows`` indexes ``ranks[j]``
-    and ``y``. The score maximized is sum_l c_l^2/n_l + sum_r c_r^2/n_r, which
-    orders splits identically to Gini impurity decrease for a fixed node. A
-    split is admissible when both sides keep at least ``min_leaf`` rows. Ties
-    go to the lower feature index, then the lower threshold, the midpoint of
-    the two values present in the node on either side of the boundary.
-    Returns (feat, threshold, score); feat = -1 when no admissible split
-    exists.
+    ``ranks[j]``, each table row's index into them. Cell i of the node is
+    table row ``rows[i]`` with label ``y[i]``, counted ``weights[i]`` times
+    (whole numbers, as float64). The score maximized is
+    sum_l c_l^2/n_l + sum_r c_r^2/n_r over weighted counts, which orders
+    splits identically to Gini impurity decrease for a fixed node. A split is
+    admissible when both sides keep a weight of at least ``min_leaf``. Ties go
+    to the lower feature index, then the lower threshold, the midpoint of the
+    two values present in the node on either side of the boundary. Returns
+    (feat, threshold, score); feat = -1 when no admissible split exists.
     """
-    n = rows.shape[0]
-    yn = y[rows]
+    n = weights.sum()
     best_feat = -1
     best_thr = 0.0
     best_score = -np.inf
     for j, vals in enumerate(values):
         k = vals.shape[0]
-        counts = np.bincount(ranks[j][rows] * n_classes + yn, minlength=k * n_classes)
-        counts = counts.reshape(k, n_classes)
-        present = np.nonzero(counts.any(axis=1))[0]
-        cum = np.cumsum(counts[present], axis=0)
-        # rows on the left side of each boundary between present values
-        nleft = cum[:-1].sum(axis=1)
+        node_ranks = ranks[j][rows]
+        weight = np.bincount(node_ranks, weights=weights, minlength=k)
+        present = np.nonzero(weight)[0]
+        # weight on the left side of each boundary between present values
+        nleft = np.cumsum(weight[present])[:-1]
         at = np.nonzero((nleft >= min_leaf) & ((n - nleft) >= min_leaf))[0]
         if at.size == 0:
             continue
+        counts = np.bincount(node_ranks * n_classes + y, weights=weights,
+                             minlength=k * n_classes).reshape(k, n_classes)
+        cum = np.cumsum(counts[present], axis=0)
         total = cum[-1]
-        nl = nleft[at].astype(np.float64)
-        nr = (n - nleft[at]).astype(np.float64)
+        nl = nleft[at]
+        nr = n - nl
         score_l = np.zeros(at.shape[0])
         score_r = np.zeros(at.shape[0])
         # one class at a time: this order fixes the float bits of each score,
         # which decide tie-breaks and with them the report bytes
         for c in range(n_classes):
-            cl = cum[at, c].astype(np.float64)
+            cl = cum[at, c]
             cr = total[c] - cl
             score_l += cl * cl / nl
             score_r += cr * cr / nr

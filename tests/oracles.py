@@ -18,7 +18,11 @@ the package's row-to-column loop before list rows were transposed whole (it
 scores through the model handle's ``score_columns``), and
 ``probe_score_columns_reference``, an external probe's ``score_columns``
 before duplicate rows were collapsed (it sends every row through the
-handle's ``_score_batches``).
+handle's ``_score_batches``), and ``predictive_capacity_reference``, the
+package's predictive capacity before it fitted on distinct feature rows (a
+design matrix over every complete row, ``cart_fit_copies`` per fold; it
+returns a ``CapacityScore`` and uses the package's ``clopper_pearson`` and
+``counts_significance``).
 """
 
 import csv
@@ -353,16 +357,97 @@ def predict_batch_reference(handle, rows):
     return handle.score_columns(columns, len(rows)).tolist()
 
 
-def cart_predict_proba(nodes, n_classes, X):
-    """Class frequencies of the leaf each row of X reaches, one row at a time,
-    in a CART node list (split: feat/thr/left/right; leaf: counts)."""
+def cart_predict(nodes, X):
+    """Class of the leaf each row of X reaches, one row at a time, in a CART
+    node list (split: feat/thr/left/right; leaf: counts): the first class
+    with the most training rows there, so 0 in a leaf that has none."""
     out = []
     for x in X:
         node = nodes[0]
         while "feat" in node:
             node = nodes[node["left"] if x[node["feat"]] < node["thr"] else node["right"]]
-        out.append([float(c) / float(sum(node["counts"])) for c in node["counts"]])
+        counts = [int(c) for c in node["counts"]]
+        out.append(counts.index(max(counts)))
     return out
+
+
+def predictive_capacity_reference(d, proxy_set, protected, *, folds=5, seed=0):
+    """Predictive capacity on every complete row: a one-of-K design matrix,
+    each observed class's rows put in ``np.lexsort`` order of their design
+    rows (first column primary) and dealt round-robin after one permutation
+    per class, a ``cart_fit_copies`` tree per fold, ``cart_predict`` for
+    each held-out row, and the score arithmetic of the package."""
+    from proxyaudit.association import counts_significance
+    from proxyaudit.capacity import (
+        TREE_MAX_DEPTH, TREE_MIN_LEAF, CapacityScore, clopper_pearson,
+    )
+    from proxyaudit.data import CATEGORICAL
+    from proxyaudit.errors import InsufficientDataError
+
+    rows = np.nonzero(d.complete_mask(list(proxy_set) + [protected]))[0]
+    if rows.size < 2:
+        raise InsufficientDataError("fewer than 2 complete rows")
+    y = d.codes(protected)[rows]
+    n_classes = len(d.categories(protected))
+    class_counts = np.bincount(y, minlength=n_classes)
+    observed = np.nonzero(class_counts)[0]
+    if observed.size < 2 or class_counts[observed].min() < 2:
+        raise InsufficientDataError("cannot cross-validate")
+    effective = min(folds, int(class_counts[observed].min()))
+    warning = None
+    if effective < folds:
+        warning = f"class counts below {folds} folds; refit with {effective} merged folds"
+
+    blocks = []
+    for name in proxy_set:
+        if d.schema_of(name).kind == CATEGORICAL:
+            codes = d.codes(name)[rows]
+            blocks += [(codes == c).astype(np.float64)
+                       for c in range(len(d.categories(name)))]
+        else:
+            blocks.append(d.values(name)[rows])
+    X = np.column_stack(blocks)
+
+    rng = np.random.default_rng(seed)
+    fold_of = np.empty(rows.size, dtype=np.int64)
+    for c in observed:
+        idx = np.nonzero(y == c)[0]
+        idx = idx[np.lexsort(X[idx].T[::-1])]
+        idx = idx[rng.permutation(idx.size)]
+        fold_of[idx] = np.arange(idx.size) % effective
+    predicted = np.empty(rows.size, dtype=np.int64)
+    for f in range(effective):
+        test = fold_of == f
+        nodes = cart_fit_copies(X[~test], y[~test], n_classes, TREE_MAX_DEPTH, TREE_MIN_LEAF)
+        predicted[test] = cart_predict(nodes, X[test])
+
+    chance = 1.0 / observed.size
+    recalls, los, his = [], [], []
+    for c in observed:
+        n_c = int(np.count_nonzero(y == c))
+        k_c = int(np.count_nonzero(predicted[y == c] == c))
+        recalls.append(k_c / n_c)
+        lo, hi = clopper_pearson(k_c, n_c)
+        los.append(lo)
+        his.append(hi)
+    value = max(0.0, (float(np.mean(recalls)) - chance) / (1.0 - chance))
+    value_lo = max(0.0, (float(np.mean(los)) - chance) / (1.0 - chance))
+    value_hi = max(0.0, (float(np.mean(his)) - chance) / (1.0 - chance))
+
+    confusion = [[0] * n_classes for _ in range(n_classes)]
+    for t, p in zip(y.tolist(), predicted.tolist()):
+        confusion[t][p] += 1
+    return CapacityScore(
+        proxy=tuple(proxy_set),
+        protected_value=protected,
+        measure="predictive",
+        value=value,
+        support=int(rows.size),
+        p_value=float(counts_significance(np.array(confusion, dtype=np.int64))),
+        ci_low=min(value_lo, value),
+        ci_high=max(value_hi, value),
+        warning=warning,
+    )
 
 
 def beam_search_reference(d, config, beam_width, max_depth, min_support, gamma,

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -285,7 +287,10 @@ def test_balanced_accuracy_matches_loop_oracle():
     rng = np.random.default_rng(5)
     y_true = rng.integers(0, 3, 200)
     y_pred = rng.integers(0, 3, 200)
-    ours = balanced_accuracy(y_true, y_pred, 3)
+    confusion = np.zeros((3, 3), dtype=np.int64)
+    for t, q in zip(y_true, y_pred):
+        confusion[t, q] += 1
+    ours = balanced_accuracy(confusion)
     assert ours == pytest.approx(
         oracles.balanced_accuracy(y_true.tolist(), y_pred.tolist()), abs=1e-12
     )
@@ -466,7 +471,8 @@ def test_tree_learns_the_generating_rule():
     d = mixed_dataset()
     X = _design_matrix(d, ("age", "city"), np.arange(d.n_rows))
     y = d.codes("grp")
-    tree = _CartTree(max_depth=3, min_leaf=5).fit(*_value_ranks(X), np.arange(d.n_rows), y, 2)
+    rows = np.arange(d.n_rows)
+    tree = _CartTree(max_depth=3, min_leaf=5).fit(*_value_ranks(X), rows, y, np.ones(d.n_rows), 2)
     assert np.mean(tree.predict(X) == y) > 0.8
 
 
@@ -491,6 +497,27 @@ def node_bits(nodes):
     return out
 
 
+def row_cells(X, y, rows):
+    """The table X with one cell of weight 1 per row in ``rows``."""
+    return (*_value_ranks(X), rows, y[rows], np.ones(rows.shape[0]))
+
+
+def grouped_cells(X, y, rows, n_classes, rng):
+    """The distinct rows of X[rows] as a table, with one weighted cell per
+    (distinct row, class) that holds rows, in a shuffled order."""
+    ids = {}
+    for x in X[rows].tolist():
+        ids.setdefault(tuple(x), len(ids))  # -0.0 and 0.0 share a key
+    table = np.array(list(ids), dtype=np.float64).reshape(len(ids), X.shape[1])
+    counts = np.zeros((len(ids), n_classes), dtype=np.int64)
+    for x, label in zip(X[rows].tolist(), y[rows].tolist()):
+        counts[ids[tuple(x)], label] += 1
+    row, label = np.nonzero(counts)
+    shuffle = rng.permutation(row.shape[0])
+    row, label = row[shuffle], label[shuffle]
+    return (*_value_ranks(table), row, label, counts[row, label].astype(np.float64))
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, TREE_MIN_LEAF))
 def test_tree_on_ranks_equals_copy_based_fit_node_for_node(seed, max_depth, min_leaf):
@@ -502,9 +529,10 @@ def test_tree_on_ranks_equals_copy_based_fit_node_for_node(seed, max_depth, min_
     X[X == 0.0] = rng.choice([-0.0, 0.0], size=int(np.count_nonzero(X == 0.0)))
     y = rng.integers(0, k, size=n)
     rows = np.nonzero(rng.random(n) < 0.8)[0]  # a training fold's rows
-    tree = _CartTree(max_depth, min_leaf).fit(*_value_ranks(X), rows, y, k)
-    want = oracles.cart_fit_copies(X[rows], y[rows], k, max_depth, min_leaf)
-    assert node_bits(tree.nodes) == node_bits(want)
+    want = node_bits(oracles.cart_fit_copies(X[rows], y[rows], k, max_depth, min_leaf))
+    for cells in (row_cells(X, y, rows), grouped_cells(X, y, rows, k, rng)):
+        tree = _CartTree(max_depth, min_leaf).fit(*cells, k)
+        assert node_bits(tree.nodes) == want
 
 
 def test_tree_partitions_by_value_where_a_midpoint_rounds_onto_a_value():
@@ -512,25 +540,106 @@ def test_tree_partitions_by_value_where_a_midpoint_rounds_onto_a_value():
     # sends both values right; a split by rank would send 1.0 left
     X = np.array([[1.0], [np.nextafter(1.0, 2.0)]] * 6)
     y = np.array([0, 1] * 6)
-    tree = _CartTree(2, 1).fit(*_value_ranks(X), np.arange(12), y, 2)
+    tree = _CartTree(2, 1).fit(*row_cells(X, y, np.arange(12)), 2)
     assert tree.nodes[0]["thr"] == 1.0
     assert tree.nodes[1]["counts"].tolist() == [0, 0]
     assert node_bits(tree.nodes) == node_bits(oracles.cart_fit_copies(X, y, 2, 2, 1))
 
 
+def test_empty_leaf_predicts_class_0_without_dividing():
+    # the left leaf of this tree holds no training row (see above), and
+    # class 1 is the majority everywhere else
+    X = np.array([[1.0], [np.nextafter(1.0, 2.0)]] * 6)
+    y = np.array([1, 1] * 5 + [0, 0])
+    tree = _CartTree(2, 1).fit(*row_cells(X, y, np.arange(12)), 2)
+    assert tree.nodes[1]["counts"].tolist() == [0, 0]
+    queries = np.array([[0.5], [1.0], [2.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = tree.predict(queries)
+    assert got.tolist() == [0, 1, 1]
+    assert got.tolist() == oracles.cart_predict(tree.nodes, queries.tolist())
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 4))
-def test_tree_predict_proba_matches_row_walk(seed, max_depth, min_leaf):
+def test_tree_predict_matches_row_walk(seed, max_depth, min_leaf):
     rng = np.random.default_rng(seed)
     n, p, k = int(rng.integers(2, 60)), int(rng.integers(1, 4)), int(rng.integers(2, 4))
     X = rng.integers(0, 5, size=(n, p)).astype(np.float64)  # ties on purpose
     y = rng.integers(0, k, size=n)
-    tree = _CartTree(max_depth, min_leaf).fit(*_value_ranks(X), np.arange(n), y, k)
+    tree = _CartTree(max_depth, min_leaf).fit(*row_cells(X, y, np.arange(n)), k)
     # split thresholds are midpoints of the integer values: query them too
     grid = rng.choice(np.arange(-1.0, 5.5, 0.5), size=(int(rng.integers(0, 40)), p))
     queries = np.vstack([X, grid])
-    want = oracles.cart_predict_proba(tree.nodes, k, queries.tolist())
-    assert tree.predict_proba(queries).tolist() == want
+    assert tree.predict(queries).tolist() == oracles.cart_predict(tree.nodes, queries.tolist())
+
+
+def differential_column(kind, n, rng):
+    """One feature column of ``n`` rows; categoricals come with their
+    category count and use only some of their categories."""
+    if kind == "signed_zero":
+        return rng.choice([-0.0, 0.0, 0.5, -1.0], n), None
+    if kind == "distinct":
+        return rng.permutation(n) * 0.37 - 5.0, None
+    if kind == "integer":
+        return rng.integers(-2, 3, n).astype(np.float64), None
+    n_categories = int(rng.integers(2, 7))
+    used = rng.choice(n_categories, int(rng.integers(1, n_categories + 1)), replace=False)
+    return rng.choice(used, n), n_categories
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(2, 200),
+    kinds=st.lists(st.sampled_from(["signed_zero", "distinct", "integer", "categorical"]),
+                   min_size=1, max_size=3),
+    n_classes=st.integers(2, 3),
+    rare=st.sampled_from([None, 1, 2, 3, 4]),
+    missing=st.sampled_from([0.0, 0.1]),
+    folds=st.integers(2, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_predictive_capacity_equals_row_path_reference(n, kinds, n_classes, rare, missing,
+                                                       folds, seed):
+    rng = np.random.default_rng(seed)
+    schema, columns, names = [], {}, []
+    for i, kind in enumerate(kinds):
+        name = f"f{i}"
+        values, n_categories = differential_column(kind, n, rng)
+        if n_categories is None:
+            values[rng.random(n) < missing] = np.nan
+            schema.append(ColumnSchema(name, NUMERIC))
+        else:
+            values[rng.random(n) < missing] = -1
+            schema.append(ColumnSchema(name, CATEGORICAL,
+                                       tuple(f"c{j}" for j in range(n_categories))))
+        columns[name] = values
+        names.append(name)
+    # the protected column follows the first feature on about half the rows
+    first = np.nan_to_num(columns["f0"]).astype(np.int64) % n_classes
+    protected = np.where(rng.random(n) < 0.5, first, rng.integers(0, n_classes, n))
+    if rare is not None:  # the last class on a few rows: merged folds
+        protected[protected == n_classes - 1] = 0
+        protected[rng.choice(n, min(rare, n), replace=False)] = n_classes - 1
+    protected[rng.random(n) < missing] = -1
+    schema.append(ColumnSchema("p", CATEGORICAL, tuple(f"p{j}" for j in range(n_classes))))
+    columns["p"] = protected
+    d = Dataset(schema, columns)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the fold-merge warning
+        try:
+            want = oracles.predictive_capacity_reference(d, names, "p", folds=folds, seed=seed)
+        except InsufficientDataError:
+            with pytest.raises(InsufficientDataError):
+                predictive_capacity(d, names, "p", folds=folds, seed=seed)
+            return
+        got = predictive_capacity(d, names, "p", folds=folds, seed=seed)
+    fields = ("value", "ci_low", "ci_high", "p_value")
+    assert [float(getattr(got, f)).hex() for f in fields] == \
+        [float(getattr(want, f)).hex() for f in fields]
+    assert (got.support, got.warning) == (want.support, want.warning)
 
 
 def test_predictive_capacity_drops_incomplete_rows(toy_dataset):

@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from test_capacity import mixed_dataset
+from test_capacity import grouped_cells, mixed_dataset, row_cells
 from proxyaudit import kernels
 from proxyaudit.association import contingency
-from proxyaudit.capacity import _value_ranks, predictive_capacity
+from proxyaudit.capacity import predictive_capacity
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -29,10 +29,9 @@ def test_joint_counts_backends_agree(seed):
 
 
 def split_of(X, y, rows, n_classes, min_leaf):
-    """``kernels.best_split`` on the node ``rows`` of X, with X ranked over
-    all of its rows as predictive capacity ranks its complete rows."""
-    ranks, values = _value_ranks(X)
-    return kernels.best_split(ranks, values, rows, y, n_classes, min_leaf)
+    """``kernels.best_split`` on the node ``rows`` of X, one cell of weight 1
+    per row, with X ranked over all of its rows."""
+    return kernels.best_split(*row_cells(X, y, rows), n_classes, min_leaf)
 
 
 def bits(split):
@@ -56,6 +55,9 @@ def test_best_split_backends_and_oracle_agree(seed):
     got = split_of(X, y, np.arange(n), k, min_leaf)
     assert got == oracles.best_split(X, y, k, min_leaf)
     assert bits(got) == bits(oracles.best_split_sorted(X, y, k, min_leaf))
+    # the same node as weighted cells of its distinct rows
+    grouped = kernels.best_split(*grouped_cells(X, y, np.arange(n), k, rng), k, min_leaf)
+    assert bits(grouped) == bits(got)
 
 
 # cell values per column kind: 0/1 indicators, integers, rounded floats, and
@@ -84,8 +86,10 @@ def test_best_split_bit_equal_to_sort_oracle_on_row_subsets(data):
                  dtype=np.int64)
     rows = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1)), label="rows")),
                     dtype=np.intp)
-    got = split_of(X, y, rows, k, min_leaf)
-    assert bits(got) == bits(oracles.best_split_sorted(X[rows], y[rows], k, min_leaf))
+    want = bits(oracles.best_split_sorted(X[rows], y[rows], k, min_leaf))
+    assert bits(split_of(X, y, rows, k, min_leaf)) == want
+    cells = grouped_cells(X, y, rows, k, np.random.default_rng(n))
+    assert bits(kernels.best_split(*cells, k, min_leaf)) == want
 
 
 def test_best_split_no_admissible_split():
