@@ -231,7 +231,10 @@ def _fold_counts(d, features, rows, y, observed, folds, n_classes, seed):
     n_distinct = int(ids[-1]) + 1
     counts = np.bincount((fold_of * n_distinct + ids) * n_classes + y,
                          minlength=folds * n_distinct * n_classes)
-    return counts.reshape(folds, n_distinct, n_classes), rows[order[new]]
+    # int32 halves the table, which has a cell per distinct row when no row
+    # repeats; a cell counts at most ``rows.shape[0]`` rows
+    counts = counts.astype(np.int32).reshape(folds, n_distinct, n_classes)
+    return counts, rows[order[new]]
 
 
 class _CartTree:

@@ -471,8 +471,7 @@ def test_tree_learns_the_generating_rule():
     d = mixed_dataset()
     X = _design_matrix(d, ("age", "city"), np.arange(d.n_rows))
     y = d.codes("grp")
-    rows = np.arange(d.n_rows)
-    tree = _CartTree(max_depth=3, min_leaf=5).fit(*_value_ranks(X), rows, y, np.ones(d.n_rows), 2)
+    tree = _CartTree(max_depth=3, min_leaf=5).fit(*row_cells(X, y, np.arange(d.n_rows)), 2)
     assert np.mean(tree.predict(X) == y) > 0.8
 
 
