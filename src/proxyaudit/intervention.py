@@ -171,6 +171,20 @@ def _with_assignments(row, assignments):
     return out
 
 
+def _score_pair(m, row, cf_row, rule, row_index):
+    """Record of ``row`` scored as observed and as ``cf_row`` in one
+    ``predict_batch`` call. A row error names the dataset row once and says
+    which of the two rows failed."""
+    try:
+        base, cf = m.predict_batch([row, cf_row])
+    except ValidationError as exc:
+        # predict_batch names the failing row by its position: "row 0" or "row 1"
+        position, _, detail = str(exc).partition(": ")
+        which = "observed" if position == "row 0" else "counterfactual"
+        raise ValidationError(f"row {row_index} ({which}): {detail}") from None
+    return _record_from_scores(base, cf, rule, row_index)
+
+
 def _record_from_scores(base, cf, rule, row_index):
     base_out = cf_out = None
     if rule is not None:
@@ -194,12 +208,7 @@ def counterfactual_delta(m, row, assignments, *, rule=None, row_index=-1):
     decision rule the outcome fields are None and ``flipped`` is False.
     """
     _check_feature_assignments(m.feature_order, assignments)
-    cf_row = _with_assignments(row, assignments)
-    try:
-        base, cf = m.predict_batch([row, cf_row])
-    except ValidationError as exc:
-        raise ValidationError(f"row {row_index}: {exc}") from None
-    return _record_from_scores(base, cf, rule, row_index)
+    return _score_pair(m, row, _with_assignments(row, assignments), rule, row_index)
 
 
 def ice_curve(
@@ -413,5 +422,4 @@ def causal_intervention(scm, m, row, assignments, *, seed=0, rule=None, row_inde
         value, col = values[name][0], schema[name]
         cf_row[name] = col.categories[value] if col.kind == CATEGORICAL else float(value)
 
-    base, cf = m.predict_batch([row, cf_row])
-    return _record_from_scores(base, cf, rule, row_index)
+    return _score_pair(m, row, cf_row, rule, row_index)

@@ -3,10 +3,9 @@ the decision rule mapping scores to favourable/unfavourable outcomes.
 
 Every model kind implements one scoring method, ``score_columns``, over one
 array per feature; ``ModelHandle.predict_batch`` turns rows into columns for
-all of them and rejects a missing (``None``) value. Rows that are all lists
-or tuples of one value per feature, none of them ``None`` (a probe's predict
-rows), are transposed whole; any other batch is checked row by row, which
-raises every row error. Builtin kinds — ``linear``, ``logistic`` (one-of-K
+all of them in one checked loop, which raises each row error (a missing
+feature, a wrong row length, a ``None`` value) at the first row that has
+one. Builtin kinds — ``linear``, ``logistic`` (one-of-K
 coefficients named ``column=category``) and ``decision_tree`` (a node table)
 — run on numpy alone, bar the logistic's ``scipy.special.expit``. External
 kinds take rows as newline-delimited JSON over a subprocess's stdin/stdout
@@ -31,14 +30,12 @@ retrying can mask a nondeterministic model.
 
 import json
 import math
-import operator
 import os
 import queue
 import subprocess
 import threading
 from collections import deque
 from dataclasses import dataclass
-from itertools import repeat
 from numbers import Real
 
 import numpy as np
@@ -257,30 +254,6 @@ class ModelSpec:
             fh.write("\n")
 
 
-# row types ``predict_batch`` transposes whole
-_ROW_SEQUENCES = {list, tuple}
-
-
-def _transposed(rows, feature_order):
-    """Feature columns (object arrays) of ``rows`` when every row is a list
-    or tuple of one value per feature and no value is ``None``, else
-    ``None``. ``np.fromiter`` stores each value as one object, so a
-    list-valued cell is never broadcast."""
-    if not (
-        set(map(type, rows)) <= _ROW_SEQUENCES
-        and set(map(len, rows)) == {len(feature_order)}
-    ):
-        return None
-    cells = list(zip(*rows))
-    # by identity, as the checked loop tests: ``==`` on an array cell is elementwise
-    if any(any(map(operator.is_, column, repeat(None))) for column in cells):
-        return None
-    return {
-        f: np.fromiter(column, dtype=object, count=len(rows))
-        for f, column in zip(feature_order, cells)
-    }
-
-
 def _row_values(row, feature_order, index):
     """Feature values of one row, in declared order."""
     if isinstance(row, dict):
@@ -298,7 +271,8 @@ def _row_values(row, feature_order, index):
 
 class ModelHandle:
     """Opaque batch scorer; stateless with respect to calls. Each kind
-    implements ``score_columns``; ``predict_batch`` serves them all."""
+    implements ``score_columns``; ``predict_batch`` serves them all, copying
+    each row's cells into one object column per feature in a checked loop."""
 
     def __init__(self, spec):
         self.spec = spec
@@ -312,14 +286,12 @@ class ModelHandle:
         declared order, as a list of floats. A missing (``None``) value is
         an error for every model kind, raised before any row is scored."""
         order = self.spec.feature_order
-        columns = _transposed(rows, order)
-        if columns is None:  # the checked loop, the one source of row errors
-            columns = {f: np.empty(len(rows), dtype=object) for f in order}
-            for i, row in enumerate(rows):
-                for f, v in zip(order, _row_values(row, order, i)):
-                    if v is None:
-                        raise ValidationError(f"row {i}: missing value for feature {f!r}")
-                    columns[f][i] = v
+        columns = {f: np.empty(len(rows), dtype=object) for f in order}
+        for i, row in enumerate(rows):
+            for f, v in zip(order, _row_values(row, order, i)):
+                if v is None:
+                    raise ValidationError(f"row {i}: missing value for feature {f!r}")
+                columns[f][i] = v
         return self.score_columns(columns, len(rows)).tolist()
 
     def score_columns(self, columns, n_rows):

@@ -24,8 +24,8 @@ import numpy as np
 
 from .data import CATEGORICAL, NUMERIC, ColumnSchema, Dataset
 from .descriptors import Condition, SubgroupDescriptor
-from .errors import GraphError, ParameterError, ValidationError
-from .models import DecisionRule, ModelSpec
+from .errors import GraphError, ParameterError, ParseError, ValidationError
+from .models import JSON_DECODER, DecisionRule, ModelSpec, _is_real
 
 MECHANISM_KINDS = ("cpt", "linear_gaussian", "threshold", "discrete_numeric")
 CONFIG_SEP = "|"
@@ -33,6 +33,13 @@ CONFIG_SEP = "|"
 
 def _config_key(values):
     return CONFIG_SEP.join(values)
+
+
+def _require_finite(name, what, values):
+    """Raise unless every one of ``values`` is a finite number (not a bool)."""
+    for v in values:
+        if not _is_real(v):
+            raise ValidationError(f"node {name!r}: {what} must be finite numbers, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -147,6 +154,7 @@ class CausalGraphSpec:
             self._validate_prob_table(name, mech["table"], declared_parents, len(categories))
         elif kind == "discrete_numeric":
             values = mech.get("values")
+            _require_finite(name, "discrete_numeric values", values or ())
             if not values or sorted(set(values)) != list(values):
                 raise ValidationError(
                     f"node {name!r}: discrete_numeric needs strictly increasing values"
@@ -165,7 +173,10 @@ class CausalGraphSpec:
                 raise ValidationError(
                     f"node {name!r}: weights must cover exactly the parents"
                 )
-            if mech.get("noise_sd", 0.0) < 0:
+            _require_finite(name, "weights", weights.values())
+            noise_sd = mech.get("noise_sd", 0.0)
+            _require_finite(name, "intercept and noise_sd", (mech.get("intercept", 0.0), noise_sd))
+            if noise_sd < 0:
                 raise ValidationError(f"node {name!r}: noise_sd must be non-negative")
         else:  # threshold
             source = mech.get("source")
@@ -183,6 +194,7 @@ class CausalGraphSpec:
                 raise ValidationError(
                     f"node {name!r}: cutoffs must cover every category of {by!r}"
                 )
+            _require_finite(name, "cutoffs", cutoffs.values())
 
     def _validate_prob_table(self, name, table, parents, width):
         expected = set(self._parent_configs(parents))
@@ -194,6 +206,7 @@ class CausalGraphSpec:
         for key, probs in table.items():
             if len(probs) != width:
                 raise ValidationError(f"node {name!r}: row {key!r} has wrong width")
+            _require_finite(name, f"row {key!r} probabilities", probs)
             if any(p < 0 for p in probs):
                 raise ValidationError(f"node {name!r}: row {key!r} has negative mass")
             if abs(sum(probs) - 1.0) > 1e-9:
@@ -220,8 +233,12 @@ class CausalGraphSpec:
 
     @staticmethod
     def load(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            return CausalGraphSpec.from_json(json.load(fh))
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                obj = JSON_DECODER.decode(fh.read())
+        except ParseError as exc:
+            raise ValidationError(f"causal graph: {exc}") from None
+        return CausalGraphSpec.from_json(obj)
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:

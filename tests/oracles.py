@@ -14,8 +14,9 @@ onto value ranks and row-index nodes (one argsort per column per node, and a
 copy of the node's rows at every split), and ``load_csv_reference``, the
 package's row-by-row CSV loader before columnar decode (it builds the
 package's ``Dataset`` and ``LoadReport``), and ``predict_batch_reference``,
-the package's row-to-column loop before list rows were transposed whole (it
-scores through the model handle's ``score_columns``), and
+the package's checked row-to-column loop, kept apart from the package so that
+any faster row path must match its scores and its first error (it scores
+through the model handle's ``score_columns``), and
 ``probe_score_columns_reference``, an external probe's ``score_columns``
 before duplicate rows were collapsed (it sends every row through the
 handle's ``_score_batches``), and ``predictive_capacity_reference``, the

@@ -153,6 +153,20 @@ def test_assignment_outside_model_features_rejected():
         counterfactual_delta(m, {"x": 1.0}, [Assignment("ghost", 1.0)])
 
 
+@pytest.mark.parametrize(
+    "row, value, message",
+    [
+        ({"x": None}, 1.0, "row 7 (observed): missing value for feature 'x'"),
+        ({"x": 1.0}, None, "row 7 (counterfactual): missing value for feature 'x'"),
+    ],
+)
+def test_row_error_names_the_dataset_row_once(row, value, message):
+    m = linear_handle({"x": 1.0})
+    with pytest.raises(ValidationError) as exc:
+        counterfactual_delta(m, row, [Assignment("x", value)], row_index=7)
+    assert str(exc.value) == message
+
+
 def test_bool_is_not_a_number_for_a_numeric_feature():
     # scoring and flip analysis share one test: a bool is no real
     m = linear_handle({"x": 2.0})
@@ -487,6 +501,30 @@ def test_sink_node_intervention_equals_counterfactual_delta():
     assert causal.baseline_score == direct.baseline_score
     assert causal.counterfactual_score == direct.counterfactual_score
     assert causal.delta == direct.delta
+
+
+@pytest.mark.parametrize(
+    "age, which",
+    [(62.0, "observed"), (55.0, "counterfactual")],
+)
+def test_causal_row_error_names_the_dataset_row_once(age, which):
+    # the tree reads the categorical "sex" as a number past age 60, so only a
+    # row that reaches that split fails
+    m = BuiltinModelHandle(ModelSpec(
+        "decision_tree",
+        {"root": 0, "nodes": [
+            {"id": 0, "kind": "split", "column": "age", "threshold": 60.0, "left": 1, "right": 2},
+            {"id": 1, "kind": "leaf", "value": 0.0},
+            {"id": 2, "kind": "split", "column": "sex", "threshold": 0.5, "left": 3, "right": 4},
+            {"id": 3, "kind": "leaf", "value": 0.0},
+            {"id": 4, "kind": "leaf", "value": 1.0},
+        ]},
+        ("age", "sex"),
+    ))
+    row = {"sex": "male", "age": age, "reached_statutory_retirement": "false"}
+    with pytest.raises(ValidationError) as exc:
+        causal_intervention(preset("james").graph, m, row, [Assignment("age", 70.0)], row_index=4)
+    assert str(exc.value) == f"row 4 ({which}): feature 'sex' needs a numeric value, got 'male'"
 
 
 def test_unread_node_without_read_descendants_gives_zero_delta():

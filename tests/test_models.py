@@ -375,7 +375,7 @@ def test_columnar_scores_equal_row_reference(case):
     assert bits(m.score_columns(columns, len(rows))) == bits(want)
 
 
-# --- row batches: whole-batch transpose vs the checked loop ----------------------
+# --- row batches: predict_batch vs the checked-loop reference --------------------
 
 # each spec reads its features in the order given: numeric "x", categorical "c"
 ROW_SPECS = (
@@ -881,6 +881,7 @@ def http_probe():
         yield f"http://127.0.0.1:{server.server_address[1]}"
     finally:
         server.shutdown()
+        server.server_close()
         _ProbeHTTPHandler.fail_with = None
 
 

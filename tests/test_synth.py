@@ -343,6 +343,56 @@ def test_discrete_numeric_values_must_be_strictly_increasing():
         )
 
 
+def _set(mechanism, path, value):
+    """Put ``value`` at ``path`` (keys, then an index or key) in a mechanism."""
+    *keys, last = path
+    for key in keys:
+        mechanism = mechanism[key]
+    mechanism[last] = value
+
+
+@pytest.mark.parametrize(
+    "preset_name, node, path, value, what",
+    [
+        ("james", "sex", ("table", "", 0), math.nan, "probabilities"),
+        ("james", "reached_statutory_retirement", ("cutoffs", "male"), math.nan, "cutoffs"),
+        ("james", "age", ("values", -1), math.inf, "discrete_numeric values"),
+        ("independence", "c2", ("intercept",), math.nan, "intercept"),
+        ("independence", "c2", ("noise_sd",), math.inf, "noise_sd"),
+        ("james", "reached_statutory_retirement", ("cutoffs", "male"), "65", "cutoffs"),
+    ],
+    ids=["nan-cpt-row", "nan-cutoff", "inf-value", "nan-intercept", "inf-noise-sd", "str-cutoff"],
+)
+def test_graph_parameters_must_be_finite_numbers(preset_name, node, path, value, what):
+    obj = preset(preset_name).graph.to_json()  # a fresh graph per call
+    _set(obj["mechanisms"][node], path, value)
+    with pytest.raises(ValidationError, match=f"node '{node}': .*{what}.* finite numbers"):
+        CausalGraphSpec.from_json(obj)
+
+
+def test_linear_gaussian_weights_must_be_finite_numbers():
+    with pytest.raises(ValidationError, match="node 'y': weights must be finite numbers, got nan"):
+        CausalGraphSpec(
+            nodes=(("x", NUMERIC), ("y", NUMERIC)),
+            edges=(("x", "y"),),
+            mechanisms={
+                "x": {"kind": "linear_gaussian", "parents": [], "weights": {},
+                      "intercept": 0.0, "noise_sd": 1.0},
+                "y": {"kind": "linear_gaussian", "parents": ["x"],
+                      "weights": {"x": math.nan}, "intercept": 0.0, "noise_sd": 1.0},
+            },
+        )
+
+
+def test_graph_file_rejects_json_constants(tmp_path):
+    path = tmp_path / "graph.json"
+    preset("james").graph.save(path)
+    text = path.read_text(encoding="utf-8").replace("60.0", "NaN", 1)
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValidationError, match="causal graph: NaN is not a JSON number"):
+        CausalGraphSpec.load(path)
+
+
 # --- serialization ------------------------------------------------------------
 
 
