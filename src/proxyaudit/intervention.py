@@ -34,7 +34,6 @@ from .errors import (
     ValidationError,
 )
 from .models import _is_real, decide
-from .synth import node_values
 
 TOWARD_UNFAVOURABLE = "toward_unfavourable"
 TOWARD_FAVOURABLE = "toward_favourable"
@@ -389,6 +388,8 @@ def causal_intervention(scm, m, row, assignments, *, seed=0, rule=None, row_inde
     tables are re-drawn from a generator seeded with ``seed``. An
     intervention on a sink node reduces to :func:`counterfactual_delta`.
     """
+    from .synth import node_values  # only causal interventions need the sampler
+
     node_names = set(scm.node_names)
     missing_features = [f for f in m.feature_order if f not in node_names]
     if missing_features:

@@ -1,6 +1,7 @@
 """End-to-end command-line tests: synth artifacts, the audit subcommands,
 exit-code contract, and report determinism."""
 
+import gc
 import inspect
 import json
 import os
@@ -8,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -25,6 +27,7 @@ from proxyaudit.models import BuiltinModelHandle, DecisionRule, ModelSpec, decid
 from csv_cases import csv_files
 
 EPOCH = {"SOURCE_DATE_EPOCH": "1700000000"}
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture()
@@ -294,10 +297,13 @@ def james_use_inputs(tmp_path_factory):
 @settings(max_examples=25, deadline=None)
 def test_degenerate_data_fails_soft(james_use_inputs, data):
     # tiny n; constant, single-category and all-missing columns; nan and inf
-    # cells; random missingness: the audit runs (0) or rejects the input (2)
+    # cells; random missingness: the audit runs (0) or rejects the input (2).
+    # The one warning such data may raise is discovery finding nothing.
     schema, config = james_use_inputs
+    min_support = json.loads(config.read_text())["discovery"]["min_support"]
     text, _, _ = data.draw(csv_files(schema, header=True, max_rows=30, malformed=False))
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         csv_path, out = Path(tmp) / "data.csv", Path(tmp) / "audit"
         csv_path.write_text(text, encoding="utf-8", newline="")
         result = CliRunner().invoke(
@@ -306,6 +312,9 @@ def test_degenerate_data_fails_soft(james_use_inputs, data):
         assert result.exit_code in (0, 2), result.output
         if result.exit_code == 0:
             report.validate_report(read_report(out))
+    assert [(w.category, str(w.message)) for w in caught] == [
+        (UserWarning, f"no descriptor reached min_support={min_support}; nothing to report")
+    ] * len(caught)
 
 
 def test_full_skips_flip_analysis_without_complete_rows(runner, tmp_path):
@@ -1141,7 +1150,7 @@ def test_full_skips_discovery_below_two_rows(runner, tmp_path, header_only):
 
 
 def test_readme_config_block_documents_every_key():
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text()
     block = readme.split("### Config format\n\n```jsonc\n", 1)[1].split("```", 1)[0]
     config = json.loads(re.sub(r"//.*", "", block))
     assert set(config) == set(cli.TOP_LEVEL_KEYS) - {"schema"}
@@ -1210,17 +1219,92 @@ def test_version_option(runner):
     assert "proxyaudit" in result.output
 
 
+# --- process entry -----------------------------------------------------------------
+
+
+def run_module(*args, code=None):
+    """``python -m proxyaudit.cli ARGS`` (or ``python -c CODE``) in a fresh
+    interpreter that imports the package from this checkout."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **EPOCH)
+    argv = ["-c", code] if code is not None else ["-m", "proxyaudit.cli", *args]
+    return subprocess.run(
+        [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+@pytest.fixture(scope="module")
+def james_2000(tmp_path_factory):
+    out = tmp_path_factory.mktemp("entry") / "james"
+    result = CliRunner().invoke(
+        main, ["synth", "--preset", "james", "--rows", "2000", "--out", str(out)]
+    )
+    assert result.exit_code == 0, result.output
+    return out
+
+
+def test_module_entry_writes_the_in_process_report(runner, james_2000, tmp_path):
+    inputs = ["--config", str(james_2000 / "config.json"), "--data", str(james_2000 / "data.csv")]
+    proc = run_module("full", *inputs, "--out", str(tmp_path / "module"))
+    assert proc.returncode == 0, proc.stderr
+    # calling the click group in process leaves the collector as it was
+    frozen = gc.get_freeze_count()
+    result = runner.invoke(main, ["full", *inputs, "--out", str(tmp_path / "runner")], env=EPOCH)
+    assert result.exit_code == 0, result.output
+    assert gc.get_freeze_count() == frozen
+    assert (tmp_path / "module" / "report.json").read_bytes() == (
+        tmp_path / "runner" / "report.json"
+    ).read_bytes()
+
+
+def test_module_entry_keeps_the_exit_codes(james_2000, tmp_path):
+    config = json.loads((james_2000 / "config.json").read_text())
+    del config["decision_rule"]
+    norule = james_2000 / "config_entry_norule.json"
+    norule.write_text(json.dumps(config))
+    data = ["--data", str(james_2000 / "data.csv")]
+    proc = run_module("full", "--config", str(norule), *data, "--out", str(tmp_path / "a"))
+    assert proc.returncode == 2, proc.stderr
+    assert "needs a decision_rule" in proc.stderr
+    proc = run_module(
+        "full", "--config", str(james_2000 / "config.json"), *data,
+        "--out", str(tmp_path / "b"), "--fail-on-red-flag",
+    )
+    assert proc.returncode == 4, proc.stderr
+
+
+def test_console_script_enters_through_run():
+    pyproject = (ROOT / "pyproject.toml").read_text().splitlines()
+    assert 'proxyaudit = "proxyaudit.cli:run"' in pyproject
+
+
+def test_run_freezes_the_imported_objects():
+    code = (
+        "import gc, sys\n"
+        "from proxyaudit import cli\n"
+        "before = gc.get_freeze_count()\n"
+        "sys.argv = ['proxyaudit', '--version']\n"
+        "try:\n"
+        "    cli.run()\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "print(before, gc.get_freeze_count())\n"
+    )
+    proc = run_module(code=code)
+    assert proc.returncode == 0, proc.stderr
+    before, after = map(int, proc.stdout.split()[-2:])
+    assert before == 0 and after > 0
+
+
 # --- benchmark hooks ---------------------------------------------------------------
 
 
 def test_benchmark_tracer_sees_every_layer_hook(james_dir, tmp_path):
     """The benchmark's traced run wraps layer functions by name; a refactor
     that moves one of them must not silently empty its metrics."""
-    root = Path(__file__).resolve().parents[1]
     spans_path = tmp_path / "spans.json"
-    env = dict(os.environ, PYTHONPATH=str(root / "src"), **EPOCH)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **EPOCH)
     proc = subprocess.run(
-        [sys.executable, str(root / "auditbench" / "tracer.py"), str(spans_path),
+        [sys.executable, str(ROOT / "auditbench" / "tracer.py"), str(spans_path),
          "full", "--config", str(james_dir / "config.json"),
          "--data", str(james_dir / "data.csv"), "--out", str(tmp_path / "out")],
         env=env, capture_output=True, text=True, timeout=120,

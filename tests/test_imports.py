@@ -1,6 +1,6 @@
 """Imports stay lean: every module-level import under src/ and tests/ is used
-in its file, a run loads only the scipy modules it calls, and only an HTTP
-probe loads urllib's client."""
+in its file, a run loads only the scipy modules it calls, an audit loads no
+scenario sampler, and only an HTTP probe loads urllib's client."""
 
 import ast
 import json
@@ -74,6 +74,13 @@ def test_cli_import_leaves_scipy_stats_out():
     loaded = loaded_after("import proxyaudit.cli")
     assert "scipy.special" in loaded
     assert [m for m in loaded if m.startswith("scipy.stats")] == []
+
+
+def test_cli_import_leaves_synth_out():
+    # only the synth command and causal interventions import the sampler
+    loaded = loaded_after("import proxyaudit.cli", package="proxyaudit")
+    assert "proxyaudit.report" in loaded
+    assert "proxyaudit.synth" not in loaded
 
 
 def test_models_and_probe_reference_load_no_scipy():
