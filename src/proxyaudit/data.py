@@ -6,19 +6,30 @@ missing). Arrays are marked read-only; every transformation returns a new
 Dataset. Rows with missing values are dropped per computation (pairwise
 deletion) by the measurement modules, never globally at load.
 
-``load_csv`` decodes column by column. It reads the file in line-aligned
-chunks; a plain chunk (no quote, NUL or bare ``\\r``, and ``width - 1`` commas
-on every line, checked on its bytes with numpy) is tokenized with
-``str.split``, any other chunk by ``csv.reader``, which takes over the rest of
-the file from the first chunk holding a quote. Both tokenizers hand one list
-of raw cells per column to the same decoder. Bytes that are not UTF-8 and
-``csv.Error`` are ``ParseError`` (exit 2 on the command line).
+``load_csv`` decodes column by column. It reads the file in chunks that end
+at a line break (``\\n``, ``\\r\\n`` or a bare ``\\r``), never seeking, so a
+pipe loads as a file does. A plain chunk (no quote, NUL or bare ``\\r``, and
+``width - 1`` commas on every line, checked on its bytes with numpy) is
+tokenized with ``str.split``, any other chunk by ``csv.reader``, which takes
+over the rest of the file from the first chunk holding a quote. Both
+tokenizers hand one list of raw cells per column to the same decoder. Bytes
+that are not UTF-8 and ``csv.Error`` are ``ParseError`` (exit 2 on the command
+line).
+
+The decoder writes each batch's values into one array per column. The first
+batch sizes them: the file's size times the rows per byte read so far, with
+1/16 to spare. A file that holds more rows makes them grow, estimated the
+same way, or by half where its size says nothing (a pipe reports 0). Once
+the file is read they are trimmed in place to the rows loaded, and the
+``Dataset`` keeps them without a copy; so a load holds each column about
+once, plus one chunk's cells.
 """
 
 import csv
 import io
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import itemgetter
@@ -31,6 +42,7 @@ from .models import JSON_DECODER
 
 CATEGORICAL = "categorical"
 NUMERIC = "numeric"
+_DTYPES = {CATEGORICAL: np.int64, NUMERIC: np.float64}
 
 
 @dataclass(frozen=True)
@@ -78,10 +90,31 @@ class LoadReport:
 
 
 class Dataset:
-    """Immutable typed table; the universe every audit measure operates on."""
+    """Immutable typed table; the universe every audit measure operates on.
+
+    ``Dataset(schema, columns)`` copies every array it is given, so no array
+    or view its caller keeps can change the table later. A read-only array
+    is copied too: a writable view of it may still be alive. The arrays a
+    table keeps are read-only and reachable through no writable view. So
+    ``load_csv``, ``select`` and ``with_column`` hand the arrays they have
+    just made, and the columns of the table they start from, to ``_of``,
+    which keeps them as they are; ``with_column`` still copies the one new
+    array its caller passes.
+    """
 
     def __init__(self, schema, columns, load_report=None):
-        self._schema = tuple(schema)
+        self._take(tuple(schema), columns, load_report, copy=True)
+
+    @classmethod
+    def _of(cls, schema, columns, load_report=None):
+        """A Dataset on arrays of the right dtype that no caller can write;
+        it keeps them without copying."""
+        d = cls.__new__(cls)
+        d._take(schema, columns, load_report, copy=False)
+        return d
+
+    def _take(self, schema, columns, load_report, copy):
+        self._schema = schema
         names = [c.name for c in self._schema]
         if len(set(names)) != len(names):
             raise ValidationError("duplicate column names in schema")
@@ -91,13 +124,10 @@ class Dataset:
         for col in self._schema:
             if col.name not in columns:
                 raise ValidationError(f"no data for column {col.name!r}")
-            arr = np.asarray(columns[col.name])
+            arr = np.asarray(columns[col.name]).astype(_DTYPES[col.kind], copy=copy)
             if col.kind == CATEGORICAL:
-                arr = arr.astype(np.int64, copy=True)
                 if arr.size and (arr.max(initial=-1) >= len(col.categories) or arr.min(initial=0) < -1):
                     raise ValidationError(f"column {col.name!r}: code out of range")
-            else:
-                arr = arr.astype(np.float64, copy=True)
             if n_rows is None:
                 n_rows = arr.shape[0]
             elif arr.shape[0] != n_rows:
@@ -191,15 +221,15 @@ class Dataset:
         if rows.dtype == bool and rows.shape[0] != self._n_rows:
             raise ValidationError("selection mask length mismatch")
         cols = {name: arr[rows] for name, arr in self._columns.items()}
-        return Dataset(self._schema, cols)
+        return Dataset._of(self._schema, cols)
 
     def with_column(self, schema, array):
         """New Dataset with one column appended."""
         if schema.name in self._by_name:
             raise ValidationError(f"column {schema.name!r} already exists")
         cols = dict(self._columns)
-        cols[schema.name] = array
-        return Dataset(self._schema + (schema,), cols)
+        cols[schema.name] = np.asarray(array).astype(_DTYPES[schema.kind])
+        return Dataset._of(self._schema + (schema,), cols)
 
     def equals(self, other):
         """Cell-exact equality (schema and data)."""
@@ -274,9 +304,9 @@ def read_schema_json(path):
 
 
 # Bytes read from the CSV at a time; each chunk is extended to the end of its line.
-_CHUNK_BYTES = 1 << 18
+_CHUNK_BYTES = 1 << 16
 # Rows that csv.reader hands to the decoder at a time.
-_READER_ROWS = 1 << 13
+_READER_ROWS = 1 << 11
 
 
 def load_csv(path, schema, *, header=True):
@@ -293,30 +323,29 @@ def load_csv(path, schema, *, header=True):
     to name exactly the schema's columns (any order); ``header=False`` takes
     cells in schema order.
 
-    The file is read in line-aligned chunks of about 256 KiB. A plain chunk
+    The file is read in chunks of about 64 KiB, each ending at a line
+    break of either kind (``\\n`` or a bare ``\\r``). A plain chunk
     (no quote, no NUL, no ``\\r`` outside ``\\r\\n``, no line longer than the
     field limit, and the same number of commas on every line) is tokenized
     with ``str.split``; any other chunk goes through ``csv.reader``, and from
     the first chunk holding a quote ``csv.reader`` reads the rest of the file,
     since a quoted field may span chunks. Both feed one column decoder.
     """
-    table = _ColumnDecoder(tuple(schema), header)
     try:
         with open(path, "rb") as fh:
-            chunks = _chunks(fh)
+            table = _ColumnDecoder(tuple(schema), header, os.fstat(fh.fileno()).st_size)
+            chunks = _chunks(fh, table)
             for raw, text in chunks:
                 if b'"' in raw:
                     lines = chain.from_iterable(
                         io.StringIO(t, newline="") for _, t in chain([(raw, text)], chunks)
                     )
-                    for rows in _reader_batches(lines):
-                        table.add_rows(rows)
+                    table.add_reader(lines)
                     break
                 if _is_plain(raw, table.width):
                     table.add_plain(text)
                 else:
-                    for rows in _reader_batches(io.StringIO(text, newline="")):
-                        table.add_rows(rows)
+                    table.add_reader(io.StringIO(text, newline=""))
     except UnicodeDecodeError as exc:
         raise ParseError(
             f"data row {table.n_rows} is not valid UTF-8: {exc.reason}", row_index=table.n_rows
@@ -326,8 +355,9 @@ def load_csv(path, schema, *, header=True):
     return table.dataset()
 
 
-def _chunks(fh):
-    """Line-aligned ``(bytes, text)`` chunks of a binary file.
+def _chunks(fh, table):
+    """Line-aligned ``(bytes, text)`` chunks of a binary file, counted in
+    ``table.bytes_read``.
 
     Where the bytes are not UTF-8, the whole lines before the bad byte come
     out as a chunk of their own, and then the ``UnicodeDecodeError`` is raised.
@@ -336,8 +366,8 @@ def _chunks(fh):
         raw = fh.read(_CHUNK_BYTES)
         if not raw:
             return
-        if not raw.endswith(b"\n"):
-            raw += fh.readline()
+        raw += _rest_of_line(fh, raw[-1:])
+        table.bytes_read += len(raw)
         try:
             text = raw.decode("utf-8")
         except UnicodeDecodeError as exc:
@@ -346,6 +376,25 @@ def _chunks(fh):
                 yield raw[:cut], raw[:cut].decode("utf-8")
             raise
         yield raw, text
+
+
+def _rest_of_line(fh, last):
+    """The bytes of ``fh`` up to its next line break, ``\\n`` or bare ``\\r``,
+    where ``last`` is the byte read before them; a ``\\r\\n`` is kept whole.
+
+    It looks ahead with ``peek`` and never seeks, so a pipe reads as a file.
+    """
+    tail = []
+    while last not in (b"\n", b"\r"):
+        ahead = fh.peek()
+        if not ahead:
+            break
+        ends = [i for i in (ahead.find(b"\n"), ahead.find(b"\r")) if i >= 0]
+        tail.append(fh.read(min(ends) + 1 if ends else len(ahead)))
+        last = tail[-1][-1:]
+    if last == b"\r" and fh.peek()[:1] == b"\n":
+        tail.append(fh.read(1))
+    return b"".join(tail)
 
 
 def _is_plain(raw, width):
@@ -396,17 +445,22 @@ class _ColumnDecoder:
     is decoded in one pass: a categorical column looks every distinct raw
     string up once, a numeric column maps ``float`` over its cells and falls
     back to cell-by-cell handling only when that raises or when its missing
-    token parses as a number.
+    token parses as a number. The decoded values go straight into one array
+    per column, sized for the rows the file is expected to hold (``_reserve``)
+    and trimmed to the rows it held.
     """
 
-    def __init__(self, schema, header):
+    def __init__(self, schema, header, size):
         self.schema = schema
         self.width = len(schema)
         self.header_pending = header
         self.order = list(range(self.width))  # file column of each schema column
         self.n_rows = 0
         self.report = LoadReport(missing_by_column={c.name: 0 for c in schema})
-        self.parts = [[] for _ in schema]
+        self.columns = [np.empty(0, _DTYPES[c.kind]) for c in schema]
+        self.capacity = 0  # rows each column has room for
+        self.size = size  # bytes in the file; 0 where unknown, as for a pipe
+        self.bytes_read = 0
         self.lookups = [{} for _ in schema]  # categorical: raw cell -> code
 
     def add_plain(self, text):
@@ -420,6 +474,12 @@ class _ColumnDecoder:
             self._read_header(flat[: self.width])
             del flat[: self.width]
         self._decode([flat[j :: self.width] for j in self.order], len(flat) // self.width)
+
+    def add_reader(self, lines):
+        """Cells of the rows ``csv.reader`` reads from ``lines``."""
+        for rows in _reader_batches(lines):
+            self.add_rows(rows)
+            del rows  # so one batch, not two, is held while the next is read
 
     def add_rows(self, rows):
         """Cells of rows from ``csv.reader``."""
@@ -441,7 +501,28 @@ class _ColumnDecoder:
         self.order = [cells.index(n) for n in names]
         self.header_pending = False
 
+    def _reserve(self, n):
+        """Room in every column for ``n`` rows more.
+
+        The columns grow to the rows the whole file holds at the rows per
+        byte read so far, with 1/16 to spare, so by at least 1/16. Where the
+        size tells nothing (a pipe reports 0, and a file may have grown),
+        they grow by half.
+        """
+        need = self.n_rows + n
+        if need <= self.capacity:
+            return
+        if self.bytes_read <= self.size:
+            self.capacity = math.ceil(need * self.size / self.bytes_read * 17 / 16)
+        else:
+            self.capacity = max(need, self.capacity * 3 // 2)
+        for arr in self.columns:
+            # each column is this decoder's alone, with no view of it alive
+            arr.resize(self.capacity, refcheck=False)
+
     def _decode(self, columns, n):
+        self._reserve(n)
+        start = self.n_rows
         keys = []  # row * width + schema column of each unknown cell
         for k, (col, cells) in enumerate(zip(self.schema, columns)):
             if col.kind == CATEGORICAL:
@@ -460,7 +541,7 @@ class _ColumnDecoder:
                 unknown[blank] = False
             self.report.missing_by_column[col.name] += int(np.count_nonzero(missing))
             keys.append(np.flatnonzero(unknown) * self.width + k)
-            self.parts[k].append(values)
+            self.columns[k][start : start + n] = values
         keys = np.sort(np.concatenate(keys)) if keys else np.empty(0, np.int64)
         report = self.report
         report.n_unknown += len(keys)
@@ -473,11 +554,10 @@ class _ColumnDecoder:
 
     def dataset(self):
         self.report.n_rows = self.n_rows
-        columns = {
-            col.name: np.concatenate(parts) if parts else []
-            for col, parts in zip(self.schema, self.parts)
-        }
-        return Dataset(self.schema, columns, load_report=self.report)
+        for arr in self.columns:
+            arr.resize(self.n_rows, refcheck=False)
+        columns = {col.name: arr for col, arr in zip(self.schema, self.columns)}
+        return Dataset._of(self.schema, columns, load_report=self.report)
 
 
 def _parses_as_float(token):

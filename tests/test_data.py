@@ -1,6 +1,10 @@
 import csv
+import io
 import math
+import os
 import tempfile
+import threading
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -105,6 +109,26 @@ class TestLoadCsv:
         assert d.is_missing("x").tolist() == [False, True, True, True, True]
         assert d.load_report.missing_by_column == {"x": 4}
         assert d.load_report.unknown_values == [(1, "x", "nan"), (2, "x", "inf"), (3, "x", "-inf")]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_named_pipe_loads_like_the_file(self, tmp_path):
+        # a pipe has no size and cannot seek; plain chunks, then csv.reader
+        lines = ["size,color"] + [f"{i % 9}.25,{('red', 'blue', '?')[i % 3]}" for i in range(3_000)]
+        lines[2_000] = '"7",green'
+        body = "\r\n".join(lines).encode()
+        p = tmp_path / "data.csv"
+        p.write_bytes(body)
+        fifo = tmp_path / "data.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(body,), daemon=True)
+        writer.start()
+        with mock.patch.object(data, "_CHUNK_BYTES", 1_000):
+            d = load_csv(fifo, SCHEMA)
+            writer.join(timeout=30)
+            assert not writer.is_alive()
+            want = load_csv(p, SCHEMA)
+        assert d.n_rows == 3_000 and d.equals(want)
+        assert vars(d.load_report) == vars(want.load_report)
 
     def test_round_trip_is_cell_exact(self, tmp_path):
         p = write(tmp_path, "color,size\nred,1\n?,2.25\nblue,?\n")
@@ -224,6 +248,31 @@ class TestColumnarLoadMatchesReference:
         with pytest.raises(ParseError, match="invalid start byte"):
             load_csv_reference(p, SCHEMA)
 
+    def test_chunks_end_at_either_line_break(self):
+        # a bare CR ends a chunk as LF does, and a CRLF is never split
+        rows = [f"red,{i}" for i in range(200)]
+        body = ("color,size\r\n" + "\r\n".join(rows[:100]) + "\r" + "\r".join(rows[100:])).encode()
+        for chunk_bytes in range(1, 14):
+            with mock.patch.object(data, "_CHUNK_BYTES", chunk_bytes):
+                table = data._ColumnDecoder(tuple(SCHEMA), True, len(body))
+                chunks = [raw for raw, _ in data._chunks(io.BufferedReader(io.BytesIO(body)), table)]
+            assert b"".join(chunks) == body and table.bytes_read == len(body)
+            assert all(raw.endswith((b"\r\n", b"\r")) for raw in chunks[:-1])
+            assert not any(raw.startswith(b"\n") for raw in chunks)
+
+    def test_bare_cr_file_is_read_in_many_chunks(self, tmp_path):
+        lines = ["color,size"] + [f"{('red', 'green')[i % 2]},{i}" for i in range(5_000)]
+        crlf = write(tmp_path, "\r\n".join(lines) + "\r\n", name="crlf.csv")
+        cr = write(tmp_path, "\r".join(lines) + "\r", name="cr.csv")
+        with mock.patch.object(data, "_CHUNK_BYTES", 4_096):
+            with open(cr, "rb") as fh:
+                table = data._ColumnDecoder(tuple(SCHEMA), True, cr.stat().st_size)
+                sizes = [len(raw) for raw, _ in data._chunks(fh, table)]
+            assert len(sizes) > 1 and max(sizes) < 4_096 + 20
+            d = load_csv(cr, SCHEMA)
+            assert d.equals(load_csv(crlf, SCHEMA))
+        assert d.n_rows == 5_000
+
     def test_field_over_the_limit_is_a_parse_error(self, tmp_path):
         p = write(tmp_path, f'color,size\nred,1\n"{"x" * 140_000}",2\n')
         with pytest.raises(ParseError, match=r"data row 1: field larger than field limit") as exc:
@@ -246,6 +295,22 @@ class TestDataset:
         with pytest.raises(ValidationError):
             Dataset(SCHEMA, {"color": np.array([0]), "size": np.array([1.0, 2.0])})
 
+    def test_caller_arrays_are_copied(self):
+        # a writable array, and a read-only one whose writable view stays alive
+        codes = np.array([0, 1, 2])
+        sizes = np.zeros(3)
+        view = sizes[:]
+        sizes.setflags(write=False)
+        colors = Dataset([SCHEMA[0]], {"color": codes})
+        d = Dataset([SCHEMA[1]], {"size": sizes})
+        codes[0] = 2
+        view[0] = 5.0
+        assert colors.codes("color").tolist() == [0, 1, 2]
+        assert d.values("size").tolist() == [0.0, 0.0, 0.0]
+        grown = d.with_column(ColumnSchema("n", NUMERIC), view)
+        view[1] = 5.0
+        assert grown.values("n").tolist() == [5.0, 0.0, 0.0]
+
     def test_value_counts_ignores_missing(self, toy_dataset):
         assert toy_dataset.value_counts("sex") == {"female": 2, "male": 3}
 
@@ -256,6 +321,83 @@ class TestDataset:
     def test_complete_mask(self, toy_dataset):
         mask = toy_dataset.complete_mask(["sex", "years_since_graduation"])
         assert mask.tolist() == [True, True, True, True, False, True]
+
+
+def wide_lines(rows, seed=0):
+    """Schema and CSV lines of a 21-column table like the wide benchmark
+    input: 13 categorical and 8 numeric columns, about 2% of the cells of
+    four of them ``?``."""
+    rng = np.random.default_rng(seed)
+    schema, cells = [], []
+    for j in range(13):
+        cats = tuple(f"c{j}v{i}" for i in range(2 + j % 5))
+        schema.append(ColumnSchema(f"cat{j}", CATEGORICAL, cats))
+        cells.append(np.array(cats, dtype=object)[rng.integers(0, len(cats), rows)])
+    for j in range(8):
+        schema.append(ColumnSchema(f"num{j}", NUMERIC))
+        cells.append(np.round(rng.normal(0.0, 10.0 ** (j % 5), rows), j % 3).astype(str).astype(object))
+    for j in (1, 9, 14, 15):
+        cells[j][rng.random(rows) < 0.02] = "?"
+    header = ",".join(c.name for c in schema)
+    return schema, [header] + [",".join(row) for row in zip(*cells)]
+
+
+class TestLoadMemory:
+    """``load_csv`` holds each column once, plus about one chunk of cells."""
+
+    ROWS = 50_000
+
+    def traced_load(self, path, schema):
+        """The Dataset, and the most memory its load held at once."""
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        try:
+            d = load_csv(path, schema)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        return d, peak
+
+    def assert_lean(self, path, schema):
+        d, peak = self.traced_load(path, schema)
+        columns = [d.column_array(c.name) for c in schema]
+        assert d.n_rows == self.ROWS
+        for arr in columns:
+            assert not arr.flags.writeable and arr.base is None and arr.shape == (self.ROWS,)
+        assert peak < 1.8 * sum(arr.nbytes for arr in columns)
+        return d
+
+    def test_plain_file(self, tmp_path):
+        schema, lines = wide_lines(self.ROWS)
+        self.assert_lean(write(tmp_path, "\n".join(lines) + "\n"), schema)
+
+    def test_columns_grow_when_later_rows_are_shorter(self, tmp_path):
+        # padded cells make the first chunk's rows long, so the size estimate
+        # falls short; the loaded table equals the unpadded file's
+        schema, lines = wide_lines(self.ROWS, seed=1)
+        padded = [",".join(f" {c}      " for c in line.split(",")) for line in lines[1:3_001]]
+        p = write(tmp_path, "\n".join(lines[:1] + padded + lines[3_001:]) + "\n")
+        capacities = []
+        reserve = data._ColumnDecoder._reserve
+
+        def spy(table, n):
+            reserve(table, n)
+            capacities.append(table.capacity)
+
+        with mock.patch.object(data._ColumnDecoder, "_reserve", spy):
+            d = self.assert_lean(p, schema)
+        assert len(set(capacities)) > 1
+        assert d.equals(load_csv(write(tmp_path, "\n".join(lines) + "\n", name="plain.csv"), schema))
+
+    def test_file_read_by_csv_reader(self, tmp_path):
+        # a quote in an early row sends the rest of the file through csv.reader
+        schema, lines = wide_lines(self.ROWS, seed=2)
+        lines[100] = '"' + lines[100].replace(",", '",', 1)
+        self.assert_lean(write(tmp_path, "\n".join(lines) + "\n"), schema)
 
 
 def rule(*conditions):
