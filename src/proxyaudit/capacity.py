@@ -215,12 +215,7 @@ def _fold_counts(d, features, rows, y, observed, folds, n_classes, seed):
             keys.append(-d.codes(name)[rows])
         else:
             keys.append(d.values(name)[rows])
-    order = np.lexsort(keys[::-1])
-    new = np.zeros(order.shape[0], dtype=bool)
-    new[0] = True
-    for key in keys:
-        key = key[order]
-        new[1:] |= key[1:] != key[:-1]
+    order, new = kernels._lexsort_runs(keys)
     ids = np.cumsum(new) - 1
     y = y[order]
     fold_of = np.empty(order.shape[0], dtype=np.int64)

@@ -6,11 +6,11 @@ model's output *actually moves* when that column moves) are measured
 separately; this module covers use. Flips, ICE sweeps, counterfactual
 deltas and causal interventions reach every model kind through one scoring
 path, :meth:`~proxyaudit.models.ModelHandle.score_columns`: flips hand it
-columns, the others rows through ``predict_batch``, which rejects a missing
-value for builtins and probes alike. Baseline and counterfactual rows are
-scored together in one call, so deltas for deterministic models are exact,
-and a model that ignores its proxy column yields deltas of 0.0 exactly — the
-capacity-without-use case.
+the columns of each distinct dataset row once, the others rows through
+``predict_batch``, which rejects a missing value for builtins and probes
+alike. Baseline and counterfactual rows are scored together in one call, so
+deltas for deterministic models are exact, and a model that ignores its
+proxy column yields deltas of 0.0 exactly — the capacity-without-use case.
 
 Causal mode propagates an assignment through a
 :class:`~proxyaudit.synth.CausalGraphSpec` before scoring: nodes with a
@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .data import CATEGORICAL
 from .errors import (
     GraphError,
@@ -178,10 +179,16 @@ def _score_pair(m, row, cf_row, rule, row_index):
         base, cf = m.predict_batch([row, cf_row])
     except ValidationError as exc:
         # predict_batch names the failing row by its position: "row 0" or "row 1"
-        position, _, detail = str(exc).partition(": ")
-        which = "observed" if position == "row 0" else "counterfactual"
-        raise ValidationError(f"row {row_index} ({which}): {detail}") from None
+        raise _pair_error(exc, lambda k: (row_index, k)) from None
     return _record_from_scores(base, cf, rule, row_index)
+
+
+def _pair_error(exc, locate):
+    """``exc``, which names a scored row ``k``, renamed to name dataset row
+    ``locate(k)[0]`` and its observed (0) or counterfactual (1) row."""
+    position, _, detail = str(exc).partition(": ")
+    row, side = locate(int(position.removeprefix("row ")))
+    return ValidationError(f"row {row} ({'counterfactual' if side else 'observed'}): {detail}")
 
 
 def _record_from_scores(base, cf, rule, row_index):
@@ -296,10 +303,11 @@ def flip_analysis(
 
     Selection is the selector's match set (everything when absent)
     intersected with rows complete in the model's feature columns. Baseline
-    and counterfactual rows are interleaved and scored in one
-    ``score_columns`` call (a probe receives each distinct row once: a model
-    reading one two-valued column is sent two rows); the records come back
-    as a lazy :class:`FlipRecords`.
+    and counterfactual rows are interleaved, and each distinct one is scored
+    once, in order of first occurrence, in one ``score_columns`` call: a
+    model reading one two-valued column scores two rows. Rows are keyed by
+    the dataset's typed cells. A row error names the dataset row and which
+    of its pair failed. The records come back as a lazy :class:`FlipRecords`.
     ``significant_influence_flag`` is set when the flip rate reaches
     ``flip_rate_floor`` or the mean absolute delta is nonzero and reaches
     ``score_floor_fraction`` of the baseline-score interquartile range.
@@ -316,17 +324,36 @@ def flip_analysis(
     if indices.size == 0:
         raise InsufficientDataError("no rows selected for flip analysis")
 
+    # interleaved cells: even positions are baseline rows, odd ones their
+    # counterfactuals; a category keys by its code, a number by its float64
+    # bits, so -0.0 and 0.0 stay apart
+    cells = {f: np.repeat(d.column_array(f)[indices], 2) for f in m.feature_order}
+    for a in assignments:
+        col = d.schema_of(a.column)
+        cells[a.column][1::2] = col.categories.index(a.value) if col.kind == CATEGORICAL else a.value
+    order, new = kernels._lexsort_runs([cells[f].view(np.int64) for f in m.feature_order])
+    heads = order[new]
+    by_first = np.argsort(heads)
+    firsts = heads[by_first]  # each distinct row's first row, in order of occurrence
+    rank = np.empty(heads.size, dtype=np.int64)
+    rank[by_first] = np.arange(heads.size)
+    del heads, by_first
     columns = {}
     for f in m.feature_order:
+        distinct = cells.pop(f)[firsts]  # freed before ``ids`` is built
         if d.schema_of(f).kind == CATEGORICAL:
-            observed = np.array(d.categories(f), dtype=object)[d.codes(f)[indices]]
-        else:
-            observed = d.column_array(f)[indices]
-        # even positions are baseline rows, odd ones their counterfactuals
-        columns[f] = np.repeat(observed, 2)
-    for a in assignments:
-        columns[a.column][1::2] = a.value
-    scores = m.score_columns(columns, 2 * indices.size)
+            distinct = np.array(d.categories(f), dtype=object)[distinct]
+        columns[f] = distinct
+    ids = np.empty(order.size, dtype=np.int64)  # each row's distinct row
+    ids[order] = np.repeat(rank, np.diff(np.flatnonzero(new), append=new.size))
+    del order, new, rank
+    try:
+        scores = m.score_columns(columns, firsts.size)[ids]
+    except ValidationError as exc:
+        # the model names a distinct row; its first interleaved row is a pair's
+        raise _pair_error(
+            exc, lambda k: (int(indices[firsts[k] // 2]), int(firsts[k] % 2))
+        ) from None
     baselines, counterfactuals = scores[0::2], scores[1::2]
 
     deltas = counterfactuals - baselines

@@ -89,6 +89,20 @@ def best_split(ranks, values, rows, y, weights, n_classes, min_leaf):
     return best_feat, best_thr, best_score
 
 
+def _lexsort_runs(keys):
+    """``(order, new)`` of rows keyed by ``keys``, 1-D arrays, the first
+    primary: ``order`` is their stable ``np.lexsort`` order, and ``new`` flags
+    each sorted row that starts a distinct row, so ``order[new]`` holds each
+    distinct row's first row. Capacity's folds and flip analysis use it."""
+    order = np.lexsort(keys[::-1])
+    new = np.zeros(order.shape[0], dtype=bool)
+    new[0] = True
+    for key in keys:
+        key = key[order]
+        new[1:] |= key[1:] != key[:-1]
+    return order, new
+
+
 def active_backend():
     """Name of the kernel implementation (recorded in run provenance)."""
     return "numpy"

@@ -23,7 +23,10 @@ handle's ``_score_batches``), and ``predictive_capacity_reference``, the
 package's predictive capacity before it fitted on distinct feature rows (a
 design matrix over every complete row, ``cart_fit_copies`` per fold; it
 returns a ``CapacityScore`` and uses the package's ``clopper_pearson`` and
-``counts_significance``).
+``counts_significance``), and ``flip_analysis_reference``, the package's flip
+analysis before it scored each distinct dataset row once (it scores every
+interleaved baseline and counterfactual row through one ``score_columns``
+call and builds the package's ``UseSummary`` and ``FlipRecords``).
 """
 
 import csv
@@ -698,3 +701,78 @@ def probe_score_columns_reference(handle, columns, n_rows):
     batches = [rows[start : start + ROWS_PER_CALL] for start in range(0, n_rows, ROWS_PER_CALL)]
     scores = [s for batch in handle._score_batches(batches) for s in batch.tolist()]
     return np.array(scores, dtype=np.float64)
+
+
+def flip_analysis_reference(
+    m, rule, d, assignments, selector=None,
+    *, flip_rate_floor=0.01, score_floor_fraction=0.05,
+):
+    """``flip_analysis`` scoring every row: the selected rows' features as
+    category strings (object) or floats, each row repeated as its baseline
+    and its counterfactual, all ``2 * n`` rows in one ``m.score_columns``
+    call."""
+    from proxyaudit.data import CATEGORICAL
+    from proxyaudit.errors import InsufficientDataError, ParameterError
+    from proxyaudit.intervention import (
+        MIXED,
+        TOWARD_FAVOURABLE,
+        TOWARD_UNFAVOURABLE,
+        FlipRecords,
+        UseSummary,
+        _check_assignments_against,
+        _check_feature_assignments,
+    )
+
+    if not assignments:
+        raise ParameterError("flip_analysis needs at least one assignment")
+    _check_feature_assignments(m.feature_order, assignments)
+    _check_assignments_against(d.schema_of, assignments)
+    mask = np.ones(d.n_rows, dtype=bool)
+    if selector is not None:
+        mask &= selector.mask(d)
+    mask &= d.complete_mask(m.feature_order)
+    indices = np.nonzero(mask)[0]
+    if indices.size == 0:
+        raise InsufficientDataError("no rows selected for flip analysis")
+
+    columns = {}
+    for f in m.feature_order:
+        if d.schema_of(f).kind == CATEGORICAL:
+            observed = np.array(d.categories(f), dtype=object)[d.codes(f)[indices]]
+        else:
+            observed = d.column_array(f)[indices]
+        # even positions are baseline rows, odd ones their counterfactuals
+        columns[f] = np.repeat(observed, 2)
+    for a in assignments:
+        columns[a.column][1::2] = a.value
+    scores = m.score_columns(columns, 2 * indices.size)
+    baselines, counterfactuals = scores[0::2], scores[1::2]
+
+    deltas = counterfactuals - baselines
+    favourable = rule.favourable(counterfactuals)
+    flipped = rule.favourable(baselines) != favourable
+    to_unfav = int(np.count_nonzero(flipped & ~favourable))
+    to_fav = int(np.count_nonzero(flipped & favourable))
+    flip_rate = (to_unfav + to_fav) / indices.size
+    mean_abs_delta = float(np.abs(deltas).mean())
+    iqr = float(np.percentile(baselines, 75) - np.percentile(baselines, 25))
+    significant = flip_rate >= flip_rate_floor or (
+        mean_abs_delta > 0 and mean_abs_delta >= score_floor_fraction * iqr
+    )
+    if to_unfav and not to_fav:
+        direction = TOWARD_UNFAVOURABLE
+    elif to_fav and not to_unfav:
+        direction = TOWARD_FAVOURABLE
+    else:
+        direction = MIXED
+    summary = UseSummary(
+        assignments=tuple(assignments),
+        n=indices.size,
+        mean_delta=float(deltas.mean()),
+        mean_abs_delta=mean_abs_delta,
+        flip_count=to_unfav + to_fav,
+        flip_rate=flip_rate,
+        direction_of_harm=direction,
+        significant_influence_flag=significant,
+    )
+    return summary, FlipRecords(indices, baselines, counterfactuals, rule)

@@ -177,6 +177,38 @@ def test_bool_is_not_a_number_for_a_numeric_feature():
         flip_analysis(m, RULE, d, [Assignment("x", True)])
 
 
+@pytest.mark.parametrize(
+    "condition, message",
+    [
+        # dataset row 0 is not selected; row 1's observed row fails first
+        (Condition.interval("x", lo=2.0),
+         "row 1 (observed): feature 'sex' needs a numeric value, got 'male'"),
+        # row 0's observed row goes left; its counterfactual goes right
+        (Condition.interval("x", hi=4.0),
+         "row 0 (counterfactual): feature 'sex' needs a numeric value, got 'female'"),
+    ],
+    ids=["observed", "counterfactual"],
+)
+def test_flip_row_error_names_the_dataset_row_once(condition, message):
+    schema = [ColumnSchema("sex", CATEGORICAL, ("female", "male")), ColumnSchema("x", NUMERIC)]
+    d = Dataset(schema, {"sex": np.array([0, 1, 1, 0, 1]), "x": np.array([1.0, 5.0, 2.0, 7.0, 3.0])})
+    # x < 4 is a leaf; the other side reads the categorical sex as a number
+    m = BuiltinModelHandle(ModelSpec(
+        "decision_tree",
+        {"root": 0, "nodes": [
+            {"id": 0, "kind": "split", "column": "x", "threshold": 4.0, "left": 1, "right": 2},
+            {"id": 1, "kind": "leaf", "value": 0.0},
+            {"id": 2, "kind": "split", "column": "sex", "threshold": 0.5, "left": 3, "right": 4},
+            {"id": 3, "kind": "leaf", "value": 1.0},
+            {"id": 4, "kind": "leaf", "value": 2.0},
+        ]},
+        ("x", "sex"),
+    ))
+    with pytest.raises(ValidationError) as exc:
+        flip_analysis(m, RULE, d, [Assignment("x", 6.0)], SubgroupDescriptor((condition,)))
+    assert str(exc.value) == message
+
+
 def test_record_invariants_enforced():
     with pytest.raises(ValidationError, match="delta"):
         InterventionRecord(0, 1.0, 2.0, 5.0)

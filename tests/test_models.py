@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proxyaudit.data import CATEGORICAL, ColumnSchema, Dataset
+from proxyaudit.data import CATEGORICAL, NUMERIC, ColumnSchema, Dataset
+from proxyaudit.descriptors import Condition, SubgroupDescriptor
 from proxyaudit.errors import (
     ConnectivityError,
+    InsufficientDataError,
     ProtocolError,
     SpecError,
     ValidationError,
@@ -692,7 +694,7 @@ class TestSubprocessProbe:
             load_model(spec)
 
 
-# --- each distinct row sent once ---------------------------------------------------
+# --- rows a probe is sent ----------------------------------------------------------
 
 
 def _predict_sizes(m, monkeypatch):
@@ -729,14 +731,11 @@ class TestDistinctRows:
     @pytest.mark.parametrize(
         "column, received",
         [
-            # all distinct: every row, ROWS_PER_CALL to a message, in row order
+            # every row given, ROWS_PER_CALL to a message, in row order
             (np.arange(2 * ROWS_PER_CALL + 500) / 7.0, list(range(1, 2 * ROWS_PER_CALL + 501))),
-            # floats by their bits: -0.0 and 0.0 write apart
-            (np.array([0.0, -0.0, 0.0, -0.0, 1.0]), [1, 2, 1, 2, 3]),
-            (_objects(["b", "a", "b", "b", "c"]), [1, 2, 1, 1, 3]),
-            # equal under == but written apart, or not hashable: never compared
-            (_objects([1, 1.0, True, 1, [1], [1], {"x": 1}]), [1, 2, 3, 4, 5, 6, 7]),
-            (_objects(["a", "a", 1.0]), [1, 2, 3]),
+            # repeated rows too: only a flip collapses them
+            (np.array([0.0, -0.0, 0.0, -0.0, 1.0]), [1, 2, 3, 4, 5]),
+            (_objects(["b", "a", "b", "b", "c"]), [1, 2, 3, 4, 5]),
         ],
     )
     def test_rows_received(self, monkeypatch, column, received):
@@ -745,24 +744,7 @@ class TestDistinctRows:
             sizes = _predict_sizes(m, monkeypatch)
             scores = m.score_columns({"x": column}, column.size)
         assert scores.tolist() == received
-        distinct = max(received)
-        assert sizes == [min(ROWS_PER_CALL, distinct - s) for s in range(0, distinct, ROWS_PER_CALL)]
-
-    def test_two_columns_key_rows_together(self):
-        # each column alone repeats; the rows repeat only where both do
-        x = np.array([0.0, 0.0, 1.0, 1.0, 0.0, -0.0])
-        c = _objects(["a", "b", "a", "a", "b", "b"])
-        spec = subprocess_spec(str(FIXTURES / "bad_probe.py"), "counting", features=("x", "c"))
-        with load_model(spec, timeout=15) as m:
-            assert m.score_columns({"x": x, "c": c}, x.size).tolist() == [1, 2, 3, 3, 2, 4]
-
-    def test_no_features_send_one_empty_row(self, monkeypatch):
-        spec = subprocess_spec(str(FIXTURES / "bad_probe.py"), "counting", features=())
-        with load_model(spec, timeout=15) as m:
-            sizes = _predict_sizes(m, monkeypatch)
-            assert m.score_columns({}, 3 * ROWS_PER_CALL).tolist() == [1.0] * (3 * ROWS_PER_CALL)
-            assert m.score_columns({}, 0).tolist() == []
-        assert sizes == [1]
+        assert sizes == [min(ROWS_PER_CALL, column.size - s) for s in range(0, column.size, ROWS_PER_CALL)]
 
 
 DIFF_FEATURES = ("x", "c", "y")
@@ -803,6 +785,14 @@ def diff_probes(tmp_path_factory):
         m.close()
 
 
+@pytest.fixture(scope="module")
+def empty_row_probe():
+    """The JSON-text probe of a spec with no features: every row is empty."""
+    with load_model(subprocess_spec(str(FIXTURES / "bad_probe.py"), "digest", features=()),
+                    timeout=15) as m:
+        yield m
+
+
 # number cells: 1, 1.0 and -0.0, 0.0 score alike but are written apart
 NUMBER_CELLS = (0, 0.0, -0.0, 1, 1.0, 2, -2.5)
 # category cells of many types, each equal to another under == or a category
@@ -832,16 +822,113 @@ def _diff_column(rng, pattern, n):
     numeric=st.tuples(*[st.sampled_from(("repeats", "distinct", "many", "numbers"))] * 2),
     categorical=st.sampled_from(("categories", "labels", "mixed")),
 )
-def test_distinct_row_scores_equal_every_row_scores(diff_probes, seed, n, numeric, categorical):
+def test_probe_score_columns_equals_reference(diff_probes, empty_row_probe, seed, n, numeric,
+                                              categorical):
     rng = np.random.default_rng(seed)
     columns = {
         "x": _diff_column(rng, numeric[0], n),
         "c": _diff_column(rng, categorical, n),
         "y": _diff_column(rng, numeric[1], n),
     }
-    for m in diff_probes:
+    for m in (*diff_probes, empty_row_probe):
         want = oracles.probe_score_columns_reference(m, columns, n)
         assert m.score_columns(columns, n).tobytes() == want.tobytes()
+
+
+# --- flips score each distinct dataset row once --------------------------------------
+
+FLIP_SCHEMA = (
+    ColumnSchema("x", NUMERIC),
+    ColumnSchema("c", CATEGORICAL, ("a", "b", "1", "zz")),
+    ColumnSchema("y", NUMERIC),
+    ColumnSchema("g", CATEGORICAL, ("p", "q")),
+)
+FLIP_SELECTORS = (
+    None,
+    SubgroupDescriptor((Condition.equals("g", "p"),)),
+    SubgroupDescriptor((Condition.interval("x", lo=0.0),)),
+    SubgroupDescriptor((Condition.equals("c", "a"), Condition.interval("y", hi=1.0))),
+)
+
+
+@st.composite
+def flip_cases(draw):
+    """A dataset over ``FLIP_SCHEMA`` (its numbers repeated, ``-0.0`` and
+    ``0.0`` among them, or all distinct; some cells missing), a selector, a
+    decision rule and assignments to one to three model features."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 12) | st.integers(1, 700))
+    missing = draw(st.sampled_from((0.0, 0.0, 0.1)))
+    columns = {
+        "x": _diff_column(rng, draw(st.sampled_from(("repeats", "distinct", "many"))), n),
+        "c": rng.integers(0, draw(st.integers(1, 4)), n),
+        "y": _diff_column(rng, draw(st.sampled_from(("repeats", "distinct", "many"))), n),
+        "g": rng.integers(0, 2, n),
+    }
+    for cells in columns.values():
+        cells[rng.random(n) < missing] = np.nan if cells.dtype == np.float64 else -1
+    values = {
+        "x": st.sampled_from((0.0, -0.0, 1, 0.5, 2.75)),
+        "y": st.sampled_from((0.0, -0.0, -2.0, 1.5)),
+        "c": st.sampled_from(FLIP_SCHEMA[1].categories),
+    }
+    targets = draw(st.lists(st.sampled_from(DIFF_FEATURES), min_size=1, max_size=3, unique=True))
+    return (
+        Dataset(FLIP_SCHEMA, columns),
+        draw(st.sampled_from(FLIP_SELECTORS)),
+        DecisionRule(draw(st.sampled_from((0.0, 0.5, 1.0))),
+                     draw(st.sampled_from(("score_above", "score_below")))),
+        [Assignment(f, draw(values[f])) for f in targets],
+    )
+
+
+def _flip_outcome(analyse, m, case):
+    d, selector, rule, assignments = case
+    try:
+        summary, records = analyse(m, rule, d, assignments, selector)
+    except InsufficientDataError as exc:
+        return str(exc)
+    return (
+        repr(summary),
+        [r.row_index for r in records],
+        np.array([r.baseline_score for r in records]).tobytes(),
+        np.array([r.counterfactual_score for r in records]).tobytes(),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(flip_cases())
+def test_flip_analysis_equals_every_row_reference(diff_probes, case):
+    for m in (*map(BuiltinModelHandle, DIFF_INNER), *diff_probes):
+        want = _flip_outcome(oracles.flip_analysis_reference, m, case)
+        assert _flip_outcome(flip_analysis, m, case) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(flip_cases())
+def test_flip_sends_distinct_interleaved_rows_in_first_order(diff_probes, case):
+    d, selector, rule, assignments = case
+    recorder = _Recorder(DIFF_INNER[0])
+    try:
+        oracles.flip_analysis_reference(recorder, rule, d, assignments, selector)
+    except InsufficientDataError:
+        return
+    # the JSON texts of every interleaved row, each once, as first met
+    rows = zip(*(recorder.columns[f].tolist() for f in DIFF_FEATURES))
+    want = list(dict.fromkeys(json.dumps(row) for row in rows))
+    probe = diff_probes[-1]
+    sent, send = [], probe._send
+
+    def recorded(message):
+        sent.extend(json.dumps(row) for row in message.get("rows", ()))
+        send(message)
+
+    probe._send = recorded
+    try:
+        flip_analysis(probe, rule, d, assignments, selector)
+    finally:
+        del probe._send
+    assert sent == want
 
 
 class _ProbeHTTPHandler(http.server.BaseHTTPRequestHandler):
