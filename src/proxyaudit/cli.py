@@ -11,8 +11,8 @@ selector are built, and the audit roles are checked against the schema's
 columns. The use step's preconditions (assignments to columns the model reads
 and to values their schema allows, a selector the schema can test, a model
 and a decision rule, ICE columns the model reads, a grid of at least 2
-points for a numeric ICE column, an ICE row inside the data) are checked
-before any stage.
+points for a numeric ICE column, an ICE row inside non-empty data) are
+checked before any stage.
 
 Exit codes separate findings from failures: 0 means the audit ran (whatever
 it found), 2 is a usage or configuration error, 3 is a runtime failure, and
@@ -20,7 +20,10 @@ it found), 2 is a usage or configuration error, 3 is a runtime failure, and
 pipeline can distinguish "found discrimination" from "tool broke".
 
 Relative ``schema_path``/``model_path`` resolve against the config file's
-directory.
+directory. The config, the dataset schema and the model spec are each read by
+``models.read_json``: bytes that are not UTF-8, or text that is not strict
+JSON, make a configuration error that names the document (``config:``,
+``dataset schema:``, ``model spec:``).
 
 The console script and ``python -m proxyaudit.cli`` both enter through
 :func:`run`. It calls ``gc.freeze()`` once the imports are done, so no
@@ -55,7 +58,7 @@ from .errors import (
     ValidationError,
 )
 from .intervention import Assignment
-from .models import JSON_DECODER, DecisionRule, ModelSpec, load_model
+from .models import DecisionRule, ModelSpec, load_model, read_json
 
 _FORMATS = ("json", "md")
 
@@ -100,8 +103,6 @@ def _guard(body):
         _fail(EXIT_CONFIG, str(exc))
     except FileNotFoundError as exc:
         _fail(EXIT_CONFIG, f"file not found: {exc.filename or exc}")
-    except json.JSONDecodeError as exc:
-        _fail(EXIT_CONFIG, f"malformed JSON: {exc}")
     except ProxyAuditError as exc:
         _fail(EXIT_RUNTIME, str(exc))
     except Exception as exc:  # tool broke: never report as a finding
@@ -117,11 +118,7 @@ class RunSettings:
         if bad or not self.formats:
             raise ValidationError(f"unknown output format(s): {bad or formats!r}")
         config_path = Path(config_path)
-        try:
-            with open(config_path, "r", encoding="utf-8") as fh:
-                raw = JSON_DECODER.decode(fh.read())
-        except ParseError as exc:
-            raise ValidationError(f"config: {exc}") from None
+        raw = read_json(config_path, "config")
         documents.check("config", raw, "config")
         base = config_path.parent
         # each section as the config sets it (echoed in the report) and as the

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import documents
 from .errors import InsufficientDataError, ParseError, ValidationError
-from .models import JSON_DECODER
+from .models import read_json
 
 CATEGORICAL = "categorical"
 NUMERIC = "numeric"
@@ -295,12 +295,7 @@ def write_schema_json(schema, path):
 
 
 def read_schema_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = JSON_DECODER.decode(fh.read())
-        except ParseError as exc:
-            raise ValidationError(f"dataset schema: {exc}") from None
-    return schema_from_json(obj)
+    return schema_from_json(read_json(path, "dataset schema"))
 
 
 # Bytes read from the CSV at a time; each chunk is extended to the end of its line.

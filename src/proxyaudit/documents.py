@@ -1,10 +1,13 @@
 """The bundled JSON Schemas (``proxyaudit/schemas/<name>.schema.json``) and
-one validator class for all of them: the config, the dataset schema and the
-audit report.
+one validator class for all of them: the config, the dataset schema, the
+causal graph and the audit report. Every document the audit reads comes from
+``models.read_json``; :func:`check` holds it to its schema.
 
 JSON Schema's ``number`` here is a finite number and its ``integer`` an
 ``int``; neither is ever a bool, so ``2.0``, ``true`` and ``1e999`` (which
-reads as infinity) fail where a schema asks for a number or an integer.
+reads as infinity) fail where a schema asks for a number or an integer. An
+``array`` is a list or a tuple, both of which ``json`` writes as an array,
+so a graph built in Python is checked as its JSON would be.
 """
 
 import functools
@@ -21,6 +24,7 @@ _Validator = jsonschema.validators.extend(
     type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine_many({
         "number": lambda _checker, value: _is_real(value),
         "integer": lambda _checker, value: isinstance(value, int) and not isinstance(value, bool),
+        "array": lambda _checker, value: isinstance(value, (list, tuple)),
     }),
 )
 
@@ -44,10 +48,15 @@ def _key(path):
 
 
 def _wanted(node, path):
-    """The description of the deepest described schema along ``path``."""
+    """The description of the deepest described schema along ``path``. An
+    index takes its ``prefixItems`` entry, else ``items``; a key its entry
+    in ``properties``, else ``additionalProperties`` (objects keyed by name)."""
     wanted = node["description"]
     for part in path:
-        node = node["items"] if isinstance(part, int) else node["properties"][part]
+        if isinstance(part, int):
+            node = node["prefixItems"][part] if "prefixItems" in node else node["items"]
+        else:
+            node = node.get("properties", {}).get(part, node.get("additionalProperties"))
         wanted = node.get("description", wanted)
     return wanted
 

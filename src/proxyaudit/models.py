@@ -56,9 +56,22 @@ def _reject_constant(name):
     raise ParseError(f"{name} is not a JSON number")
 
 
-# Decodes the config, model specs and probe replies, raising ``ParseError`` on
-# the NaN and Infinity that ``json`` accepts; one instance serves every reply.
+# Decodes every JSON document and probe reply, raising ``ParseError`` on the
+# NaN and Infinity that ``json`` accepts; one instance serves every reply.
 JSON_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
+def read_json(path, label, error=ValidationError):
+    """The JSON document in the file at ``path``: the one reader of the config,
+    the dataset schema, model specs and causal graphs. Bytes that are not
+    UTF-8, a JSON syntax error, a ``NaN`` or ``Infinity`` and arrays or
+    objects nested past the interpreter's recursion limit raise ``error``
+    with a message that starts with the document's ``label``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return JSON_DECODER.decode(fh.read())
+    except (UnicodeDecodeError, json.JSONDecodeError, ParseError, RecursionError) as exc:
+        raise error(f"{label}: {exc}") from None
 
 
 def _is_real(value):
@@ -143,6 +156,10 @@ class ModelSpec:
     def validate(self):
         if self.kind not in BUILTIN_KINDS + EXTERNAL_KINDS:
             raise SpecError(f"unknown model kind {self.kind!r}")
+        if not all(isinstance(f, str) for f in self.feature_order):
+            raise SpecError(
+                f"feature_order must list column names, got {list(self.feature_order)!r}"
+            )
         if len(set(self.feature_order)) != len(self.feature_order):
             raise SpecError("duplicate names in feature_order")
         p = self.parameters
@@ -239,12 +256,7 @@ class ModelSpec:
 
     @staticmethod
     def load(path):
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                obj = JSON_DECODER.decode(fh.read())
-        except ParseError as exc:
-            raise SpecError(f"model spec: {exc}") from None
-        return ModelSpec.from_json(obj)
+        return ModelSpec.from_json(read_json(path, "model spec", SpecError))
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:

@@ -166,9 +166,9 @@ def check_use(
     column the model does not read or to a value outside its column's schema,
     a flip selector condition the schema cannot test, an ICE column the model
     does not read, a numeric ICE column swept on fewer than 2 points, or an
-    ICE row outside ``d``. Needs only the model's declared features, so it
-    runs before any stage; returns the ICE row, or ``None`` when ``ice_row``
-    is unset and ``d`` has no rows to sweep."""
+    ICE row outside ``d`` when ``d`` has rows. Needs only the model's
+    declared features, so it runs before any stage; returns the ICE row, or
+    ``None`` when ``d`` has no rows to sweep."""
     _check_feature_assignments(feature_order, assignments)
     _check_assignments_against(d.schema_of, assignments)
     if assignments and selector is not None:  # only flip analysis reads it
@@ -188,11 +188,11 @@ def check_use(
             f"use.ice_grid_size must be at least 2 to sweep numeric column "
             f"{numeric[0]!r}, got {ice_grid_size!r}"
         )
+    if not d.n_rows:
+        return None  # no row to sweep, whether or not ice_row names one
     if ice_row is None:
-        return 0 if d.n_rows else None
+        return 0
     if ice_columns and not (type(ice_row) is int and 0 <= ice_row < d.n_rows):
-        if not d.n_rows:
-            raise ValidationError(f"use.ice_row is {ice_row!r}, but the data has no rows")
         raise ValidationError(f"use.ice_row must be a row in 0..{d.n_rows - 1}, got {ice_row!r}")
     return ice_row
 
@@ -204,9 +204,10 @@ def run_use(
 ):
     """Flip analysis for the assignment list (if any) plus ICE sweeps. A flip
     analysis with no selected complete row, and a sweep with no row (empty
-    data and no ``ice_row``), whose row misses another model feature or whose
-    column has no span of observed values, are listed under ``skipped`` (written only when non-empty) instead of ending
-    the audit. The config errors of :func:`check_use` are raised first."""
+    data, whatever ``ice_row`` names), whose row misses another model feature
+    or whose column has no span of observed values, are listed under
+    ``skipped`` (written only when non-empty) instead of ending the audit.
+    The config errors of :func:`check_use` are raised first."""
     row_index = check_use(
         m.feature_order, d, assignments, selector, ice_columns, ice_row, ice_grid_size
     )

@@ -10,6 +10,12 @@ NumPy PCG64 stream (``numpy.random.default_rng``), so identical
 :func:`node_values` is the one implementation of each mechanism, used by
 sampling and by causal interventions (on one-row arrays) alike.
 
+A graph is checked as it is built, from Python or from JSON
+(:meth:`CausalGraphSpec.load` reads its file through ``models.read_json``):
+``documents.check`` holds it to the bundled ``causal_graph`` schema, so a
+malformed graph raises ``ValidationError`` naming its key path, such as
+``mechanisms.y.weights.x``.
+
 Each preset freezes the quantitative choices its scenario needs (CPT
 strengths, value grids, attached model weights) together with the analytic
 ground truth those numbers imply.
@@ -22,12 +28,12 @@ from graphlib import CycleError, TopologicalSorter
 
 import numpy as np
 
+from . import documents
 from .data import CATEGORICAL, NUMERIC, ColumnSchema, Dataset
 from .descriptors import Condition, SubgroupDescriptor
-from .errors import GraphError, ParameterError, ParseError, ValidationError
-from .models import JSON_DECODER, DecisionRule, ModelSpec, _is_real
+from .errors import GraphError, ParameterError, ValidationError
+from .models import DecisionRule, ModelSpec, read_json
 
-MECHANISM_KINDS = ("cpt", "linear_gaussian", "threshold", "discrete_numeric")
 CONFIG_SEP = "|"
 
 
@@ -35,16 +41,16 @@ def _config_key(values):
     return CONFIG_SEP.join(values)
 
 
-def _require_finite(name, what, values):
-    """Raise unless every one of ``values`` is a finite number (not a bool)."""
-    for v in values:
-        if not _is_real(v):
-            raise ValidationError(f"node {name!r}: {what} must be finite numbers, got {v!r}")
-
-
 @dataclass(frozen=True)
 class CausalGraphSpec:
-    """DAG + per-node mechanisms; validates eagerly, before any sampling."""
+    """DAG + per-node mechanisms; validates eagerly, before any sampling.
+
+    The fields are checked against ``schemas/causal_graph.schema.json`` as
+    they are given (names, kinds, key sets, finite numbers, signs); then the
+    checks that need the graph: mechanism parents match the edges, tables
+    cover the parent configurations at their width and sum to 1, the graph
+    is acyclic, discrete values increase, cutoffs cover their categories and
+    each node's kind is its mechanism's."""
 
     nodes: tuple  # ((name, kind), ...) in declaration order
     edges: tuple  # ((parent, child), ...)
@@ -52,6 +58,7 @@ class CausalGraphSpec:
     seed: int = 0
 
     def __post_init__(self):
+        documents.check("causal_graph", vars(self), "causal graph")  # the fields as given
         object.__setattr__(self, "nodes", tuple((n, k) for n, k in self.nodes))
         object.__setattr__(self, "edges", tuple((p, c) for p, c in self.edges))
         self._validate()
@@ -102,20 +109,17 @@ class CausalGraphSpec:
         names = self.node_names
         if len(set(names)) != len(names):
             raise ValidationError("duplicate node names")
-        for n, k in self.nodes:
-            if k not in (CATEGORICAL, NUMERIC):
-                raise ValidationError(f"node {n!r} has unknown kind {k!r}")
         for p, c in self.edges:
             if p not in names or c not in names:
                 raise ValidationError(f"edge ({p!r}, {c!r}) references unknown nodes")
-        self.topological_order()  # raises on cycles
+        order = self.topological_order()  # raises on cycles
         missing = set(names) - set(self.mechanisms)
         if missing:
             raise ValidationError(f"nodes without mechanisms: {sorted(missing)}")
         extra = set(self.mechanisms) - set(names)
         if extra:
             raise ValidationError(f"mechanisms for unknown nodes: {sorted(extra)}")
-        for name in names:
+        for name in order:  # parents first: a table reads its parents' categories
             self._validate_mechanism(name)
 
     def _parent_configs(self, parents):
@@ -125,9 +129,7 @@ class CausalGraphSpec:
 
     def _validate_mechanism(self, name):
         mech = self.mechanisms[name]
-        kind = mech.get("kind")
-        if kind not in MECHANISM_KINDS:
-            raise ValidationError(f"node {name!r}: unknown mechanism kind {kind!r}")
+        kind = mech["kind"]
         declared_parents = tuple(mech.get("parents", ()))
         if declared_parents != self.parents_of(name):
             raise ValidationError(
@@ -148,20 +150,15 @@ class CausalGraphSpec:
                     f"categorical, got numeric {non_cat}"
                 )
         if kind == "cpt":
-            categories = mech.get("categories")
-            if not categories or len(set(categories)) != len(categories):
-                raise ValidationError(f"node {name!r}: cpt needs distinct categories")
-            self._validate_prob_table(name, mech["table"], declared_parents, len(categories))
+            self._validate_prob_table(name, mech["table"], declared_parents, len(mech["categories"]))
         elif kind == "discrete_numeric":
-            values = mech.get("values")
-            _require_finite(name, "discrete_numeric values", values or ())
-            if not values or sorted(set(values)) != list(values):
+            values = mech["values"]
+            if sorted(set(values)) != list(values):
                 raise ValidationError(
                     f"node {name!r}: discrete_numeric needs strictly increasing values"
                 )
             self._validate_prob_table(name, mech["table"], declared_parents, len(values))
         elif kind == "linear_gaussian":
-            weights = mech.get("weights", {})
             numeric_parents = tuple(
                 p for p in declared_parents if self.kind_of(p) == NUMERIC
             )
@@ -169,18 +166,12 @@ class CausalGraphSpec:
                 raise ValidationError(
                     f"node {name!r}: linear_gaussian parents must be numeric"
                 )
-            if set(weights) != set(declared_parents):
+            if set(mech.get("weights", {})) != set(declared_parents):
                 raise ValidationError(
                     f"node {name!r}: weights must cover exactly the parents"
                 )
-            _require_finite(name, "weights", weights.values())
-            noise_sd = mech.get("noise_sd", 0.0)
-            _require_finite(name, "intercept and noise_sd", (mech.get("intercept", 0.0), noise_sd))
-            if noise_sd < 0:
-                raise ValidationError(f"node {name!r}: noise_sd must be non-negative")
         else:  # threshold
-            source = mech.get("source")
-            by = mech.get("by")
+            source, by = mech["source"], mech["by"]
             if set(declared_parents) != {source, by} or len(declared_parents) != 2:
                 raise ValidationError(
                     f"node {name!r}: threshold needs parents (source, by)"
@@ -189,12 +180,10 @@ class CausalGraphSpec:
                 raise ValidationError(
                     f"node {name!r}: threshold source must be numeric, by categorical"
                 )
-            cutoffs = mech.get("cutoffs", {})
-            if set(cutoffs) != set(self.categories_of(by)):
+            if set(mech["cutoffs"]) != set(self.categories_of(by)):
                 raise ValidationError(
                     f"node {name!r}: cutoffs must cover every category of {by!r}"
                 )
-            _require_finite(name, "cutoffs", cutoffs.values())
 
     def _validate_prob_table(self, name, table, parents, width):
         expected = set(self._parent_configs(parents))
@@ -206,9 +195,6 @@ class CausalGraphSpec:
         for key, probs in table.items():
             if len(probs) != width:
                 raise ValidationError(f"node {name!r}: row {key!r} has wrong width")
-            _require_finite(name, f"row {key!r} probabilities", probs)
-            if any(p < 0 for p in probs):
-                raise ValidationError(f"node {name!r}: row {key!r} has negative mass")
             if abs(sum(probs) - 1.0) > 1e-9:
                 raise ValidationError(f"node {name!r}: row {key!r} does not sum to 1")
 
@@ -224,21 +210,14 @@ class CausalGraphSpec:
 
     @staticmethod
     def from_json(obj):
-        return CausalGraphSpec(
-            nodes=tuple((n, k) for n, k in obj["nodes"]),
-            edges=tuple((p, c) for p, c in obj["edges"]),
-            mechanisms=obj["mechanisms"],
-            seed=obj.get("seed", 0),
-        )
+        # the document as a whole (an object with known keys); construction
+        # checks its fields
+        documents.check("causal_graph", obj, "causal graph")
+        return CausalGraphSpec(**obj)
 
     @staticmethod
     def load(path):
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                obj = JSON_DECODER.decode(fh.read())
-        except ParseError as exc:
-            raise ValidationError(f"causal graph: {exc}") from None
-        return CausalGraphSpec.from_json(obj)
+        return CausalGraphSpec.from_json(read_json(path, "causal graph"))
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:

@@ -166,6 +166,7 @@ def test_check_use_tests_the_selector_only_where_flips_read_it():
 def test_check_use_has_no_ice_row_in_empty_data():
     d = Dataset([ColumnSchema("x", NUMERIC)], {"x": np.array([], dtype=np.float64)})
     assert report.check_use(("x",), d, ice_columns=("x",)) is None
+    assert report.check_use(("x",), d, ice_columns=("x",), ice_row=0) is None
     with pytest.raises(ValidationError, match="use.ice_grid_size must be at least 2"):
         report.check_use(("x",), d, ice_columns=("x",), ice_grid_size=1)
 

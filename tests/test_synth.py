@@ -7,6 +7,7 @@ sampler existed.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -251,6 +252,21 @@ def test_mechanism_kind_must_match_node_kind():
         )
 
 
+def test_mechanism_kind_is_checked_before_a_child_reads_its_categories():
+    # the child is declared first, but its table reads the parent's categories
+    with pytest.raises(ValidationError, match="node 'a': linear_gaussian mechanisms are numeric"):
+        CausalGraphSpec(
+            nodes=(("b", CATEGORICAL), ("a", CATEGORICAL)),
+            edges=(("a", "b"),),
+            mechanisms={
+                "b": {"kind": "cpt", "parents": ["a"], "categories": ["x", "y"],
+                      "table": {"": [0.5, 0.5]}},
+                "a": {"kind": "linear_gaussian", "parents": [], "weights": {},
+                      "intercept": 0.0, "noise_sd": 1.0},
+            },
+        )
+
+
 def test_probability_table_rejects_numeric_parent():
     with pytest.raises(ValidationError, match="categorical"):
         CausalGraphSpec(
@@ -352,26 +368,31 @@ def _set(mechanism, path, value):
 
 
 @pytest.mark.parametrize(
-    "preset_name, node, path, value, what",
+    "preset_name, node, path, value, key",
     [
-        ("james", "sex", ("table", "", 0), math.nan, "probabilities"),
-        ("james", "reached_statutory_retirement", ("cutoffs", "male"), math.nan, "cutoffs"),
-        ("james", "age", ("values", -1), math.inf, "discrete_numeric values"),
-        ("independence", "c2", ("intercept",), math.nan, "intercept"),
-        ("independence", "c2", ("noise_sd",), math.inf, "noise_sd"),
-        ("james", "reached_statutory_retirement", ("cutoffs", "male"), "65", "cutoffs"),
+        ("james", "sex", ("table", "", 0), math.nan, "sex.table.[0]"),
+        ("james", "reached_statutory_retirement", ("cutoffs", "male"), math.nan,
+         "reached_statutory_retirement.cutoffs.male"),
+        ("james", "age", ("values", -1), math.inf, "age.values[16]"),
+        ("independence", "c2", ("intercept",), math.nan, "c2.intercept"),
+        ("independence", "c2", ("noise_sd",), math.inf, "c2.noise_sd"),
+        ("james", "reached_statutory_retirement", ("cutoffs", "male"), "65",
+         "reached_statutory_retirement.cutoffs.male"),
     ],
     ids=["nan-cpt-row", "nan-cutoff", "inf-value", "nan-intercept", "inf-noise-sd", "str-cutoff"],
 )
-def test_graph_parameters_must_be_finite_numbers(preset_name, node, path, value, what):
+def test_graph_parameters_must_be_finite_numbers(preset_name, node, path, value, key):
     obj = preset(preset_name).graph.to_json()  # a fresh graph per call
     _set(obj["mechanisms"][node], path, value)
-    with pytest.raises(ValidationError, match=f"node '{node}': .*{what}.* finite numbers"):
+    wanted = re.escape(f"causal graph 'mechanisms.{key}' must be a ") + "(non-negative )?finite number"
+    with pytest.raises(ValidationError, match=wanted):
         CausalGraphSpec.from_json(obj)
 
 
 def test_linear_gaussian_weights_must_be_finite_numbers():
-    with pytest.raises(ValidationError, match="node 'y': weights must be finite numbers, got nan"):
+    with pytest.raises(
+        ValidationError, match="causal graph 'mechanisms.y.weights.x' must be a finite number, got nan"
+    ):
         CausalGraphSpec(
             nodes=(("x", NUMERIC), ("y", NUMERIC)),
             edges=(("x", "y"),),
