@@ -110,9 +110,10 @@ def clopper_pearson(k, n, alpha=0.05):
     return lo, hi
 
 
-def target_rows(d, protected_target, columns=()):
-    """(present, is_target) row masks of a protected (column, category) for a
-    criterion over ``columns``, which may not include the protected column."""
+def target_rows(d, protected_target, columns=(), rows=None):
+    """(present, is_target) masks over ``rows`` (every row by default) of a
+    protected (column, category) for a criterion over ``columns``, which may
+    not include the protected column."""
     column, category = protected_target
     schema = d.schema_of(column)
     if schema.kind != CATEGORICAL:
@@ -121,22 +122,23 @@ def target_rows(d, protected_target, columns=()):
         raise ValidationError(f"category {category!r} not in column {column!r}")
     if column in columns:
         raise ValidationError(f"criterion references the protected column {column!r}")
-    codes = d.codes(column)
+    codes = d.codes(column, rows)
     return codes >= 0, codes == schema.categories.index(category)
 
 
-def exact_correspondence(d, q, protected_value):
+def exact_correspondence(d, q, protected_value, *, rows=None):
     """Purity of criterion q for a (column, category) protected value.
 
     value = fraction of q-matching rows carrying the protected value, over
     rows complete in every referenced column; support = number of matching
     rows; significance = chi-squared/Fisher on the q-vs-protected 2x2 table;
-    interval = 95% Clopper-Pearson bounds on the value.
+    interval = 95% Clopper-Pearson bounds on the value. Only ``rows`` (an
+    integer row-index array; None means every row) are counted.
     """
-    present, is_cat = target_rows(d, protected_value, q.columns)
+    present, is_cat = target_rows(d, protected_value, q.columns, rows)
     # a condition never matches a missing cell, so matching rows are complete
-    complete = d.complete_mask(q.columns) & present
-    match = q.mask(d) & present
+    complete = d.complete_mask(q.columns, rows) & present
+    match = q.mask(d, rows) & present
     support = int(np.count_nonzero(match))
     if support == 0:
         raise InsufficientDataError("criterion matches no complete rows")

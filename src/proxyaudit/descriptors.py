@@ -69,12 +69,16 @@ class Condition:
             raise ValidationError(f"interval condition on non-numeric {self.column!r}")
         return schema
 
-    def mask(self, d):
-        """Boolean row mask; missing values never match."""
-        schema = self.check_against(d)
+    def mask(self, d, rows=None):
+        """Boolean mask over ``rows`` (an integer row-index array; None means
+        every row); missing values never match."""
+        return self.matches(d.column_array(self.column, rows), self.check_against(d))
+
+    def matches(self, x, schema):
+        """Boolean mask of ``x``, cells of this condition's column as its
+        ``schema`` stores them: codes for equality, values for an interval."""
         if self.kind == EQUALS:
-            return d.codes(self.column) == schema.categories.index(self.category)
-        x = d.values(self.column)
+            return x == schema.categories.index(self.category)
         with np.errstate(invalid="ignore"):
             left = x >= self.lo if self.lo_closed else x > self.lo
             right = x <= self.hi if self.hi_closed else x < self.hi
@@ -148,10 +152,10 @@ class SubgroupDescriptor:
     def columns(self):
         return tuple(c.column for c in self.conditions)
 
-    def mask(self, d):
-        out = np.ones(d.n_rows, dtype=bool)
+    def mask(self, d, rows=None):
+        out = np.ones(d.n_rows if rows is None else len(rows), dtype=bool)
         for cond in self.conditions:
-            out &= cond.mask(d)
+            out &= cond.mask(d, rows)
         return out
 
     def extended(self, cond):

@@ -59,13 +59,14 @@ class DiscoveryResult:
         return out
 
 
-def enumerate_conditions(d, columns, bins=4):
+def enumerate_conditions(d, columns, bins=4, *, rows=None):
     """Atomic conditions for the search space, in deterministic order.
 
     Categorical columns contribute one equality condition per declared
     category. Numeric columns contribute ``bins`` equal-frequency intervals
-    over the observed range plus a below/at-or-above half-line pair per
-    interior cut point (constant or all-missing columns contribute nothing).
+    over the range observed at ``rows`` (every row by default) plus a
+    below/at-or-above half-line pair per interior cut point (constant or
+    all-missing columns contribute nothing).
     """
     if bins < 2:
         raise ParameterError("bins must be at least 2")
@@ -75,7 +76,7 @@ def enumerate_conditions(d, columns, bins=4):
         if schema.kind == CATEGORICAL:
             out.extend(Condition.equals(name, cat) for cat in schema.categories)
             continue
-        values = d.values(name)
+        values = d.values(name, rows)
         valid = values[~np.isnan(values)]
         if valid.size == 0:
             continue
@@ -101,102 +102,136 @@ def _quality(support, hits, n_complete, gamma):
     return (support / n_complete) ** gamma * (hits / support)
 
 
-def _count_complete(d, columns, column):
-    return int(np.count_nonzero(d.complete_mask(list(columns) + [column])))
-
-
-def _descriptor_order(entry):
-    """Quality-descending, then shallower, then lexicographic descriptor."""
-    q, proxy, target = entry[:3]
-    return (
-        -q,
-        proxy.depth,
-        tuple(c.sort_key() for c in proxy.conditions),
-        target,
-    )
-
-
-def _targets_of(d, protected_columns):
+def _targets_of(d, protected_columns, rows=None):
     targets = []
     for column in protected_columns:
         schema = d.schema_of(column)
         if schema.kind != CATEGORICAL:
             raise ValidationError(f"protected column {column!r} must be categorical")
-        counts = d.value_counts(column)
+        codes = d.codes(column, rows)
+        counts = np.bincount(codes[codes >= 0], minlength=len(schema.categories))
         targets.extend(
-            (column, cat) for cat in schema.categories if counts.get(cat, 0) > 0
+            (column, cat) for cat, count in zip(schema.categories, counts) if count
         )
     return targets
 
 
-def _ranked_pool(d, conditions, targets, beam_width, max_depth, min_support, gamma):
-    """Every scored (quality, descriptor, target) of the per-target beams,
-    lazily in report order, with the evaluated and below-support counts.
+def _words(masks, n):
+    """Each boolean mask of n rows packed into one row of uint64 words; the
+    bits past n are 0, so popcounts and bytes depend on the n rows alone."""
+    packed = [np.packbits(mask) for mask in masks]
+    out = np.zeros((len(packed), -(-n // 64)), dtype=np.uint64)
+    if packed:
+        out.view(np.uint8)[:, : -(-n // 8)] = packed
+    return out
 
-    Children are ranked on integer counts alone; each condition's mask is
-    built once, and only the beam's survivors keep their rows.
+
+def _condition_masks(d, conditions, rows):
+    """Each condition's mask over ``rows``, reading each column's cells at
+    those rows once (``conditions`` come grouped by column)."""
+    column = cells = None
+    for cond in conditions:
+        schema = cond.check_against(d)
+        if cond.column != column:
+            column, cells = cond.column, d.column_array(cond.column, rows)
+        yield cond.matches(cells, schema)
+
+
+def _popcount(words):
+    return np.bitwise_count(words).sum(axis=-1)
+
+
+def _ranked_pool(d, rows, conditions, targets, beam_width, max_depth, min_support, gamma):
+    """Every scored (quality, descriptor, target, mask key) of the per-target
+    beams, lazily in report order, with the evaluated and below-support counts.
+
+    Each condition's mask over ``rows``, each candidate column's present mask
+    and each target's (present, is_target) masks are packed into rows of
+    uint64 words, so a mask of n rows takes n / 8 bytes. All children of a
+    parent are scored at once: one ``&`` with the parent's words and one
+    ``bitwise_count`` sum give every child's support, and one more ``&``
+    with the target's words every child's hits. Complete-row counts are
+    cached by column set. A child is the sorted tuple of its conditions'
+    ranks in ``Condition.sort_key`` order, so ranks order children as their
+    descriptors' sort keys do; a descriptor is built only for an entry the
+    caller takes, and the mask key (its packed rows) only then too.
     """
-    condition_masks = [cond.mask(d) for cond in conditions]
+    n = d.n_rows if rows is None else len(rows)
+    # a repeated condition would make one descriptor twice; ranks need none
+    conditions = sorted(set(conditions), key=Condition.sort_key)
+    words = _words(_condition_masks(d, conditions, rows), n)
+    columns = list(dict.fromkeys(cond.column for cond in conditions))
+    column_of = np.array([columns.index(cond.column) for cond in conditions], dtype=np.intp)
+    present_of = _words((~d.is_missing(name, rows) for name in columns), n)
     n_complete = {}
-    rows = np.empty(d.n_rows, dtype=bool)
-    # one sorted run of (quality, descriptor, target) per target and level
+    scratch = np.empty_like(words)
+    # one sorted run of (-quality, depth, ranks, target, parent, rank, support)
+    # per target and level; no two entries share (depth, ranks, target), so
+    # tuples compare by the report's order alone, never by the fields after
     runs = []
     evaluated = 0
     below_support = 0
     for target in targets:
-        column = target[0]
-        present, is_target = target_rows(d, target)
-        # beam entries: (descriptor, its support, its matching rows with the
-        # protected value present); the neutral root is never itself
-        # reported, only refined
-        beam = [(SubgroupDescriptor(()), None, present)]
+        present, is_target = _words(target_rows(d, target, rows=rows), n)
+        # beam entries: (ranks, their column indices, support, words of the
+        # matching rows with the protected value present); the neutral root
+        # is never itself reported, only refined
+        beam = [((), (), None, present)]
         for depth in range(1, max_depth + 1):
-            # scored entries: pool entry + (parent index, condition index,
-            # support); children of one level all have the same depth, so
-            # no child can repeat one of an earlier level
-            scored = []
-            seen = set()
-            for p, (parent, parent_support, parent_rows) in enumerate(beam):
-                for i, cond in enumerate(conditions):
-                    if cond.column in parent.columns:
-                        continue
-                    child = parent.extended(cond)
-                    if child in seen:
-                        continue
-                    seen.add(child)
-                    np.logical_and(parent_rows, condition_masks[i], out=rows)
-                    support = int(np.count_nonzero(rows))
-                    if parent_support is not None and support > parent_support:
-                        raise ValidationError(
-                            "refinement support exceeded its parent's support"
-                        )
-                    if support < min_support:
-                        below_support += 1
-                        continue
-                    evaluated += 1
-                    np.logical_and(rows, is_target, out=rows)
-                    hits = int(np.count_nonzero(rows))
-                    key = (child.columns, column)
+            run = []
+            for p, (ranks, cols, parent_support, parent_words) in enumerate(beam):
+                eligible = np.ones(len(conditions), dtype=bool)
+                for c in cols:
+                    eligible &= column_of != c
+                # an earlier parent of this level made a child already iff
+                # the child holds it: it then differs from this parent by
+                # one condition, and only that condition makes the repeat
+                for earlier in beam[:p]:
+                    extra = set(earlier[0]).difference(ranks)
+                    if len(extra) == 1:
+                        eligible[extra.pop()] = False
+                np.bitwise_and(words, parent_words, out=scratch)
+                support = _popcount(scratch)
+                if parent_support is not None and support.max(initial=0) > parent_support:
+                    raise ValidationError(
+                        "refinement support exceeded its parent's support"
+                    )
+                kept = eligible & (support >= min_support)
+                below_support += int(np.count_nonzero(eligible & ~kept))
+                scratch &= is_target
+                hits = _popcount(scratch)
+                kept = np.flatnonzero(kept)
+                for i, s, h in zip(kept.tolist(), support[kept].tolist(), hits[kept].tolist()):
+                    child_cols = (*cols, int(column_of[i]))
+                    key = (target[0], frozenset(child_cols))
                     if key not in n_complete:
-                        n_complete[key] = _count_complete(d, *key)
-                    q = _quality(support, hits, n_complete[key], gamma)
-                    scored.append((q, child, target, p, i, support))
-            scored.sort(key=_descriptor_order)
-            runs.append([entry[:3] for entry in scored])
-            if not scored or depth == max_depth:
+                        complete = np.bitwise_and.reduce(present_of[list(child_cols)])
+                        n_complete[key] = int(_popcount(complete & present))
+                    q = _quality(s, h, n_complete[key], gamma)
+                    run.append((-q, depth, tuple(sorted((*ranks, i))), target, p, i, s))
+            evaluated += len(run)
+            run.sort()
+            runs.append(run)
+            if not run or depth == max_depth:
                 break
             # survivors' rows are rebuilt from their parent's: keeping every
             # scored child's rows would hold one mask per child
             beam = [
-                (child, support, beam[p][2] & condition_masks[i])
-                for _q, child, _t, p, i, support in scored[:beam_width]
+                (child, (*beam[p][1], int(column_of[i])), s, beam[p][3] & words[i])
+                for _q, _depth, child, _t, p, i, s in run[:beam_width]
             ]
-    # merging keeps equal keys in run order, as a stable sort of all runs would
-    return heapq.merge(*runs, key=_descriptor_order), evaluated, below_support
+
+    def pool():
+        for neg_q, _depth, ranks, target, *_ in heapq.merge(*runs):
+            proxy = SubgroupDescriptor(tuple(conditions[r] for r in ranks))
+            mask_key = np.bitwise_and.reduce(words[list(ranks)]).tobytes()
+            yield -neg_q, proxy, target, mask_key
+
+    return pool(), evaluated, below_support
 
 
 def beam_search(
-    d_train,
+    d,
     config,
     beam_width=10,
     max_depth=3,
@@ -205,17 +240,21 @@ def beam_search(
     top_k=20,
     *,
     bins=4,
+    rows=None,
     stats_out=None,
 ):
     """Levelwise beam search over candidate-column conjunctions, one beam per
     protected (column, category) target, pooled into a global top_k.
 
-    Children are ranked on two integer counts: support (matching rows with
-    the protected value present) and hits (those carrying the target
-    category); a child's rows are its parent's rows and one condition's
-    mask. The exact statistics (:func:`exact_correspondence`: significance
-    test and Clopper-Pearson interval) run only for the deduplicated top_k
-    results that are returned.
+    The search reads only ``rows`` of ``d``, an integer row-index array such
+    as one part of :func:`~proxyaudit.data.split_holdout` (None means every
+    row); the table is never copied. Children are ranked on two
+    integer counts over packed row bits: support (matching rows with the
+    protected value present) and hits (those carrying the target category);
+    a child's rows are its parent's rows and one condition's rows. The exact
+    statistics (:func:`exact_correspondence`: significance test and
+    Clopper-Pearson interval) run only for the deduplicated top_k results
+    that are returned.
 
     Every scored (descriptor, target) pair counts toward the Bonferroni
     budget reported in ``stats_out['descriptors_evaluated']``, which
@@ -231,22 +270,21 @@ def beam_search(
         raise ParameterError("min_support must be at least 1")
     if gamma < 0:
         raise ParameterError("gamma must be non-negative")
-    config.check_against(d_train.schema)
+    config.check_against(d.schema)
 
-    conditions = enumerate_conditions(d_train, config.candidates, bins)
-    targets = _targets_of(d_train, config.protected)
+    conditions = enumerate_conditions(d, config.candidates, bins, rows=rows)
+    targets = _targets_of(d, config.protected, rows)
     pool, evaluated, below_support = _ranked_pool(
-        d_train, conditions, targets, beam_width, max_depth, min_support, gamma
+        d, rows, conditions, targets, beam_width, max_depth, min_support, gamma
     )
 
     deduped = []
     seen_masks = set()
-    for q, proxy, target in pool:
-        key = (target, proxy.mask(d_train).tobytes())
-        if key in seen_masks:
+    for q, proxy, target, mask_key in pool:
+        if (target, mask_key) in seen_masks:
             continue
-        seen_masks.add(key)
-        score = exact_correspondence(d_train, proxy, target)
+        seen_masks.add((target, mask_key))
+        score = exact_correspondence(d, proxy, target, rows=rows)
         deduped.append(
             DiscoveryResult(
                 proxy=proxy,
@@ -271,8 +309,9 @@ def beam_search(
     return deduped
 
 
-def validate(results, d_holdout, m_tests):
-    """Re-score results on held-out rows and Bonferroni-adjust p-values.
+def validate(results, d, m_tests, *, rows=None):
+    """Re-score results on held-out ``rows`` of ``d`` (None means every row)
+    and Bonferroni-adjust p-values.
 
     Survivors keep a holdout capacity score and status ``validated``; results
     whose holdout purity CI lower bound falls below the red-flag floor are
@@ -286,7 +325,7 @@ def validate(results, d_holdout, m_tests):
         adjusted = min(1.0, result.capacity.p_value * m_tests)
         try:
             holdout = exact_correspondence(
-                d_holdout, result.proxy, result.protected_target
+                d, result.proxy, result.protected_target, rows=rows
             )
         except InsufficientDataError:
             out.append(

@@ -44,7 +44,17 @@ def validator(name):
 
 
 def _key(path):
-    return "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path).lstrip(".")
+    """``path`` as text, such as ``a.b[0]``. A key that is empty or holds
+    ``.``, ``[`` or ``]`` goes in brackets as JSON: ``table[""]``."""
+    out = ""
+    for part in path:
+        if isinstance(part, int):
+            out += f"[{part}]"
+        elif not part or set(part) & set(".[]"):
+            out += f"[{json.dumps(part)}]"
+        else:
+            out += f".{part}" if out else part
+    return out
 
 
 def _wanted(node, path):

@@ -129,9 +129,10 @@ def run_discovery(
     *, beam_width=10, max_depth=2, min_support=30, gamma=0.25,
     top_k=20, bins=4, holdout_fraction=0.4, seed=0,
 ):
-    """Holdout split, beam search on the training part, validation on the
-    held-out part. Returns every validated finding plus search accounting;
-    data too small to split is a recorded skip with empty counts."""
+    """Holdout split, beam search on the training rows, validation on the
+    held-out rows; both parts are row sets of ``d``, never copies. Returns
+    every validated finding plus search accounting; data too small to split
+    is a recorded skip with empty counts."""
     try:
         holdout, train = split_holdout(d, holdout_fraction, seed)
     except InsufficientDataError as exc:
@@ -140,16 +141,16 @@ def run_discovery(
                 "unvalidated": [], "skipped": [skip]}, []
     stats = {}
     results = beam_search(
-        train, config,
+        d, config,
         beam_width=beam_width, max_depth=max_depth, min_support=min_support,
-        gamma=gamma, top_k=top_k, bins=bins, stats_out=stats,
+        gamma=gamma, top_k=top_k, bins=bins, rows=train, stats_out=stats,
     )
     m_tests = max(1, stats.get("descriptors_evaluated", len(results)))
-    validated = validate(results, holdout, m_tests) if results else []
+    validated = validate(results, d, m_tests, rows=holdout) if results else []
     kept = [r for r in validated if r.status == VALIDATED]
     return {
-        "train_rows": train.n_rows,
-        "holdout_rows": holdout.n_rows,
+        "train_rows": len(train),
+        "holdout_rows": len(holdout),
         "m_tests": m_tests,
         "search": stats,
         "candidates_returned": len(results),

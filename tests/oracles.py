@@ -26,7 +26,11 @@ returns a ``CapacityScore`` and uses the package's ``clopper_pearson`` and
 ``counts_significance``), and ``flip_analysis_reference``, the package's flip
 analysis before it scored each distinct dataset row once (it scores every
 interleaved baseline and counterfactual row through one ``score_columns``
-call and builds the package's ``UseSummary`` and ``FlipRecords``).
+call and builds the package's ``UseSummary`` and ``FlipRecords``), and
+``run_discovery_reference``, the package's discovery stage before the search
+read row sets of one table (``split_holdout_copies`` copies both parts with
+``Dataset.select``, and the package's ``beam_search`` and ``validate`` read
+the copies).
 """
 
 import csv
@@ -524,6 +528,58 @@ def beam_search_reference(d, config, beam_width, max_depth, min_support, gamma,
     stats_out.update(descriptors_evaluated=evaluated, below_support=below_support,
                      targets=targets, conditions=len(conditions))
     return out
+
+
+def split_holdout_copies(d, fraction, seed):
+    """Deterministically split rows into (ceil(fraction*N), rest) partitions."""
+    from proxyaudit.errors import InsufficientDataError, ValidationError
+
+    if not 0.0 < fraction < 1.0:
+        raise ValidationError(f"fraction must lie in (0,1), got {fraction}")
+    if d.n_rows < 2:
+        raise InsufficientDataError("need at least 2 rows to split")
+    n_first = math.ceil(fraction * d.n_rows)
+    perm = np.random.default_rng(seed).permutation(d.n_rows)
+    first = np.sort(perm[:n_first])
+    second = np.sort(perm[n_first:])
+    return d.select(first), d.select(second)
+
+
+def run_discovery_reference(
+    d, config,
+    *, beam_width=10, max_depth=2, min_support=30, gamma=0.25,
+    top_k=20, bins=4, holdout_fraction=0.4, seed=0,
+):
+    """Holdout split, beam search on the training part, validation on the
+    held-out part. Returns every validated finding plus search accounting;
+    data too small to split is a recorded skip with empty counts."""
+    from proxyaudit.discovery import VALIDATED, beam_search, validate
+    from proxyaudit.errors import InsufficientDataError
+
+    try:
+        holdout, train = split_holdout_copies(d, holdout_fraction, seed)
+    except InsufficientDataError as exc:
+        skip = {"kind": "discovery", "columns": list(config.protected), "reason": str(exc)}
+        return {"train_rows": 0, "holdout_rows": 0, "m_tests": 1, "validated": [],
+                "unvalidated": [], "skipped": [skip]}, []
+    stats = {}
+    results = beam_search(
+        train, config,
+        beam_width=beam_width, max_depth=max_depth, min_support=min_support,
+        gamma=gamma, top_k=top_k, bins=bins, stats_out=stats,
+    )
+    m_tests = max(1, stats.get("descriptors_evaluated", len(results)))
+    validated = validate(results, holdout, m_tests) if results else []
+    kept = [r for r in validated if r.status == VALIDATED]
+    return {
+        "train_rows": train.n_rows,
+        "holdout_rows": holdout.n_rows,
+        "m_tests": m_tests,
+        "search": stats,
+        "candidates_returned": len(results),
+        "validated": [r.to_json() for r in kept],
+        "unvalidated": [r.to_json() for r in validated if r.status != VALIDATED],
+    }, kept
 
 
 def _descendants_of(g, names):

@@ -181,7 +181,7 @@ def test_criterion_4_planted_recovery_and_null_control():
         protected=scenario.roles["protected"],
         candidates=scenario.roles["candidates"],
     )
-    holdout, train = split_holdout(d, 0.4, seed=0)
+    holdout, train = (d.select(rows) for rows in split_holdout(d, 0.4, seed=0))
     stats = {}
     results = beam_search(
         train, config, beam_width=10, max_depth=2, min_support=30,
@@ -221,7 +221,9 @@ def test_criterion_4_planted_recovery_and_null_control():
     empty_runs = 0
     for seed in range(20):
         nd = null.sample(2000, seed=100 + seed)
-        n_holdout, n_train = split_holdout(nd, 0.4, seed=seed)
+        n_holdout, n_train = (
+            nd.select(rows) for rows in split_holdout(nd, 0.4, seed=seed)
+        )
         n_stats = {}
         n_results = beam_search(
             n_train,

@@ -460,19 +460,30 @@ class TestDeriveFeature:
             derive_feature(toy_dataset, "f", rule(Condition.equals("sex", "other")))
 
 
+def split_copies(d, fraction, seed):
+    return tuple(d.select(rows) for rows in split_holdout(d, fraction, seed))
+
+
 class TestSplitHoldout:
     def test_sizes_and_determinism(self, toy_dataset):
         schema = [ColumnSchema("x", NUMERIC)]
         d = Dataset([schema[0]], {"x": np.arange(10.0)})
-        a, b = split_holdout(d, 0.3, seed=7)
+        a, b = split_copies(d, 0.3, seed=7)
         assert (a.n_rows, b.n_rows) == (3, 7)
-        a2, b2 = split_holdout(d, 0.3, seed=7)
+        a2, b2 = split_copies(d, 0.3, seed=7)
         assert a.equals(a2) and b.equals(b2)
 
     def test_ceil_size(self):
         d = Dataset([ColumnSchema("x", NUMERIC)], {"x": np.arange(7.0)})
-        a, b = split_holdout(d, 0.5, seed=0)
+        a, b = split_copies(d, 0.5, seed=0)
         assert (a.n_rows, b.n_rows) == (4, 3)
+
+    def test_parts_are_sorted_row_indices(self):
+        d = Dataset([ColumnSchema("x", NUMERIC)], {"x": np.arange(9.0)})
+        a, b = split_holdout(d, 0.4, seed=3)
+        assert a.dtype.kind == b.dtype.kind == "i"
+        assert np.all(np.diff(a) > 0) and np.all(np.diff(b) > 0)
+        assert sorted(a.tolist() + b.tolist()) == list(range(9))
 
     def test_too_small_errors(self):
         d = Dataset([ColumnSchema("x", NUMERIC)], {"x": np.array([1.0])})
@@ -487,7 +498,7 @@ class TestSplitHoldout:
     @settings(max_examples=50, deadline=None)
     def test_partition_property(self, n, fraction, seed):
         d = Dataset([ColumnSchema("x", NUMERIC)], {"x": np.arange(float(n))})
-        a, b = split_holdout(d, fraction, seed)
+        a, b = split_copies(d, fraction, seed)
         assert a.n_rows == math.ceil(fraction * n)
         assert a.n_rows + b.n_rows == n
         union = sorted(a.values("x").tolist() + b.values("x").tolist())

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import goldens
 import oracles
+from proxyaudit import report
 from proxyaudit.capacity import exact_correspondence
 from proxyaudit.data import CATEGORICAL, NUMERIC, AuditConfig, ColumnSchema, Dataset
 from proxyaudit.descriptors import Condition, SubgroupDescriptor
@@ -21,6 +22,7 @@ from proxyaudit.discovery import (
     validate,
 )
 from proxyaudit.errors import ParameterError, ValidationError
+from proxyaudit.synth import preset
 
 # --- enumerate_conditions ----------------------------------------------------
 
@@ -340,11 +342,13 @@ def test_extensionally_equal_descriptors_are_deduplicated():
 
 
 @st.composite
-def search_cases(draw):
+def search_cases(draw, max_rows=40):
     """Small tables with missing cells, categorical and numeric candidates
-    (copies of earlier candidates tie every quality they reach), and search
-    parameters, with min_support often at one condition's exact support."""
-    n = draw(st.integers(4, 40))
+    (copies of earlier candidates tie every quality they reach; constant or
+    all-missing numerics give no condition, so some searches have none), and
+    search parameters, with min_support often at one condition's exact
+    support."""
+    n = draw(st.integers(4, max_rows))
     schema, columns = [], {}
 
     def codes(k):
@@ -359,8 +363,11 @@ def search_cases(draw):
     candidates = []
     for j in range(draw(st.integers(1, 4))):
         name = f"c{j}"
-        kind = draw(st.sampled_from(["categorical", "numeric", "copy"]))
-        if kind == "copy" and candidates:
+        kind = draw(st.sampled_from(["categorical", "numeric", "copy", "constant"]))
+        if kind == "constant":
+            schema.append(ColumnSchema(name, NUMERIC))
+            columns[name] = np.full(n, draw(st.sampled_from([math.nan, 2.0])))
+        elif kind == "copy" and candidates:
             source = draw(st.sampled_from(candidates))
             col = next(c for c in schema if c.name == source)
             schema.append(ColumnSchema(name, col.kind, col.categories))
@@ -412,10 +419,104 @@ def test_counts_first_search_equals_reference(case):
     assert stats == expected_stats
 
 
+@st.composite
+def row_set_cases(draw):
+    """A search case on up to 150 rows, with training and holdout row sets
+    of any size (most are not a multiple of 64, so the packed words end in
+    padding bits)."""
+    d, config, kwargs = draw(search_cases(max_rows=150))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def row_set():
+        share = draw(st.sampled_from([0.0, 0.3, 0.6, 0.9, 1.0]))
+        return np.flatnonzero(rng.random(d.n_rows) < share)
+
+    return d, config, kwargs, row_set(), row_set()
+
+
+def quiet(fn, *args, **kwargs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return fn(*args, **kwargs)
+
+
+def same_results(got, expected):
+    assert [r.to_json() for r in got] == [r.to_json() for r in expected]
+    assert [r.quality.hex() for r in got] == [r.quality.hex() for r in expected]
+
+
+@settings(max_examples=150, deadline=None)
+@given(row_set_cases())
+def test_search_on_row_sets_equals_search_on_copies(case):
+    d, config, kwargs, train, holdout = case
+    part = d.select(train)
+    stats, copy_stats, expected_stats = {}, {}, {}
+    results = quiet(beam_search, d, config, rows=train, stats_out=stats, **kwargs)
+    on_copy = quiet(beam_search, part, config, stats_out=copy_stats, **kwargs)
+    expected = quiet(
+        oracles.beam_search_reference, part, config, stats_out=expected_stats, **kwargs
+    )
+    same_results(results, on_copy)
+    same_results(results, expected)
+    assert stats == copy_stats == expected_stats
+
+    # a holdout set, and the rows that the first result does not match, from
+    # which that result comes back unvalidated
+    holdouts = [holdout]
+    if results:
+        holdouts.append(np.flatnonzero(~results[0].proxy.mask(d)))
+    for rows in holdouts:
+        m_tests = max(1, stats["descriptors_evaluated"])
+        got = validate(results, d, m_tests, rows=rows)
+        same_results(got, validate(results, d.select(rows), m_tests))
+    if results:
+        assert got[0].status == UNVALIDATED
+
+
+def test_search_without_conditions_reports_nothing():
+    """Constant and all-missing candidates give no condition to search."""
+    d = Dataset(
+        [ColumnSchema("s", CATEGORICAL, ("f", "m")), ColumnSchema("c", NUMERIC),
+         ColumnSchema("m", NUMERIC)],
+        {"s": np.arange(100) % 2, "c": np.full(100, 3.0), "m": np.full(100, np.nan)},
+    )
+    config = AuditConfig(protected=("s",), candidates=("c", "m"))
+    for rows in (None, np.arange(1, 100, 3)):
+        stats = {}
+        with pytest.warns(UserWarning, match="no descriptor reached min_support"):
+            assert beam_search(d, config, min_support=1, rows=rows, stats_out=stats) == []
+        assert stats == {"descriptors_evaluated": 0, "below_support": 0,
+                         "targets": [("s", "f"), ("s", "m")], "conditions": 0}
+
+
+@settings(max_examples=100, deadline=None)
+@given(search_cases(max_rows=150), st.sampled_from([0.2, 0.4, 0.5, 0.9]), st.integers(0, 9))
+def test_run_discovery_equals_copy_based_reference(case, fraction, seed):
+    d, config, kwargs = case
+    kwargs = dict(kwargs, holdout_fraction=fraction, seed=seed)
+    got = quiet(report.run_discovery, d, config, **kwargs)
+    expected = quiet(oracles.run_discovery_reference, d, config, **kwargs)
+    assert got[0] == expected[0]
+    same_results(got[1], expected[1])
+
+
+def test_run_discovery_equals_reference_on_the_planted_preset():
+    scenario = preset("james")
+    d = scenario.sample(5000, seed=4)
+    config = AuditConfig(
+        protected=scenario.roles["protected"], candidates=scenario.roles["candidates"]
+    )
+    got = report.run_discovery(d, config, seed=3)
+    expected = oracles.run_discovery_reference(d, config, seed=3)
+    assert got[0]["validated"], "the planted proxy should validate"
+    assert got[0] == expected[0]
+    same_results(got[1], expected[1])
+
+
 def test_search_memory_is_condition_masks_plus_beam():
-    """The traced peak of a search stays near one row mask per condition plus
-    a few per beam slot; a search keeping every scored child's mask exceeds
-    it several times over."""
+    """The traced peak of a search stays under half of one byte-per-row mask
+    per condition plus a few per beam slot: packed masks take a bit a row,
+    and a boolean mask per condition alone exceeds the bound."""
     n = 20_000
     rng = np.random.default_rng(11)
     schema = [ColumnSchema("s", CATEGORICAL, ("f", "m"))]
@@ -441,7 +542,35 @@ def test_search_memory_is_condition_masks_plus_beam():
         _current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= (n_conditions + 4 * kwargs["beam_width"] + 8) * n
+    assert peak <= (n_conditions + 4 * kwargs["beam_width"] + 8) * n // 2
+
+
+def test_discovery_reads_row_sets_without_copying_the_table():
+    """Split, search and validation hold under half the bytes of the table's
+    columns; copying both parts of the split alone takes all of them."""
+    n = 20_000
+    rng = np.random.default_rng(5)
+    schema = [ColumnSchema("group", CATEGORICAL, ("a", "b"))]
+    columns = {"group": rng.integers(0, 2, n)}
+    for j, k in enumerate((4, 5, 3, 4, 5, 6, 3, 2, 4, 6, 3, 5)):
+        schema.append(ColumnSchema(f"c{j}", CATEGORICAL, tuple("pqrstu"[:k])))
+        columns[f"c{j}"] = rng.integers(-1 if j < 2 else 0, k, n)
+    for j in range(8):
+        x = rng.normal(size=n)
+        x[rng.random(n) < 0.02] = np.nan
+        schema.append(ColumnSchema(f"x{j}", NUMERIC))
+        columns[f"x{j}"] = x
+    d = Dataset(schema, columns)
+    config = AuditConfig(protected=("group",), candidates=tuple(c.name for c in schema[1:]))
+    table_bytes = sum(d.column_array(name).nbytes for name in d.column_names)
+    quiet(report.run_discovery, d, config, seed=1)
+    tracemalloc.start()
+    try:
+        quiet(report.run_discovery, d, config, seed=1)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < table_bytes // 2
 
 
 # --- validate ----------------------------------------------------------------
@@ -453,7 +582,7 @@ def test_planted_proxy_survives_validation():
     # a purity-1.0 finding needs >= 72 holdout matches for its exact-binomial
     # lower bound to clear the 0.95 floor; 300 rows per cell leaves plenty
     d = planted_conjunction_dataset(n_per_cell=300, seed=11)
-    holdout, train = split_holdout(d, 0.5, seed=11)
+    holdout, train = (d.select(rows) for rows in split_holdout(d, 0.5, seed=11))
     config = AuditConfig(protected=("s",), candidates=("c1", "c2"))
     stats = {}
     results = beam_search(

@@ -23,7 +23,7 @@ from proxyaudit.cli import main
 from proxyaudit.data import read_schema_json, schema_from_json
 from proxyaudit.errors import SpecError, ValidationError
 from proxyaudit.models import ModelSpec, read_json
-from proxyaudit.synth import PRESET_NAMES, CausalGraphSpec
+from proxyaudit.synth import PRESET_NAMES, CausalGraphSpec, preset
 
 
 def _config_load(path):
@@ -155,3 +155,23 @@ def test_bad_bytes_raise_the_documents_class_naming_it(tmp_path, label, text):
     with pytest.raises(error) as exc:
         load(path)
     assert str(exc.value).startswith(f"{label}: ")
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda sex: sex["table"].update({"": 0.5}),
+         """causal graph 'mechanisms.sex.table[""]' must be a list of probabilities, got 0.5"""),
+        (lambda sex: sex["table"].update({"": [0.45, None]}),
+         """causal graph 'mechanisms.sex.table[""][1]' must be """),
+        (lambda sex: sex.update({"a.b": 1}),
+         """unknown causal graph key(s): mechanisms.sex["a.b"]"""),
+    ],
+    ids=["empty-key", "empty-key-index", "dotted-key"],
+)
+def test_an_empty_or_dotted_key_is_named_in_brackets(edit, message):
+    obj = preset("james").graph.to_json()  # a fresh graph per call
+    edit(obj["mechanisms"]["sex"])
+    with pytest.raises(ValidationError) as exc:
+        CausalGraphSpec.from_json(obj)
+    assert str(exc.value).startswith(message), str(exc.value)

@@ -370,7 +370,7 @@ def _set(mechanism, path, value):
 @pytest.mark.parametrize(
     "preset_name, node, path, value, key",
     [
-        ("james", "sex", ("table", "", 0), math.nan, "sex.table.[0]"),
+        ("james", "sex", ("table", "", 0), math.nan, 'sex.table[""][0]'),
         ("james", "reached_statutory_retirement", ("cutoffs", "male"), math.nan,
          "reached_statutory_retirement.cutoffs.male"),
         ("james", "age", ("values", -1), math.inf, "age.values[16]"),
