@@ -32,7 +32,7 @@ from scipy import special
 
 from . import kernels
 from .association import counts_significance
-from .data import CATEGORICAL
+from .data import CATEGORICAL, Dataset
 from .descriptors import SubgroupDescriptor
 from .errors import InsufficientDataError, ParameterError, ValidationError
 
@@ -110,10 +110,9 @@ def clopper_pearson(k, n, alpha=0.05):
     return lo, hi
 
 
-def target_rows(d, protected_target, columns=(), rows=None):
-    """(present, is_target) masks over ``rows`` (every row by default) of a
-    protected (column, category) for a criterion over ``columns``, which may
-    not include the protected column."""
+def target_rows(d, protected_target, columns=()):
+    """(present, is_target) row masks of a protected (column, category) for a
+    criterion over ``columns``, which may not include the protected column."""
     column, category = protected_target
     schema = d.schema_of(column)
     if schema.kind != CATEGORICAL:
@@ -122,7 +121,7 @@ def target_rows(d, protected_target, columns=(), rows=None):
         raise ValidationError(f"category {category!r} not in column {column!r}")
     if column in columns:
         raise ValidationError(f"criterion references the protected column {column!r}")
-    codes = d.codes(column, rows)
+    codes = d.codes(column)
     return codes >= 0, codes == schema.categories.index(category)
 
 
@@ -132,13 +131,16 @@ def exact_correspondence(d, q, protected_value, *, rows=None):
     value = fraction of q-matching rows carrying the protected value, over
     rows complete in every referenced column; support = number of matching
     rows; significance = chi-squared/Fisher on the q-vs-protected 2x2 table;
-    interval = 95% Clopper-Pearson bounds on the value. Only ``rows`` (an
-    integer row-index array; None means every row) are counted.
+    interval = 95% Clopper-Pearson bounds on the value. Only ``rows`` (row
+    indices; None means every row) are counted, each column read at them once.
     """
-    present, is_cat = target_rows(d, protected_value, q.columns, rows)
+    if rows is not None:
+        cells = {name: d.column_array(name)[rows] for name in (protected_value[0], *q.columns)}
+        d = Dataset._of(tuple(map(d.schema_of, cells)), cells)
+    present, is_cat = target_rows(d, protected_value, q.columns)
     # a condition never matches a missing cell, so matching rows are complete
-    complete = d.complete_mask(q.columns, rows) & present
-    match = q.mask(d, rows) & present
+    complete = d.complete_mask(q.columns) & present
+    match = q.mask(d) & present
     support = int(np.count_nonzero(match))
     if support == 0:
         raise InsufficientDataError("criterion matches no complete rows")
@@ -300,11 +302,24 @@ def balanced_accuracy(confusion):
     return float(np.mean(recalls))
 
 
+def check_proxy_set(proxy_set, protected, schema):
+    """Raise ``ValidationError`` unless ``proxy_set`` names one or more
+    columns of ``schema`` (a sequence of ``ColumnSchema``), none of them in
+    ``protected``, so no data is needed."""
+    if not proxy_set:
+        raise ValidationError("proxy_set must be non-empty")
+    names = {c.name for c in schema}
+    for name in proxy_set:
+        if name not in names:
+            raise ValidationError(f"unknown column {name!r}")
+        if name in protected:
+            raise ValidationError(f"proxy set references the protected column {name!r}")
+
+
 def predictive_capacity(d, proxy_set, protected, *, folds=5, seed=0):
     """Chance-normalized CV balanced accuracy of predicting the protected
     column from a feature set: value = max(0, (b - 1/k) / (1 - 1/k))."""
-    if not proxy_set:
-        raise ValidationError("proxy_set must be non-empty")
+    check_proxy_set(proxy_set, (protected,), d.schema)
     if folds < 2:
         raise ParameterError("folds must be at least 2")
     schema = d.schema_of(protected)

@@ -42,7 +42,7 @@ from pathlib import Path
 import click
 
 from . import __version__, documents, report
-from .capacity import RED_FLAG_CI_FLOOR, RED_FLAG_PURITY
+from .capacity import RED_FLAG_CI_FLOOR, RED_FLAG_PURITY, check_proxy_set
 from .data import (
     AuditConfig,
     load_csv,
@@ -166,9 +166,14 @@ class RunSettings:
             seed=raw.get("seed", 0),
         )
         self.audit.check_against(schema)
+        self.proxy_sets = [tuple(s) for s in raw.get("proxy_sets", [])]
+        for i, proxy_set in enumerate(self.proxy_sets):
+            try:
+                check_proxy_set(proxy_set, self.audit.protected, schema)
+            except ValidationError as exc:
+                raise ValidationError(f"config 'proxy_sets[{i}]': {exc}") from None
         self.dataset = load_csv(data_path, schema)
         self.seed = int(seed) if seed is not None else self.audit.seed
-        self.proxy_sets = [tuple(s) for s in raw.get("proxy_sets", [])]
         self.out_dir = Path(out_dir)
 
     def config_echo(self):

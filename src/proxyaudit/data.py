@@ -163,36 +163,33 @@ class Dataset:
             raise ValidationError(f"column {name!r} is not categorical")
         return col.categories
 
-    def codes(self, name, rows=None):
+    def codes(self, name):
         col = self.schema_of(name)
         if col.kind != CATEGORICAL:
             raise ValidationError(f"column {name!r} is not categorical")
-        return self.column_array(name, rows)
+        return self._columns[name]
 
-    def values(self, name, rows=None):
+    def values(self, name):
         col = self.schema_of(name)
         if col.kind != NUMERIC:
             raise ValidationError(f"column {name!r} is not numeric")
-        return self.column_array(name, rows)
+        return self._columns[name]
 
-    def column_array(self, name, rows=None):
-        """The column's array, or a copy of its cells at ``rows`` (an
-        integer row-index array; None means every row)."""
+    def column_array(self, name):
+        """The column's array over every row (codes or values), not a copy."""
         self.schema_of(name)
-        arr = self._columns[name]
-        return arr if rows is None else arr[rows]
+        return self._columns[name]
 
-    def is_missing(self, name, rows=None):
+    def is_missing(self, name):
         col = self.schema_of(name)
-        arr = self.column_array(name, rows)
+        arr = self._columns[name]
         return (arr < 0) if col.kind == CATEGORICAL else np.isnan(arr)
 
-    def complete_mask(self, names, rows=None):
-        """True where every named column has a value, at ``rows`` (every row
-        by default)."""
-        mask = np.ones(self._n_rows if rows is None else len(rows), dtype=bool)
+    def complete_mask(self, names):
+        """True where every named column has a value."""
+        mask = np.ones(self._n_rows, dtype=bool)
         for name in names:
-            mask &= ~self.is_missing(name, rows)
+            mask &= ~self.is_missing(name)
         return mask
 
     def cell(self, i, name):
@@ -606,8 +603,8 @@ def derive_feature(d, name, rule):
 
 def split_holdout(d, fraction, seed):
     """Deterministically split the rows of ``d`` into two sorted row-index
-    arrays of ceil(fraction*N) and N - ceil(fraction*N) rows. The table is
-    not copied: callers pass the arrays as ``rows=`` or to ``d.select``."""
+    arrays of ceil(fraction*N) and N - ceil(fraction*N) rows, not copies;
+    pass them to ``d.select`` or as the ``rows=`` of ``beam_search`` and ``validate``."""
     if not 0.0 < fraction < 1.0:
         raise ValidationError(f"fraction must lie in (0,1), got {fraction}")
     if d.n_rows < 2:

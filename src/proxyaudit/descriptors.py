@@ -69,10 +69,9 @@ class Condition:
             raise ValidationError(f"interval condition on non-numeric {self.column!r}")
         return schema
 
-    def mask(self, d, rows=None):
-        """Boolean mask over ``rows`` (an integer row-index array; None means
-        every row); missing values never match."""
-        return self.matches(d.column_array(self.column, rows), self.check_against(d))
+    def mask(self, d):
+        """Boolean row mask; missing values never match."""
+        return self.matches(d.column_array(self.column), self.check_against(d))
 
     def matches(self, x, schema):
         """Boolean mask of ``x``, cells of this condition's column as its
@@ -152,10 +151,10 @@ class SubgroupDescriptor:
     def columns(self):
         return tuple(c.column for c in self.conditions)
 
-    def mask(self, d, rows=None):
-        out = np.ones(d.n_rows if rows is None else len(rows), dtype=bool)
+    def mask(self, d):
+        out = np.ones(d.n_rows, dtype=bool)
         for cond in self.conditions:
-            out &= cond.mask(d, rows)
+            out &= cond.mask(d)
         return out
 
     def extended(self, cond):

@@ -70,13 +70,14 @@ def enumerate_conditions(d, columns, bins=4, *, rows=None):
     """
     if bins < 2:
         raise ParameterError("bins must be at least 2")
+    rows = np.arange(d.n_rows) if rows is None else rows
     out = []
     for name in columns:
         schema = d.schema_of(name)
         if schema.kind == CATEGORICAL:
             out.extend(Condition.equals(name, cat) for cat in schema.categories)
             continue
-        values = d.values(name, rows)
+        values = d.values(name)[rows]
         valid = values[~np.isnan(values)]
         if valid.size == 0:
             continue
@@ -102,13 +103,13 @@ def _quality(support, hits, n_complete, gamma):
     return (support / n_complete) ** gamma * (hits / support)
 
 
-def _targets_of(d, protected_columns, rows=None):
+def _targets_of(d, protected_columns, rows):
     targets = []
     for column in protected_columns:
         schema = d.schema_of(column)
         if schema.kind != CATEGORICAL:
             raise ValidationError(f"protected column {column!r} must be categorical")
-        codes = d.codes(column, rows)
+        codes = d.codes(column)[rows]
         counts = np.bincount(codes[codes >= 0], minlength=len(schema.categories))
         targets.extend(
             (column, cat) for cat, count in zip(schema.categories, counts) if count
@@ -133,7 +134,7 @@ def _condition_masks(d, conditions, rows):
     for cond in conditions:
         schema = cond.check_against(d)
         if cond.column != column:
-            column, cells = cond.column, d.column_array(cond.column, rows)
+            column, cells = cond.column, d.column_array(cond.column)[rows]
         yield cond.matches(cells, schema)
 
 
@@ -156,13 +157,13 @@ def _ranked_pool(d, rows, conditions, targets, beam_width, max_depth, min_suppor
     descriptors' sort keys do; a descriptor is built only for an entry the
     caller takes, and the mask key (its packed rows) only then too.
     """
-    n = d.n_rows if rows is None else len(rows)
+    n = len(rows)
     # a repeated condition would make one descriptor twice; ranks need none
     conditions = sorted(set(conditions), key=Condition.sort_key)
     words = _words(_condition_masks(d, conditions, rows), n)
     columns = list(dict.fromkeys(cond.column for cond in conditions))
     column_of = np.array([columns.index(cond.column) for cond in conditions], dtype=np.intp)
-    present_of = _words((~d.is_missing(name, rows) for name in columns), n)
+    present_of = _words((~d.is_missing(name)[rows] for name in columns), n)
     n_complete = {}
     scratch = np.empty_like(words)
     # one sorted run of (-quality, depth, ranks, target, parent, rank, support)
@@ -172,7 +173,7 @@ def _ranked_pool(d, rows, conditions, targets, beam_width, max_depth, min_suppor
     evaluated = 0
     below_support = 0
     for target in targets:
-        present, is_target = _words(target_rows(d, target, rows=rows), n)
+        present, is_target = _words((mask[rows] for mask in target_rows(d, target)), n)
         # beam entries: (ranks, their column indices, support, words of the
         # matching rows with the protected value present); the neutral root
         # is never itself reported, only refined
@@ -271,11 +272,12 @@ def beam_search(
     if gamma < 0:
         raise ParameterError("gamma must be non-negative")
     config.check_against(d.schema)
+    index = np.arange(d.n_rows) if rows is None else rows
 
-    conditions = enumerate_conditions(d, config.candidates, bins, rows=rows)
-    targets = _targets_of(d, config.protected, rows)
+    conditions = enumerate_conditions(d, config.candidates, bins, rows=index)
+    targets = _targets_of(d, config.protected, index)
     pool, evaluated, below_support = _ranked_pool(
-        d, rows, conditions, targets, beam_width, max_depth, min_support, gamma
+        d, index, conditions, targets, beam_width, max_depth, min_support, gamma
     )
 
     deduped = []

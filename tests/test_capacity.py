@@ -650,3 +650,9 @@ def test_predictive_capacity_drops_incomplete_rows(toy_dataset):
 def test_predictive_capacity_rejects_numeric_protected(toy_dataset):
     with pytest.raises(ValidationError):
         predictive_capacity(toy_dataset, ("sex",), "years_since_graduation")
+
+
+def test_predictive_capacity_rejects_a_proxy_set_holding_the_protected_column(toy_dataset):
+    # a column always predicts itself: scored, it reads as full capacity
+    with pytest.raises(ValidationError, match="references the protected column 'sex'"):
+        predictive_capacity(toy_dataset, ("school_attended", "sex"), "sex", folds=2)

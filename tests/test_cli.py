@@ -895,11 +895,17 @@ def test_config_value_of_wrong_type_exits_2(runner, tmp_path, key, edit):
         ({"protected": []}, "at least one protected column is required"),
         ({"candidates": ["nope"]}, "candidates column 'nope' not in dataset"),
         ({"candidates": ["sex", "age"]}, "protected and candidate columns overlap: ['sex']"),
+        ({"proxy_sets": [["age"], ["age", "nope"]]},
+         "config 'proxy_sets[1]': unknown column 'nope'"),
+        ({"proxy_sets": [[]]}, "config 'proxy_sets[0]': proxy_set must be non-empty"),
+        ({"proxy_sets": [["sex", "age"]]},
+         "config 'proxy_sets[0]': proxy set references the protected column 'sex'"),
     ],
     ids=["favorable_direction", "selector.condition", "condition.categroy",
          "assignment.vlaue", "seed-1", "seed2.0", "normalization", "scan",
          "selector.lo_above_hi", "selector.same_column", "no_protected",
-         "unknown_candidate", "protected_candidate"],
+         "unknown_candidate", "protected_candidate", "unknown_proxy_column",
+         "empty_proxy_set", "protected_proxy_column"],
 )
 def test_config_defect_exits_2_before_the_load(runner, tmp_path, monkeypatch, edit, message):
     out = synth_out(runner, tmp_path, "james", rows=40)

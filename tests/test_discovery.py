@@ -21,7 +21,7 @@ from proxyaudit.discovery import (
     enumerate_conditions,
     validate,
 )
-from proxyaudit.errors import ParameterError, ValidationError
+from proxyaudit.errors import InsufficientDataError, ParameterError, ValidationError
 from proxyaudit.synth import preset
 
 # --- enumerate_conditions ----------------------------------------------------
@@ -445,6 +445,16 @@ def same_results(got, expected):
     assert [r.quality.hex() for r in got] == [r.quality.hex() for r in expected]
 
 
+def purity(*args, **kwargs):
+    """exact_correspondence's support, value and exact statistics, or
+    InsufficientDataError when it raises that."""
+    try:
+        s = exact_correspondence(*args, **kwargs)
+    except InsufficientDataError:
+        return InsufficientDataError
+    return s.support, s.value, s.p_value.hex(), s.ci_low.hex(), s.ci_high.hex()
+
+
 @settings(max_examples=150, deadline=None)
 @given(row_set_cases())
 def test_search_on_row_sets_equals_search_on_copies(case):
@@ -471,6 +481,16 @@ def test_search_on_row_sets_equals_search_on_copies(case):
         same_results(got, validate(results, d.select(rows), m_tests))
     if results:
         assert got[0].status == UNVALIDATED
+
+    # each result's purity on a row set equals its purity on a copy of those
+    # rows; on the rows the first result does not match, both raise
+    for rows in (train, *holdouts):
+        for r in results:
+            q, t = r.proxy, r.protected_target
+            assert purity(d, q, t, rows=rows) == purity(d.select(rows), q, t)
+    if results:
+        q, t = results[0].proxy, results[0].protected_target
+        assert purity(d, q, t, rows=holdouts[-1]) is InsufficientDataError
 
 
 def test_search_without_conditions_reports_nothing():
