@@ -17,11 +17,11 @@ row, class) cell with one ``bincount``. A fold's tree fits on the nonzero
 cells of the other folds, each weighted by its count, over the design matrix
 of the distinct rows, ranked once (``_value_ranks``): a node is an array of
 cells, and ``kernels.best_split`` sums their weights per distinct value
-instead of sorting the node. Each distinct row is predicted once per fold,
-and the confusion matrix behind every statistic comes from the counts. Rows
-are dealt to folds in the ``np.lexsort`` order of their design rows, and a
-repeated row only adds weight, so the folds, the trees and the scores are
-those of a fit on every row.
+instead of sorting the node. Held-out rows follow the training cells down
+every split to their leaf's class, and the confusion matrix behind every
+statistic comes from the counts. Rows are dealt to folds in the ``np.lexsort``
+order of their design rows, and a repeated row only adds weight, so the
+folds, the trees and the scores are those of a fit on every row.
 """
 
 import warnings
@@ -239,26 +239,33 @@ def _fold_counts(d, features, rows, y, observed, folds, n_classes, seed):
 class _CartTree:
     """CART-style classifier: Gini impurity, deterministic tie-breaks,
     zero-gain splits allowed while a node is impure. It fits on weighted
-    cells of a ranked table (``_value_ranks``) and predicts from values."""
+    cells of a ranked table (``_value_ranks``) and classifies held-out rows
+    of the same table as it splits."""
 
     def __init__(self, max_depth, min_leaf):
         self.max_depth = max_depth
         self.min_leaf = min_leaf
         self.nodes = []  # dicts: split {feat, thr, left, right} | leaf {counts}
 
-    def fit(self, ranks, values, rows, y, weights, n_classes):
+    def fit(self, ranks, values, rows, y, weights, n_classes, held=()):
         """Fit on weighted cells: cell i is row ``rows[i]`` of the ranked
         table with label ``y[i]``, counted ``weights[i]`` times. The tree is
-        the one a fit on every row, each cell repeated, would give."""
+        the one a fit on every row, each cell repeated, would give. Table
+        row r in ``held`` goes down with the cells, and ``predicted[r]`` is
+        its leaf's most frequent training class (the lowest on a tie, 0 in a
+        leaf no training row reached)."""
         self.n_classes = n_classes
-        self._build(ranks, values, rows, y, weights, depth=0)
+        self.predicted = np.zeros(ranks.shape[1], dtype=np.int64)
+        self._build(ranks, values, rows, y, weights, np.asarray(held, dtype=np.intp), depth=0)
         return self
 
-    def _build(self, ranks, values, rows, y, weights, depth):
+    def _build(self, ranks, values, rows, y, weights, held, depth):
         index = len(self.nodes)
         counts = np.bincount(y, weights=weights, minlength=self.n_classes).astype(np.int64)
         node = {"counts": counts}
         self.nodes.append(node)
+        # held rows take this node's class until a split's leaves overwrite it
+        self.predicted[held] = np.argmax(counts)
         pure = np.count_nonzero(counts) <= 1
         if depth >= self.max_depth or pure or counts.sum() < 2 * self.min_leaf:
             return index
@@ -267,32 +274,18 @@ class _CartTree:
         )
         if feat < 0:
             return index
-        # compare values, not ranks, exactly as prediction does
+        # compare values, not ranks, for training cells and held rows alike
         left = values[feat][ranks[feat][rows]] < thr
+        held_left = values[feat][ranks[feat][held]] < thr
         node["feat"] = int(feat)
         node["thr"] = float(thr)
         # compress: a boolean index is several times slower on large nodes
         right = ~left
         node["left"] = self._build(ranks, values, rows.compress(left), y.compress(left),
-                                   weights.compress(left), depth + 1)
+                                   weights.compress(left), held.compress(held_left), depth + 1)
         node["right"] = self._build(ranks, values, rows.compress(right), y.compress(right),
-                                    weights.compress(right), depth + 1)
+                                    weights.compress(right), held.compress(~held_left), depth + 1)
         return index
-
-    def predict(self, X):
-        """Class of the leaf each row of X reaches: its most frequent training
-        class, the lowest on a tie, and 0 in a leaf no training row reached."""
-        out = np.empty(X.shape[0], dtype=np.int64)
-        stack = [(self.nodes[0], np.arange(X.shape[0]))]
-        while stack:
-            node, rows = stack.pop()
-            if "feat" not in node:
-                out[rows] = np.argmax(node["counts"])
-                continue
-            left = X[rows, node["feat"]] < node["thr"]
-            stack.append((self.nodes[node["left"]], rows[left]))
-            stack.append((self.nodes[node["right"]], rows[~left]))
-        return out
 
 
 def balanced_accuracy(confusion):
@@ -355,19 +348,17 @@ def predictive_capacity(d, proxy_set, protected, *, folds=5, seed=0):
     counts, firsts = _fold_counts(
         d, proxy_set, rows, y, observed, effective_folds, n_classes, seed
     )
-    X = _design_matrix(d, proxy_set, firsts)
-    ranks, values = _value_ranks(X)
+    ranks, values = _value_ranks(_design_matrix(d, proxy_set, firsts))
     total = counts.sum(axis=0)
     # whole numbers, exact in float64 below 2**53
     confusion = np.zeros((n_classes, n_classes))
     for f in range(effective_folds):
         others = total - counts[f]
         train, label = np.nonzero(others)
-        tree = _CartTree(TREE_MAX_DEPTH, TREE_MIN_LEAF).fit(
-            ranks, values, train, label, others[train, label].astype(np.float64), n_classes
-        )
         held = np.nonzero(counts[f].any(axis=1))[0]
-        predicted = tree.predict(X[held])
+        predicted = _CartTree(TREE_MAX_DEPTH, TREE_MIN_LEAF).fit(
+            ranks, values, train, label, others[train, label].astype(np.float64), n_classes, held
+        ).predicted[held]
         for c in range(n_classes):
             confusion[c] += np.bincount(predicted, weights=counts[f, held, c],
                                         minlength=n_classes)

@@ -8,11 +8,11 @@ bundled ``schemas/config.schema.json`` and ``schemas/dataset_schema.schema.json`
 (keys, types, ranges, finite numbers; the config schema also holds each
 option section's defaults), the decision rule, the model spec and the use
 selector are built, and the audit roles are checked against the schema's
-columns. The use step's preconditions (assignments to columns the model reads
-and to values their schema allows, a selector the schema can test, a model
-and a decision rule, ICE columns the model reads, a grid of at least 2
-points for a numeric ICE column, an ICE row inside non-empty data) are
-checked before any stage.
+columns. The use step's preconditions (a model spec the dataset schema can
+feed, assignments to columns the model reads and to values their schema
+allows, a selector the schema can test, a model and a decision rule, ICE
+columns the model reads, a grid of at least 2 points for a numeric ICE
+column, an ICE row inside non-empty data) are checked before any stage.
 
 Exit codes separate findings from failures: 0 means the audit ran (whatever
 it found), 2 is a usage or configuration error, 3 is a runtime failure, and
@@ -217,7 +217,8 @@ class RunSettings:
 
 def _run_audit(rs, stages):
     """Run ``stages`` in pipeline order and write the report, raising the use
-    step's config errors before the first stage runs. Findings come from
+    step's config errors, the model spec's against the dataset schema
+    included, before the first stage runs. Findings come from
     discovery, through the use step when there is a model."""
     use, alone = rs.options["use"], stages == STAGES["use"]
     model = rs.model_spec if "use" in stages else None
@@ -228,6 +229,7 @@ def _run_audit(rs, stages):
     if alone and model is None:
         raise ValidationError("this command needs a model: pass --model or set model_path")
     if model is not None:
+        model.check_against(rs.dataset.schema)
         report.check_use(
             model.feature_order, rs.dataset, use["assignments"], use["selector"],
             use["ice_columns"], use["ice_row"], use["ice_grid_size"],

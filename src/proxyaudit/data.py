@@ -10,11 +10,10 @@ deletion) by the measurement modules, never globally at load.
 at a line break (``\\n``, ``\\r\\n`` or a bare ``\\r``), never seeking, so a
 pipe loads as a file does. A plain chunk (no quote, NUL or bare ``\\r``, and
 ``width - 1`` commas on every line, checked on its bytes with numpy) is
-tokenized with ``str.split``, any other chunk by ``csv.reader``, which takes
-over the rest of the file from the first chunk holding a quote. Both
-tokenizers hand one list of raw cells per column to the same decoder. Bytes
-that are not UTF-8 and ``csv.Error`` are ``ParseError`` (exit 2 on the command
-line).
+tokenized with ``str.split``; from the first chunk that is not plain,
+``csv.reader`` tokenizes the rest of the file. Both tokenizers hand one list
+of raw cells per column to the same decoder. Bytes that are not UTF-8 and
+``csv.Error`` are ``ParseError`` (exit 2 on the command line).
 
 The decoder writes each batch's values into one array per column. The first
 batch sizes them: the file's size times the rows per byte read so far, with
@@ -323,25 +322,22 @@ def load_csv(path, schema, *, header=True):
     break of either kind (``\\n`` or a bare ``\\r``). A plain chunk
     (no quote, no NUL, no ``\\r`` outside ``\\r\\n``, no line longer than the
     field limit, and the same number of commas on every line) is tokenized
-    with ``str.split``; any other chunk goes through ``csv.reader``, and from
-    the first chunk holding a quote ``csv.reader`` reads the rest of the file,
-    since a quoted field may span chunks. Both feed one column decoder.
+    with ``str.split``. From the first chunk that is not plain,
+    ``csv.reader`` reads the rest of the file, since a quoted field may span
+    chunks. Both feed one column decoder.
     """
     try:
         with open(path, "rb") as fh:
             table = _ColumnDecoder(tuple(schema), header, os.fstat(fh.fileno()).st_size)
             chunks = _chunks(fh, table)
             for raw, text in chunks:
-                if b'"' in raw:
+                if not _is_plain(raw, table.width):
                     lines = chain.from_iterable(
                         io.StringIO(t, newline="") for _, t in chain([(raw, text)], chunks)
                     )
                     table.add_reader(lines)
                     break
-                if _is_plain(raw, table.width):
-                    table.add_plain(text)
-                else:
-                    table.add_reader(io.StringIO(text, newline=""))
+                table.add_plain(text)
     except UnicodeDecodeError as exc:
         raise ParseError(
             f"data row {table.n_rows} is not valid UTF-8: {exc.reason}", row_index=table.n_rows
@@ -400,7 +396,7 @@ def _is_plain(raw, width):
     than the field limit and every line has ``width - 1`` commas: among the
     comma and newline bytes, every ``width``-th is a newline and no other is.
     """
-    if not width or b"\0" in raw or raw.count(b"\r") != raw.count(b"\r\n"):
+    if not width or b'"' in raw or b"\0" in raw or raw.count(b"\r") != raw.count(b"\r\n"):
         return False
     b = np.frombuffer(raw, np.uint8)
     seps = np.flatnonzero((b == 44) | (b == 10))
@@ -636,11 +632,15 @@ class AuditConfig:
 
     def check_against(self, schema):
         """Verify every named column exists in the dataset schema (a
-        sequence of ``ColumnSchema``), so no data is needed."""
-        names = {c.name for c in schema}
+        sequence of ``ColumnSchema``) and every protected one is categorical,
+        so no data is needed."""
+        kinds = {c.name: c.kind for c in schema}
         for group, cols in (("protected", self.protected), ("candidates", self.candidates)):
             for c in cols:
-                if c not in names:
+                if c not in kinds:
                     raise ValidationError(f"{group} column {c!r} not in dataset")
-        if self.target is not None and self.target not in names:
+        for c in self.protected:
+            if kinds[c] != CATEGORICAL:
+                raise ValidationError(f"protected column {c!r} must be categorical")
+        if self.target is not None and self.target not in kinds:
             raise ValidationError(f"target column {self.target!r} not in dataset")

@@ -106,9 +106,7 @@ def _quality(support, hits, n_complete, gamma):
 def _targets_of(d, protected_columns, rows):
     targets = []
     for column in protected_columns:
-        schema = d.schema_of(column)
-        if schema.kind != CATEGORICAL:
-            raise ValidationError(f"protected column {column!r} must be categorical")
+        schema = d.schema_of(column)  # categorical, by ``config.check_against``
         codes = d.codes(column)[rows]
         counts = np.bincount(codes[codes >= 0], minlength=len(schema.categories))
         targets.extend(

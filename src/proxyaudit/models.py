@@ -234,6 +234,37 @@ class ModelSpec:
         if unreachable:
             raise SpecError(f"unreachable nodes: {sorted(unreachable, key=repr)}")
 
+    def check_against(self, schema):
+        """Raise ``ValidationError`` unless the dataset schema (a sequence of
+        ``ColumnSchema``) can feed this spec, so no data is needed: every
+        feature is a column, and for builtin kinds every coefficient and tree
+        split reads a column of the kind it needs, a one-of-K coefficient or
+        category split naming one of its categories. Otherwise a read would
+        fail on every row, or a term would never fire."""
+        columns = {c.name: c for c in schema}
+        for name in self.feature_order:
+            if name not in columns:
+                raise ValidationError(f"model feature {name!r} is not a dataset column")
+        reads = []  # (what, column, reads a category, the category)
+        if self.kind in ("linear", "logistic"):
+            for name in self.parameters["coefficients"]:
+                column, one_of_k, category = name.partition("=")
+                reads.append((f"coefficient {name!r}", column, bool(one_of_k), category))
+        elif self.kind == "decision_tree":
+            for node in self.parameters["nodes"]:
+                if node["kind"] == "split":
+                    reads.append((f"tree node {node['id']!r}", node["column"],
+                                  "category" in node, node.get("category")))
+        for what, column, by_category, category in reads:
+            kind = columns[column].kind
+            if by_category != (kind == "categorical"):
+                need = "categorical" if by_category else "numeric"
+                raise ValidationError(f"model {what} needs a {need} column; {column!r} is {kind}")
+            if by_category and category not in columns[column].categories:
+                raise ValidationError(
+                    f"model {what}: category {category!r} not in column {column!r}"
+                )
+
     def to_json(self):
         return {
             "kind": self.kind,

@@ -19,6 +19,7 @@ import hashlib
 import json
 import math
 import os
+import warnings
 
 import jsonschema
 import numpy as np
@@ -80,7 +81,8 @@ def run_capacity(
     """Association scan, contingency drill-down of each top pair, and
     predictive capacity of each configured proxy set against each protected
     column. Pairs and proxy sets with too few complete rows are listed under
-    ``skipped`` (written only when non-empty) instead of ending the audit."""
+    ``skipped`` (written only when non-empty) instead of ending the audit,
+    and a fold merge is written as its entry's ``warning``, not warned."""
     fragment = {"scan": [], "contingency": [], "predictive": []}
     skipped = []
     if candidates:
@@ -108,9 +110,12 @@ def run_capacity(
     for proxy_set in proxy_sets:
         for p in protected:
             try:
-                score = predictive_capacity(
-                    d, tuple(proxy_set), p, folds=folds, seed=seed
-                )
+                with warnings.catch_warnings():
+                    # a fold merge is reported as the entry's ``warning``
+                    warnings.simplefilter("ignore", UserWarning)
+                    score = predictive_capacity(
+                        d, tuple(proxy_set), p, folds=folds, seed=seed
+                    )
             except InsufficientDataError as exc:
                 skipped.append(
                     {"kind": "predictive", "columns": [p, *proxy_set], "reason": str(exc)}

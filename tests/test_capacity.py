@@ -471,8 +471,8 @@ def test_tree_learns_the_generating_rule():
     d = mixed_dataset()
     X = _design_matrix(d, ("age", "city"), np.arange(d.n_rows))
     y = d.codes("grp")
-    tree = _CartTree(max_depth=3, min_leaf=5).fit(*row_cells(X, y, np.arange(d.n_rows)), 2)
-    assert np.mean(tree.predict(X) == y) > 0.8
+    _tree, predicted = fit_and_classify(X, y, np.arange(d.n_rows), X, 2, 3, 5)
+    assert np.mean(predicted == y) > 0.8
 
 
 def test_value_ranks_index_sorted_distinct_values():
@@ -499,6 +499,15 @@ def node_bits(nodes):
 def row_cells(X, y, rows):
     """The table X with one cell of weight 1 per row in ``rows``."""
     return (*_value_ranks(X), rows, y[rows], np.ones(rows.shape[0]))
+
+
+def fit_and_classify(X, y, rows, queries, n_classes, max_depth, min_leaf):
+    """A tree fit on the rows ``rows`` of X, and the classes it gives the
+    rows of ``queries``, appended to the ranked table and passed as held."""
+    table = np.vstack([X, queries])
+    held = np.arange(X.shape[0], table.shape[0])
+    tree = _CartTree(max_depth, min_leaf).fit(*row_cells(table, y, rows), n_classes, held)
+    return tree, tree.predicted[held]
 
 
 def grouped_cells(X, y, rows, n_classes, rng):
@@ -550,12 +559,11 @@ def test_empty_leaf_predicts_class_0_without_dividing():
     # class 1 is the majority everywhere else
     X = np.array([[1.0], [np.nextafter(1.0, 2.0)]] * 6)
     y = np.array([1, 1] * 5 + [0, 0])
-    tree = _CartTree(2, 1).fit(*row_cells(X, y, np.arange(12)), 2)
-    assert tree.nodes[1]["counts"].tolist() == [0, 0]
     queries = np.array([[0.5], [1.0], [2.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = tree.predict(queries)
+        tree, got = fit_and_classify(X, y, np.arange(12), queries, 2, 2, 1)
+    assert tree.nodes[1]["counts"].tolist() == [0, 0]
     assert got.tolist() == [0, 1, 1]
     assert got.tolist() == oracles.cart_predict(tree.nodes, queries.tolist())
 
@@ -567,11 +575,14 @@ def test_tree_predict_matches_row_walk(seed, max_depth, min_leaf):
     n, p, k = int(rng.integers(2, 60)), int(rng.integers(1, 4)), int(rng.integers(2, 4))
     X = rng.integers(0, 5, size=(n, p)).astype(np.float64)  # ties on purpose
     y = rng.integers(0, k, size=n)
-    tree = _CartTree(max_depth, min_leaf).fit(*row_cells(X, y, np.arange(n)), k)
     # split thresholds are midpoints of the integer values: query them too
     grid = rng.choice(np.arange(-1.0, 5.5, 0.5), size=(int(rng.integers(0, 40)), p))
     queries = np.vstack([X, grid])
-    assert tree.predict(queries).tolist() == oracles.cart_predict(tree.nodes, queries.tolist())
+    tree, got = fit_and_classify(X, y, np.arange(n), queries, k, max_depth, min_leaf)
+    assert got.tolist() == oracles.cart_predict(tree.nodes, queries.tolist())
+    # held rows leave the tree as it is
+    alone = _CartTree(max_depth, min_leaf).fit(*row_cells(X, y, np.arange(n)), k)
+    assert node_bits(tree.nodes) == node_bits(alone.nodes)
 
 
 def differential_column(kind, n, rng):

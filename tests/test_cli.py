@@ -280,28 +280,36 @@ def _write_use_config(out, use):
     return path
 
 
+# The use section of each preset that has a use model: its flip assignment.
+_DEGENERATE_USE = {
+    "james": {"assignments": [{"column": "reached_statutory_retirement", "value": "false"}]},
+    "capacity_no_use": {"assignments": [{"column": "P", "value": "a0"}]},
+}
+
+
 @pytest.fixture(scope="module")
-def james_use_inputs(tmp_path_factory):
-    """A small james synth with a use assignment: its schema and config."""
-    out = tmp_path_factory.mktemp("degenerate") / "james"
-    assert CliRunner().invoke(
-        main, ["synth", "--preset", "james", "--rows", "200", "--out", str(out)]
-    ).exit_code == 0
-    config = _write_use_config(out, {
-        "assignments": [{"column": "reached_statutory_retirement", "value": "false"}],
-    })
-    return read_schema_json(out / "schema.json"), config
+def preset_inputs(tmp_path_factory):
+    """A 200-row synth of each preset: its schema and its config, audited
+    with the preset's use model and a use assignment where it has one."""
+    root = tmp_path_factory.mktemp("degenerate")
+    inputs = {}
+    for name in synth.PRESET_NAMES:
+        out = root / name
+        assert CliRunner().invoke(
+            main, ["synth", "--preset", name, "--rows", "200", "--out", str(out)]
+        ).exit_code == 0
+        config = out / "config.json"
+        if name in _DEGENERATE_USE:
+            config = _write_use_config(out, _DEGENERATE_USE[name])
+        inputs[name] = read_schema_json(out / "schema.json"), config
+    return inputs
 
 
 @given(data=st.data())
-@settings(max_examples=25, deadline=None)
-def test_degenerate_data_fails_soft(james_use_inputs, data):
-    # tiny n; constant, single-category and all-missing columns; nan and inf
-    # cells; random missingness: the audit runs (0) or rejects the input (2).
-    # The one warning such data may raise is discovery finding nothing.
-    schema, config = james_use_inputs
-    min_support = json.loads(config.read_text())["discovery"]["min_support"]
+@settings(max_examples=10, deadline=None)
+def _audit_fails_soft(schema, config, data):
     text, _, _ = data.draw(csv_files(schema, header=True, max_rows=30, malformed=False))
+    min_support = json.loads(config.read_text())["discovery"]["min_support"]
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         csv_path, out = Path(tmp) / "data.csv", Path(tmp) / "audit"
@@ -315,6 +323,37 @@ def test_degenerate_data_fails_soft(james_use_inputs, data):
     assert [(w.category, str(w.message)) for w in caught] == [
         (UserWarning, f"no descriptor reached min_support={min_support}; nothing to report")
     ] * len(caught)
+
+
+def test_degenerate_data_fails_soft(preset_inputs):
+    # tiny n; constant, single-category and all-missing columns; nan and inf
+    # cells; random missingness, on every preset's config: the audit runs (0)
+    # or rejects the input (2). The one warning such data may raise is
+    # discovery finding nothing.
+    for name in synth.PRESET_NAMES:
+        _audit_fails_soft(*preset_inputs[name])
+
+
+def test_fold_merge_is_reported_not_warned(runner, tmp_path):
+    # 3 rows hold the condition: capacity cross-validates on 3 merged folds
+    out = synth_out(runner, tmp_path, "huntington", rows=200)
+    rows = ["absent,member,deny", "absent,non_member,deny", "absent,member,grant",
+            "present,member,deny", "present,non_member,grant", "absent,member,deny",
+            "present,member,deny"]
+    data = out / "tiny.csv"
+    data.write_text("\n".join(["condition,support_group,outcome", *rows]) + "\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = runner.invoke(
+            main, ["full", "--config", str(out / "config.json"), "--data", str(data),
+                   "--out", str(out / "run")],
+        )
+    assert result.exit_code == 0, result.output
+    [entry] = read_report(out / "run")["sections"]["capacity"]["predictive"]
+    assert entry["warning"] == "class counts below 5 folds; refit with 3 merged folds"
+    assert [str(w.message) for w in caught] == [
+        "no descriptor reached min_support=30; nothing to report"
+    ]
 
 
 def test_full_skips_flip_analysis_without_complete_rows(runner, tmp_path):
@@ -900,12 +939,15 @@ def test_config_value_of_wrong_type_exits_2(runner, tmp_path, key, edit):
         ({"proxy_sets": [[]]}, "config 'proxy_sets[0]': proxy_set must be non-empty"),
         ({"proxy_sets": [["sex", "age"]]},
          "config 'proxy_sets[0]': proxy set references the protected column 'sex'"),
+        ({"protected": ["age"], "candidates": ["reached_statutory_retirement"],
+          "proxy_sets": [["reached_statutory_retirement"]]},
+         "protected column 'age' must be categorical"),
     ],
     ids=["favorable_direction", "selector.condition", "condition.categroy",
          "assignment.vlaue", "seed-1", "seed2.0", "normalization", "scan",
          "selector.lo_above_hi", "selector.same_column", "no_protected",
          "unknown_candidate", "protected_candidate", "unknown_proxy_column",
-         "empty_proxy_set", "protected_proxy_column"],
+         "empty_proxy_set", "protected_proxy_column", "numeric_protected"],
 )
 def test_config_defect_exits_2_before_the_load(runner, tmp_path, monkeypatch, edit, message):
     out = synth_out(runner, tmp_path, "james", rows=40)
@@ -918,6 +960,65 @@ def test_config_defect_exits_2_before_the_load(runner, tmp_path, monkeypatch, ed
         main,
         ["full", "--config", str(path), "--data", str(out / "data.csv"),
          "--out", str(out / "x")],
+    )
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+    assert not (out / "x" / "report.json").exists()
+
+
+def _tree_split(**split):
+    """A one-split tree spec over ``split["column"]``."""
+    return {"kind": "decision_tree", "feature_order": [split["column"]], "parameters": {
+        "root": 0, "nodes": [{"id": 0, "kind": "split", "left": 1, "right": 2, **split},
+                             {"id": 1, "kind": "leaf", "value": 1.0},
+                             {"id": 2, "kind": "leaf", "value": 0.0}]}}
+
+
+def _linear(coefficients, features=("reached_statutory_retirement",)):
+    return {"kind": "linear", "feature_order": list(features),
+            "parameters": {"coefficients": coefficients, "intercept": 0.0}}
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        (_linear({"reached_statutory_retirement=yes": 1.0}),
+         "model coefficient 'reached_statutory_retirement=yes': category 'yes' "
+         "not in column 'reached_statutory_retirement'"),
+        (_linear({"reached_statutory_retirement": 1.0}),
+         "model coefficient 'reached_statutory_retirement' needs a numeric column; "
+         "'reached_statutory_retirement' is categorical"),
+        (_linear({"age=61": 1.0}, ["age"]),
+         "model coefficient 'age=61' needs a categorical column; 'age' is numeric"),
+        (_tree_split(column="age", category="61"),
+         "model tree node 0 needs a categorical column; 'age' is numeric"),
+        (_tree_split(column="reached_statutory_retirement", threshold=0.5),
+         "model tree node 0 needs a numeric column; "
+         "'reached_statutory_retirement' is categorical"),
+        (_tree_split(column="reached_statutory_retirement", category="yes"),
+         "model tree node 0: category 'yes' not in column 'reached_statutory_retirement'"),
+        (_linear({"age": 1.0, "ghost": 1.0}, ["age", "ghost"]),
+         "model feature 'ghost' is not a dataset column"),
+        ({"kind": "external_subprocess", "feature_order": ["age", "ghost"],
+          "parameters": {"command": ["no-such-probe"]}},
+         "model feature 'ghost' is not a dataset column"),
+    ],
+    ids=["unknown_category", "plain_on_categorical", "one_of_k_on_numeric",
+         "category_split_on_numeric", "threshold_split_on_categorical",
+         "unknown_split_category", "unknown_feature", "probe_unknown_feature"],
+)
+def test_model_spec_defect_exits_2_before_any_stage(runner, tmp_path, monkeypatch, spec, message):
+    out = synth_out(runner, tmp_path, "james", rows=40)
+    (out / "model_defect.json").write_text(json.dumps(spec))
+
+    def no_stage(*_args, **_kwargs):
+        raise AssertionError("a stage ran before the model spec was checked")
+
+    monkeypatch.setattr(report, "run_capacity", no_stage)
+    result = runner.invoke(
+        main,
+        ["full", "--config", str(out / "config.json"), "--data", str(out / "data.csv"),
+         "--model", str(out / "model_defect.json"), "--out", str(out / "x")],
     )
     assert result.exit_code == 2, result.output
     assert message in result.output

@@ -202,6 +202,20 @@ class TestColumnarLoadMatchesReference:
         assert d.load_report.n_unknown == 80_000 // 3 + 1
         assert len(d.load_report.unknown_values) == 100
 
+    def test_csv_reader_reads_on_from_the_first_chunk_that_is_not_plain(self, tmp_path):
+        # a bare \r in the second chunk, no quote anywhere: the chunk before
+        # it is split, and csv.reader reads that chunk and every later one
+        schema = [ColumnSchema("color", CATEGORICAL, ("red", "green", "blue")),
+                  ColumnSchema("size", NUMERIC)]
+        lines = ["size,color"] + [f"{i % 7}.5,{('red', 'blue', '?')[i % 3]}" for i in range(20_000)]
+        text = "\n".join(lines) + "\n"
+        cut = text.index("\n", data._CHUNK_BYTES + 100)
+        p = write(tmp_path, text[:cut] + "\r" + text[cut + 1:])
+        with mock.patch.object(data._ColumnDecoder, "add_plain", autospec=True,
+                               side_effect=data._ColumnDecoder.add_plain) as split:
+            d = assert_loads_like_reference(p, schema)
+        assert d.n_rows == 20_000 and split.call_count == 1
+
     def test_first_ragged_row_is_reported(self, tmp_path):
         lines = ["color,size"] + ["red,1"] * 30_000 + ["red"] + ["green,2"] * 10 + ["a,b,c"]
         p = write(tmp_path, "\r\n".join(lines))
@@ -513,6 +527,12 @@ class TestAuditConfig:
     def test_check_against_unknown_column(self, toy_dataset):
         cfg = AuditConfig(protected=("sex",), candidates=("nope",))
         with pytest.raises(ValidationError):
+            cfg.check_against(toy_dataset.schema)
+
+    def test_check_against_numeric_protected_column(self, toy_dataset):
+        cfg = AuditConfig(protected=("years_since_graduation",), candidates=("school_attended",))
+        with pytest.raises(ValidationError, match="protected column 'years_since_graduation' "
+                                                  "must be categorical"):
             cfg.check_against(toy_dataset.schema)
 
     def test_valid_config_passes(self, toy_dataset):

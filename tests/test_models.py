@@ -64,6 +64,16 @@ class TestSpecValidation:
         spec = linear_spec({"sex=male": -1.0}, 0.0, ("sex",))
         assert spec.kind == "linear"
 
+    def test_check_against_a_schema(self):
+        schema = [ColumnSchema("sex", CATEGORICAL, ("female", "male")), ColumnSchema("age", NUMERIC)]
+        linear_spec({"sex=male": -1.0, "age": 0.5}, 0.0, ("sex", "age")).check_against(schema)
+        probe = ModelSpec("external_subprocess", {"command": ["probe"]}, ("sex", "age"))
+        probe.check_against(schema)  # a probe's reads are its own: columns only
+        with pytest.raises(ValidationError, match="model feature 'ghost' is not a dataset column"):
+            ModelSpec("external_subprocess", {"command": ["probe"]}, ("ghost",)).check_against(schema)
+        with pytest.raises(ValidationError, match="category 'x' not in column 'sex'"):
+            linear_spec({"sex=x": -1.0}, 0.0, ("sex",)).check_against(schema)
+
     def test_tree_cycle_rejected(self):
         nodes = [
             {"id": 0, "kind": "split", "column": "x", "threshold": 1.0, "left": 1, "right": 0},
