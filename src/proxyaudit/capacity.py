@@ -24,7 +24,6 @@ order of their design rows, and a repeated row only adds weight, so the
 folds, the trees and the scores are those of a fit on every row.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -311,7 +310,8 @@ def check_proxy_set(proxy_set, protected, schema):
 
 def predictive_capacity(d, proxy_set, protected, *, folds=5, seed=0):
     """Chance-normalized CV balanced accuracy of predicting the protected
-    column from a feature set: value = max(0, (b - 1/k) / (1 - 1/k))."""
+    column from a feature set: value = max(0, (b - 1/k) / (1 - 1/k)). Folds
+    merged for a rare class are noted in the score's ``warning``, not warned."""
     check_proxy_set(proxy_set, (protected,), d.schema)
     if folds < 2:
         raise ParameterError("folds must be at least 2")
@@ -339,10 +339,7 @@ def predictive_capacity(d, proxy_set, protected, *, folds=5, seed=0):
     effective_folds = min(folds, min_count)
     warning = None
     if effective_folds < folds:
-        warning = (
-            f"class counts below {folds} folds; refit with {effective_folds} merged folds"
-        )
-        warnings.warn(warning)
+        warning = f"class counts below {folds} folds; refit with {effective_folds} merged folds"
 
     n_classes = len(schema.categories)
     counts, firsts = _fold_counts(

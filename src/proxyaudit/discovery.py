@@ -8,7 +8,6 @@ used by holdout validation.
 """
 
 import heapq
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -257,7 +256,8 @@ def beam_search(
 
     Every scored (descriptor, target) pair counts toward the Bonferroni
     budget reported in ``stats_out['descriptors_evaluated']``, which
-    :func:`validate` uses as its default m_tests.
+    :func:`validate` uses as its default m_tests. When nothing reaches
+    ``min_support`` the result is ``[]``, with those counts; nothing is warned.
     """
     if beam_width < 1:
         raise ParameterError("beam_width must be at least 1")
@@ -302,10 +302,6 @@ def beam_search(
         stats_out["below_support"] = below_support
         stats_out["targets"] = targets
         stats_out["conditions"] = len(conditions)
-    if not deduped:
-        warnings.warn(
-            f"no descriptor reached min_support={min_support}; nothing to report"
-        )
     return deduped
 
 

@@ -34,6 +34,7 @@ import subprocess
 import threading
 from collections import deque
 from dataclasses import dataclass
+from graphlib import CycleError, TopologicalSorter
 from numbers import Real
 
 import numpy as np
@@ -202,18 +203,20 @@ class ModelSpec:
             if nid in by_id:
                 raise SpecError(f"duplicate node id {nid}")
             by_id[nid] = node
-        if _node_ref(p["root"]) not in by_id:
+        root = _node_ref(p["root"])
+        if root not in by_id:
             raise SpecError("root id not in node table")
+        # each reachable node is checked once, however many splits name it;
+        # the child links are then sorted to find a cycle
+        links = TopologicalSorter()
         seen = set()
-        stack = [(p["root"], frozenset())]
+        stack = [root]
         while stack:
-            nid, path = stack.pop()
-            if _node_ref(nid) in path:
-                raise SpecError(f"cycle through node {nid}")
-            if nid not in by_id:
-                raise SpecError(f"child id {nid} not in node table")
-            node = by_id[nid]
+            nid = stack.pop()
+            if nid in seen:
+                continue
             seen.add(nid)
+            node = by_id[nid]
             kind = node.get("kind")
             if kind == "leaf":
                 if not _is_real(node.get("value")):
@@ -225,11 +228,18 @@ class ModelSpec:
                     raise SpecError(f"split {nid} needs exactly one of threshold/category")
                 if not _is_real(node.get("threshold", 0.0)):
                     raise SpecError(f"split {nid} threshold must be a number")
-                child_path = path | {nid}
-                stack.append((node.get("left"), child_path))
-                stack.append((node.get("right"), child_path))
+                children = [_node_ref(node.get("left")), _node_ref(node.get("right"))]
+                for child in children:
+                    if child not in by_id:
+                        raise SpecError(f"child id {child} not in node table")
+                stack += children
+                links.add(nid, *children)
             else:
                 raise SpecError(f"node {nid} has unknown kind {kind!r}")
+        try:
+            links.prepare()
+        except CycleError as exc:
+            raise SpecError(f"cycle through node {exc.args[1][0]}") from None
         unreachable = set(by_id) - seen
         if unreachable:
             raise SpecError(f"unreachable nodes: {sorted(unreachable, key=repr)}")

@@ -19,7 +19,6 @@ import hashlib
 import json
 import math
 import os
-import warnings
 
 import jsonschema
 import numpy as np
@@ -81,8 +80,9 @@ def run_capacity(
     """Association scan, contingency drill-down of each top pair, and
     predictive capacity of each configured proxy set against each protected
     column. Pairs and proxy sets with too few complete rows are listed under
-    ``skipped`` (written only when non-empty) instead of ending the audit,
-    and a fold merge is written as its entry's ``warning``, not warned."""
+    ``skipped`` (written only when non-empty) instead of ending the audit.
+    A fold merge is written as its entry's ``warning``, from
+    ``CapacityScore.warning``; nothing is warned."""
     fragment = {"scan": [], "contingency": [], "predictive": []}
     skipped = []
     if candidates:
@@ -110,12 +110,7 @@ def run_capacity(
     for proxy_set in proxy_sets:
         for p in protected:
             try:
-                with warnings.catch_warnings():
-                    # a fold merge is reported as the entry's ``warning``
-                    warnings.simplefilter("ignore", UserWarning)
-                    score = predictive_capacity(
-                        d, tuple(proxy_set), p, folds=folds, seed=seed
-                    )
+                score = predictive_capacity(d, tuple(proxy_set), p, folds=folds, seed=seed)
             except InsufficientDataError as exc:
                 skipped.append(
                     {"kind": "predictive", "columns": [p, *proxy_set], "reason": str(exc)}

@@ -379,6 +379,27 @@ def cart_predict(nodes, X):
     return out
 
 
+def tree_links_ok(nodes, root):
+    """Whether a decision-tree node table (unique ids; split nodes name
+    ``left`` and ``right``) links into a tree spec: the root and every child
+    named on a path exist, no path repeats a node, and every node is on some
+    path. Walks every root-to-leaf path, so it is exponential in the depth
+    where children are shared: small tables only."""
+    by_id = {node["id"]: node for node in nodes}
+    reached = set()
+
+    def walk(nid, path):
+        if nid in path or nid not in by_id:
+            return False
+        reached.add(nid)
+        node = by_id[nid]
+        return node["kind"] == "leaf" or (
+            walk(node["left"], path | {nid}) and walk(node["right"], path | {nid})
+        )
+
+    return walk(root, frozenset()) and reached == set(by_id)
+
+
 def predictive_capacity_reference(d, proxy_set, protected, *, folds=5, seed=0):
     """Predictive capacity on every complete row: a one-of-K design matrix,
     each observed class's rows put in ``np.lexsort`` order of their design

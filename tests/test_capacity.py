@@ -296,7 +296,7 @@ def test_balanced_accuracy_matches_loop_oracle():
     )
 
 
-def test_fold_merge_warns_and_still_scores():
+def test_fold_merge_is_noted_not_warned():
     codes = np.array([0] * 3 + [1] * 30)
     d = Dataset(
         [
@@ -305,9 +305,10 @@ def test_fold_merge_warns_and_still_scores():
         ],
         {"s": codes, "mirror": codes.copy()},
     )
-    with pytest.warns(UserWarning, match="merged folds"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         score = predictive_capacity(d, ("mirror",), "s", folds=5, seed=0)
-    assert score.warning is not None
+    assert score.warning == "class counts below 5 folds; refit with 3 merged folds"
     assert "warning" in score.to_json()
     assert 0.0 <= score.value <= 1.0
 
@@ -637,15 +638,13 @@ def test_predictive_capacity_equals_row_path_reference(n, kinds, n_classes, rare
     columns["p"] = protected
     d = Dataset(schema, columns)
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the fold-merge warning
-        try:
-            want = oracles.predictive_capacity_reference(d, names, "p", folds=folds, seed=seed)
-        except InsufficientDataError:
-            with pytest.raises(InsufficientDataError):
-                predictive_capacity(d, names, "p", folds=folds, seed=seed)
-            return
-        got = predictive_capacity(d, names, "p", folds=folds, seed=seed)
+    try:
+        want = oracles.predictive_capacity_reference(d, names, "p", folds=folds, seed=seed)
+    except InsufficientDataError:
+        with pytest.raises(InsufficientDataError):
+            predictive_capacity(d, names, "p", folds=folds, seed=seed)
+        return
+    got = predictive_capacity(d, names, "p", folds=folds, seed=seed)
     fields = ("value", "ci_low", "ci_high", "p_value")
     assert [float(getattr(got, f)).hex() for f in fields] == \
         [float(getattr(want, f)).hex() for f in fields]

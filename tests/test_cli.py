@@ -2,6 +2,7 @@
 exit-code contract, and report determinism."""
 
 import gc
+import importlib.util
 import inspect
 import json
 import os
@@ -287,12 +288,24 @@ _DEGENERATE_USE = {
 }
 
 
+def _benchmark_workloads():
+    """The benchmark's ``auditbench/workloads.py``, loaded from its file."""
+    path = ROOT / "auditbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 @pytest.fixture(scope="module")
 def preset_inputs(tmp_path_factory):
     """A 200-row synth of each preset: its schema and its config, audited
-    with the preset's use model and a use assignment where it has one."""
+    with the preset's use model and a use assignment where it has one; and,
+    as ``wide``, the benchmark's wide-search inputs at 200 rows, whose config
+    names its tree model."""
     root = tmp_path_factory.mktemp("degenerate")
-    inputs = {}
+    wide = _benchmark_workloads().wide_search(None, root / "wide", seed=3, rows=200)
+    inputs = {"wide": (read_schema_json(root / "wide" / "schema.json"), wide.config)}
     for name in synth.PRESET_NAMES:
         out = root / name
         assert CliRunner().invoke(
@@ -309,9 +322,8 @@ def preset_inputs(tmp_path_factory):
 @settings(max_examples=10, deadline=None)
 def _audit_fails_soft(schema, config, data):
     text, _, _ = data.draw(csv_files(schema, header=True, max_rows=30, malformed=False))
-    min_support = json.loads(config.read_text())["discovery"]["min_support"]
-    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning ends the run with exit 3
         csv_path, out = Path(tmp) / "data.csv", Path(tmp) / "audit"
         csv_path.write_text(text, encoding="utf-8", newline="")
         result = CliRunner().invoke(
@@ -320,18 +332,16 @@ def _audit_fails_soft(schema, config, data):
         assert result.exit_code in (0, 2), result.output
         if result.exit_code == 0:
             report.validate_report(read_report(out))
-    assert [(w.category, str(w.message)) for w in caught] == [
-        (UserWarning, f"no descriptor reached min_support={min_support}; nothing to report")
-    ] * len(caught)
 
 
 def test_degenerate_data_fails_soft(preset_inputs):
     # tiny n; constant, single-category and all-missing columns; nan and inf
-    # cells; random missingness, on every preset's config: the audit runs (0)
-    # or rejects the input (2). The one warning such data may raise is
-    # discovery finding nothing.
-    for name in synth.PRESET_NAMES:
-        _audit_fails_soft(*preset_inputs[name])
+    # cells; random missingness, on every preset's config and the benchmark's
+    # wide config: the audit runs (0) or rejects the input (2), warning
+    # nothing. A search that finds nothing is in the report alone.
+    assert set(preset_inputs) == {"wide", *synth.PRESET_NAMES}
+    for schema, config in preset_inputs.values():
+        _audit_fails_soft(schema, config)
 
 
 def test_fold_merge_is_reported_not_warned(runner, tmp_path):
@@ -342,18 +352,16 @@ def test_fold_merge_is_reported_not_warned(runner, tmp_path):
             "present,member,deny"]
     data = out / "tiny.csv"
     data.write_text("\n".join(["condition,support_group,outcome", *rows]) + "\n")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = runner.invoke(
-            main, ["full", "--config", str(out / "config.json"), "--data", str(data),
-                   "--out", str(out / "run")],
-        )
-    assert result.exit_code == 0, result.output
-    [entry] = read_report(out / "run")["sections"]["capacity"]["predictive"]
+    proc = run_module("full", "--config", str(out / "config.json"), "--data", str(data),
+                      "--out", str(out / "run"), flags=("-X", "dev", "-W", "error::UserWarning"))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    sections = read_report(out / "run")["sections"]
+    [entry] = sections["capacity"]["predictive"]
     assert entry["warning"] == "class counts below 5 folds; refit with 3 merged folds"
-    assert [str(w.message) for w in caught] == [
-        "no descriptor reached min_support=30; nothing to report"
-    ]
+    # discovery found nothing, and the report says so
+    assert sections["discovery"]["candidates_returned"] == 0
+    assert sections["discovery"]["search"]["below_support"] == 4
+    assert sections["discovery"]["search"]["descriptors_evaluated"] == 0
 
 
 def test_full_skips_flip_analysis_without_complete_rows(runner, tmp_path):
@@ -1326,13 +1334,14 @@ def test_version_option(runner):
 # --- process entry -----------------------------------------------------------------
 
 
-def run_module(*args, code=None):
+def run_module(*args, code=None, flags=()):
     """``python -m proxyaudit.cli ARGS`` (or ``python -c CODE``) in a fresh
-    interpreter that imports the package from this checkout."""
+    interpreter, started with the interpreter ``flags``, that imports the
+    package from this checkout."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **EPOCH)
     argv = ["-c", code] if code is not None else ["-m", "proxyaudit.cli", *args]
     return subprocess.run(
-        [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=120,
+        [sys.executable, *flags, *argv], env=env, capture_output=True, text=True, timeout=120,
     )
 
 

@@ -173,9 +173,10 @@ def test_min_support_floor_excludes_small_groups(table2_dataset):
     assert 'relationship = "Husband"' in texts
 
 
-def test_unreachable_support_warns_and_returns_empty(table2_dataset):
+def test_unreachable_support_returns_empty_with_counts(table2_dataset):
     stats = {}
-    with pytest.warns(UserWarning, match="min_support"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         results = beam_search(
             table2_dataset, adult_config(), beam_width=10, max_depth=1,
             min_support=10**6, gamma=0.25, top_k=20, stats_out=stats,
@@ -408,12 +409,8 @@ def search_cases(draw, max_rows=40):
 def test_counts_first_search_equals_reference(case):
     d, config, kwargs = case
     stats, expected_stats = {}, {}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        results = beam_search(d, config, stats_out=stats, **kwargs)
-        expected = oracles.beam_search_reference(
-            d, config, stats_out=expected_stats, **kwargs
-        )
+    results = beam_search(d, config, stats_out=stats, **kwargs)
+    expected = oracles.beam_search_reference(d, config, stats_out=expected_stats, **kwargs)
     assert [r.to_json() for r in results] == [r.to_json() for r in expected]
     assert [r.quality.hex() for r in results] == [r.quality.hex() for r in expected]
     assert stats == expected_stats
@@ -432,12 +429,6 @@ def row_set_cases(draw):
         return np.flatnonzero(rng.random(d.n_rows) < share)
 
     return d, config, kwargs, row_set(), row_set()
-
-
-def quiet(fn, *args, **kwargs):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return fn(*args, **kwargs)
 
 
 def same_results(got, expected):
@@ -461,11 +452,9 @@ def test_search_on_row_sets_equals_search_on_copies(case):
     d, config, kwargs, train, holdout = case
     part = d.select(train)
     stats, copy_stats, expected_stats = {}, {}, {}
-    results = quiet(beam_search, d, config, rows=train, stats_out=stats, **kwargs)
-    on_copy = quiet(beam_search, part, config, stats_out=copy_stats, **kwargs)
-    expected = quiet(
-        oracles.beam_search_reference, part, config, stats_out=expected_stats, **kwargs
-    )
+    results = beam_search(d, config, rows=train, stats_out=stats, **kwargs)
+    on_copy = beam_search(part, config, stats_out=copy_stats, **kwargs)
+    expected = oracles.beam_search_reference(part, config, stats_out=expected_stats, **kwargs)
     same_results(results, on_copy)
     same_results(results, expected)
     assert stats == copy_stats == expected_stats
@@ -503,7 +492,8 @@ def test_search_without_conditions_reports_nothing():
     config = AuditConfig(protected=("s",), candidates=("c", "m"))
     for rows in (None, np.arange(1, 100, 3)):
         stats = {}
-        with pytest.warns(UserWarning, match="no descriptor reached min_support"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert beam_search(d, config, min_support=1, rows=rows, stats_out=stats) == []
         assert stats == {"descriptors_evaluated": 0, "below_support": 0,
                          "targets": [("s", "f"), ("s", "m")], "conditions": 0}
@@ -514,8 +504,8 @@ def test_search_without_conditions_reports_nothing():
 def test_run_discovery_equals_copy_based_reference(case, fraction, seed):
     d, config, kwargs = case
     kwargs = dict(kwargs, holdout_fraction=fraction, seed=seed)
-    got = quiet(report.run_discovery, d, config, **kwargs)
-    expected = quiet(oracles.run_discovery_reference, d, config, **kwargs)
+    got = report.run_discovery(d, config, **kwargs)
+    expected = oracles.run_discovery_reference(d, config, **kwargs)
     assert got[0] == expected[0]
     same_results(got[1], expected[1])
 
@@ -583,10 +573,10 @@ def test_discovery_reads_row_sets_without_copying_the_table():
     d = Dataset(schema, columns)
     config = AuditConfig(protected=("group",), candidates=tuple(c.name for c in schema[1:]))
     table_bytes = sum(d.column_array(name).nbytes for name in d.column_names)
-    quiet(report.run_discovery, d, config, seed=1)
+    report.run_discovery(d, config, seed=1)
     tracemalloc.start()
     try:
-        quiet(report.run_discovery, d, config, seed=1)
+        report.run_discovery(d, config, seed=1)
         _current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

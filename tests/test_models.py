@@ -1,5 +1,7 @@
 import http.server
 import json
+import os
+import subprocess
 import sys
 import threading
 from pathlib import Path
@@ -97,6 +99,42 @@ class TestSpecValidation:
         ]
         with pytest.raises(SpecError):
             ModelSpec("decision_tree", {"root": 0, "nodes": nodes}, ("x",))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_tree_links_checked_as_the_path_walk_checks_them(self, data):
+        # node tables of up to 6 nodes whose children and root may be
+        # missing (id k), repeated, shared or on a cycle
+        k = data.draw(st.integers(1, 6))
+        ref = st.integers(0, k)
+        nodes = [
+            {"id": i, "kind": "leaf", "value": 0.0} if data.draw(st.booleans()) else
+            {"id": i, "kind": "split", "column": "x", "threshold": 1.0,
+             "left": data.draw(ref), "right": data.draw(ref)}
+            for i in range(k)
+        ]
+        root = data.draw(ref)
+        if oracles.tree_links_ok(nodes, root):
+            ModelSpec("decision_tree", {"root": root, "nodes": nodes}, ("x",))
+        else:
+            with pytest.raises(SpecError):
+                ModelSpec("decision_tree", {"root": root, "nodes": nodes}, ("x",))
+
+    def test_tree_with_shared_children_checks_in_linear_time(self):
+        # 40 splits whose left and right both name the next node: 2**40
+        # root-to-leaf paths, one node each to check. A fresh interpreter, so
+        # a check that walks every path fails on the timeout, not hangs
+        code = (
+            "from proxyaudit.models import ModelSpec\n"
+            "nodes = [{'id': i, 'kind': 'split', 'column': 'x', 'threshold': float(i),"
+            " 'left': i + 1, 'right': i + 1} for i in range(40)]\n"
+            "nodes.append({'id': 40, 'kind': 'leaf', 'value': 1.0})\n"
+            "ModelSpec('decision_tree', {'root': 0, 'nodes': nodes}, ('x',))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
     def test_tree_split_needs_one_test(self):
         nodes = [

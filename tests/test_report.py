@@ -298,6 +298,31 @@ def test_schema_rejects_malformed_reports(monkeypatch, james, james_data, james_
         report.validate_report(bad_label)
 
 
+def test_schema_types_the_search_counts_and_the_fold_note(
+    monkeypatch, james, james_data, james_discovery
+):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    rpt = full_james_report(james, james_data, james_discovery, "use")
+    search = rpt["sections"]["discovery"]["search"]
+    assert set(search) == {"descriptors_evaluated", "below_support", "targets", "conditions"}
+    noted = json.loads(report.report_json_bytes(rpt))
+    noted["sections"]["capacity"]["predictive"][0]["warning"] = "refit with 3 merged folds"
+    report.validate_report(noted)
+    edits = [
+        lambda r: r["sections"]["discovery"]["search"].update(below_support=-1),
+        lambda r: r["sections"]["discovery"]["search"].update(conditions=1.5),
+        lambda r: r["sections"]["discovery"]["search"].update(extra=0),
+        lambda r: r["sections"]["discovery"]["search"].update(targets=[["sex"]]),
+        lambda r: r["sections"]["discovery"]["search"].pop("descriptors_evaluated"),
+        lambda r: r["sections"]["capacity"]["predictive"][0].update(warning=3),
+    ]
+    for edit in edits:
+        broken = json.loads(report.report_json_bytes(rpt))
+        edit(broken)
+        with pytest.raises(ValidationError, match="schema"):
+            report.validate_report(broken)
+
+
 @pytest.mark.parametrize(
     "path", sorted(SCHEMAS.glob("*.schema.json")), ids=lambda path: path.name
 )
