@@ -31,7 +31,7 @@ from scipy import special
 
 from . import kernels
 from .association import counts_significance
-from .data import CATEGORICAL, Dataset
+from .data import CATEGORICAL
 from .descriptors import SubgroupDescriptor
 from .errors import InsufficientDataError, ParameterError, ValidationError
 
@@ -124,18 +124,16 @@ def target_rows(d, protected_target, columns=()):
     return codes >= 0, codes == schema.categories.index(category)
 
 
-def exact_correspondence(d, q, protected_value, *, rows=None):
+def exact_correspondence(d, q, protected_value):
     """Purity of criterion q for a (column, category) protected value.
 
     value = fraction of q-matching rows carrying the protected value, over
     rows complete in every referenced column; support = number of matching
     rows; significance = chi-squared/Fisher on the q-vs-protected 2x2 table;
-    interval = 95% Clopper-Pearson bounds on the value. Only ``rows`` (row
-    indices; None means every row) are counted, each column read at them once.
+    interval = 95% Clopper-Pearson bounds on the value. Every row of ``d`` is
+    counted, on boolean masks over the whole table; to score a row set of one
+    table, use discovery's ``beam_search`` and ``validate``, which read it.
     """
-    if rows is not None:
-        cells = {name: d.column_array(name)[rows] for name in (protected_value[0], *q.columns)}
-        d = Dataset._of(tuple(map(d.schema_of, cells)), cells)
     present, is_cat = target_rows(d, protected_value, q.columns)
     # a condition never matches a missing cell, so matching rows are complete
     complete = d.complete_mask(q.columns) & present
@@ -151,7 +149,7 @@ def exact_correspondence(d, q, protected_value, *, rows=None):
     n_out = int(np.count_nonzero(outside))
     hits_out = int(np.count_nonzero(outside & is_cat))
     table = np.array([[hits, support - hits], [hits_out, n_out - hits_out]])
-    p_value = counts_significance(table) if table.sum() else 1.0
+    p_value = counts_significance(table)
 
     lo, hi = clopper_pearson(hits, support)
     return CapacityScore(

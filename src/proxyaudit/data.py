@@ -600,7 +600,9 @@ def derive_feature(d, name, rule):
 def split_holdout(d, fraction, seed):
     """Deterministically split the rows of ``d`` into two sorted row-index
     arrays of ceil(fraction*N) and N - ceil(fraction*N) rows, not copies;
-    pass them to ``d.select`` or as the ``rows=`` of ``beam_search`` and ``validate``."""
+    pass them to ``d.select`` or as the ``rows=`` of ``beam_search`` and
+    ``validate``, where row sets stop (``exact_correspondence`` scores a whole
+    table)."""
     if not 0.0 < fraction < 1.0:
         raise ValidationError(f"fraction must lie in (0,1), got {fraction}")
     if d.n_rows < 2:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .association import equal_frequency_bins
 from .capacity import RED_FLAG_CI_FLOOR, CapacityScore, exact_correspondence, target_rows
-from .data import CATEGORICAL
+from .data import CATEGORICAL, Dataset
 from .descriptors import Condition, SubgroupDescriptor
 from .errors import InsufficientDataError, ParameterError, ValidationError
 
@@ -58,6 +58,22 @@ class DiscoveryResult:
         return out
 
 
+def _row_index(d, rows):
+    """``rows`` as row indices of ``d``, every row for None. Anything but a
+    1-D integer array of indices in 0..n_rows-1 raises, so a mask or a
+    negative index cannot pass for a row set; an empty array is no rows."""
+    if rows is None:
+        return np.arange(d.n_rows)
+    index = np.asarray(rows)
+    if index.ndim == 1 and index.size == 0:
+        return index.astype(np.intp)
+    if index.ndim != 1 or index.dtype.kind not in "iu" or not (
+        0 <= index.min() and index.max() < d.n_rows
+    ):
+        raise ParameterError(f"rows must be a 1-D array of integer row indices in [0, {d.n_rows})")
+    return index
+
+
 def enumerate_conditions(d, columns, bins=4, *, rows=None):
     """Atomic conditions for the search space, in deterministic order.
 
@@ -69,7 +85,7 @@ def enumerate_conditions(d, columns, bins=4, *, rows=None):
     """
     if bins < 2:
         raise ParameterError("bins must be at least 2")
-    rows = np.arange(d.n_rows) if rows is None else rows
+    rows = _row_index(d, rows)
     out = []
     for name in columns:
         schema = d.schema_of(name)
@@ -137,6 +153,28 @@ def _condition_masks(d, conditions, rows):
 
 def _popcount(words):
     return np.bitwise_count(words).sum(axis=-1)
+
+
+def _at_rows(d, rows, columns):
+    """``d`` itself for None, else a Dataset of ``columns`` read at ``rows``."""
+    if rows is None:
+        return d
+    cells = {name: d.column_array(name)[rows] for name in columns}
+    return Dataset._of(tuple(map(d.schema_of, cells)), cells)
+
+
+def _purities(d, pairs, rows):
+    """Each (descriptor, target) pair's :func:`exact_correspondence` over
+    ``rows`` of ``d`` (None means every row, and no column is copied), or
+    None where the descriptor matches no complete row. A pair reads only its
+    target's and descriptor's columns at the rows, and they are freed before
+    the next pair's are read."""
+    for q, target in pairs:
+        try:
+            score = exact_correspondence(_at_rows(d, rows, (target[0], *q.columns)), q, target)
+        except InsufficientDataError:
+            score = None
+        yield score
 
 
 def _ranked_pool(d, rows, conditions, targets, beam_width, max_depth, min_support, gamma):
@@ -246,13 +284,14 @@ def beam_search(
 
     The search reads only ``rows`` of ``d``, an integer row-index array such
     as one part of :func:`~proxyaudit.data.split_holdout` (None means every
-    row); the table is never copied. Children are ranked on two
-    integer counts over packed row bits: support (matching rows with the
-    protected value present) and hits (those carrying the target category);
-    a child's rows are its parent's rows and one condition's rows. The exact
-    statistics (:func:`exact_correspondence`: significance test and
-    Clopper-Pearson interval) run only for the deduplicated top_k results
-    that are returned.
+    row; anything else raises ``ParameterError``); the table is never copied.
+    Children are ranked on two integer counts over packed row bits: support
+    (matching rows with the protected value present) and hits (those carrying
+    the target category); a child's rows are its parent's rows and one
+    condition's rows. The exact statistics (:func:`exact_correspondence`:
+    significance test and Clopper-Pearson interval) run only for the
+    deduplicated top_k results that are returned, on their columns read at
+    ``rows``.
 
     Every scored (descriptor, target) pair counts toward the Bonferroni
     budget reported in ``stats_out['descriptors_evaluated']``, which
@@ -270,7 +309,7 @@ def beam_search(
     if gamma < 0:
         raise ParameterError("gamma must be non-negative")
     config.check_against(d.schema)
-    index = np.arange(d.n_rows) if rows is None else rows
+    index = _row_index(d, rows)
 
     conditions = enumerate_conditions(d, config.candidates, bins, rows=index)
     targets = _targets_of(d, config.protected, index)
@@ -278,35 +317,35 @@ def beam_search(
         d, index, conditions, targets, beam_width, max_depth, min_support, gamma
     )
 
-    deduped = []
-    seen_masks = set()
+    # every pool entry has support >= min_support >= 1, so each is scored
+    deduped = {}
     for q, proxy, target, mask_key in pool:
-        if (target, mask_key) in seen_masks:
-            continue
-        seen_masks.add((target, mask_key))
-        score = exact_correspondence(d, proxy, target, rows=rows)
-        deduped.append(
-            DiscoveryResult(
-                proxy=proxy,
-                protected_target=target,
-                quality=q,
-                capacity=score,
-                adjusted_p=score.p_value,
-            )
-        )
+        deduped.setdefault((target, mask_key), (q, proxy, target))
         if len(deduped) == top_k:
             break
+    entries = deduped.values()
+    scores = _purities(
+        d, ((proxy, target) for _q, proxy, target in entries), None if rows is None else index
+    )
+    results = [
+        DiscoveryResult(
+            proxy=proxy, protected_target=target, quality=q, capacity=score,
+            adjusted_p=score.p_value,
+        )
+        for (q, proxy, target), score in zip(entries, scores)
+    ]
 
     if stats_out is not None:
         stats_out["descriptors_evaluated"] = evaluated
         stats_out["below_support"] = below_support
         stats_out["targets"] = targets
         stats_out["conditions"] = len(conditions)
-    return deduped
+    return results
 
 
 def validate(results, d, m_tests, *, rows=None):
-    """Re-score results on held-out ``rows`` of ``d`` (None means every row)
+    """Re-score results on held-out ``rows`` of ``d``, an integer row-index
+    array (None means every row; anything else raises ``ParameterError``),
     and Bonferroni-adjust p-values.
 
     Survivors keep a holdout capacity score and status ``validated``; results
@@ -316,14 +355,13 @@ def validate(results, d, m_tests, *, rows=None):
     """
     if m_tests < 1:
         raise ParameterError("m_tests must be at least 1")
+    if rows is not None:
+        rows = _row_index(d, rows)
+    scores = _purities(d, ((r.proxy, r.protected_target) for r in results), rows)
     out = []
-    for result in results:
+    for result, holdout in zip(results, scores):
         adjusted = min(1.0, result.capacity.p_value * m_tests)
-        try:
-            holdout = exact_correspondence(
-                d, result.proxy, result.protected_target, rows=rows
-            )
-        except InsufficientDataError:
+        if holdout is None:
             out.append(
                 replace(result, adjusted_p=adjusted, status=UNVALIDATED)
             )

@@ -29,8 +29,12 @@ interleaved baseline and counterfactual row through one ``score_columns``
 call and builds the package's ``UseSummary`` and ``FlipRecords``), and
 ``run_discovery_reference``, the package's discovery stage before the search
 read row sets of one table (``split_holdout_copies`` copies both parts with
-``Dataset.select``, and the package's ``beam_search`` and ``validate`` read
-the copies).
+``Dataset.select``, the package's ``beam_search`` reads the training copy and
+``validate_reference`` the held-out copy), and ``validate_reference``, the
+package's holdout validation before its scores came from one loop over row
+sets (it re-scores every result through the package's
+``exact_correspondence`` on the table it is given and builds the package's
+``DiscoveryResult``).
 """
 
 import csv
@@ -551,6 +555,34 @@ def beam_search_reference(d, config, beam_width, max_depth, min_support, gamma,
     return out
 
 
+def validate_reference(results, d, m_tests):
+    """Re-score results on every row of ``d`` and Bonferroni-adjust p-values:
+    a result whose holdout CI lower bound falls below the red-flag floor is
+    dropped, one matching no complete row is kept as unvalidated."""
+    from dataclasses import replace
+
+    from proxyaudit.capacity import RED_FLAG_CI_FLOOR, exact_correspondence
+    from proxyaudit.discovery import UNVALIDATED, VALIDATED
+    from proxyaudit.errors import InsufficientDataError, ParameterError
+
+    if m_tests < 1:
+        raise ParameterError("m_tests must be at least 1")
+    out = []
+    for result in results:
+        adjusted = min(1.0, result.capacity.p_value * m_tests)
+        try:
+            holdout = exact_correspondence(d, result.proxy, result.protected_target)
+        except InsufficientDataError:
+            out.append(replace(result, adjusted_p=adjusted, status=UNVALIDATED))
+            continue
+        if holdout.ci_low < RED_FLAG_CI_FLOOR:
+            continue
+        out.append(
+            replace(result, adjusted_p=adjusted, holdout_capacity=holdout, status=VALIDATED)
+        )
+    return out
+
+
 def split_holdout_copies(d, fraction, seed):
     """Deterministically split rows into (ceil(fraction*N), rest) partitions."""
     from proxyaudit.errors import InsufficientDataError, ValidationError
@@ -574,7 +606,7 @@ def run_discovery_reference(
     """Holdout split, beam search on the training part, validation on the
     held-out part. Returns every validated finding plus search accounting;
     data too small to split is a recorded skip with empty counts."""
-    from proxyaudit.discovery import VALIDATED, beam_search, validate
+    from proxyaudit.discovery import VALIDATED, beam_search
     from proxyaudit.errors import InsufficientDataError
 
     try:
@@ -590,7 +622,7 @@ def run_discovery_reference(
         gamma=gamma, top_k=top_k, bins=bins, stats_out=stats,
     )
     m_tests = max(1, stats.get("descriptors_evaluated", len(results)))
-    validated = validate(results, holdout, m_tests) if results else []
+    validated = validate_reference(results, holdout, m_tests) if results else []
     kept = [r for r in validated if r.status == VALIDATED]
     return {
         "train_rows": train.n_rows,

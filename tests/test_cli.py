@@ -1425,8 +1425,18 @@ def test_benchmark_tracer_sees_every_layer_hook(james_dir, tmp_path):
     assert proc.returncode == 0, proc.stderr
     trace = json.loads(spans_path.read_text())
     assert trace["exit_code"] == 0
-    names = {s["name"] for s in trace["spans"]}
+    spans = trace["spans"]
+    names = {s["name"] for s in spans}
     assert {"models.open", "models.close", "intervention.flip"} <= names
+    # one search and one validation, each scoring every returned result
+    # through discovery's exact_correspondence
+    (beam,) = [s for s in spans if s["name"] == "discovery.beam"]
+    assert len([s for s in spans if s["name"] == "discovery.validate"]) == 1
+    scored = [spans[s["parent"]]["name"] for s in spans
+              if s["name"] == "capacity.exact_correspondence"]
+    returned = beam["counts"]["candidates_returned"]
+    assert returned > 0
+    assert sorted(scored) == ["discovery.beam"] * returned + ["discovery.validate"] * returned
     flips = [s for s in trace["spans"] if s["name"] == "intervention.flip"]
     assert all(s["counts"]["rows"] > 0 for s in flips)
     assert read_report(tmp_path / "out")["red_flag_count"] == 1

@@ -21,7 +21,7 @@ from proxyaudit.discovery import (
     enumerate_conditions,
     validate,
 )
-from proxyaudit.errors import InsufficientDataError, ParameterError, ValidationError
+from proxyaudit.errors import ParameterError, ValidationError
 from proxyaudit.synth import preset
 
 # --- enumerate_conditions ----------------------------------------------------
@@ -436,13 +436,11 @@ def same_results(got, expected):
     assert [r.quality.hex() for r in got] == [r.quality.hex() for r in expected]
 
 
-def purity(*args, **kwargs):
-    """exact_correspondence's support, value and exact statistics, or
-    InsufficientDataError when it raises that."""
-    try:
-        s = exact_correspondence(*args, **kwargs)
-    except InsufficientDataError:
-        return InsufficientDataError
+def score_bits(s):
+    """A purity score's support and value and the bits of its exact
+    statistics (None for no score)."""
+    if s is None:
+        return None
     return s.support, s.value, s.p_value.hex(), s.ci_low.hex(), s.ci_high.hex()
 
 
@@ -459,27 +457,64 @@ def test_search_on_row_sets_equals_search_on_copies(case):
     same_results(results, expected)
     assert stats == copy_stats == expected_stats
 
-    # a holdout set, and the rows that the first result does not match, from
-    # which that result comes back unvalidated
-    holdouts = [holdout]
+    # each result's capacity is exact_correspondence on a copy of the
+    # training rows, to the bit
+    for r in results:
+        expected = exact_correspondence(part, r.proxy, r.protected_target)
+        assert score_bits(r.capacity) == score_bits(expected)
+
+    # validation on a holdout set, on no rows, and on the rows that the first
+    # result does not match (that result comes back unvalidated) equals the
+    # copy-based reference validation, to the bit
+    holdouts = [holdout, np.empty(0, dtype=np.intp)]
     if results:
         holdouts.append(np.flatnonzero(~results[0].proxy.mask(d)))
+    m_tests = max(1, stats["descriptors_evaluated"])
     for rows in holdouts:
-        m_tests = max(1, stats["descriptors_evaluated"])
         got = validate(results, d, m_tests, rows=rows)
-        same_results(got, validate(results, d.select(rows), m_tests))
+        expected = oracles.validate_reference(results, d.select(rows), m_tests)
+        same_results(got, expected)
+        assert [score_bits(r.holdout_capacity) for r in got] == [
+            score_bits(r.holdout_capacity) for r in expected
+        ]
     if results:
         assert got[0].status == UNVALIDATED
 
-    # each result's purity on a row set equals its purity on a copy of those
-    # rows; on the rows the first result does not match, both raise
-    for rows in (train, *holdouts):
-        for r in results:
-            q, t = r.proxy, r.protected_target
-            assert purity(d, q, t, rows=rows) == purity(d.select(rows), q, t)
-    if results:
-        q, t = results[0].proxy, results[0].protected_target
-        assert purity(d, q, t, rows=holdouts[-1]) is InsufficientDataError
+
+@pytest.mark.parametrize(
+    "rows",
+    [np.ones(1000, dtype=bool), np.array([0.0, 1.0]), np.array([1000]), np.array([-1, 2, 3])],
+    ids=["bool-mask", "floats", "past-the-end", "negative"],
+)
+def test_entry_points_reject_what_is_not_a_row_index_array(rows):
+    """A mask, floats or an index outside 0..n_rows-1 is a ParameterError
+    naming ``rows`` at every entry point that takes a row set; none of them
+    fails inside packing, raises a bare IndexError or wraps an index."""
+    d = planted_conjunction_dataset(n_per_cell=1000 // 6 + 1).select(np.arange(1000))
+    config = AuditConfig(protected=("s",), candidates=("c1", "c2"))
+    results = beam_search(d, config, min_support=1)
+    assert results
+    calls = [
+        lambda: enumerate_conditions(d, config.candidates, rows=rows),
+        lambda: beam_search(d, config, min_support=1, rows=rows),
+        lambda: validate(results, d, 1, rows=rows),
+    ]
+    for call in calls:
+        with pytest.raises(ParameterError, match="rows"):
+            call()
+
+
+@pytest.mark.parametrize("dtype", [np.intp, np.uint8, np.float64, bool])
+def test_an_empty_row_set_of_any_dtype_is_no_rows(dtype):
+    d = planted_conjunction_dataset()
+    config = AuditConfig(protected=("s",), candidates=("c1", "c2"))
+    results = beam_search(d, config, min_support=1)
+    rows = np.array([], dtype=dtype)
+    assert enumerate_conditions(d, config.candidates, rows=rows) == enumerate_conditions(
+        d.select(np.array([], dtype=np.intp)), config.candidates
+    )
+    assert beam_search(d, config, min_support=1, rows=rows) == []
+    assert {r.status for r in validate(results, d, 1, rows=rows)} == {UNVALIDATED}
 
 
 def test_search_without_conditions_reports_nothing():
