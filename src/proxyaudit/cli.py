@@ -35,7 +35,6 @@ tracer) changes no GC state. Only the ``synth`` command imports ``synth``.
 
 import contextlib
 import gc
-import json
 import sys
 from pathlib import Path
 
@@ -58,7 +57,7 @@ from .errors import (
     ValidationError,
 )
 from .intervention import Assignment
-from .models import DecisionRule, ModelSpec, load_model, read_json
+from .models import DecisionRule, ModelSpec, load_model, read_json, write_json
 
 _FORMATS = ("json", "md")
 
@@ -386,14 +385,8 @@ def cmd_synth(preset_name, rows, seed, out_dir):
             config["model_path"] = model_paths["use"]
         elif model_paths:
             config["model_path"] = sorted(model_paths.values())[0]
-        with open(out / "config.json", "w", encoding="utf-8") as fh:
-            json.dump(config, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-        ground = out / "ground_truth.json"
-        with open(ground, "w", encoding="utf-8") as fh:
-            json.dump(scenario.ground_truth, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(out / "config.json", config)
+        write_json(out / "ground_truth.json", scenario.ground_truth)
         for name in ("data.csv", "schema.json", "config.json", "graph.json",
                      "ground_truth.json", *sorted(model_paths.values())):
             click.echo(f"wrote {out / name}")

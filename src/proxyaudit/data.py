@@ -26,7 +26,6 @@ once, plus one chunk's cells.
 
 import csv
 import io
-import json
 import math
 import os
 from dataclasses import dataclass, field
@@ -37,7 +36,7 @@ import numpy as np
 
 from . import documents
 from .errors import InsufficientDataError, ParseError, ValidationError
-from .models import read_json
+from .models import read_json, write_json
 
 CATEGORICAL = "categorical"
 NUMERIC = "numeric"
@@ -289,9 +288,7 @@ def schema_from_json(obj):
 
 
 def write_schema_json(schema, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(schema_to_json(schema), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, schema_to_json(schema))
 
 
 def read_schema_json(path):

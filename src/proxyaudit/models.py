@@ -16,14 +16,19 @@ sends.
 
 Up to ``WINDOW`` predict messages may await replies at once: 4 on a
 subprocess probe, 1 on HTTP (urllib is synchronous). A probe answers in
-request order, each reply echoing its request's id; a reply that does not
-echo the oldest outstanding id, or holds a score that is not a finite
-number, is a protocol violation.
+request order, one UTF-8 JSON line per request echoing its id; a reply that
+is not UTF-8 JSON (``_decode_reply`` decodes every one), does not echo the
+oldest outstanding id, or holds a score that is not finite, is a protocol
+violation.
 
 External transport failures are retried (counted, never silent): the probe
 is restarted and every unanswered request resent, until the oldest one has
-failed more than twice. Protocol violations are never retried, because
-retrying can mask a nondeterministic model.
+failed more than twice; a probe that cannot be started, at first or on a
+restart, is unreachable. Protocol violations are never retried, as retrying
+can mask a nondeterministic model.
+
+Every JSON document the package writes is ``json_text``, which never holds
+the ``NaN`` or ``Infinity`` that ``read_json`` refuses.
 """
 
 import json
@@ -73,6 +78,18 @@ def read_json(path, label, error=ValidationError):
             return JSON_DECODER.decode(fh.read())
     except (UnicodeDecodeError, json.JSONDecodeError, ParseError, RecursionError) as exc:
         raise error(f"{label}: {exc}") from None
+
+
+def json_text(document):
+    """A JSON document's text: sorted keys, two-space indent, one final
+    newline. ``NaN`` and ``Infinity`` raise ``ValueError``."""
+    return json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def write_json(path, document):
+    """Write ``json_text(document)`` to the file at ``path`` as UTF-8."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json_text(document))
 
 
 def _is_real(value):
@@ -300,9 +317,7 @@ class ModelSpec:
         return ModelSpec.from_json(read_json(path, "model spec", SpecError))
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_json())
 
 
 def _row_values(row, feature_order, index):
@@ -415,6 +430,18 @@ class BuiltinModelHandle(ModelHandle):
 # --- external probes --------------------------------------------------------
 
 
+def _decode_reply(raw, what):
+    """A probe reply's bytes as ``(message, text)``: UTF-8, then strict JSON.
+    Either failing is a ``ProtocolError`` whose payload is the text, bad bytes
+    replaced."""
+    try:
+        text = raw.decode("utf-8")
+        return JSON_DECODER.decode(text), text
+    except (UnicodeDecodeError, json.JSONDecodeError, ParseError, RecursionError):
+        text = raw.decode("utf-8", "replace")
+        raise ProtocolError(f"{what} reply is not UTF-8 JSON", payload=text) from None
+
+
 def _validate_scores_message(msg, expected_id, n_rows, raw):
     if not isinstance(msg, dict) or msg.get("type") != "scores":
         raise ProtocolError(f"expected a scores message, got {msg!r}", payload=raw)
@@ -424,9 +451,7 @@ def _validate_scores_message(msg, expected_id, n_rows, raw):
         )
     scores = msg.get("scores")
     if not isinstance(scores, list) or len(scores) != n_rows:
-        raise ProtocolError(
-            f"expected {n_rows} scores, got {scores!r}", payload=raw
-        )
+        raise ProtocolError(f"expected {n_rows} scores, got {scores!r}", payload=raw)
     # ``type(v) in (int, float)`` for every score: the JSON numbers of
     # ``JSON_DECODER``, and not ``true``/``false`` (bool subclasses int)
     if not set(map(type, scores)) <= {int, float}:
@@ -514,17 +539,14 @@ class _ProbeHandle(ModelHandle):
                 in_flight.clear()
                 continue
             request_id, rows = in_flight.popleft()
-            try:
-                msg = JSON_DECODER.decode(raw)
-            except (json.JSONDecodeError, ParseError):
-                raise ProtocolError("scores reply is not valid JSON", payload=raw) from None
-            scores = _validate_scores_message(msg, request_id, len(rows), raw)
+            msg, text = _decode_reply(raw, "scores")
+            scores = _validate_scores_message(msg, request_id, len(rows), text)
             failures = 0
             yield scores
 
 
 def _pump(stdout, lines):
-    """Queue the probe's output lines, then ``None`` when it closes."""
+    """Queue the probe's output lines as bytes, then ``None`` when it closes."""
     with stdout:
         for line in stdout:
             lines.put(line)
@@ -532,7 +554,7 @@ def _pump(stdout, lines):
 
 
 def _feed(outbox, stdin):
-    """Write queued lines to the probe's stdin until ``None``, then close it.
+    """Write queued byte lines to the probe's stdin until ``None``, then close it.
     Writing here keeps a probe that stops reading from blocking the caller
     past its reply timeout; a write to a dead probe ends the feed, and the
     caller sees the probe's output close."""
@@ -562,14 +584,16 @@ class SubprocessModelHandle(_ProbeHandle):
         self._spawn()
 
     def _spawn(self):
-        self._proc = subprocess.Popen(
-            list(self.spec.parameters["command"]),
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL,
-            text=True,
-            encoding="utf-8",
-        )
+        """Start the probe and shake hands; the one place a probe starts."""
+        try:
+            self._proc = subprocess.Popen(
+                list(self.spec.parameters["command"]),
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.DEVNULL,
+            )
+        except OSError as exc:
+            raise _TransportFailure(f"could not start probe: {exc}") from None
         self._lines = queue.Queue()
         self._outbox = queue.Queue()
         threading.Thread(target=_pump, args=(self._proc.stdout, self._lines), daemon=True).start()
@@ -582,27 +606,21 @@ class SubprocessModelHandle(_ProbeHandle):
 
     def _handshake(self):
         self._send({"type": "hello", "features": list(self.spec.feature_order)})
-        raw = self._recv()
-        try:
-            msg = JSON_DECODER.decode(raw)
-        except (json.JSONDecodeError, ParseError):
-            raise ProtocolError("handshake reply is not valid JSON", payload=raw) from None
+        msg, text = _decode_reply(self._recv(), "handshake")
         if not isinstance(msg, dict) or msg.get("type") != "ready":
-            raise ProtocolError(f"expected a ready message, got {msg!r}", payload=raw)
+            raise ProtocolError(f"expected a ready message, got {msg!r}", payload=text)
 
     def _send(self, obj):
-        self._outbox.put(json.dumps(obj) + "\n")
+        self._outbox.put((json.dumps(obj) + "\n").encode("utf-8"))
 
     def _recv(self):
         try:
             line = self._lines.get(timeout=self.timeout)
         except queue.Empty:
-            raise _TransportFailure(
-                f"probe gave no reply within {self.timeout} s"
-            ) from None
+            raise _TransportFailure(f"probe gave no reply within {self.timeout} s") from None
         if line is None:
             raise _TransportFailure("probe process closed its output")
-        return line.rstrip("\n")
+        return line.rstrip(b"\n")
 
     def _recover(self):
         self.close()
@@ -645,15 +663,13 @@ class HttpModelHandle(_ProbeHandle):
         )
         try:
             with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                status, raw = response.status, response.read().decode("utf-8")
-        except urllib.error.HTTPError as exc:
-            raise ProtocolError(
-                f"probe answered HTTP {exc.code}", payload=exc.read().decode("utf-8", "replace")
-            ) from None
+                status, raw = response.status, response.read()
+        except urllib.error.HTTPError as exc:  # a reply, but not a 200
+            status, raw = exc.code, exc.read()
         except (urllib.error.URLError, TimeoutError, OSError) as exc:
             raise _TransportFailure(f"probe endpoint unreachable: {exc}") from None
         if status != 200:
-            raise ProtocolError(f"probe answered HTTP {status}", payload=raw)
+            raise ProtocolError(f"probe answered HTTP {status}", payload=raw.decode("utf-8", "replace"))
         self._replies.append(raw)
 
     def _recv(self):
@@ -670,6 +686,4 @@ def load_model(spec, *, timeout=None):
         return HttpModelHandle(spec, timeout=timeout)
     except _TransportFailure as exc:
         raise ConnectivityError(str(exc)) from None
-    except OSError as exc:
-        raise ConnectivityError(f"could not start probe: {exc}") from None
 

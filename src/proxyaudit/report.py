@@ -3,9 +3,9 @@
 A report is a plain JSON-serializable dict; every number in it comes from one
 of the measurement modules, and the red-flag logic is a pure function of
 those reported numbers plus the echoed thresholds, so a reader can re-derive
-each label from the JSON alone. Serialization sorts keys and pins float
-formatting through ``json.dumps``, making reports byte-stable for identical
-inputs, seed, and tool version; ``generated_at`` honours the
+each label from the JSON alone. Serialization is ``models.json_text``, which
+sorts keys and pins float formatting, making reports byte-stable for
+identical inputs, seed, and tool version; ``generated_at`` honours the
 ``SOURCE_DATE_EPOCH`` convention so pipelines can pin the timestamp too.
 
 A finding is flagged only on the conjunction the framework requires:
@@ -16,7 +16,6 @@ reported, but labeled capacity-only.
 
 import datetime as _dt
 import hashlib
-import json
 import math
 import os
 
@@ -37,6 +36,7 @@ from .intervention import (
     flip_analysis,
     ice_curve,
 )
+from .models import json_text
 
 RED_FLAG_LABEL = "potential inherent-discrimination red flag"
 CAPACITY_ONLY_LABEL = "capacity-only finding"
@@ -332,9 +332,8 @@ def assemble(config_echo, d, sections, findings, seed):
 
 
 def report_json_bytes(report):
-    """Byte-stable serialization: sorted keys, two-space indent, one final
-    newline."""
-    return (json.dumps(report, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    """The report's ``json_text`` as UTF-8 bytes."""
+    return json_text(report).encode("utf-8")
 
 
 def validate_report(report):

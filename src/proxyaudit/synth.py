@@ -22,7 +22,6 @@ ground truth those numbers imply.
 """
 
 import itertools
-import json
 from dataclasses import dataclass, field
 from graphlib import CycleError, TopologicalSorter
 
@@ -32,7 +31,7 @@ from . import documents
 from .data import CATEGORICAL, NUMERIC, ColumnSchema, Dataset
 from .descriptors import Condition, SubgroupDescriptor
 from .errors import GraphError, ParameterError, ValidationError
-from .models import DecisionRule, ModelSpec, read_json
+from .models import DecisionRule, ModelSpec, read_json, write_json
 
 CONFIG_SEP = "|"
 
@@ -220,9 +219,7 @@ class CausalGraphSpec:
         return CausalGraphSpec.from_json(read_json(path, "causal graph"))
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_json())
 
 
 # --- sampling ----------------------------------------------------------------

@@ -5,6 +5,7 @@ Usage: python bad_probe.py <mode>, where mode is one of:
   wrong-id        answers predicts with a non-echoing id
   short-scores    returns one score fewer than requested
   not-json        answers predicts with a non-JSON line
+  not-utf8        answers predicts with a scores line holding a 0xff byte
   bool-scores     answers ``true`` as every score
   nan-scores      answers ``NaN`` as every score (Python's json writes it)
   huge-scores     answers an integer too large for a float as every score
@@ -76,6 +77,10 @@ def main():
             elif mode == "not-json":
                 sys.stdout.write("scores: all fine\n")
                 sys.stdout.flush()
+            elif mode == "not-utf8":
+                text = json.dumps({"type": "scores", "id": msg.get("id"), "scores": [0.0] * len(rows)})
+                sys.stdout.buffer.write(text[:-1].encode("utf-8") + b', "note": "\xff"}\n')
+                sys.stdout.buffer.flush()
             elif mode == "bool-scores":
                 reply({"type": "scores", "id": msg.get("id"), "scores": [True] * len(rows)})
             elif mode == "nan-scores":

@@ -1,9 +1,11 @@
 import http.server
 import json
 import os
+import shlex
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -691,6 +693,35 @@ class TestSubprocessProbe:
             assert exc.value.payload is not None
             assert m.transport_retries == 0
 
+    def test_reply_not_utf8_is_protocol_error_at_once(self, capfd):
+        # the pipe carries bytes, so a bad byte reaches the one reply decoder
+        # instead of killing the reader thread and waiting out the timeout
+        spec = subprocess_spec(str(FIXTURES / "bad_probe.py"), "not-utf8")
+        with load_model(spec, timeout=5) as m:
+            started = time.monotonic()
+            with pytest.raises(ProtocolError, match="scores reply is not UTF-8 JSON") as exc:
+                m.predict_batch([[1.0]])
+            assert time.monotonic() - started < 5
+            assert m.transport_retries == 0
+        assert exc.value.payload.endswith('"note": "\ufffd"}')
+        assert "Exception in thread" not in capfd.readouterr().err
+
+    def test_probe_that_cannot_restart_is_unreachable(self, tmp_path):
+        # the probe dies after the handshake, and its executable is gone
+        # before the restart: a connectivity error, as at first start
+        wrapper = tmp_path / "vanish.sh"
+        wrapper.write_text(
+            f"#!/bin/sh\nexec {shlex.quote(sys.executable)} "
+            f"{shlex.quote(str(FIXTURES / 'bad_probe.py'))} dies\n"
+        )
+        wrapper.chmod(0o755)
+        spec = ModelSpec("external_subprocess", {"command": [str(wrapper)]}, ("x",))
+        with load_model(spec, timeout=5) as m:
+            wrapper.unlink()
+            with pytest.raises(ConnectivityError, match="could not start probe"):
+                m.predict_batch([[1.0]])
+            assert m.transport_retries == 1
+
     def test_rejected_row_is_answered_not_retried(self, tmp_path):
         # the reference probe replies with the model's error and stops, so a
         # bad row is a protocol error at once, never a dead probe to respawn
@@ -993,6 +1024,8 @@ class _ProbeHTTPHandler(http.server.BaseHTTPRequestHandler):
         scores = [2.0 * float(r[0]) + 1.0 for r in payload["rows"]]
         if self.fail_with == "bad-body":
             body = b"not json"
+        elif self.fail_with == "bad-bytes":
+            body = b'{"type": "scores", "id": %d, "scores": [0.0], "note": "\xff"}' % payload["id"]
         else:
             body = json.dumps(
                 {"type": "scores", "id": payload["id"], "scores": scores}
@@ -1038,6 +1071,13 @@ class TestHttpProbe:
         m = load_model(spec, timeout=5)
         _ProbeHTTPHandler.fail_with = "bad-body"
         with pytest.raises(ProtocolError):
+            m.predict_batch([[1.0]])
+
+    def test_body_not_utf8_is_protocol_error(self, http_probe):
+        spec = ModelSpec("external_http", {"endpoint": http_probe}, ("x",))
+        m = load_model(spec, timeout=5)
+        _ProbeHTTPHandler.fail_with = "bad-bytes"
+        with pytest.raises(ProtocolError, match="not UTF-8 JSON"):
             m.predict_batch([[1.0]])
 
     def test_unreachable_endpoint(self):

@@ -18,7 +18,7 @@ from proxyaudit.data import CATEGORICAL, NUMERIC, AuditConfig, ColumnSchema, Dat
 from proxyaudit.descriptors import Condition, SubgroupDescriptor
 from proxyaudit.errors import ValidationError
 from proxyaudit.intervention import TOWARD_UNFAVOURABLE, Assignment
-from proxyaudit.models import BuiltinModelHandle, DecisionRule, ModelSpec
+from proxyaudit.models import BuiltinModelHandle, DecisionRule, ModelSpec, json_text
 from proxyaudit.synth import preset
 
 SCHEMAS = Path(documents.__file__).parent / "schemas"
@@ -279,6 +279,14 @@ def test_assembled_report_validates_and_is_byte_stable(
     report.validate_report(rpt1)
     assert report.report_json_bytes(rpt1) == report.report_json_bytes(rpt2)
     assert rpt1["red_flag_count"] == 1
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_written_json_refuses_nan_and_infinity(value):
+    # read_json refuses them, so no document the package writes may hold one
+    for write in (json_text, report.report_json_bytes):
+        with pytest.raises(ValueError):
+            write({"sections": {"score": [1.0, value]}})
 
 
 def test_schema_rejects_malformed_reports(monkeypatch, james, james_data, james_discovery):
