@@ -197,9 +197,9 @@ def _value_ranks(X):
     return ranks, values
 
 
-def _fold_counts(d, features, rows, y, observed, folds, n_classes, seed):
-    """Deal ``rows`` (labels ``y``) to folds and count them by distinct
-    feature row.
+def _fold_counts(d, features, complete, y_codes, observed, folds, n_classes, seed):
+    """Deal the rows ``complete`` marks (labels ``y_codes``) to folds and
+    count them by distinct feature row.
 
     Rows are put in the ``np.lexsort`` order of their design-matrix rows
     (first column primary, ties in row order), so the deal depends only on
@@ -208,29 +208,52 @@ def _fold_counts(d, features, rows, y, observed, folds, n_classes, seed):
     in that order; numeric cells compare by value, so ``-0.0`` and ``0.0``
     are one value. Returns (counts, firsts): ``counts[fold, t, class]`` rows
     of distinct feature row t, and ``firsts[t]`` one dataset row that has it.
+
+    At most about four arrays of a number per row are alive at once: the
+    sort keys go once the rows are sorted, a category keys by its code in
+    the narrowest integer type, and the ``bincount`` index is built in place.
     """
     keys = []
     for name in features:
         if d.schema_of(name).kind == CATEGORICAL:
             # a one-of-K block sorts with its last category lowest
-            keys.append(-d.codes(name)[rows])
+            narrow = np.min_scalar_type(-len(d.categories(name)))
+            keys.append(np.negative(d.codes(name)[complete].astype(narrow)))
         else:
-            keys.append(d.values(name)[rows])
+            keys.append(d.values(name)[complete])
     order, new = kernels._lexsort_runs(keys)
-    ids = np.cumsum(new) - 1
-    y = y[order]
-    fold_of = np.empty(order.shape[0], dtype=np.int64)
+    del keys
+    rows = np.flatnonzero(complete)[order]
+    del order
+    firsts = rows[new]
+    y = y_codes[rows]
+    del rows
+    index = np.empty(y.shape[0], dtype=np.int64)  # each row's fold, then its cell
     rng = np.random.default_rng(seed)
     for c in observed:
-        at = np.nonzero(y == c)[0]
-        fold_of[at[rng.permutation(at.shape[0])]] = np.arange(at.shape[0]) % folds
-    n_distinct = int(ids[-1]) + 1
-    counts = np.bincount((fold_of * n_distinct + ids) * n_classes + y,
-                         minlength=folds * n_distinct * n_classes)
+        at = np.flatnonzero(y == c)
+        at = at[rng.permutation(at.shape[0])]
+        deal = np.arange(at.shape[0])
+        deal %= folds
+        index[at] = deal
+        del at, deal
+    # index = (fold * n_distinct + distinct row) * n_classes + class
+    n_distinct = firsts.shape[0]
+    index *= n_distinct * n_classes
+    index += y
+    new[0] = False
+    y[:] = new  # y's buffer turns into each row's distinct row
+    del new
+    np.cumsum(y, out=y)
+    y *= n_classes
+    index += y
+    del y
+    counts = np.bincount(index, minlength=folds * n_distinct * n_classes)
+    del index
     # int32 halves the table, which has a cell per distinct row when no row
-    # repeats; a cell counts at most ``rows.shape[0]`` rows
+    # repeats; a cell counts at most ``complete.sum()`` rows
     counts = counts.astype(np.int32).reshape(folds, n_distinct, n_classes)
-    return counts, rows[order[new]]
+    return counts, firsts
 
 
 class _CartTree:
@@ -318,11 +341,11 @@ def predictive_capacity(d, proxy_set, protected, *, folds=5, seed=0):
         raise ValidationError(f"protected column {protected!r} must be categorical")
 
     complete = d.complete_mask(list(proxy_set) + [protected])
-    rows = np.nonzero(complete)[0]
-    if rows.size < 2:
+    support = int(np.count_nonzero(complete))
+    if support < 2:
         raise InsufficientDataError("fewer than 2 complete rows")
-    y = d.codes(protected)[rows]
-    class_counts = np.bincount(y, minlength=len(schema.categories))
+    y_codes = d.codes(protected)
+    class_counts = np.bincount(y_codes[complete], minlength=len(schema.categories))
     observed = np.nonzero(class_counts)[0]
     k = observed.size
     if k < 2:
@@ -341,7 +364,7 @@ def predictive_capacity(d, proxy_set, protected, *, folds=5, seed=0):
 
     n_classes = len(schema.categories)
     counts, firsts = _fold_counts(
-        d, proxy_set, rows, y, observed, effective_folds, n_classes, seed
+        d, proxy_set, complete, y_codes, observed, effective_folds, n_classes, seed
     )
     ranks, values = _value_ranks(_design_matrix(d, proxy_set, firsts))
     total = counts.sum(axis=0)
@@ -381,7 +404,7 @@ def predictive_capacity(d, proxy_set, protected, *, folds=5, seed=0):
         protected_value=protected,
         measure="predictive",
         value=value,
-        support=int(rows.size),
+        support=support,
         p_value=float(p_value),
         ci_low=value_lo,
         ci_high=value_hi,

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .data import CATEGORICAL
 from .errors import (
     GraphError,
@@ -295,6 +294,129 @@ def _check_assignments_against(schema_of, assignments, what="assignment"):
             )
 
 
+def _runs(keys):
+    """``(distinct, first)`` of the int64 array ``keys``, which becomes each
+    key's id: ``distinct`` holds the distinct keys, ascending, ``first[t]``
+    the first position of ``distinct[t]``, and ``keys[i]`` is overwritten
+    with the index of its key in ``distinct``. One unstable sort."""
+    order = np.argsort(keys)
+    ids = keys[order]
+    new = np.empty(ids.size, dtype=bool)
+    new[0] = True
+    np.not_equal(ids[1:], ids[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    distinct, first = ids[starts], np.minimum.reduceat(order, starts)
+    del starts
+    # a run's index counts the runs started after the first; an int64
+    # cumsum in place needs no temporary
+    new[0] = False
+    ids[:] = new
+    del new
+    np.cumsum(ids, out=ids)
+    keys[order] = ids
+    return distinct, first
+
+
+def _dense(keys, extra=None):
+    """``(k, extra_id)`` of the int64 array ``keys``, which becomes each
+    key's index among the sorted distinct keys. ``extra``, a key that need
+    not occur, joins them: ``extra_id`` is its index, or the one id past the
+    data's when it is new, so the ids run ``0..k-1`` (None stays None)."""
+    distinct, _ = _runs(keys)
+    k = distinct.size
+    if extra is None:
+        return k, None
+    at = int(np.searchsorted(distinct, extra))
+    if at < k and distinct[at] == extra:
+        return k, at
+    return k + 1, k
+
+
+def _fold_in(run, k_run, extra_run, ids, k, extra):
+    """Mixed-radix ids of the running key ``run`` (ids in ``0..k_run-1``)
+    and one more key's ``ids`` (in ``0..k-1``), with the same for their
+    extra keys; ``run`` is renumbered first when the product would not fit
+    int64. ``run`` is None before the first key."""
+    if run is None:
+        return ids, k, extra
+    if k_run * k >= 2**63:
+        k_run, extra_run = _dense(run, extra_run)
+    run *= k
+    run += ids
+    return run, k_run * k, None if extra is None else extra_run * k + extra
+
+
+def _pair_rows(d, features, indices, assigned):
+    """Number the distinct rows among the interleaved baseline (position
+    ``2i``) and counterfactual (``2i + 1``) rows of the selected rows
+    ``indices``, with no interleaved copy. Returns ``(firsts, run_of,
+    run_base, run_cf)``: ``firsts`` holds each distinct row's first position,
+    in increasing order, and row i's baseline is distinct row
+    ``run_base[run_of[i]]``, its counterfactual ``run_cf[run_of[i]]``.
+
+    Each feature keys the selected rows once: a category by its code, a
+    number by its sorted distinct float64 bits, so ``-0.0`` and ``0.0`` stay
+    apart; an assigned value joins its feature's keys. The free features'
+    keys combine into one id per row, ``free``, and the assigned features'
+    into ``fixed``, so row i's counterfactual is ``(free[i], value)``. One
+    sort of ``free * k_fixed + fixed`` puts the rows in runs, one per
+    distinct baseline row, and the runs of one ``free`` id side by side:
+    such a group shares one counterfactual row, which is also the group's
+    run whose ``fixed`` part is ``value``, if it has one."""
+    free = fixed = value = None
+    k_free = k_fixed = 1
+    for f in features:
+        col = d.column_array(f)[indices]
+        if d.schema_of(f).kind == CATEGORICAL:
+            ids, k = col, len(d.categories(f))
+            v = d.categories(f).index(assigned[f]) if f in assigned else None
+        else:
+            v = np.float64(assigned[f]).view(np.int64) if f in assigned else None
+            ids = col.view(np.int64)
+            k, v = _dense(ids, v)
+        del col
+        if f in assigned:
+            fixed, k_fixed, value = _fold_in(fixed, k_fixed, value, ids, k, v)
+        else:
+            free, k_free, _ = _fold_in(free, k_free, None, ids, k, None)
+        del ids
+    key = fixed
+    if free is not None:
+        if k_free * k_fixed >= 2**63:
+            k_free, _ = _dense(free)
+            k_fixed, value = _dense(fixed, value)
+        key = free
+        key *= k_fixed
+        key += fixed
+    del free, fixed
+    run_key, run_first = _runs(key)  # a run per distinct baseline row
+    run_of = key
+    del key
+    free_id = run_key // k_fixed  # ascending: a group's runs are adjacent
+    group_new = np.empty(free_id.size, dtype=bool)
+    group_new[0] = True
+    np.not_equal(free_id[1:], free_id[:-1], out=group_new[1:])
+    del free_id
+    group_of = np.cumsum(group_new) - 1
+    # each group's counterfactual row is first met with the group's first row
+    group_pos = 2 * np.minimum.reduceat(run_first, np.flatnonzero(group_new)) + 1
+    del group_new
+    run_pos = 2 * run_first
+    same = np.flatnonzero(run_key % k_fixed == value)  # at most one per group
+    run_pos[same] = np.minimum(run_pos[same], group_pos[group_of[same]])
+    alone = np.ones(group_pos.size, dtype=bool)
+    alone[group_of[same]] = False
+    positions = np.concatenate([run_pos, group_pos[alone]])
+    by_first = np.argsort(positions)  # the positions are distinct
+    rank = np.empty(positions.size, dtype=np.intp)
+    rank[by_first] = np.arange(positions.size)
+    run_base = rank[: run_pos.size]
+    group_cf = np.empty(group_pos.size, dtype=np.intp)
+    group_cf[alone] = rank[run_pos.size:]
+    group_cf[group_of[same]] = run_base[same]
+    return positions[by_first], run_of, run_base, group_cf[group_of]
+
+
 def flip_analysis(
     m, rule, d, assignments, selector=None,
     *, flip_rate_floor=0.01, score_floor_fraction=0.05,
@@ -306,8 +428,10 @@ def flip_analysis(
     and counterfactual rows are interleaved, and each distinct one is scored
     once, in order of first occurrence, in one ``score_columns`` call: a
     model reading one two-valued column scores two rows. Rows are keyed by
-    the dataset's typed cells. A row error names the dataset row and which
-    of its pair failed. The records come back as a lazy :class:`FlipRecords`.
+    the dataset's typed cells, and numbered from per-feature ids with no
+    2n-row copy (:func:`_pair_rows`). A row error names the dataset row and
+    which of its pair failed. The records come back as a lazy
+    :class:`FlipRecords`.
     ``significant_influence_flag`` is set when the flip rate reaches
     ``flip_rate_floor`` or the mean absolute delta is nonzero and reaches
     ``score_floor_fraction`` of the baseline-score interquartile range.
@@ -321,48 +445,44 @@ def flip_analysis(
         mask &= selector.mask(d)
     mask &= d.complete_mask(m.feature_order)
     indices = np.nonzero(mask)[0]
+    del mask
     if indices.size == 0:
         raise InsufficientDataError("no rows selected for flip analysis")
 
-    # interleaved cells: even positions are baseline rows, odd ones their
-    # counterfactuals; a category keys by its code, a number by its float64
-    # bits, so -0.0 and 0.0 stay apart
-    cells = {f: np.repeat(d.column_array(f)[indices], 2) for f in m.feature_order}
-    for a in assignments:
-        col = d.schema_of(a.column)
-        cells[a.column][1::2] = col.categories.index(a.value) if col.kind == CATEGORICAL else a.value
-    order, new = kernels._lexsort_runs([cells[f].view(np.int64) for f in m.feature_order])
-    heads = order[new]
-    by_first = np.argsort(heads)
-    firsts = heads[by_first]  # each distinct row's first row, in order of occurrence
-    rank = np.empty(heads.size, dtype=np.int64)
-    rank[by_first] = np.arange(heads.size)
-    del heads, by_first
+    assigned = {a.column: a.value for a in assignments}  # the last one wins
+    firsts, run_of, run_base, run_cf = _pair_rows(d, m.feature_order, indices, assigned)
+    rows, counterfactual = indices[firsts // 2], firsts % 2 == 1
     columns = {}
     for f in m.feature_order:
-        distinct = cells.pop(f)[firsts]  # freed before ``ids`` is built
-        if d.schema_of(f).kind == CATEGORICAL:
-            distinct = np.array(d.categories(f), dtype=object)[distinct]
+        col = d.schema_of(f)
+        distinct = d.column_array(f)[rows]
+        if f in assigned:
+            value = assigned[f]
+            distinct[counterfactual] = col.categories.index(value) if col.kind == CATEGORICAL else value
+        if col.kind == CATEGORICAL:
+            distinct = np.array(col.categories, dtype=object)[distinct]
         columns[f] = distinct
-    ids = np.empty(order.size, dtype=np.int64)  # each row's distinct row
-    ids[order] = np.repeat(rank, np.diff(np.flatnonzero(new), append=new.size))
-    del order, new, rank
+    del rows, counterfactual
     try:
-        scores = m.score_columns(columns, firsts.size)[ids]
+        scores = m.score_columns(columns, firsts.size)
     except ValidationError as exc:
         # the model names a distinct row; its first interleaved row is a pair's
         raise _pair_error(
             exc, lambda k: (int(indices[firsts[k] // 2]), int(firsts[k] % 2))
         ) from None
-    baselines, counterfactuals = scores[0::2], scores[1::2]
-
+    del columns
+    baselines, counterfactuals = scores[run_base][run_of], scores[run_cf][run_of]
+    del run_of
     deltas = counterfactuals - baselines
+    mean_delta = float(deltas.mean())
+    mean_abs_delta = float(np.abs(deltas, out=deltas).mean())
+    del deltas
     favourable = rule.favourable(counterfactuals)
     flipped = rule.favourable(baselines) != favourable
     to_unfav = int(np.count_nonzero(flipped & ~favourable))
     to_fav = int(np.count_nonzero(flipped & favourable))
     flip_rate = (to_unfav + to_fav) / indices.size
-    mean_abs_delta = float(np.abs(deltas).mean())
+    # two calls: one call for both percentiles can differ in the last bit
     iqr = float(np.percentile(baselines, 75) - np.percentile(baselines, 25))
     significant = flip_rate >= flip_rate_floor or (
         mean_abs_delta > 0 and mean_abs_delta >= score_floor_fraction * iqr
@@ -376,7 +496,7 @@ def flip_analysis(
     summary = UseSummary(
         assignments=tuple(assignments),
         n=indices.size,
-        mean_delta=float(deltas.mean()),
+        mean_delta=mean_delta,
         mean_abs_delta=mean_abs_delta,
         flip_count=to_unfav + to_fav,
         flip_rate=flip_rate,

@@ -3,7 +3,8 @@
 ``joint_counts`` builds the contingency tables behind the association scan;
 ``best_split`` is the Gini split scan of the CART learner behind predictive
 capacity. Callers look both up as module attributes at call time, so they
-can be wrapped (for tracing) without touching the callers.
+can be wrapped (for tracing) without touching the callers. ``_lexsort_runs``
+numbers the distinct feature rows of predictive capacity's folds.
 
 ``best_split`` sorts nothing. Its caller ranks each feature column once
 (the sorted distinct values and every table row's rank among them), and a
@@ -28,11 +29,13 @@ def joint_counts(a_codes, b_codes, ka, kb):
     """Count co-occurrences of category codes; codes < 0 mean missing.
 
     Returns (counts[ka, kb] int64, n_effective) over pairwise-complete rows.
+    The cell index is built in place in the gathered copy of ``a_codes``.
     """
     ok = (a_codes >= 0) & (b_codes >= 0)
-    a = a_codes[ok].astype(np.int64)
-    b = b_codes[ok].astype(np.int64)
-    flat = np.bincount(a * kb + b, minlength=ka * kb)
+    a = a_codes[ok].astype(np.int64, copy=False)
+    a *= kb
+    a += b_codes[ok]
+    flat = np.bincount(a, minlength=ka * kb)
     return flat.reshape(ka, kb), int(a.shape[0])
 
 
@@ -93,7 +96,9 @@ def _lexsort_runs(keys):
     """``(order, new)`` of rows keyed by ``keys``, 1-D arrays, the first
     primary: ``order`` is their stable ``np.lexsort`` order, and ``new`` flags
     each sorted row that starts a distinct row, so ``order[new]`` holds each
-    distinct row's first row. Capacity's folds and flip analysis use it."""
+    distinct row's first row. Capacity's folds use it: their deal follows
+    the stable order. Each key may have its own dtype, and a narrow one makes
+    its sorted copy smaller."""
     order = np.lexsort(keys[::-1])
     new = np.zeros(order.shape[0], dtype=bool)
     new[0] = True

@@ -215,11 +215,12 @@ def run_use(
     fragment, skipped = {"summaries": [], "ice": []}, []
     if assignments:
         try:
-            summary, _records = flip_analysis(
+            # only the summary: a flip's records hold three arrays of its rows
+            summary = flip_analysis(
                 m, rule, d, assignments, selector,
                 flip_rate_floor=flip_rate_floor,
                 score_floor_fraction=score_floor_fraction,
-            )
+            )[0]
             fragment["summaries"].append(summary.to_json())
         except InsufficientDataError as exc:
             columns = [a.column for a in assignments]
@@ -296,11 +297,12 @@ def derive_red_flags(
                 result.proxy, m.feature_order, d
             )
             if assignments:
-                summary, _ = flip_analysis(
+                # the records go at once, not alive through the next flip
+                summary = flip_analysis(
                     m, rule, d, assignments,
                     flip_rate_floor=flip_rate_floor,
                     score_floor_fraction=score_floor_fraction,
-                )
+                )[0]
                 entry["use"] = summary.to_json()
                 if (
                     summary.significant_influence_flag

@@ -9,6 +9,7 @@ perfect proxy the model ignores must show zero use.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import oracles
@@ -381,6 +382,63 @@ def test_batching_preserves_order_on_large_selection():
     for r in records[::97]:
         assert r.baseline_score == pytest.approx(0.1 * x[r.row_index], abs=1e-12)
         assert r.delta == pytest.approx(-0.2, abs=1e-12)
+
+
+def _traced_peak(fn):
+    """Peak bytes ``fn()`` allocates, measured on its second call."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "coefficients, limit",
+    [
+        # one categorical feature, assigned: the rows are numbered by its codes
+        ({"c=b": 1.0}, 5),
+        # and a numeric feature left free, whose 40 values repeat
+        ({"c=b": 1.0, "x": 0.25}, 6),
+    ],
+)
+def test_flip_numbers_rows_without_an_interleaved_copy(coefficients, limit):
+    """A flip holds ``limit`` arrays of a number per selected row at most;
+    one that repeats each feature column into 2n interleaved rows holds 7.6
+    and 9.6."""
+    n = 100_000
+    rng = np.random.default_rng(3)
+    d = Dataset(
+        [ColumnSchema("c", CATEGORICAL, ("a", "b", "c")), ColumnSchema("x", NUMERIC)],
+        {"c": rng.integers(0, 3, n), "x": rng.integers(0, 40, n) / 4.0},
+    )
+    m = linear_handle(coefficients)
+    peak = _traced_peak(lambda: flip_analysis(m, RULE, d, [Assignment("c", "b")]))
+    assert peak < limit * 8 * n
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8))
+def test_flip_renumbers_keys_too_wide_for_int64(seed, n_assigned):
+    # 8 features of 300 distinct values: their mixed-radix key needs 300**8
+    # ids, more than int64 holds, so the running key is renumbered
+    rng = np.random.default_rng(seed)
+    names = [f"f{j}" for j in range(8)]
+    n = 300
+    columns = {name: rng.permutation(n) * 0.5 - 20.0 for name in names}
+    columns["f0"][:10] = -0.0  # repeats, and -0.0 against an assigned 0.0
+    d = Dataset([ColumnSchema(name, NUMERIC) for name in names], columns)
+    m = linear_handle({name: float(rng.normal()) for name in names})
+    targets = rng.choice(names, n_assigned, replace=False)
+    assignments = [Assignment(str(f), float(rng.choice(columns[f]))) for f in targets]
+    assignments.append(Assignment("f0", 0.0))
+    got_summary, got = flip_analysis(m, RULE, d, assignments)
+    want_summary, want = oracles.flip_analysis_reference(m, RULE, d, assignments)
+    assert repr(got_summary) == repr(want_summary)
+    for field in ("row_index", "baseline_score", "counterfactual_score"):
+        assert [getattr(r, field) for r in got] == [getattr(r, field) for r in want]
 
 
 # --- ice_curve ------------------------------------------------------------------

@@ -808,6 +808,52 @@ class TestDistinctRows:
         assert [r.baseline_score for r in records] == np.where(flag, 1.0, 2.0).tolist()
 
     @pytest.mark.parametrize(
+        "c, x, features, assignments, selector, sent, baseline, counterfactual",
+        [
+            # row 0's counterfactual ("b", 1.0) is row 1's baseline: sent once
+            ("aba", [1.0, 1.0, 2.0], ("c", "x"), {"c": "b"}, None,
+             [["a", 1.0], ["b", 1.0], ["a", 2.0], ["b", 2.0]], [1, 2, 3], [2, 2, 4]),
+            # row 0's counterfactual is its own baseline
+            ("ba", [1.0, 1.0], ("c", "x"), {"c": "b"}, None,
+             [["b", 1.0], ["a", 1.0]], [1, 2], [1, 1]),
+            # assigned values absent from the data: -0.0 is not 0.0, nor 0.0 -0.0
+            ("aaa", [0.0, 1.0, 0.0], ("x",), {"x": -0.0}, None,
+             [[0.0], [-0.0], [1.0]], [1, 3, 1], [2, 2, 2]),
+            ("aaa", [-0.0, 5.5, -0.0], ("x",), {"x": 0.0}, None,
+             [[-0.0], [0.0], [5.5]], [1, 3, 1], [2, 2, 2]),
+            ("aaa", [1.0, 2.0, 1.0], ("x",), {"x": 7}, None,
+             [[1.0], [7.0], [2.0]], [1, 3, 1], [2, 2, 2]),
+            # a selector on a two-feature model, with c left free; row 3 is out
+            ("ababa", [1.0, 2.0, 3.0, -1.0, 2.0], ("c", "x"), {"x": 2.0},
+             SubgroupDescriptor((Condition.interval("x", lo=0.0),)),
+             [["a", 1.0], ["a", 2.0], ["b", 2.0], ["a", 3.0]], [1, 3, 4, 2], [2, 3, 2, 2]),
+        ],
+    )
+    def test_flip_sends_each_distinct_row_once(self, monkeypatch, c, x, features, assignments,
+                                               selector, sent, baseline, counterfactual):
+        d = Dataset(
+            [ColumnSchema("c", CATEGORICAL, ("a", "b")), ColumnSchema("x", NUMERIC)],
+            {"c": ["ab".index(v) for v in c], "x": x},
+        )
+        spec = subprocess_spec(str(FIXTURES / "bad_probe.py"), "counting", features=features)
+        with load_model(spec, timeout=15) as m:
+            rows, send = [], m._send
+
+            def recorded(message):
+                rows.extend(message.get("rows", ()))
+                send(message)
+
+            monkeypatch.setattr(m, "_send", recorded)
+            _, records = flip_analysis(
+                m, DecisionRule(1.5), d, [Assignment(k, v) for k, v in assignments.items()],
+                selector,
+            )
+        # JSON text tells -0.0 from 0.0
+        assert json.dumps(rows) == json.dumps(sent)
+        assert [r.baseline_score for r in records] == baseline
+        assert [r.counterfactual_score for r in records] == counterfactual
+
+    @pytest.mark.parametrize(
         "column, received",
         [
             # every row given, ROWS_PER_CALL to a message, in row order
