@@ -248,7 +248,8 @@ def equal_frequency_bins(values, bins):
     valid = values[~np.isnan(values)]
     if valid.size == 0:
         return np.array([])
-    qs = np.quantile(valid, [i / bins for i in range(1, bins)])
+    # ``valid`` is this function's own copy, so the quantile may reorder it
+    qs = np.quantile(valid, [i / bins for i in range(1, bins)], overwrite_input=True)
     return np.unique(qs)
 
 
@@ -256,13 +257,14 @@ def binned_column(d, name, bins):
     """View of a numeric column as categorical codes via equal-frequency bins.
 
     Returns (codes, categories): bin k covers [edge_{k-1}, edge_k) with the
-    first bin open below and the last open above; NaN maps to -1.
+    first bin open below and the last open above; NaN maps to -1. Every cell
+    is binned where it lies, NaN too, and NaN rows are set to -1 after, so
+    no copy of the column is gathered.
     """
-    edges = equal_frequency_bins(d.values(name), bins)
     x = d.values(name)
-    codes = np.full(d.n_rows, -1, dtype=np.int64)
-    ok = ~np.isnan(x)
-    codes[ok] = np.searchsorted(edges, x[ok], side="right")
+    edges = equal_frequency_bins(x, bins)
+    codes = np.searchsorted(edges, x, side="right")
+    codes[np.isnan(x)] = -1
     labels = []
     for k in range(len(edges) + 1):
         lo = "-inf" if k == 0 else _fmt(edges[k - 1])
@@ -297,6 +299,7 @@ def association_scan(d, protected, candidates, *, measure="nmi", normalization="
         for b in candidates:
             codes_b, kb = _as_categorical(d, b, bins)
             counts, n_eff = kernels.joint_counts(codes_a, codes_b, ka, kb)
+            del codes_b  # a binned column is not kept while the next is binned
             if n_eff < 2:
                 continue
             scores.append(_score(a, b, counts, n_eff, measure, normalization))

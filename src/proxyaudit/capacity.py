@@ -209,9 +209,11 @@ def _fold_counts(d, features, complete, y_codes, observed, folds, n_classes, see
     are one value. Returns (counts, firsts): ``counts[fold, t, class]`` rows
     of distinct feature row t, and ``firsts[t]`` one dataset row that has it.
 
-    At most about four arrays of a number per row are alive at once: the
-    sort keys go once the rows are sorted, a category keys by its code in
-    the narrowest integer type, and the ``bincount`` index is built in place.
+    At most about two and a half arrays of a number per row are alive at
+    once: categories key and labels deal in the narrowest integer type, the
+    sort keys are read in sort order a block at a time and go once the rows
+    are sorted, the row numbers and each class's shuffle are taken into
+    their index's buffer, and the ``bincount`` index is built in place.
     """
     keys = []
     for name in features:
@@ -223,31 +225,38 @@ def _fold_counts(d, features, complete, y_codes, observed, folds, n_classes, see
             keys.append(d.values(name)[complete])
     order, new = kernels._lexsort_runs(keys)
     del keys
-    rows = np.flatnonzero(complete)[order]
+    # each sorted row's dataset row, in order's buffer (indices always valid)
+    rows = np.take(np.flatnonzero(complete), order, out=order, mode="clip")
     del order
     firsts = rows[new]
-    y = y_codes[rows]
+    y = y_codes[rows].astype(np.min_scalar_type(n_classes))
     del rows
     index = np.empty(y.shape[0], dtype=np.int64)  # each row's fold, then its cell
     rng = np.random.default_rng(seed)
     for c in observed:
         at = np.flatnonzero(y == c)
-        at = at[rng.permutation(at.shape[0])]
-        deal = np.arange(at.shape[0])
-        deal %= folds
-        index[at] = deal
-        del at, deal
-    # index = (fold * n_distinct + distinct row) * n_classes + class
+        perm = rng.permutation(at.shape[0])
+        np.take(at, perm, out=perm, mode="clip")
+        del at
+        # the p-th row of the shuffled class goes to fold p % folds
+        for fold in range(folds):
+            index[perm[fold::folds]] = fold
+        del perm
+    # index = (fold * n_distinct + distinct row) * n_classes + class, with
+    # the narrow labels added into the int64 buffer, never multiplied
     n_distinct = firsts.shape[0]
     index *= n_distinct * n_classes
     index += y
-    new[0] = False
-    y[:] = new  # y's buffer turns into each row's distinct row
-    del new
-    np.cumsum(y, out=y)
-    y *= n_classes
-    index += y
     del y
+    new[0] = False
+    # each row's distinct row: an int64 copy of the flags summed in place (a
+    # cumsum of the flags into int64 would cast a copy of them first)
+    ids = new.astype(np.int64)
+    del new
+    np.cumsum(ids, out=ids)
+    ids *= n_classes
+    index += ids
+    del ids
     counts = np.bincount(index, minlength=folds * n_distinct * n_classes)
     del index
     # int32 halves the table, which has a cell per distinct row when no row

@@ -28,6 +28,7 @@ import csv
 import io
 import math
 import os
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import itemgetter
@@ -85,6 +86,24 @@ class LoadReport:
     n_unknown: int = 0
 
     _CAP = 100
+
+
+class _CellsAt(Mapping):
+    """Columns read at ``rows``: each lookup gathers the cells anew."""
+
+    def __init__(self, columns, rows):
+        self._columns, self._rows = columns, rows
+
+    def __getitem__(self, name):
+        cells = self._columns[name][self._rows]
+        cells.setflags(write=False)
+        return cells
+
+    def __iter__(self):
+        return iter(self._columns)
+
+    def __len__(self):
+        return len(self._columns)
 
 
 class Dataset:
@@ -213,6 +232,18 @@ class Dataset:
         return dict(zip(col.categories, counts.tolist()))
 
     # --- transformation --------------------------------------------------
+
+    def _read_at(self, rows):
+        """A Dataset of the rows ``rows`` (an integer row-index array) that
+        keeps no column: each column read gathers its cells at the rows
+        anew, read-only. A reader that holds one column at a time, such as
+        ``exact_correspondence``, so holds one copy of a column's rows."""
+        view = Dataset.__new__(Dataset)
+        view._schema, view._by_name = self._schema, self._by_name
+        view._columns = _CellsAt(self._columns, rows)
+        view._n_rows = len(rows)
+        view.load_report = None
+        return view
 
     def select(self, rows):
         """New Dataset keeping the given rows (boolean mask or index array)."""
@@ -599,16 +630,20 @@ def split_holdout(d, fraction, seed):
     arrays of ceil(fraction*N) and N - ceil(fraction*N) rows, not copies;
     pass them to ``d.select`` or as the ``rows=`` of ``beam_search`` and
     ``validate``, where row sets stop (``exact_correspondence`` scores a whole
-    table)."""
+    table). The first part is the first ceil(fraction*N) rows of one seeded
+    permutation, marked in a boolean mask; each part is read off the mask in
+    row order, so neither is sorted."""
     if not 0.0 < fraction < 1.0:
         raise ValidationError(f"fraction must lie in (0,1), got {fraction}")
     if d.n_rows < 2:
         raise InsufficientDataError("need at least 2 rows to split")
     n_first = math.ceil(fraction * d.n_rows)
     perm = np.random.default_rng(seed).permutation(d.n_rows)
-    first = np.sort(perm[:n_first])
-    second = np.sort(perm[n_first:])
-    return first, second
+    in_first = np.zeros(d.n_rows, dtype=bool)
+    in_first[perm[:n_first]] = True
+    del perm
+    first = np.flatnonzero(in_first)
+    return first, np.flatnonzero(np.logical_not(in_first, out=in_first))
 
 
 @dataclass(frozen=True)

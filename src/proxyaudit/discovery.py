@@ -14,7 +14,7 @@ import numpy as np
 
 from .association import equal_frequency_bins
 from .capacity import RED_FLAG_CI_FLOOR, CapacityScore, exact_correspondence, target_rows
-from .data import CATEGORICAL, Dataset
+from .data import CATEGORICAL
 from .descriptors import Condition, SubgroupDescriptor
 from .errors import InsufficientDataError, ParameterError, ValidationError
 
@@ -94,12 +94,13 @@ def enumerate_conditions(d, columns, bins=4, *, rows=None):
             continue
         values = d.values(name)[rows]
         valid = values[~np.isnan(values)]
+        del values  # the cut points come from the same cells, NaN or not
         if valid.size == 0:
             continue
         lo, hi = float(valid.min()), float(valid.max())
         if lo == hi:
             continue
-        cuts = [float(c) for c in equal_frequency_bins(values, bins) if lo < c < hi]
+        cuts = [float(c) for c in equal_frequency_bins(valid, bins) if lo < c < hi]
         edges = [lo] + cuts + [hi]
         for i in range(len(edges) - 1):
             last = i == len(edges) - 2
@@ -123,9 +124,10 @@ def _targets_of(d, protected_columns, rows):
     for column in protected_columns:
         schema = d.schema_of(column)  # categorical, by ``config.check_against``
         codes = d.codes(column)[rows]
-        counts = np.bincount(codes[codes >= 0], minlength=len(schema.categories))
+        codes += 1  # a missing cell counts in bin 0
+        counts = np.bincount(codes, minlength=len(schema.categories) + 1)
         targets.extend(
-            (column, cat) for cat, count in zip(schema.categories, counts) if count
+            (column, cat) for cat, count in zip(schema.categories, counts[1:]) if count
         )
     return targets
 
@@ -155,23 +157,16 @@ def _popcount(words):
     return np.bitwise_count(words).sum(axis=-1)
 
 
-def _at_rows(d, rows, columns):
-    """``d`` itself for None, else a Dataset of ``columns`` read at ``rows``."""
-    if rows is None:
-        return d
-    cells = {name: d.column_array(name)[rows] for name in columns}
-    return Dataset._of(tuple(map(d.schema_of, cells)), cells)
-
-
 def _purities(d, pairs, rows):
     """Each (descriptor, target) pair's :func:`exact_correspondence` over
-    ``rows`` of ``d`` (None means every row, and no column is copied), or
-    None where the descriptor matches no complete row. A pair reads only its
-    target's and descriptor's columns at the rows, and they are freed before
-    the next pair's are read."""
+    ``rows`` of ``d`` (None means every row), or None where the descriptor
+    matches no complete row. At rows, it reads ``d`` through
+    ``Dataset._read_at``, which gathers a column's cells at the rows on each
+    read and keeps none, so a score holds one column's cells at a time."""
+    at = d if rows is None else d._read_at(rows)
     for q, target in pairs:
         try:
-            score = exact_correspondence(_at_rows(d, rows, (target[0], *q.columns)), q, target)
+            score = exact_correspondence(at, q, target)
         except InsufficientDataError:
             score = None
         yield score
@@ -291,7 +286,7 @@ def beam_search(
     condition's rows. The exact statistics (:func:`exact_correspondence`:
     significance test and Clopper-Pearson interval) run only for the
     deduplicated top_k results that are returned, on their columns read at
-    ``rows``.
+    ``rows`` one column at a time.
 
     Every scored (descriptor, target) pair counts toward the Bonferroni
     budget reported in ``stats_out['descriptors_evaluated']``, which

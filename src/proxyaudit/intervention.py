@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .data import CATEGORICAL
 from .errors import (
     GraphError,
@@ -264,19 +265,40 @@ def ice_curve(
 
 
 class FlipRecords(Sequence):
-    """The per-row records of a flip analysis, each built when indexed."""
+    """The per-row records of a flip analysis, each built when indexed.
+
+    ``FlipRecords(row_indices, baselines, counterfactuals, rule)`` holds one
+    row number and two scores per record. :meth:`of_runs` is the compact
+    form :func:`flip_analysis` returns: the selection mask, the scores of
+    each distinct baseline row (a run) and each record's run, so it holds
+    one number a record; the row numbers are built once, on first access.
+    """
 
     def __init__(self, row_indices, baselines, counterfactuals, rule):
-        self._scored = row_indices, baselines, counterfactuals, rule
+        self._rows, self._mask, self._run_of = row_indices, None, None
+        self._scores = baselines, counterfactuals, rule
+
+    @classmethod
+    def of_runs(cls, mask, baselines, counterfactuals, run_of, rule):
+        """Records of the rows ``mask`` selects, in row order: record i is
+        run ``run_of[i]``, scored ``baselines[run_of[i]]`` and
+        ``counterfactuals[run_of[i]]``."""
+        records = cls(None, baselines, counterfactuals, rule)
+        records._mask, records._run_of = mask, run_of
+        return records
 
     def __len__(self):
-        return len(self._scored[0])
+        return len(self._rows if self._run_of is None else self._run_of)
 
     def __getitem__(self, k):
         if isinstance(k, slice):
             return [self[j] for j in range(*k.indices(len(self)))]
-        rows, base, cf, rule = self._scored
-        return _record_from_scores(float(base[k]), float(cf[k]), rule, int(rows[k]))
+        if self._rows is None:
+            self._rows = np.flatnonzero(self._mask)
+        row = int(self._rows[k])
+        base, cf, rule = self._scores
+        at = k if self._run_of is None else self._run_of[k]
+        return _record_from_scores(float(base[at]), float(cf[at]), rule, row)
 
 
 def _check_assignments_against(schema_of, assignments, what="assignment"):
@@ -298,22 +320,24 @@ def _runs(keys):
     """``(distinct, first)`` of the int64 array ``keys``, which becomes each
     key's id: ``distinct`` holds the distinct keys, ascending, ``first[t]``
     the first position of ``distinct[t]``, and ``keys[i]`` is overwritten
-    with the index of its key in ``distinct``. One unstable sort."""
+    with the index of its key in ``distinct``. One unstable sort; the keys
+    are read and written in sorted order a block of rows at a time, so no
+    sorted copy of them is made."""
     order = np.argsort(keys)
-    ids = keys[order]
-    new = np.empty(ids.size, dtype=bool)
+    new = np.zeros(keys.size, dtype=bool)
     new[0] = True
-    np.not_equal(ids[1:], ids[:-1], out=new[1:])
+    kernels._mark_runs((keys,), order, new)
     starts = np.flatnonzero(new)
-    distinct, first = ids[starts], np.minimum.reduceat(order, starts)
+    distinct, first = keys[order[starts]], np.minimum.reduceat(order, starts)
     del starts
-    # a run's index counts the runs started after the first; an int64
-    # cumsum in place needs no temporary
+    # a run's index counts the runs started after the first
     new[0] = False
-    ids[:] = new
-    del new
-    np.cumsum(ids, out=ids)
-    keys[order] = ids
+    runs = 0
+    for start in range(0, keys.size, kernels._RUN_BLOCK):
+        ids = np.cumsum(new[start:start + kernels._RUN_BLOCK], dtype=np.int64)
+        ids += runs
+        runs = int(ids[-1])
+        keys[order[start:start + kernels._RUN_BLOCK]] = ids
     return distinct, first
 
 
@@ -346,10 +370,10 @@ def _fold_in(run, k_run, extra_run, ids, k, extra):
     return run, k_run * k, None if extra is None else extra_run * k + extra
 
 
-def _pair_rows(d, features, indices, assigned):
+def _pair_rows(d, features, mask, assigned):
     """Number the distinct rows among the interleaved baseline (position
-    ``2i``) and counterfactual (``2i + 1``) rows of the selected rows
-    ``indices``, with no interleaved copy. Returns ``(firsts, run_of,
+    ``2i``) and counterfactual (``2i + 1``) rows of the i-th of the rows
+    ``mask`` selects, with no interleaved copy. Returns ``(firsts, run_of,
     run_base, run_cf)``: ``firsts`` holds each distinct row's first position,
     in increasing order, and row i's baseline is distinct row
     ``run_base[run_of[i]]``, its counterfactual ``run_cf[run_of[i]]``.
@@ -366,7 +390,7 @@ def _pair_rows(d, features, indices, assigned):
     free = fixed = value = None
     k_free = k_fixed = 1
     for f in features:
-        col = d.column_array(f)[indices]
+        col = d.column_array(f)[mask]
         if d.schema_of(f).kind == CATEGORICAL:
             ids, k = col, len(d.categories(f))
             v = d.categories(f).index(assigned[f]) if f in assigned else None
@@ -430,8 +454,11 @@ def flip_analysis(
     model reading one two-valued column scores two rows. Rows are keyed by
     the dataset's typed cells, and numbered from per-feature ids with no
     2n-row copy (:func:`_pair_rows`). A row error names the dataset row and
-    which of its pair failed. The records come back as a lazy
-    :class:`FlipRecords`.
+    which of its pair failed. Outcomes are counted per distinct baseline row
+    (a run), each weighed by its rows; the per-row deltas are the runs'
+    differences read at each row's run, and the baselines are gathered only
+    for the two percentiles. The records come back as a lazy, compact
+    :class:`FlipRecords` (:meth:`FlipRecords.of_runs`).
     ``significant_influence_flag`` is set when the flip rate reaches
     ``flip_rate_floor`` or the mean absolute delta is nonzero and reaches
     ``score_floor_fraction`` of the baseline-score interquartile range.
@@ -444,14 +471,12 @@ def flip_analysis(
     if selector is not None:
         mask &= selector.mask(d)
     mask &= d.complete_mask(m.feature_order)
-    indices = np.nonzero(mask)[0]
-    del mask
-    if indices.size == 0:
+    if not mask.any():
         raise InsufficientDataError("no rows selected for flip analysis")
 
     assigned = {a.column: a.value for a in assignments}  # the last one wins
-    firsts, run_of, run_base, run_cf = _pair_rows(d, m.feature_order, indices, assigned)
-    rows, counterfactual = indices[firsts // 2], firsts % 2 == 1
+    firsts, run_of, run_base, run_cf = _pair_rows(d, m.feature_order, mask, assigned)
+    rows, counterfactual = np.flatnonzero(mask)[firsts // 2], firsts % 2 == 1
     columns = {}
     for f in m.feature_order:
         col = d.schema_of(f)
@@ -462,28 +487,37 @@ def flip_analysis(
         if col.kind == CATEGORICAL:
             distinct = np.array(col.categories, dtype=object)[distinct]
         columns[f] = distinct
-    del rows, counterfactual
+    del counterfactual
     try:
         scores = m.score_columns(columns, firsts.size)
     except ValidationError as exc:
         # the model names a distinct row; its first interleaved row is a pair's
-        raise _pair_error(
-            exc, lambda k: (int(indices[firsts[k] // 2]), int(firsts[k] % 2))
-        ) from None
-    del columns
-    baselines, counterfactuals = scores[run_base][run_of], scores[run_cf][run_of]
-    del run_of
-    deltas = counterfactuals - baselines
+        raise _pair_error(exc, lambda k: (int(rows[k]), int(firsts[k] % 2))) from None
+    del columns, rows
+    # each run's scores; a row's are its run's, so a count over the rows is
+    # a count over the runs, each weighed by its rows
+    base_run, cf_run = scores[run_base], scores[run_cf]
+    del scores, run_base, run_cf
+    n = run_of.size
+    # the same per-row differences, in the same order, as baseline from
+    # counterfactual row by row: their means keep their bits
+    deltas = (cf_run - base_run)[run_of]
     mean_delta = float(deltas.mean())
     mean_abs_delta = float(np.abs(deltas, out=deltas).mean())
     del deltas
-    favourable = rule.favourable(counterfactuals)
-    flipped = rule.favourable(baselines) != favourable
-    to_unfav = int(np.count_nonzero(flipped & ~favourable))
-    to_fav = int(np.count_nonzero(flipped & favourable))
-    flip_rate = (to_unfav + to_fav) / indices.size
-    # two calls: one call for both percentiles can differ in the last bit
-    iqr = float(np.percentile(baselines, 75) - np.percentile(baselines, 25))
+    favourable = rule.favourable(cf_run)
+    flipped = rule.favourable(base_run) != favourable
+    run_rows = np.bincount(run_of, minlength=base_run.size)
+    to_unfav = int(run_rows[flipped & ~favourable].sum())
+    to_fav = int(run_rows[flipped & favourable].sum())
+    del run_rows
+    flip_rate = (to_unfav + to_fav) / n
+    # two calls: one call for both percentiles can differ in the last bit;
+    # the baselines are this function's own gather, so both may reorder it
+    baselines = base_run[run_of]
+    iqr = float(np.percentile(baselines, 75, overwrite_input=True)
+                - np.percentile(baselines, 25, overwrite_input=True))
+    del baselines
     significant = flip_rate >= flip_rate_floor or (
         mean_abs_delta > 0 and mean_abs_delta >= score_floor_fraction * iqr
     )
@@ -495,7 +529,7 @@ def flip_analysis(
         direction = MIXED
     summary = UseSummary(
         assignments=tuple(assignments),
-        n=indices.size,
+        n=n,
         mean_delta=mean_delta,
         mean_abs_delta=mean_abs_delta,
         flip_count=to_unfav + to_fav,
@@ -503,7 +537,7 @@ def flip_analysis(
         direction_of_harm=direction,
         significant_influence_flag=significant,
     )
-    return summary, FlipRecords(indices, baselines, counterfactuals, rule)
+    return summary, FlipRecords.of_runs(mask, base_run, cf_run, run_of, rule)
 
 
 # --- causal mode ----------------------------------------------------------------

@@ -4,7 +4,9 @@
 ``best_split`` is the Gini split scan of the CART learner behind predictive
 capacity. Callers look both up as module attributes at call time, so they
 can be wrapped (for tracing) without touching the callers. ``_lexsort_runs``
-numbers the distinct feature rows of predictive capacity's folds.
+numbers the distinct feature rows of predictive capacity's folds, and
+``_mark_runs`` finds the runs of equal rows in a sort order for it and for
+flip analysis.
 
 ``best_split`` sorts nothing. Its caller ranks each feature column once
 (the sorted distinct values and every table row's rank among them), and a
@@ -26,17 +28,23 @@ import numpy as np
 
 
 def joint_counts(a_codes, b_codes, ka, kb):
-    """Count co-occurrences of category codes; codes < 0 mean missing.
+    """Count co-occurrences of category codes; a code of -1 means missing.
 
     Returns (counts[ka, kb] int64, n_effective) over pairwise-complete rows.
-    The cell index is built in place in the gathered copy of ``a_codes``.
+    A missing code counts in one extra leading row or column: the cell index
+    ``(a + 1) * (kb + 1) + (b + 1)`` is built in place in one copy of
+    ``a_codes``, so no row is gathered, and the complete rows' counts are the
+    table without that row and column.
     """
-    ok = (a_codes >= 0) & (b_codes >= 0)
-    a = a_codes[ok].astype(np.int64, copy=False)
-    a *= kb
-    a += b_codes[ok]
-    flat = np.bincount(a, minlength=ka * kb)
-    return flat.reshape(ka, kb), int(a.shape[0])
+    index = a_codes.astype(np.intp)
+    index += 1
+    index *= kb + 1
+    index += b_codes
+    index += 1
+    flat = np.bincount(index, minlength=(ka + 1) * (kb + 1))
+    del index
+    counts = np.ascontiguousarray(flat.reshape(ka + 1, kb + 1)[1:, 1:])
+    return counts, int(counts.sum())
 
 
 def best_split(ranks, values, rows, y, weights, n_classes, min_leaf):
@@ -92,19 +100,31 @@ def best_split(ranks, values, rows, y, weights, n_classes, min_leaf):
     return best_feat, best_thr, best_score
 
 
+# sorted rows per block of ``_mark_runs`` and of its callers' block loops
+_RUN_BLOCK = 1 << 14
+
+
+def _mark_runs(keys, order, new):
+    """Set ``new[i]`` where sorted row i (row ``order[i]``) differs from
+    sorted row i - 1 in any of ``keys``, 1-D arrays. The keys are read in
+    sorted order a block of rows at a time, so no key is gathered whole."""
+    for start in range(1, order.shape[0], _RUN_BLOCK):
+        at = order[start - 1:start + _RUN_BLOCK]
+        for key in keys:
+            key = key[at]
+            new[start:start + _RUN_BLOCK] |= key[1:] != key[:-1]
+
+
 def _lexsort_runs(keys):
     """``(order, new)`` of rows keyed by ``keys``, 1-D arrays, the first
     primary: ``order`` is their stable ``np.lexsort`` order, and ``new`` flags
     each sorted row that starts a distinct row, so ``order[new]`` holds each
     distinct row's first row. Capacity's folds use it: their deal follows
-    the stable order. Each key may have its own dtype, and a narrow one makes
-    its sorted copy smaller."""
+    the stable order. Each key may have its own dtype."""
     order = np.lexsort(keys[::-1])
     new = np.zeros(order.shape[0], dtype=bool)
     new[0] = True
-    for key in keys:
-        key = key[order]
-        new[1:] |= key[1:] != key[:-1]
+    _mark_runs(keys, order, new)
     return order, new
 
 

@@ -215,7 +215,7 @@ def run_use(
     fragment, skipped = {"summaries": [], "ice": []}, []
     if assignments:
         try:
-            # only the summary: a flip's records hold three arrays of its rows
+            # only the summary: a flip's records hold a number a selected row
             summary = flip_analysis(
                 m, rule, d, assignments, selector,
                 flip_rate_floor=flip_rate_floor,

@@ -34,7 +34,11 @@ read row sets of one table (``split_holdout_copies`` copies both parts with
 package's holdout validation before its scores came from one loop over row
 sets (it re-scores every result through the package's
 ``exact_correspondence`` on the table it is given and builds the package's
-``DiscoveryResult``).
+``DiscoveryResult``), and ``joint_counts_gathered`` and ``split_holdout_sorted``,
+the package's ``kernels.joint_counts`` before it indexed missing codes into
+an extra row and column (it gathers the pairwise-complete codes) and its
+``data.split_holdout`` before it read both parts off one mask (it sorts both
+halves of the permutation).
 """
 
 import csv
@@ -885,3 +889,28 @@ def flip_analysis_reference(
         significant_influence_flag=significant,
     )
     return summary, FlipRecords(indices, baselines, counterfactuals, rule)
+
+
+def joint_counts_gathered(a_codes, b_codes, ka, kb):
+    """``(counts[ka, kb] int64, n_effective)`` over the rows where both codes
+    are >= 0, from the gathered codes of those rows and one ``bincount``."""
+    ok = (a_codes >= 0) & (b_codes >= 0)
+    a = a_codes[ok].astype(np.int64, copy=False)
+    a *= kb
+    a += b_codes[ok]
+    flat = np.bincount(a, minlength=ka * kb)
+    return flat.reshape(ka, kb), int(a.shape[0])
+
+
+def split_holdout_sorted(d, fraction, seed):
+    """The two sorted row-index arrays of ceil(fraction*N) and the remaining
+    rows: both halves of one seeded permutation, each sorted."""
+    from proxyaudit.errors import InsufficientDataError, ValidationError
+
+    if not 0.0 < fraction < 1.0:
+        raise ValidationError(f"fraction must lie in (0,1), got {fraction}")
+    if d.n_rows < 2:
+        raise InsufficientDataError("need at least 2 rows to split")
+    n_first = math.ceil(fraction * d.n_rows)
+    perm = np.random.default_rng(seed).permutation(d.n_rows)
+    return np.sort(perm[:n_first]), np.sort(perm[n_first:])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -354,3 +355,28 @@ class TestBinning:
         # median of [1, 2, 3, 4] is 2.5: values below go to bin 0, above to bin 1
         assert codes.tolist() == [0, 0, 1, 1, -1]
         assert len(labels) == 2
+
+
+def test_association_scan_bins_and_counts_without_gathered_copies():
+    """A scan holds 2.5 arrays of a number per row at most; one that gathers
+    the complete rows of each pair, keeps a binned column while it bins the
+    next, and copies the cells its quantile reorders holds 4."""
+    n = 100_000
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=n)
+    x[rng.random(n) < 0.05] = np.nan
+    z = rng.integers(0, 50, n) / 2.0
+    z[rng.random(n) < 0.05] = np.nan
+    d = Dataset(
+        [ColumnSchema("s", CATEGORICAL, ("f", "m")), ColumnSchema("c", CATEGORICAL, ("a", "b", "c")),
+         ColumnSchema("x", NUMERIC), ColumnSchema("z", NUMERIC)],
+        {"s": rng.integers(-1, 2, n), "c": rng.integers(-1, 3, n), "x": x, "z": z},
+    )
+    association_scan(d, ("s",), ("c", "x", "z"))
+    tracemalloc.start()
+    try:
+        association_scan(d, ("s",), ("c", "x", "z"))
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 8 * n

@@ -29,6 +29,7 @@ from proxyaudit.data import (
 from proxyaudit.descriptors import Condition, SubgroupDescriptor
 from proxyaudit.errors import InsufficientDataError, ParseError, ValidationError
 
+import oracles
 from csv_cases import csv_files
 from oracles import load_csv_reference
 
@@ -517,6 +518,34 @@ class TestSplitHoldout:
         assert a.n_rows + b.n_rows == n
         union = sorted(a.values("x").tolist() + b.values("x").tolist())
         assert union == list(range(n))
+
+    @given(
+        n=st.sampled_from([2, 3, 7, 1000]),
+        fraction=st.sampled_from([0.01, 0.1, 0.4, 0.5, 0.75, 0.99]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_parts_equal_both_sorted_halves_of_the_permutation(self, n, fraction, seed):
+        d = Dataset([ColumnSchema("x", NUMERIC)], {"x": np.arange(float(n))})
+        got = split_holdout(d, fraction, seed)
+        want = oracles.split_holdout_sorted(d, fraction, seed)
+        for part, expected in zip(got, want):
+            assert part.dtype == expected.dtype
+            assert part.tolist() == expected.tolist()
+
+    def test_split_reads_both_parts_off_one_mask(self):
+        """A split holds 1.5 arrays of a number per row at most; sorting both
+        halves of the permutation holds 2."""
+        n = 100_000
+        d = Dataset([ColumnSchema("x", NUMERIC)], {"x": np.arange(float(n))})
+        split_holdout(d, 0.4, seed=0)
+        tracemalloc.start()
+        try:
+            split_holdout(d, 0.4, seed=0)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * n
 
 
 class TestAuditConfig:

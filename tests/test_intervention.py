@@ -399,15 +399,16 @@ def _traced_peak(fn):
     "coefficients, limit",
     [
         # one categorical feature, assigned: the rows are numbered by its codes
-        ({"c=b": 1.0}, 5),
+        ({"c=b": 1.0}, 3.5),
         # and a numeric feature left free, whose 40 values repeat
-        ({"c=b": 1.0, "x": 0.25}, 6),
+        ({"c=b": 1.0, "x": 0.25}, 4.5),
     ],
 )
 def test_flip_numbers_rows_without_an_interleaved_copy(coefficients, limit):
     """A flip holds ``limit`` arrays of a number per selected row at most;
     one that repeats each feature column into 2n interleaved rows holds 7.6
-    and 9.6."""
+    and 9.6, and one that keeps row indices, two scores a row and a sorted
+    copy of its keys holds 4.3 and 5.1."""
     n = 100_000
     rng = np.random.default_rng(3)
     d = Dataset(
@@ -417,6 +418,39 @@ def test_flip_numbers_rows_without_an_interleaved_copy(coefficients, limit):
     m = linear_handle(coefficients)
     peak = _traced_peak(lambda: flip_analysis(m, RULE, d, [Assignment("c", "b")]))
     assert peak < limit * 8 * n
+
+
+@pytest.mark.parametrize(
+    "selector",
+    [None, SubgroupDescriptor((Condition.interval("x", lo=3.0),))],
+)
+def test_compact_flip_records_equal_the_per_row_records(selector):
+    """``flip_analysis`` returns one number a record (the selection mask,
+    each distinct baseline row's scores and each record's row); every index,
+    negative ones too, and every slice gives the records of the per-row form
+    that the every-row reference builds for the same flip."""
+    n = 300
+    rng = np.random.default_rng(8)
+    x = rng.integers(0, 20, n) / 2.0
+    x[rng.random(n) < 0.1] = np.nan  # an incomplete row is never selected
+    d = Dataset(
+        [ColumnSchema("c", CATEGORICAL, ("a", "b", "c")), ColumnSchema("x", NUMERIC)],
+        {"c": rng.integers(0, 3, n), "x": x},
+    )
+    m = linear_handle({"c=b": 0.6, "x": 0.05})
+    assignments = [Assignment("c", "b")]
+    _summary, got = flip_analysis(m, RULE, d, assignments, selector)
+    _summary, want = oracles.flip_analysis_reference(m, RULE, d, assignments, selector)
+    assert 0 < len(got) == len(want) < n
+    for k in range(-len(want), len(want)):
+        assert got[k] == want[k]
+    for k in (len(want), -len(want) - 1):
+        with pytest.raises(IndexError):
+            got[k]
+    for part in (slice(None), slice(None, None, -1), slice(5, -7, 3), slice(-40, None),
+                 slice(len(want), None), slice(None, 0)):
+        assert got[part] == want[part]
+    assert list(got) == list(want)
 
 
 @settings(max_examples=30, deadline=None)

@@ -28,6 +28,34 @@ def test_joint_counts_backends_agree(seed):
     assert n_eff == want_n
 
 
+@st.composite
+def code_pairs(draw):
+    """Two code columns of n rows in -1..ka-1 and -1..kb-1: a row may miss
+    either code, both, or (when drawn so) every row misses one."""
+    n = draw(st.integers(0, 50))
+    ka, kb = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    a = np.array(draw(st.lists(st.integers(-1, ka - 1), min_size=n, max_size=n)), dtype=np.int64)
+    b = np.array(draw(st.lists(st.integers(-1, kb - 1), min_size=n, max_size=n)), dtype=np.int64)
+    blank = draw(st.sampled_from(["none", "a", "b", "both"]))
+    if blank in ("a", "both"):
+        a[:] = -1
+    if blank in ("b", "both"):
+        b[:] = -1
+    return a, b, ka, kb
+
+
+@settings(max_examples=300, deadline=None)
+@given(code_pairs())
+def test_joint_counts_equals_gathered_reference(case):
+    a, b, ka, kb = case
+    counts, n_eff = kernels.joint_counts(a, b, ka, kb)
+    want, want_n = oracles.joint_counts_gathered(a, b, ka, kb)
+    assert counts.dtype == want.dtype and counts.shape == want.shape
+    assert counts.flags.c_contiguous
+    assert counts.tolist() == want.tolist()
+    assert type(n_eff) is int and n_eff == want_n
+
+
 def split_of(X, y, rows, n_classes, min_leaf):
     """``kernels.best_split`` on the node ``rows`` of X, one cell of weight 1
     per row, with X ranked over all of its rows."""
