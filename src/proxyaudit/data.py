@@ -1,10 +1,13 @@
 """Typed immutable tabular datasets: loading, validation, derivation, splits.
 
-Internal representation: categorical columns are int64 code arrays (-1 =
-missing) against an ordered category list; numeric columns are float64 (NaN =
-missing). Arrays are marked read-only; every transformation returns a new
-Dataset. Rows with missing values are dropped per computation (pairwise
-deletion) by the measurement modules, never globally at load.
+Internal representation: categorical columns are code arrays (-1 = missing)
+against an ordered category list, each in the narrowest signed integer type
+that holds its codes (``ColumnSchema.dtype``: int8 up to 128 categories);
+numeric columns are float64 (NaN = missing). Code that does arithmetic on
+codes widens them first: a narrow array times a number stays narrow. Arrays
+are marked read-only; every transformation returns a new Dataset. Rows with
+missing values are dropped per computation (pairwise deletion) by the
+measurement modules, never globally at load.
 
 ``load_csv`` decodes column by column. It reads the file in chunks that end
 at a line break (``\\n``, ``\\r\\n`` or a bare ``\\r``), never seeking, so a
@@ -41,17 +44,24 @@ from .models import read_json, write_json
 
 CATEGORICAL = "categorical"
 NUMERIC = "numeric"
-_DTYPES = {CATEGORICAL: np.int64, NUMERIC: np.float64}
 
 
 @dataclass(frozen=True)
 class ColumnSchema:
-    """Name, kind, and (for categorical columns) the ordered category list."""
+    """Name, kind, and (for categorical columns) the ordered category list.
+
+    A table stores the column in ``dtype``: float64 for a numeric column, and
+    for a categorical one of k categories the narrowest signed integer type
+    that holds its codes -1..k-1, ``np.min_scalar_type(-k)``: int8 up to 128
+    categories, int16 up to 32,768, and int32 beyond.
+    """
 
     name: str
     kind: str
     categories: tuple = None
     missing_token: str = "?"
+    # category -> code, built once; not part of the schema's identity
+    _codes: dict = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in (CATEGORICAL, NUMERIC):
@@ -63,17 +73,21 @@ class ColumnSchema:
             if len(set(cats)) != len(cats):
                 raise ValidationError(f"column {self.name!r}: duplicate categories")
             object.__setattr__(self, "categories", cats)
+            object.__setattr__(self, "_codes", {c: code for code, c in enumerate(cats)})
         elif self.categories is not None:
             raise ValidationError(f"column {self.name!r}: numeric columns carry no categories")
+
+    @property
+    def dtype(self):
+        if self.kind == CATEGORICAL:
+            return np.min_scalar_type(-len(self.categories))
+        return np.dtype(np.float64)
 
     def code_of(self, value):
         """Category code for a cell value; -1 for the missing token/None."""
         if value is None or value == self.missing_token:
             return -1
-        try:
-            return self.categories.index(value)
-        except ValueError:
-            return -2  # unknown category sentinel, resolved by the loader
+        return self._codes.get(value, -2)  # -2: unknown, resolved by the loader
 
 
 @dataclass
@@ -141,10 +155,7 @@ class Dataset:
         for col in self._schema:
             if col.name not in columns:
                 raise ValidationError(f"no data for column {col.name!r}")
-            arr = np.asarray(columns[col.name]).astype(_DTYPES[col.kind], copy=copy)
-            if col.kind == CATEGORICAL:
-                if arr.size and (arr.max(initial=-1) >= len(col.categories) or arr.min(initial=0) < -1):
-                    raise ValidationError(f"column {col.name!r}: code out of range")
+            arr = _as_column(col, columns[col.name], copy)
             if n_rows is None:
                 n_rows = arr.shape[0]
             elif arr.shape[0] != n_rows:
@@ -181,6 +192,9 @@ class Dataset:
         return col.categories
 
     def codes(self, name):
+        """The column's codes over every row, not a copy: -1 is missing, and
+        the dtype is the schema's (``ColumnSchema.dtype``), as narrow as int8.
+        Widen them before arithmetic, which would wrap or raise in place."""
         col = self.schema_of(name)
         if col.kind != CATEGORICAL:
             raise ValidationError(f"column {name!r} is not categorical")
@@ -258,7 +272,7 @@ class Dataset:
         if schema.name in self._by_name:
             raise ValidationError(f"column {schema.name!r} already exists")
         cols = dict(self._columns)
-        cols[schema.name] = np.asarray(array).astype(_DTYPES[schema.kind])
+        cols[schema.name] = _as_column(schema, array, copy=True)
         return Dataset._of(self._schema + (schema,), cols)
 
     def equals(self, other):
@@ -297,6 +311,24 @@ class Dataset:
                         else:
                             row.append(repr(float(v)))
                 writer.writerow(row)
+
+
+def _as_column(col, array, copy):
+    """``array`` in ``col.dtype``. Categorical codes are checked on the
+    caller's array, before the cast, which would truncate a fraction, warn on
+    a NaN and wrap a code too wide for the type: each must be a whole number
+    in -1..k-1."""
+    arr = np.asarray(array)
+    if col.kind == CATEGORICAL and arr.size:
+        if arr.dtype.kind == "f":
+            whole = np.isfinite(arr).all() and (arr == np.trunc(arr)).all()
+        else:
+            whole = arr.dtype.kind in "biu"
+        if not whole:
+            raise ValidationError(f"column {col.name!r}: codes must be whole numbers")
+        if arr.max() >= len(col.categories) or arr.min() < -1:
+            raise ValidationError(f"column {col.name!r}: code out of range")
+    return arr.astype(col.dtype, copy=copy)
 
 
 def schema_to_json(schema):
@@ -477,7 +509,7 @@ class _ColumnDecoder:
         self.order = list(range(self.width))  # file column of each schema column
         self.n_rows = 0
         self.report = LoadReport(missing_by_column={c.name: 0 for c in schema})
-        self.columns = [np.empty(0, _DTYPES[c.kind]) for c in schema]
+        self.columns = [np.empty(0, c.dtype) for c in schema]
         self.capacity = 0  # rows each column has room for
         self.size = size  # bytes in the file; 0 where unknown, as for a pipe
         self.bytes_read = 0
@@ -549,7 +581,7 @@ class _ColumnDecoder:
                 lookup = self.lookups[k]
                 for raw in set(cells).difference(lookup):
                     lookup[raw] = col.code_of(raw.strip())
-                values = np.fromiter(map(lookup.__getitem__, cells), np.int64, n)
+                values = np.fromiter(map(lookup.__getitem__, cells), col.dtype, n)
                 unknown = values == -2
                 values[unknown] = -1
                 missing = values < 0
@@ -621,8 +653,9 @@ def derive_feature(d, name, rule):
     interval conditions). The new column has categories ("false", "true");
     rows where any column the rule references is missing get a missing value.
     """
-    codes = np.where(d.complete_mask(rule.columns), rule.mask(d), -1)
-    return d.with_column(ColumnSchema(name, CATEGORICAL, ("false", "true")), codes)
+    schema = ColumnSchema(name, CATEGORICAL, ("false", "true"))
+    codes = np.where(d.complete_mask(rule.columns), rule.mask(d), schema.dtype.type(-1))
+    return d.with_column(schema, codes)
 
 
 def split_holdout(d, fraction, seed):

@@ -123,7 +123,7 @@ def _targets_of(d, protected_columns, rows):
     targets = []
     for column in protected_columns:
         schema = d.schema_of(column)  # categorical, by ``config.check_against``
-        codes = d.codes(column)[rows]
+        codes = d.codes(column)[rows].astype(np.intp)  # +1 would wrap narrow codes
         codes += 1  # a missing cell counts in bin 0
         counts = np.bincount(codes, minlength=len(schema.categories) + 1)
         targets.extend(

@@ -378,21 +378,23 @@ def _pair_rows(d, features, mask, assigned):
     in increasing order, and row i's baseline is distinct row
     ``run_base[run_of[i]]``, its counterfactual ``run_cf[run_of[i]]``.
 
-    Each feature keys the selected rows once: a category by its code, a
-    number by its sorted distinct float64 bits, so ``-0.0`` and ``0.0`` stay
-    apart; an assigned value joins its feature's keys. The free features'
-    keys combine into one id per row, ``free``, and the assigned features'
-    into ``fixed``, so row i's counterfactual is ``(free[i], value)``. One
-    sort of ``free * k_fixed + fixed`` puts the rows in runs, one per
-    distinct baseline row, and the runs of one ``free`` id side by side:
-    such a group shares one counterfactual row, which is also the group's
-    run whose ``fixed`` part is ``value``, if it has one."""
+    Each feature keys the selected rows once: a category by its code,
+    widened to int64, a number by its sorted distinct float64 bits, so
+    ``-0.0`` and ``0.0`` stay apart; an assigned value joins its feature's
+    keys. The free features' keys combine into one id per row, ``free``, and
+    the assigned features' into ``fixed``, so row i's counterfactual is
+    ``(free[i], value)``. One sort of ``free * k_fixed + fixed`` puts the
+    rows in runs, one per distinct baseline row, and the runs of one
+    ``free`` id side by side: such a group shares one counterfactual row,
+    which is also the group's run whose ``fixed`` part is ``value``, if it
+    has one."""
     free = fixed = value = None
     k_free = k_fixed = 1
     for f in features:
         col = d.column_array(f)[mask]
         if d.schema_of(f).kind == CATEGORICAL:
-            ids, k = col, len(d.categories(f))
+            # codes are as narrow as int8; the ids are multiplied in place
+            ids, k = col.astype(np.int64), len(d.categories(f))
             v = d.categories(f).index(assigned[f]) if f in assigned else None
         else:
             v = np.float64(assigned[f]).view(np.int64) if f in assigned else None

@@ -54,15 +54,26 @@ def utc_timestamp():
     return when.replace(microsecond=0).isoformat()
 
 
+# Rows of a column hashed at a time; its codes are widened one block at a time.
+_HASH_ROWS = 1 << 16
+
+
 def dataset_fingerprint(d):
-    """Row count plus per-column and combined content hashes."""
+    """Row count plus per-column and combined content hashes.
+
+    A column hashes the bytes of its cells as float64 values or int64 codes,
+    whatever type the table stores them in; hashing a column block by block
+    gives the digest of its whole bytes, so no int64 copy of it is made."""
     columns = {}
     combined = hashlib.sha256()
-    for name in d.column_names:
-        digest = hashlib.sha256(d.column_array(name).tobytes()).hexdigest()[:16]
-        columns[name] = digest
-        combined.update(name.encode("utf-8"))
-        combined.update(digest.encode("ascii"))
+    for col in d.schema:
+        cells, digest = d.column_array(col.name), hashlib.sha256()
+        wide = np.int64 if col.kind == CATEGORICAL else np.float64
+        for start in range(0, cells.shape[0], _HASH_ROWS):
+            digest.update(np.ascontiguousarray(cells[start:start + _HASH_ROWS], dtype=wide))
+        columns[col.name] = digest.hexdigest()[:16]
+        combined.update(col.name.encode("utf-8"))
+        combined.update(columns[col.name].encode("ascii"))
     return {
         "n_rows": d.n_rows,
         "columns": columns,

@@ -38,7 +38,8 @@ sets (it re-scores every result through the package's
 the package's ``kernels.joint_counts`` before it indexed missing codes into
 an extra row and column (it gathers the pairwise-complete codes) and its
 ``data.split_holdout`` before it read both parts off one mask (it sorts both
-halves of the permutation).
+halves of the permutation), and ``widened``, a table as the package stored it
+before categorical codes took their narrowest integer type (int64 codes).
 """
 
 import csv
@@ -914,3 +915,21 @@ def split_holdout_sorted(d, fraction, seed):
     n_first = math.ceil(fraction * d.n_rows)
     perm = np.random.default_rng(seed).permutation(d.n_rows)
     return np.sort(perm[:n_first]), np.sort(perm[n_first:])
+
+
+def widened(d):
+    """``d`` with every categorical column's codes copied to int64, as tables
+    held them before codes took the narrowest type. Built around
+    ``Dataset._of``, which would narrow them again."""
+    from proxyaudit.data import CATEGORICAL, Dataset
+
+    w = Dataset.__new__(Dataset)
+    w._schema, w._by_name, w._n_rows, w.load_report = d._schema, d._by_name, d.n_rows, d.load_report
+    w._columns = {}
+    for col in d.schema:
+        cells = d.column_array(col.name)
+        if col.kind == CATEGORICAL:
+            cells = cells.astype(np.int64)
+            cells.setflags(write=False)
+        w._columns[col.name] = cells
+    return w
