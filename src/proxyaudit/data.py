@@ -303,13 +303,13 @@ class Dataset:
                         code = arr[i]
                         row.append(col.missing_token if code < 0 else col.categories[code])
                     else:
-                        v = arr[i]
+                        v = float(arr[i])
                         if math.isnan(v):
                             row.append(col.missing_token)
-                        elif float(v).is_integer():
+                        elif v.is_integer() and (v != 0 or math.copysign(1.0, v) > 0):
                             row.append(str(int(v)))
-                        else:
-                            row.append(repr(float(v)))
+                        else:  # a fraction, an infinity, or -0.0, whose sign int() drops
+                            row.append(repr(v))
                 writer.writerow(row)
 
 

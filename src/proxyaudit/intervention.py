@@ -265,30 +265,18 @@ def ice_curve(
 
 
 class FlipRecords(Sequence):
-    """The per-row records of a flip analysis, each built when indexed.
+    """The per-row records of a flip analysis, in row order, each built when
+    indexed. Record i is the i-th row ``mask`` selects, of run ``run_of[i]``
+    (a distinct baseline row), scored ``baselines[run_of[i]]`` and
+    ``counterfactuals[run_of[i]]``: one number a record; the row numbers are
+    built once, on first access."""
 
-    ``FlipRecords(row_indices, baselines, counterfactuals, rule)`` holds one
-    row number and two scores per record. :meth:`of_runs` is the compact
-    form :func:`flip_analysis` returns: the selection mask, the scores of
-    each distinct baseline row (a run) and each record's run, so it holds
-    one number a record; the row numbers are built once, on first access.
-    """
-
-    def __init__(self, row_indices, baselines, counterfactuals, rule):
-        self._rows, self._mask, self._run_of = row_indices, None, None
+    def __init__(self, mask, baselines, counterfactuals, run_of, rule):
+        self._rows, self._mask, self._run_of = None, mask, run_of
         self._scores = baselines, counterfactuals, rule
 
-    @classmethod
-    def of_runs(cls, mask, baselines, counterfactuals, run_of, rule):
-        """Records of the rows ``mask`` selects, in row order: record i is
-        run ``run_of[i]``, scored ``baselines[run_of[i]]`` and
-        ``counterfactuals[run_of[i]]``."""
-        records = cls(None, baselines, counterfactuals, rule)
-        records._mask, records._run_of = mask, run_of
-        return records
-
     def __len__(self):
-        return len(self._rows if self._run_of is None else self._run_of)
+        return len(self._run_of)
 
     def __getitem__(self, k):
         if isinstance(k, slice):
@@ -297,7 +285,7 @@ class FlipRecords(Sequence):
             self._rows = np.flatnonzero(self._mask)
         row = int(self._rows[k])
         base, cf, rule = self._scores
-        at = k if self._run_of is None else self._run_of[k]
+        at = self._run_of[k]
         return _record_from_scores(float(base[at]), float(cf[at]), rule, row)
 
 
@@ -316,60 +304,6 @@ def _check_assignments_against(schema_of, assignments, what="assignment"):
             )
 
 
-def _runs(keys):
-    """``(distinct, first)`` of the int64 array ``keys``, which becomes each
-    key's id: ``distinct`` holds the distinct keys, ascending, ``first[t]``
-    the first position of ``distinct[t]``, and ``keys[i]`` is overwritten
-    with the index of its key in ``distinct``. One unstable sort; the keys
-    are read and written in sorted order a block of rows at a time, so no
-    sorted copy of them is made."""
-    order = np.argsort(keys)
-    new = np.zeros(keys.size, dtype=bool)
-    new[0] = True
-    kernels._mark_runs((keys,), order, new)
-    starts = np.flatnonzero(new)
-    distinct, first = keys[order[starts]], np.minimum.reduceat(order, starts)
-    del starts
-    # a run's index counts the runs started after the first
-    new[0] = False
-    runs = 0
-    for start in range(0, keys.size, kernels._RUN_BLOCK):
-        ids = np.cumsum(new[start:start + kernels._RUN_BLOCK], dtype=np.int64)
-        ids += runs
-        runs = int(ids[-1])
-        keys[order[start:start + kernels._RUN_BLOCK]] = ids
-    return distinct, first
-
-
-def _dense(keys, extra=None):
-    """``(k, extra_id)`` of the int64 array ``keys``, which becomes each
-    key's index among the sorted distinct keys. ``extra``, a key that need
-    not occur, joins them: ``extra_id`` is its index, or the one id past the
-    data's when it is new, so the ids run ``0..k-1`` (None stays None)."""
-    distinct, _ = _runs(keys)
-    k = distinct.size
-    if extra is None:
-        return k, None
-    at = int(np.searchsorted(distinct, extra))
-    if at < k and distinct[at] == extra:
-        return k, at
-    return k + 1, k
-
-
-def _fold_in(run, k_run, extra_run, ids, k, extra):
-    """Mixed-radix ids of the running key ``run`` (ids in ``0..k_run-1``)
-    and one more key's ``ids`` (in ``0..k-1``), with the same for their
-    extra keys; ``run`` is renumbered first when the product would not fit
-    int64. ``run`` is None before the first key."""
-    if run is None:
-        return ids, k, extra
-    if k_run * k >= 2**63:
-        k_run, extra_run = _dense(run, extra_run)
-    run *= k
-    run += ids
-    return run, k_run * k, None if extra is None else extra_run * k + extra
-
-
 def _pair_rows(d, features, mask, assigned):
     """Number the distinct rows among the interleaved baseline (position
     ``2i``) and counterfactual (``2i + 1``) rows of the i-th of the rows
@@ -378,57 +312,57 @@ def _pair_rows(d, features, mask, assigned):
     in increasing order, and row i's baseline is distinct row
     ``run_base[run_of[i]]``, its counterfactual ``run_cf[run_of[i]]``.
 
-    Each feature keys the selected rows once: a category by its code,
-    widened to int64, a number by its sorted distinct float64 bits, so
-    ``-0.0`` and ``0.0`` stay apart; an assigned value joins its feature's
-    keys. The free features' keys combine into one id per row, ``free``, and
-    the assigned features' into ``fixed``, so row i's counterfactual is
-    ``(free[i], value)``. One sort of ``free * k_fixed + fixed`` puts the
-    rows in runs, one per distinct baseline row, and the runs of one
-    ``free`` id side by side: such a group shares one counterfactual row,
-    which is also the group's run whose ``fixed`` part is ``value``, if it
-    has one."""
-    free = fixed = value = None
-    k_free = k_fixed = 1
+    Each feature keys the selected rows by its stored cells: a category by
+    its code, in the column's own type, a number by its float64 bits, so
+    ``-0.0`` and ``0.0`` stay apart. One stable :func:`kernels._lexsort_runs`
+    over the free features' keys, then the assigned ones', puts the rows in
+    runs, one per distinct baseline row, and the runs that share the free
+    features' cells side by side: such a group shares one counterfactual
+    row, which is also the group's run whose assigned cells are the assigned
+    values, if it has one."""
+    free, fixed, value = [], [], []
     for f in features:
-        col = d.column_array(f)[mask]
+        key = d.column_array(f)[mask]
         if d.schema_of(f).kind == CATEGORICAL:
-            # codes are as narrow as int8; the ids are multiplied in place
-            ids, k = col.astype(np.int64), len(d.categories(f))
             v = d.categories(f).index(assigned[f]) if f in assigned else None
         else:
+            key = key.view(np.int64)
             v = np.float64(assigned[f]).view(np.int64) if f in assigned else None
-            ids = col.view(np.int64)
-            k, v = _dense(ids, v)
-        del col
         if f in assigned:
-            fixed, k_fixed, value = _fold_in(fixed, k_fixed, value, ids, k, v)
+            fixed.append(key)
+            value.append(v)
         else:
-            free, k_free, _ = _fold_in(free, k_free, None, ids, k, None)
-        del ids
-    key = fixed
-    if free is not None:
-        if k_free * k_fixed >= 2**63:
-            k_free, _ = _dense(free)
-            k_fixed, value = _dense(fixed, value)
-        key = free
-        key *= k_fixed
-        key += fixed
-    del free, fixed
-    run_key, run_first = _runs(key)  # a run per distinct baseline row
-    run_of = key
-    del key
-    free_id = run_key // k_fixed  # ascending: a group's runs are adjacent
-    group_new = np.empty(free_id.size, dtype=bool)
+            free.append(key)
+    order, new = kernels._lexsort_runs(free + fixed)  # a run per distinct baseline row
+    starts = np.flatnonzero(new)
+    run_first = order[starts]  # the sort is stable: each run's first row
+    is_value = np.ones(starts.size, dtype=bool)
+    for key, v in zip(fixed, value):
+        is_value &= key[run_first] == v
+    del fixed, key
+    group_new = np.zeros(order.size, dtype=bool)
     group_new[0] = True
-    np.not_equal(free_id[1:], free_id[:-1], out=group_new[1:])
-    del free_id
+    kernels._mark_runs(free, order, group_new)
+    del free
+    group_new = group_new[starts]  # a group starts with a run
+    del starts
+    run_of = np.empty(order.size, dtype=np.int64)
+    # a run's index counts the runs started after the first
+    new[0] = False
+    runs = 0
+    for start in range(0, order.size, kernels._RUN_BLOCK):
+        ids = np.cumsum(new[start:start + kernels._RUN_BLOCK], dtype=np.int64)
+        ids += runs
+        runs = int(ids[-1])
+        run_of[order[start:start + kernels._RUN_BLOCK]] = ids
+    del order, new
     group_of = np.cumsum(group_new) - 1
     # each group's counterfactual row is first met with the group's first row
     group_pos = 2 * np.minimum.reduceat(run_first, np.flatnonzero(group_new)) + 1
     del group_new
     run_pos = 2 * run_first
-    same = np.flatnonzero(run_key % k_fixed == value)  # at most one per group
+    same = np.flatnonzero(is_value)  # at most one per group
+    del is_value
     run_pos[same] = np.minimum(run_pos[same], group_pos[group_of[same]])
     alone = np.ones(group_pos.size, dtype=bool)
     alone[group_of[same]] = False
@@ -454,13 +388,13 @@ def flip_analysis(
     and counterfactual rows are interleaved, and each distinct one is scored
     once, in order of first occurrence, in one ``score_columns`` call: a
     model reading one two-valued column scores two rows. Rows are keyed by
-    the dataset's typed cells, and numbered from per-feature ids with no
-    2n-row copy (:func:`_pair_rows`). A row error names the dataset row and
-    which of its pair failed. Outcomes are counted per distinct baseline row
-    (a run), each weighed by its rows; the per-row deltas are the runs'
-    differences read at each row's run, and the baselines are gathered only
-    for the two percentiles. The records come back as a lazy, compact
-    :class:`FlipRecords` (:meth:`FlipRecords.of_runs`).
+    the dataset's typed cells, and numbered by one stable lexsort of the
+    selected rows' cells with no 2n-row copy (:func:`_pair_rows`). A row
+    error names the dataset row and which of its pair failed. Outcomes are
+    counted per distinct baseline row (a run), each weighed by its rows; the
+    per-row deltas are the runs' differences read at each row's run, and the
+    baselines are gathered only for the two percentiles. The records come
+    back as a lazy, compact :class:`FlipRecords`.
     ``significant_influence_flag`` is set when the flip rate reaches
     ``flip_rate_floor`` or the mean absolute delta is nonzero and reaches
     ``score_floor_fraction`` of the baseline-score interquartile range.
@@ -539,7 +473,7 @@ def flip_analysis(
         direction_of_harm=direction,
         significant_influence_flag=significant,
     )
-    return summary, FlipRecords.of_runs(mask, base_run, cf_run, run_of, rule)
+    return summary, FlipRecords(mask, base_run, cf_run, run_of, rule)
 
 
 # --- causal mode ----------------------------------------------------------------

@@ -3,10 +3,11 @@
 ``joint_counts`` builds the contingency tables behind the association scan;
 ``best_split`` is the Gini split scan of the CART learner behind predictive
 capacity. Callers look both up as module attributes at call time, so they
-can be wrapped (for tracing) without touching the callers. ``_lexsort_runs``
-numbers the distinct feature rows of predictive capacity's folds, and
-``_mark_runs`` finds the runs of equal rows in a sort order for it and for
-flip analysis.
+can be wrapped (for tracing) without touching the callers.
+``_lexsort_runs`` is the package's one numbering of distinct feature rows:
+predictive capacity's folds and flip analysis's baseline rows both use it,
+and flip analysis also calls ``_mark_runs``, which finds the runs of equal
+rows in a sort order, to group its runs by the features it leaves free.
 
 ``best_split`` sorts nothing. Its caller ranks each feature column once
 (the sorted distinct values and every table row's rank among them), and a
@@ -119,8 +120,9 @@ def _lexsort_runs(keys):
     """``(order, new)`` of rows keyed by ``keys``, 1-D arrays, the first
     primary: ``order`` is their stable ``np.lexsort`` order, and ``new`` flags
     each sorted row that starts a distinct row, so ``order[new]`` holds each
-    distinct row's first row. Capacity's folds use it: their deal follows
-    the stable order. Each key may have its own dtype."""
+    distinct row's first row. Capacity's folds deal their rows in the
+    stable order, and flip analysis reads each run's first row. Each key may
+    have its own dtype."""
     order = np.lexsort(keys[::-1])
     new = np.zeros(order.shape[0], dtype=bool)
     new[0] = True

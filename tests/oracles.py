@@ -26,7 +26,8 @@ returns a ``CapacityScore`` and uses the package's ``clopper_pearson`` and
 ``counts_significance``), and ``flip_analysis_reference``, the package's flip
 analysis before it scored each distinct dataset row once (it scores every
 interleaved baseline and counterfactual row through one ``score_columns``
-call and builds the package's ``UseSummary`` and ``FlipRecords``), and
+call, builds the package's ``UseSummary`` and returns a list of the
+package's ``InterventionRecord``, one a row), and
 ``run_discovery_reference``, the package's discovery stage before the search
 read row sets of one table (``split_holdout_copies`` copies both parts with
 ``Dataset.select``, the package's ``beam_search`` reads the training copy and
@@ -831,11 +832,12 @@ def flip_analysis_reference(
         MIXED,
         TOWARD_FAVOURABLE,
         TOWARD_UNFAVOURABLE,
-        FlipRecords,
+        InterventionRecord,
         UseSummary,
         _check_assignments_against,
         _check_feature_assignments,
     )
+    from proxyaudit.models import FAVOURABLE, UNFAVOURABLE
 
     if not assignments:
         raise ParameterError("flip_analysis needs at least one assignment")
@@ -889,7 +891,18 @@ def flip_analysis_reference(
         direction_of_harm=direction,
         significant_influence_flag=significant,
     )
-    return summary, FlipRecords(indices, baselines, counterfactuals, rule)
+    outcomes = np.where(rule.favourable(scores), FAVOURABLE, UNFAVOURABLE).tolist()
+    records = [
+        InterventionRecord(
+            row_index=i, baseline_score=base, counterfactual_score=cf, delta=cf - base,
+            baseline_outcome=base_out, counterfactual_outcome=cf_out, flipped=base_out != cf_out,
+        )
+        for i, base, cf, base_out, cf_out in zip(
+            indices.tolist(), baselines.tolist(), counterfactuals.tolist(),
+            outcomes[0::2], outcomes[1::2],
+        )
+    ]
+    return summary, records
 
 
 def joint_counts_gathered(a_codes, b_codes, ka, kb):

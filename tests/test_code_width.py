@@ -8,12 +8,13 @@ equal outputs on both, every float to the bit. Category counts straddle the
 int8 and int16 ranges, every column holds its top code (127 where it is
 int8's largest), and the flips' all-categorical models key more distinct
 rows than int8 or int16 holds. The sites that widen codes before arithmetic
-are ``intervention._pair_rows``, ``discovery._targets_of`` and
-``report.dataset_fingerprint``; those that stay safe on narrow codes are
-``kernels.joint_counts`` (an intp copy of ``a_codes``), ``capacity._fold_counts``
-(a key negated in ``min_scalar_type(-k)`` and labels in
-``min_scalar_type(n_classes)``) and ``flip_analysis`` (a category's code
-written into a gathered copy of its own column).
+are ``discovery._targets_of`` and ``report.dataset_fingerprint``; those that
+stay safe on narrow codes are ``kernels.joint_counts`` (an intp copy of
+``a_codes``), ``capacity._fold_counts`` (a key negated in
+``min_scalar_type(-k)`` and labels in ``min_scalar_type(n_classes)``),
+``intervention._pair_rows`` (codes only sorted and compared, in their own
+type) and ``flip_analysis`` (a category's code written into a gathered copy
+of its own column).
 """
 
 import dataclasses
@@ -127,8 +128,8 @@ def test_narrow_codes_give_the_outputs_of_int64_codes(case, data):
         assert bits(got) == bits(beam_search(wide, config, rows=rows, **kwargs))
         assert bits(validate(got, d, 7, rows=holdout)) == bits(validate(got, wide, 7, rows=holdout))
 
-    # a model on every categorical candidate: its rows' mixed-radix keys
-    # exceed int8's range, and int16's where two columns hold 129 or more
+    # a model on every categorical candidate: its distinct rows outnumber
+    # int8's range, and int16's where two columns hold 129 or more
     features = tuple(categorical) + (("x",) if data.draw(st.booleans()) else ())
     coefficients = {"x": 0.5}
     for name in categorical:

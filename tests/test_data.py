@@ -150,7 +150,9 @@ class TestLoadCsv:
         assert vars(d.load_report) == vars(want.load_report)
 
     def test_round_trip_is_cell_exact(self, tmp_path):
-        p = write(tmp_path, "color,size\nred,1\n?,2.25\nblue,?\n")
+        # -0.0 keeps its sign and a subnormal its bits: equals() cannot tell
+        # -0.0 from 0.0, so the bits are compared too
+        p = write(tmp_path, "color,size\nred,1\n?,2.25\nblue,?\nred,-0.0\nred,0\nblue,5e-324\n")
         d = load_csv(p, SCHEMA)
         out = tmp_path / "out.csv"
         d.to_csv(out)
@@ -158,6 +160,10 @@ class TestLoadCsv:
         schema2 = read_schema_json(tmp_path / "out.schema.json")
         d2 = load_csv(out, schema2)
         assert d.equals(d2)
+        size = d.column_array("size")
+        assert size[3:].view(np.int64).tolist() == [-(1 << 63), 0, 1]
+        assert d2.column_array("size").view(np.int64).tolist() == size.view(np.int64).tolist()
+        assert out.read_text().splitlines()[4:] == ["red,-0.0", "red,0", "blue,5e-324"]
 
 
 def load_outcome(loader, path, schema, header):
