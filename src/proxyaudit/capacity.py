@@ -209,25 +209,30 @@ def _fold_counts(d, features, complete, y_codes, observed, folds, n_classes, see
     are one value. Returns (counts, firsts): ``counts[fold, t, class]`` rows
     of distinct feature row t, and ``firsts[t]`` one dataset row that has it.
 
-    At most about two and a half arrays of a number per row are alive at
-    once: categories key and labels deal in the narrowest integer type, the
-    sort keys are read in sort order a block at a time and go once the rows
-    are sorted, the row numbers and each class's shuffle are taken into
-    their index's buffer, and the ``bincount`` index is built in place.
+    When every row is complete, the columns themselves are the sort keys (a
+    category's negated codes, in their stored narrow type) and the sort
+    order is the dataset rows. Otherwise each key is gathered at the
+    complete rows, and the sorted positions are taken to dataset rows in the
+    order's buffer. Either way the sort keys are read in sort order a block
+    at a time and go once the rows are sorted, labels deal in the narrowest
+    integer type, each class's shuffle is taken into its index's buffer, and
+    the ``bincount`` index is built in place.
     """
+    every_row = bool(complete.all())
     keys = []
     for name in features:
         if d.schema_of(name).kind == CATEGORICAL:
-            # a one-of-K block sorts with its last category lowest
-            narrow = np.min_scalar_type(-len(d.categories(name)))
-            keys.append(np.negative(d.codes(name)[complete].astype(narrow)))
+            # a one-of-K block sorts with its last category lowest; a
+            # gathered copy of the codes is negated in place
+            codes = d.codes(name) if every_row else d.codes(name)[complete]
+            keys.append(np.negative(codes, out=None if every_row else codes))
         else:
-            keys.append(d.values(name)[complete])
-    order, new = kernels._lexsort_runs(keys)
+            keys.append(d.values(name) if every_row else d.values(name)[complete])
+    rows, new = kernels._lexsort_runs(keys)
     del keys
-    # each sorted row's dataset row, in order's buffer (indices always valid)
-    rows = np.take(np.flatnonzero(complete), order, out=order, mode="clip")
-    del order
+    if not every_row:
+        # each sorted row's dataset row (indices always valid)
+        np.take(np.flatnonzero(complete), rows, out=rows, mode="clip")
     firsts = rows[new]
     y = y_codes[rows].astype(np.min_scalar_type(n_classes))
     del rows

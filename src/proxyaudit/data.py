@@ -276,15 +276,16 @@ class Dataset:
         return Dataset._of(self._schema + (schema,), cols)
 
     def equals(self, other):
-        """Cell-exact equality (schema and data)."""
+        """Cell-exact equality (schema and data). Numeric cells compare by
+        their bits, as ``report.dataset_fingerprint`` hashes them, so ``-0.0``
+        is not ``0.0``; codes compare by value, whatever type stores them."""
         if self._schema != other._schema or self._n_rows != other._n_rows:
             return False
         for name, arr in self._columns.items():
             b = other._columns[name]
             if arr.dtype == np.float64:
-                if not np.array_equal(arr, b, equal_nan=True):
-                    return False
-            elif not np.array_equal(arr, b):
+                arr, b = arr.view(np.int64), b.view(np.int64)
+            if not np.array_equal(arr, b):
                 return False
         return True
 

@@ -24,6 +24,7 @@ from proxyaudit.errors import InsufficientDataError, ParameterError, ValidationE
 
 import goldens
 import oracles
+import rss
 
 
 def binary_dataset(a_codes, b_codes, cats_a=("a0", "a1"), cats_b=("b0", "b1")):
@@ -380,3 +381,32 @@ def test_association_scan_bins_and_counts_without_gathered_copies():
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * 8 * n
+
+
+_SCAN_RSS = """
+import numpy as np
+from proxyaudit.association import association_scan
+from proxyaudit.data import CATEGORICAL, NUMERIC, ColumnSchema, Dataset
+
+def inputs(n):
+    rng = np.random.default_rng(4)
+    return Dataset(
+        [ColumnSchema("s", CATEGORICAL, ("f", "m")), ColumnSchema("x", NUMERIC),
+         ColumnSchema("c", CATEGORICAL, ("no", "yes"))],
+        {"s": rng.integers(0, 2, n, dtype=np.int8),
+         "x": rng.integers(52, 73, n, dtype=np.int8).astype(np.float64),
+         "c": rng.integers(0, 2, n, dtype=np.int8)},
+    )
+
+def call(d):
+    association_scan(d, ("s",), ("x", "c"))
+"""
+
+
+@rss.linux_only
+def test_association_scan_rss_growth_counts_sort_buffers():
+    """A scan of a numeric and a 2-category candidate on 1M rows grows the
+    resident set by 20 bytes a row at most, numpy's sort buffers included
+    (``rss.growth_per_row``); on x86-64 Linux with numpy 2.4 it grows it by
+    about 16."""
+    assert rss.growth_per_row(_SCAN_RSS) < 20

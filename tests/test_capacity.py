@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import goldens
 import oracles
+import rss
 from proxyaudit.capacity import (
     CapacityScore,
     TREE_MIN_LEAF,
@@ -608,7 +609,7 @@ def differential_column(kind, n, rng):
                    min_size=1, max_size=3),
     n_classes=st.integers(2, 3),
     rare=st.sampled_from([None, 1, 2, 3, 4]),
-    missing=st.sampled_from([0.0, 0.1]),
+    missing=st.sampled_from([0.0, 0.1, 0.6]),
     folds=st.integers(2, 5),
     seed=st.integers(0, 2**32 - 1),
 )
@@ -673,6 +674,50 @@ def test_predictive_capacity_frees_its_fold_temporaries():
     finally:
         tracemalloc.stop()
     assert peak < 3.2 * 8 * n
+
+
+_CAPACITY_RSS = """
+import sys
+import numpy as np
+from proxyaudit.capacity import predictive_capacity
+from proxyaudit.data import CATEGORICAL, NUMERIC, ColumnSchema, Dataset
+
+missing = float(sys.argv[1])
+
+def inputs(n):
+    rng = np.random.default_rng(3)
+    x = rng.integers(52, 73, n, dtype=np.int8).astype(np.float64)
+    x[rng.random(n, dtype=np.float32) < missing] = np.nan
+    return Dataset(
+        [ColumnSchema("s", CATEGORICAL, ("f", "m")), ColumnSchema("x", NUMERIC),
+         ColumnSchema("c", CATEGORICAL, ("no", "yes"))],
+        {"s": rng.integers(0, 2, n, dtype=np.int8), "x": x,
+         "c": rng.integers(0, 2, n, dtype=np.int8)},
+    )
+
+def call(d):
+    predictive_capacity(d, ("x", "c"), "s", folds=5, seed=0)
+"""
+
+
+@rss.linux_only
+@pytest.mark.parametrize(
+    "missing, limit",
+    [
+        # every row complete: the columns are sorted where they are
+        (0.0, 23),
+        # about 30% of the numeric cells missing: the complete rows are gathered
+        (0.3, 23),
+    ],
+)
+def test_predictive_capacity_rss_growth_counts_sort_buffers(missing, limit):
+    """Capacity on 1M rows of a numeric and a 2-category proxy grows the
+    resident set by ``limit`` bytes a row at most, numpy's sort buffers
+    included (``rss.growth_per_row``). On x86-64 Linux with numpy 2.4 it
+    grows it by about 18 bytes a row either way; gathering the complete
+    rows when every row is complete, and taking the sorted positions to
+    dataset rows, grows it by about 25."""
+    assert rss.growth_per_row(_CAPACITY_RSS, str(missing)) < limit
 
 
 def test_predictive_capacity_drops_incomplete_rows(toy_dataset):

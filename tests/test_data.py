@@ -29,8 +29,10 @@ from proxyaudit.data import (
 )
 from proxyaudit.descriptors import Condition, SubgroupDescriptor
 from proxyaudit.errors import InsufficientDataError, ParseError, ValidationError
+from proxyaudit.report import dataset_fingerprint
 
 import oracles
+import rss
 from csv_cases import csv_files
 from oracles import load_csv_reference
 
@@ -150,8 +152,7 @@ class TestLoadCsv:
         assert vars(d.load_report) == vars(want.load_report)
 
     def test_round_trip_is_cell_exact(self, tmp_path):
-        # -0.0 keeps its sign and a subnormal its bits: equals() cannot tell
-        # -0.0 from 0.0, so the bits are compared too
+        # -0.0 keeps its sign and a subnormal its bits
         p = write(tmp_path, "color,size\nred,1\n?,2.25\nblue,?\nred,-0.0\nred,0\nblue,5e-324\n")
         d = load_csv(p, SCHEMA)
         out = tmp_path / "out.csv"
@@ -348,6 +349,16 @@ class TestDataset:
             with pytest.raises(ValidationError, match="column 'color': code out of range"):
                 Dataset([SCHEMA[0]], {"color": np.array([code, 0])})
 
+    def test_equals_tells_signed_zeros_apart(self):
+        # numeric cells compare by their bits, as the fingerprint hashes them
+        def table(size):
+            return Dataset(SCHEMA, {"color": np.array([0, -1, 2]), "size": np.array(size)})
+
+        plus, minus = table([0.0, np.nan, 2.5]), table([-0.0, np.nan, 2.5])
+        assert plus.equals(table([0.0, np.nan, 2.5]))
+        assert not minus.equals(plus) and not plus.equals(minus)
+        assert dataset_fingerprint(minus) != dataset_fingerprint(plus)
+
     def test_whole_float_codes_are_taken(self):
         d = Dataset([SCHEMA[0]], {"color": np.array([2.0, -1.0])})
         assert d.codes("color").dtype == np.int8
@@ -464,6 +475,38 @@ class TestLoadMemory:
         schema, lines = wide_lines(self.ROWS, seed=2)
         lines[100] = '"' + lines[100].replace(",", '",', 1)
         self.assert_lean(write(tmp_path, "\n".join(lines) + "\n"), schema)
+
+    LOAD_RSS = """
+import sys
+from proxyaudit.data import CATEGORICAL, NUMERIC, ColumnSchema, load_csv
+
+SCHEMA = [ColumnSchema("sex", CATEGORICAL, ("female", "male")), ColumnSchema("age", NUMERIC),
+          ColumnSchema("reached_statutory_retirement", CATEGORICAL, ("false", "true"))]
+
+def inputs(n):
+    return f"{sys.argv[1]}/james_{n}.csv"
+
+def call(path):
+    load_csv(path, SCHEMA)
+"""
+
+    @rss.linux_only
+    def test_james_load_rss_growth(self, tmp_path):
+        """Loading 1M rows of a james-like table (int8, float64 and int8
+        columns: 10 bytes a row) grows the resident set by 14 bytes a row at
+        most, numpy's buffers included (``rss.growth_per_row``); on x86-64
+        Linux with numpy 2.4 it grows it by about 11."""
+        rng = np.random.default_rng(5)
+        for n in (1_000, rss.ROWS):
+            with open(tmp_path / f"james_{n}.csv", "w", encoding="utf-8") as fh:
+                fh.write("sex,age,reached_statutory_retirement\n")
+                for start in range(0, n, 1 << 16):
+                    size = min(1 << 16, n - start)
+                    cells = zip(rng.integers(0, 2, size).tolist(), rng.integers(52, 73, size).tolist(),
+                                rng.integers(0, 2, size).tolist())
+                    fh.writelines(f"{('female', 'male')[s]},{age},{('false', 'true')[r]}\n"
+                                  for s, age, r in cells)
+        assert rss.growth_per_row(self.LOAD_RSS, str(tmp_path)) < 14
 
 
 def rule(*conditions):

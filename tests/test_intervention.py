@@ -10,15 +10,12 @@ perfect proxy the model ignores must show zero use.
 
 import itertools
 import json
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import oracles
 import pytest
+import rss
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -425,7 +422,7 @@ def test_flip_numbers_rows_without_an_interleaved_copy(coefficients, limit):
     assert peak < limit * 8 * n
 
 
-_RSS_GROWTH = """
+_FLIP_RSS = """
 import json, sys
 import numpy as np
 from proxyaudit.data import CATEGORICAL, NUMERIC, ColumnSchema, Dataset
@@ -437,25 +434,17 @@ m = BuiltinModelHandle(ModelSpec("linear", {"coefficients": coefficients, "inter
                                  tuple(sorted({c.split("=")[0] for c in coefficients}))))
 rule = DecisionRule(0.5, "score_above")
 
-def table(n):
+def inputs(n):
     rng = np.random.default_rng(3)
     return Dataset([ColumnSchema("c", CATEGORICAL, ("a", "b", "c")), ColumnSchema("x", NUMERIC)],
                    {"c": rng.integers(0, 3, n, dtype=np.int8), "x": rng.integers(0, 40, n) / 4.0})
 
-def status_kb(field):
-    with open("/proc/self/status") as fh:
-        return next(int(line.split()[1]) for line in fh if line.startswith(field + ":"))
-
-flip_analysis(m, rule, table(1_000), [Assignment("c", "b")])  # the first call's one-off costs
-n = 1_000_000
-d = table(n)
-before = status_kb("VmRSS")
-flip_analysis(m, rule, d, [Assignment("c", "b")])
-print((status_kb("VmHWM") - before) * 1024 / n)
+def call(d):
+    flip_analysis(m, rule, d, [Assignment("c", "b")])
 """
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+@rss.linux_only
 @pytest.mark.parametrize(
     "coefficients, limit",
     [
@@ -467,18 +456,10 @@ print((status_kb("VmHWM") - before) * 1024 / n)
 )
 def test_flip_rss_growth_counts_sort_buffers(coefficients, limit):
     """A flip on 1M rows grows the resident set by ``limit`` bytes a row at
-    most, numpy's sort buffers included, which tracemalloc does not see: the
-    growth is the peak resident set after the flip less the resident set
-    before it, in a fresh interpreter. The peak is the process's own
-    ``VmHWM``: ``ru_maxrss`` keeps the resident set of the process that
-    started it. On x86-64 Linux with numpy 2.4 this numbering grows it by
-    about 19 and 26 bytes a row, and one that lexsorts 2n interleaved rows
-    by 52 and 66."""
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
-    proc = subprocess.run([sys.executable, "-c", _RSS_GROWTH, json.dumps(coefficients)], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert float(proc.stdout) < limit
+    most, numpy's sort buffers included (``rss.growth_per_row``). On x86-64
+    Linux with numpy 2.4 this numbering grows it by about 19 and 26 bytes a
+    row, and one that lexsorts 2n interleaved rows by 52 and 66."""
+    assert rss.growth_per_row(_FLIP_RSS, json.dumps(coefficients)) < limit
 
 
 @pytest.mark.parametrize(
