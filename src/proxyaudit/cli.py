@@ -56,7 +56,7 @@ from .errors import (
     ProxyAuditError,
     ValidationError,
 )
-from .intervention import Assignment
+from .intervention import Assignment, FlipKey
 from .models import DecisionRule, ModelSpec, load_model, read_json, write_json
 
 _FORMATS = ("json", "md")
@@ -247,12 +247,14 @@ def _run_audit(rs, stages):
     if "use" in stages and model is None:
         sections["use"] = report.USE_SKIPPED
     with load_model(model) if model is not None else contextlib.nullcontext() as m:
+        # red flags and use flips share one numbering of the model's rows
+        key = FlipKey(m, rs.dataset) if m is not None else None
         if "discovery" in stages:
             findings = report.derive_red_flags(
-                kept, m, rs.decision_rule, rs.dataset, **rs.floors
+                kept, m, rs.decision_rule, rs.dataset, key=key, **rs.floors
             )
         if m is not None:
-            sections["use"] = report.run_use(m, rs.decision_rule, rs.dataset, **use)
+            sections["use"] = report.run_use(m, rs.decision_rule, rs.dataset, key=key, **use)
     return rs.write(
         report.assemble(rs.config_echo(), rs.dataset, sections, findings, rs.seed)
     )

@@ -6,11 +6,15 @@ model's output *actually moves* when that column moves) are measured
 separately; this module covers use. Flips, ICE sweeps, counterfactual
 deltas and causal interventions reach every model kind through one scoring
 path, :meth:`~proxyaudit.models.ModelHandle.score_columns`: flips hand it
-the columns of each distinct dataset row once, the others rows through
-``predict_batch``, which rejects a missing value for builtins and probes
-alike. Baseline and counterfactual rows are scored together in one call, so
-deltas for deterministic models are exact, and a model that ignores its
-proxy column yields deltas of 0.0 exactly — the capacity-without-use case.
+the columns of distinct rows, the others rows through ``predict_batch``,
+which rejects a missing value for builtins and probes alike. The flips of
+one audit share a :class:`FlipKey`, which numbers the model's rows once:
+over an audit, a model scores each distinct baseline row once, and each
+flip's distinct counterfactual rows that are not baseline rows. A
+single-row intervention scores its baseline and counterfactual rows
+together in one call. Deltas for deterministic models are exact, and a
+model that ignores its proxy column yields deltas of 0.0 exactly — the
+capacity-without-use case.
 
 Causal mode propagates an assignment through a
 :class:`~proxyaudit.synth.CausalGraphSpec` before scoring: nodes with a
@@ -304,97 +308,98 @@ def _check_assignments_against(schema_of, assignments, what="assignment"):
             )
 
 
-def _pair_rows(d, features, mask, assigned):
-    """Number the distinct rows among the interleaved baseline (position
-    ``2i``) and counterfactual (``2i + 1``) rows of the i-th of the rows
-    ``mask`` selects, with no interleaved copy. Returns ``(firsts, run_of,
-    run_base, run_cf)``: ``firsts`` holds each distinct row's first position,
-    in increasing order, and row i's baseline is distinct row
-    ``run_base[run_of[i]]``, its counterfactual ``run_cf[run_of[i]]``.
+def _bits(cells):
+    """A feature's cells as a sort key: a category's codes as they are, a
+    number's float64 bits, so ``-0.0`` and ``0.0`` stay apart."""
+    return cells.view(np.int64) if cells.dtype == np.float64 else cells
 
-    Each feature keys the selected rows by its stored cells: a category by
-    its code, in the column's own type, a number by its float64 bits, so
-    ``-0.0`` and ``0.0`` stay apart. One stable :func:`kernels._lexsort_runs`
-    over the free features' keys, then the assigned ones', puts the rows in
-    runs, one per distinct baseline row, and the runs that share the free
-    features' cells side by side: such a group shares one counterfactual
-    row, which is also the group's run whose assigned cells are the assigned
-    values, if it has one."""
-    free, fixed, value = [], [], []
-    for f in features:
-        key = d.column_array(f)[mask]
-        if d.schema_of(f).kind == CATEGORICAL:
-            v = d.categories(f).index(assigned[f]) if f in assigned else None
-        else:
-            key = key.view(np.int64)
-            v = np.float64(assigned[f]).view(np.int64) if f in assigned else None
-        if f in assigned:
-            fixed.append(key)
-            value.append(v)
-        else:
-            free.append(key)
-    order, new = kernels._lexsort_runs(free + fixed)  # a run per distinct baseline row
-    starts = np.flatnonzero(new)
-    run_first = order[starts]  # the sort is stable: each run's first row
-    is_value = np.ones(starts.size, dtype=bool)
-    for key, v in zip(fixed, value):
-        is_value &= key[run_first] == v
-    del fixed, key
-    group_new = np.zeros(order.size, dtype=bool)
-    group_new[0] = True
-    kernels._mark_runs(free, order, group_new)
-    del free
-    group_new = group_new[starts]  # a group starts with a run
-    del starts
-    run_of = np.empty(order.size, dtype=np.int64)
-    # a run's index counts the runs started after the first
-    new[0] = False
-    runs = 0
+
+class FlipKey:
+    """The rows of ``d`` complete in ``m``'s features, numbered once for
+    every flip of an audit. Nothing is numbered until the first flip needs
+    it; then ``ids`` holds each complete row's distinct-row id (its run), in
+    the narrowest unsigned type that fits. The key also holds each run's
+    first row, cells and row count, the baseline score of each run a flip
+    has scored (``scored`` marks them), and the baselines' interquartile
+    range over every complete row once a flip without a selector has taken
+    it."""
+
+    def __init__(self, m, d):
+        self.model, self.dataset = m, d
+        self.ids = None
+
+    def _number(self):
+        features, d = self.model.feature_order, self.dataset
+        self.complete = complete = d.complete_mask(features)
+        whole = bool(complete.all())
+        keys = [_bits(d.column_array(f) if whole else d.column_array(f)[complete])
+                for f in features]
+        self.ids, first = np.zeros(0, dtype=np.uint8), np.zeros(0, dtype=np.intp)
+        if keys[0].size:
+            self.ids, first = _run_ids(keys)
+        del keys
+        if not whole:
+            first = np.flatnonzero(complete)[first]
+        self.first = first
+        self.cells = {f: d.column_array(f)[first] for f in features}
+        self.counts = np.bincount(self.ids, minlength=first.size)
+        self.scores = np.zeros(first.size)
+        self.scored = np.zeros(first.size, dtype=bool)
+        self.iqr = None
+
+
+def _run_ids(keys):
+    """``(ids, first)`` of rows keyed by ``keys``: each row's distinct-row
+    id, in the narrowest unsigned type that fits, and each run's first
+    row."""
+    order, new = kernels._lexsort_runs(keys, stable=False)
+    first = np.minimum.reduceat(order, np.flatnonzero(new))
+    ids = np.empty(order.size, dtype=np.min_scalar_type(first.size - 1))
+    run = 0  # the run of the row before the block
     for start in range(0, order.size, kernels._RUN_BLOCK):
-        ids = np.cumsum(new[start:start + kernels._RUN_BLOCK], dtype=np.int64)
-        ids += runs
-        runs = int(ids[-1])
-        run_of[order[start:start + kernels._RUN_BLOCK]] = ids
-    del order, new
-    group_of = np.cumsum(group_new) - 1
-    # each group's counterfactual row is first met with the group's first row
-    group_pos = 2 * np.minimum.reduceat(run_first, np.flatnonzero(group_new)) + 1
-    del group_new
-    run_pos = 2 * run_first
-    same = np.flatnonzero(is_value)  # at most one per group
-    del is_value
-    run_pos[same] = np.minimum(run_pos[same], group_pos[group_of[same]])
-    alone = np.ones(group_pos.size, dtype=bool)
-    alone[group_of[same]] = False
-    positions = np.concatenate([run_pos, group_pos[alone]])
-    by_first = np.argsort(positions)  # the positions are distinct
-    rank = np.empty(positions.size, dtype=np.intp)
-    rank[by_first] = np.arange(positions.size)
-    run_base = rank[: run_pos.size]
-    group_cf = np.empty(group_pos.size, dtype=np.intp)
-    group_cf[alone] = rank[run_pos.size:]
-    group_cf[group_of[same]] = run_base[same]
-    return positions[by_first], run_of, run_base, group_cf[group_of]
+        j = np.cumsum(new[start:start + kernels._RUN_BLOCK], dtype=np.intp)
+        j += run - 1
+        run = int(j[-1]) + 1
+        ids[order[start:start + kernels._RUN_BLOCK]] = j
+    return ids, first
+
+
+def _iqr(base_run, run_of):
+    """Interquartile range of the baselines ``base_run[run_of]``."""
+    # two calls: one call for both percentiles can differ in the last bit;
+    # the baselines are this function's own gather, so both may reorder it
+    baselines = base_run[run_of]
+    return float(np.percentile(baselines, 75, overwrite_input=True)
+                 - np.percentile(baselines, 25, overwrite_input=True))
 
 
 def flip_analysis(
     m, rule, d, assignments, selector=None,
-    *, flip_rate_floor=0.01, score_floor_fraction=0.05,
+    *, key=None, flip_rate_floor=0.01, score_floor_fraction=0.05,
 ):
     """Apply one intervention to every selected row and aggregate.
 
     Selection is the selector's match set (everything when absent)
-    intersected with rows complete in the model's feature columns. Baseline
-    and counterfactual rows are interleaved, and each distinct one is scored
-    once, in order of first occurrence, in one ``score_columns`` call: a
-    model reading one two-valued column scores two rows. Rows are keyed by
-    the dataset's typed cells, and numbered by one stable lexsort of the
-    selected rows' cells with no 2n-row copy (:func:`_pair_rows`). A row
-    error names the dataset row and which of its pair failed. Outcomes are
-    counted per distinct baseline row (a run), each weighed by its rows; the
-    per-row deltas are the runs' differences read at each row's run, and the
-    baselines are gathered only for the two percentiles. The records come
-    back as a lazy, compact :class:`FlipRecords`.
+    intersected with rows complete in the model's feature columns. ``key``
+    numbers the rows: a :class:`FlipKey` of ``m`` and ``d`` that the flips
+    of one audit share, or a new one when absent. A selector restricts its
+    ids and does not re-sort. A flip's counterfactual rows are its distinct
+    baseline rows (runs) with the assigned columns made constant, so runs
+    that share the free features' cells share one counterfactual row, found
+    by one sort of the runs' free cells; when every feature is assigned,
+    that is one row. Each distinct row has a first interleaved position,
+    2i for the i-th selected row's baseline and 2i + 1 for its
+    counterfactual, and the rows that no flip on ``key`` has scored are
+    scored in that order in one ``score_columns`` call. So a flip on a new
+    key sends a probe each distinct interleaved row once, in order of first
+    occurrence, and the flips sharing a key send each distinct baseline row
+    once. A row error names the dataset row and which of its pair failed.
+    Outcomes are counted per run, each weighed by its rows; the per-row
+    deltas are the runs' differences read at each row's run, in row order,
+    so their means keep the bits of a row-by-row computation. The baseline
+    percentiles are taken once per key, or per flip when a selector
+    restricts the rows. The records come back as a lazy, compact
+    :class:`FlipRecords`.
     ``significant_influence_flag`` is set when the flip rate reaches
     ``flip_rate_floor`` or the mean absolute delta is nonzero and reaches
     ``score_floor_fraction`` of the baseline-score interquartile range.
@@ -403,37 +408,91 @@ def flip_analysis(
         raise ParameterError("flip_analysis needs at least one assignment")
     _check_feature_assignments(m.feature_order, assignments)
     _check_assignments_against(d.schema_of, assignments)
-    mask = np.ones(d.n_rows, dtype=bool)
-    if selector is not None:
-        mask &= selector.mask(d)
-    mask &= d.complete_mask(m.feature_order)
-    if not mask.any():
+    if key is None:
+        key = FlipKey(m, d)
+    elif key.model is not m or key.dataset is not d:
+        raise ParameterError("flip key numbers another model's or dataset's rows")
+    if key.ids is None:
+        key._number()
+    n_runs = key.first.size
+    if selector is None:
+        mask, run_of, run_rows, first = key.complete, key.ids, key.counts, key.first
+    else:
+        mask = selector.mask(d) & key.complete
+        run_of = key.ids[mask[key.complete]]
+        run_rows = np.bincount(run_of, minlength=n_runs)
+        # each run's first selected row; a run not selected comes after every row
+        first = np.full(n_runs, d.n_rows)
+        np.minimum.at(first, run_of, np.flatnonzero(mask))
+    if not run_of.size:
         raise InsufficientDataError("no rows selected for flip analysis")
 
-    assigned = {a.column: a.value for a in assignments}  # the last one wins
-    firsts, run_of, run_base, run_cf = _pair_rows(d, m.feature_order, mask, assigned)
-    rows, counterfactual = np.flatnonzero(mask)[firsts // 2], firsts % 2 == 1
+    assigned = {}  # the last one wins
+    for a in assignments:
+        col = d.schema_of(a.column)
+        code = col.categories.index(a.value) if col.kind == CATEGORICAL else a.value
+        assigned[a.column] = np.array(code, dtype=key.cells[a.column].dtype)
+    # runs that share the free features' cells share one counterfactual row,
+    # first met with the group's first selected row
+    free = [_bits(key.cells[f]) for f in m.feature_order if f not in assigned]
+    if free:
+        order, new = kernels._lexsort_runs(free, stable=False)
+        starts = np.flatnonzero(new)
+        rep, group_first = order[starts], np.minimum.reduceat(first[order], starts)
+        group_of = np.empty(n_runs, dtype=np.intp)
+        group_of[order] = np.cumsum(new) - 1
+        del order, new, starts
+    else:
+        rep, group_first = np.zeros(1, dtype=np.intp), first.min(keepdims=True)
+        group_of = np.zeros(n_runs, dtype=np.intp)
+    del free
+    # the run, if any, whose row is its group's counterfactual row
+    is_value = np.ones(n_runs, dtype=bool)
+    for f, code in assigned.items():
+        is_value &= _bits(key.cells[f]) == _bits(code)
+    same = np.flatnonzero(is_value)  # at most one a group
+    del is_value
+    match = np.full(rep.size, -1, dtype=np.intp)
+    match[group_of[same]] = same
+    # each distinct row's first interleaved position: 2i for the i-th row's
+    # baseline, 2i + 1 for its counterfactual; 2 * d.n_rows or later for none
+    base_pos, cf_pos = 2 * first, 2 * group_first + 1
+    base_pos[same] = np.minimum(base_pos[same], cf_pos[group_of[same]])
+    todo = np.flatnonzero((base_pos < 2 * d.n_rows) & ~key.scored)
+    alone = np.flatnonzero((group_first < d.n_rows) & (match < 0))
+    src = np.concatenate([todo, rep[alone]])
+    positions = np.concatenate([base_pos[todo], cf_pos[alone]])
+    del base_pos, cf_pos, group_first, rep
+    sent = np.argsort(positions)  # the positions are distinct
+    src, positions = src[sent], positions[sent]
+    counterfactual = positions % 2 == 1
     columns = {}
     for f in m.feature_order:
         col = d.schema_of(f)
-        distinct = d.column_array(f)[rows]
+        distinct = key.cells[f][src]
         if f in assigned:
-            value = assigned[f]
-            distinct[counterfactual] = col.categories.index(value) if col.kind == CATEGORICAL else value
+            distinct[counterfactual] = assigned[f]
         if col.kind == CATEGORICAL:
             distinct = np.array(col.categories, dtype=object)[distinct]
         columns[f] = distinct
-    del counterfactual
+    del src, counterfactual
     try:
-        scores = m.score_columns(columns, firsts.size)
+        scores = m.score_columns(columns, positions.size)
     except ValidationError as exc:
         # the model names a distinct row; its first interleaved row is a pair's
-        raise _pair_error(exc, lambda k: (int(rows[k]), int(firsts[k] % 2))) from None
-    del columns, rows
+        raise _pair_error(exc, lambda k: divmod(int(positions[k]), 2)) from None
+    del columns, positions
+    scored = np.empty(scores.size)
+    scored[sent] = scores
+    key.scores[todo] = scored[:todo.size]
+    key.scored[todo] = True
+    # a group neither matched nor selected reads a stray score, which no row reads
+    group_cf = key.scores[match]
+    group_cf[alone] = scored[todo.size:]
     # each run's scores; a row's are its run's, so a count over the rows is
     # a count over the runs, each weighed by its rows
-    base_run, cf_run = scores[run_base], scores[run_cf]
-    del scores, run_base, run_cf
+    base_run, cf_run = key.scores, group_cf[group_of]
+    del scores, scored, sent, todo, alone, match, group_cf, group_of
     n = run_of.size
     # the same per-row differences, in the same order, as baseline from
     # counterfactual row by row: their means keep their bits
@@ -443,17 +502,12 @@ def flip_analysis(
     del deltas
     favourable = rule.favourable(cf_run)
     flipped = rule.favourable(base_run) != favourable
-    run_rows = np.bincount(run_of, minlength=base_run.size)
-    to_unfav = int(run_rows[flipped & ~favourable].sum())
-    to_fav = int(run_rows[flipped & favourable].sum())
-    del run_rows
+    to_unfav = int(run_rows @ (flipped & ~favourable))
+    to_fav = int(run_rows @ (flipped & favourable))
     flip_rate = (to_unfav + to_fav) / n
-    # two calls: one call for both percentiles can differ in the last bit;
-    # the baselines are this function's own gather, so both may reorder it
-    baselines = base_run[run_of]
-    iqr = float(np.percentile(baselines, 75, overwrite_input=True)
-                - np.percentile(baselines, 25, overwrite_input=True))
-    del baselines
+    if selector is None and key.iqr is None:
+        key.iqr = _iqr(base_run, run_of)
+    iqr = key.iqr if selector is None else _iqr(base_run, run_of)
     significant = flip_rate >= flip_rate_floor or (
         mean_abs_delta > 0 and mean_abs_delta >= score_floor_fraction * iqr
     )

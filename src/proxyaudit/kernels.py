@@ -5,9 +5,9 @@
 capacity. Callers look both up as module attributes at call time, so they
 can be wrapped (for tracing) without touching the callers.
 ``_lexsort_runs`` is the package's one numbering of distinct feature rows:
-predictive capacity's folds and flip analysis's baseline rows both use it,
-and flip analysis also calls ``_mark_runs``, which finds the runs of equal
-rows in a sort order, to group its runs by the features it leaves free.
+predictive capacity's folds use it, and flip analysis numbers the model's
+rows with it once per audit, then a flip's distinct rows by the features it
+leaves free. ``_mark_runs`` finds the runs of equal rows in a sort order.
 
 ``best_split`` sorts nothing. Its caller ranks each feature column once
 (the sorted distinct values and every table row's rank among them), and a
@@ -116,14 +116,17 @@ def _mark_runs(keys, order, new):
             new[start:start + _RUN_BLOCK] |= key[1:] != key[:-1]
 
 
-def _lexsort_runs(keys):
+def _lexsort_runs(keys, stable=True):
     """``(order, new)`` of rows keyed by ``keys``, 1-D arrays, the first
     primary: ``order`` is their stable ``np.lexsort`` order, and ``new`` flags
     each sorted row that starts a distinct row, so ``order[new]`` holds each
     distinct row's first row. Capacity's folds deal their rows in the
-    stable order, and flip analysis reads each run's first row. Each key may
-    have its own dtype."""
-    order = np.lexsort(keys[::-1])
+    stable order. Each key may have its own dtype. With ``stable=False`` a
+    single key is sorted by numpy's default sort, which is not stable and
+    needs no work buffer: a stable sort holds a row index a row for a key of
+    16 bits or fewer, and sorts a 64-bit key several times slower. A run's
+    first row is then the least of its rows, not its first in ``order``."""
+    order = np.lexsort(keys[::-1]) if stable or len(keys) > 1 else np.argsort(keys[0])
     new = np.zeros(order.shape[0], dtype=bool)
     new[0] = True
     _mark_runs(keys, order, new)

@@ -31,6 +31,7 @@ from .errors import InsufficientDataError, ValidationError
 from .intervention import (
     TOWARD_UNFAVOURABLE,
     Assignment,
+    FlipKey,
     _check_assignments_against,
     _check_feature_assignments,
     flip_analysis,
@@ -211,10 +212,12 @@ def check_use(
 
 def run_use(
     m, rule, d, assignments=(), selector=None,
-    *, flip_rate_floor=0.01, score_floor_fraction=0.05,
+    *, key=None, flip_rate_floor=0.01, score_floor_fraction=0.05,
     ice_columns=(), ice_row=None, ice_grid_size=20,
 ):
-    """Flip analysis for the assignment list (if any) plus ICE sweeps. A flip
+    """Flip analysis for the assignment list (if any) plus ICE sweeps. The
+    flip numbers its rows by ``key``, the audit's
+    :class:`~proxyaudit.intervention.FlipKey` (its own when absent). A flip
     analysis with no selected complete row, and a sweep with no row (empty
     data, whatever ``ice_row`` names), whose row misses another model feature
     or whose column has no span of observed values, are listed under
@@ -228,7 +231,7 @@ def run_use(
         try:
             # only the summary: a flip's records hold a number a selected row
             summary = flip_analysis(
-                m, rule, d, assignments, selector,
+                m, rule, d, assignments, selector, key=key,
                 flip_rate_floor=flip_rate_floor,
                 score_floor_fraction=score_floor_fraction,
             )[0]
@@ -279,7 +282,7 @@ def representative_assignments(proxy, feature_order, d):
 
 def derive_red_flags(
     kept_results, m, rule, d,
-    *, flip_rate_floor=0.01, score_floor_fraction=0.05,
+    *, key=None, flip_rate_floor=0.01, score_floor_fraction=0.05,
 ):
     """Label each validated finding by the two-part standard.
 
@@ -287,8 +290,13 @@ def derive_red_flags(
     classifies as an inextricable-link candidate AND assigning rows into the
     proxy region significantly moves decisions toward the unfavourable
     outcome. Everything else stays capacity-only; findings whose descriptor
-    touches no model feature record a skipped use check.
+    touches no model feature, or whose flip selects no complete row, record
+    a skipped use check. Every flip numbers its rows by ``key``, the
+    audit's :class:`~proxyaudit.intervention.FlipKey` (one of this call's
+    own when absent).
     """
+    if key is None and m is not None:
+        key = FlipKey(m, d)  # numbers nothing until a flip runs
     findings = []
     for result in kept_results:
         capacity = result.holdout_capacity or result.capacity
@@ -308,18 +316,22 @@ def derive_red_flags(
                 result.proxy, m.feature_order, d
             )
             if assignments:
-                # the records go at once, not alive through the next flip
-                summary = flip_analysis(
-                    m, rule, d, assignments,
-                    flip_rate_floor=flip_rate_floor,
-                    score_floor_fraction=score_floor_fraction,
-                )[0]
-                entry["use"] = summary.to_json()
-                if (
-                    summary.significant_influence_flag
-                    and summary.direction_of_harm == TOWARD_UNFAVOURABLE
-                ):
-                    entry["label"] = RED_FLAG_LABEL
+                try:
+                    # the records go at once, not alive through the next flip
+                    summary = flip_analysis(
+                        m, rule, d, assignments, key=key,
+                        flip_rate_floor=flip_rate_floor,
+                        score_floor_fraction=score_floor_fraction,
+                    )[0]
+                except InsufficientDataError:
+                    pass  # no complete row to flip: use stays skipped
+                else:
+                    entry["use"] = summary.to_json()
+                    if (
+                        summary.significant_influence_flag
+                        and summary.direction_of_harm == TOWARD_UNFAVOURABLE
+                    ):
+                        entry["label"] = RED_FLAG_LABEL
         findings.append(entry)
     return findings
 

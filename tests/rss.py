@@ -22,29 +22,44 @@ ROWS = 1_000_000
 linux_only = pytest.mark.skipif(not sys.platform.startswith("linux"),
                                 reason="reads /proc/self/status")
 
-# runs after the caller's source, which defines ``inputs(n)`` and ``call(x)``
+# runs after the caller's source, which defines ``inputs(n)`` and ``call(x)``;
+# ``call`` may call ``mark()``
 _MEASURE = f"""
 
 def status_kb(field):
     with open("/proc/self/status") as fh:
         return next(int(line.split()[1]) for line in fh if line.startswith(field + ":"))
 
+marks = []
+
+def mark():
+    marks.append(status_kb("VmHWM"))
+
 call(inputs(1_000))  # the first call's one-off costs
 x = inputs({ROWS})
+marks.clear()
 before = status_kb("VmRSS")
 call(x)
-print((status_kb("VmHWM") - before) * 1024 / {ROWS})
+mark()
+print(*((kb - before) * 1024 / {ROWS} for kb in marks))
 """
 
 
-def growth_per_row(source, *argv):
-    """Bytes a row by which ``call(inputs(n))`` grows the resident set at
-    ``ROWS`` rows, after one warm-up call on 1,000 rows. ``source`` defines
-    both functions and reads ``argv`` as ``sys.argv[1:]``. The inputs are
-    made before the resident set is read; making them must not peak above
-    the call's own peak, or the growth reads high."""
+def growths_per_row(source, *argv):
+    """Bytes a row by which ``call(inputs(n))`` has grown the resident set
+    at ``ROWS`` rows, after one warm-up call on 1,000 rows: at each
+    ``mark()`` the call makes, then at its end. ``source`` defines both
+    functions and reads ``argv`` as ``sys.argv[1:]``. The inputs are made
+    before the resident set is read; making them must not peak above the
+    call's own peak, or the growth reads high."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", source + _MEASURE, *argv], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return float(proc.stdout)
+    return [float(g) for g in proc.stdout.split()]
+
+
+def growth_per_row(source, *argv):
+    """Bytes a row by which ``call(inputs(n))`` grows the resident set (see
+    :func:`growths_per_row`)."""
+    return growths_per_row(source, *argv)[-1]

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from proxyaudit import cli, documents, intervention, report, synth
 from proxyaudit.cli import main
 from proxyaudit.association import NORMALIZATIONS
+from proxyaudit.capacity import INEXTRICABLE_LINK
 from proxyaudit.data import ColumnSchema, read_schema_json
 from proxyaudit.descriptors import Condition
 from proxyaudit.models import BuiltinModelHandle, DecisionRule, ModelSpec, decide
@@ -393,6 +394,29 @@ def test_full_skips_flip_analysis_without_complete_rows(runner, tmp_path):
         "- skipped flip (reached_statutory_retirement): "
         "no rows selected for flip analysis"
     ) in md
+
+
+def test_full_skips_a_red_flag_flip_without_complete_rows(runner, tmp_path):
+    """A red-flag flip that selects no complete row leaves its finding's use
+    skipped and its capacity-only label, as a finding on no model feature
+    does; the audit does not end with exit 3."""
+    out = synth_out(runner, tmp_path, "capacity_no_use", rows=3000, seed=3)
+    _blank_cells(out / "data.csv", "X", None)
+    run = tmp_path / "run"
+    result = runner.invoke(
+        main,
+        ["full", "--config", str(out / "config.json"), "--data", str(out / "data.csv"),
+         "--model", str(out / "model_use.json"), "--out", str(run)],
+        env=EPOCH,
+    )
+    assert result.exit_code == 0, result.output
+    rpt = read_report(run)
+    report.validate_report(rpt)
+    assert rpt["red_flag_count"] == 0
+    links = [f for f in rpt["red_flags"] if f["link_class"] == INEXTRICABLE_LINK]
+    assert links
+    assert all(f["use"] == report.USE_SKIPPED and f["label"] == report.CAPACITY_ONLY_LABEL
+               for f in rpt["red_flags"])
 
 
 def test_full_skips_ice_row_missing_another_feature(runner, tmp_path):

@@ -33,6 +33,7 @@ from proxyaudit.intervention import (
     TOWARD_FAVOURABLE,
     TOWARD_UNFAVOURABLE,
     Assignment,
+    FlipKey,
     ICECurve,
     InterventionRecord,
     UseSummary,
@@ -193,9 +194,17 @@ def test_bool_is_not_a_number_for_a_numeric_feature():
     ids=["observed", "counterfactual"],
 )
 def test_flip_row_error_names_the_dataset_row_once(condition, message):
+    d, m = _rows_failing_at_x_4()
+    with pytest.raises(ValidationError) as exc:
+        flip_analysis(m, RULE, d, [Assignment("x", 6.0)], SubgroupDescriptor((condition,)))
+    assert str(exc.value) == message
+
+
+def _rows_failing_at_x_4():
+    """Five rows, and a tree whose x < 4 side is a leaf and whose other side
+    reads the categorical sex as a number, so a row with x >= 4 fails."""
     schema = [ColumnSchema("sex", CATEGORICAL, ("female", "male")), ColumnSchema("x", NUMERIC)]
     d = Dataset(schema, {"sex": np.array([0, 1, 1, 0, 1]), "x": np.array([1.0, 5.0, 2.0, 7.0, 3.0])})
-    # x < 4 is a leaf; the other side reads the categorical sex as a number
     m = BuiltinModelHandle(ModelSpec(
         "decision_tree",
         {"root": 0, "nodes": [
@@ -207,9 +216,26 @@ def test_flip_row_error_names_the_dataset_row_once(condition, message):
         ]},
         ("x", "sex"),
     ))
-    with pytest.raises(ValidationError) as exc:
-        flip_analysis(m, RULE, d, [Assignment("x", 6.0)], SubgroupDescriptor((condition,)))
-    assert str(exc.value) == message
+    return d, m
+
+
+def test_flips_sharing_a_key_name_the_failing_row():
+    """A flip on a shared key scores only the rows no flip on it has scored,
+    and a row error still names the dataset row and which of its pair
+    failed; a key numbers one model's rows of one dataset."""
+    d, m = _rows_failing_at_x_4()
+    key = FlipKey(m, d)
+    below = SubgroupDescriptor((Condition.interval("x", hi=4.0),))
+    # rows 0, 2 and 4, scored as observed and with x = 1
+    assert flip_analysis(m, RULE, d, [Assignment("x", 1.0)], below, key=key)[0].n == 3
+    # rows 1 and 3 are scored first now; row 1 is the first of them
+    with pytest.raises(ValidationError, match=r"^row 1 \(observed\): feature 'sex'"):
+        flip_analysis(m, RULE, d, [Assignment("x", 2.0)], key=key)
+    # only the counterfactual rows are new; row 0's is met first
+    with pytest.raises(ValidationError, match=r"^row 0 \(counterfactual\): feature 'sex'"):
+        flip_analysis(m, RULE, d, [Assignment("x", 6.0)], below, key=key)
+    with pytest.raises(ParameterError, match="another model's or dataset's rows"):
+        flip_analysis(straddle_model(), RULE, d, [Assignment("x", 1.0)], key=key)
 
 
 def test_record_invariants_enforced():
@@ -457,9 +483,46 @@ def call(d):
 def test_flip_rss_growth_counts_sort_buffers(coefficients, limit):
     """A flip on 1M rows grows the resident set by ``limit`` bytes a row at
     most, numpy's sort buffers included (``rss.growth_per_row``). On x86-64
-    Linux with numpy 2.4 this numbering grows it by about 19 and 26 bytes a
-    row, and one that lexsorts 2n interleaved rows by 52 and 66."""
+    Linux with numpy 2.4 a flip on a new ``FlipKey`` grows it by about 12
+    and 18 bytes a row, one that keys the interleaved pairs with no 2n copy
+    by 19 and 27, and one that lexsorts 2n interleaved rows by 52 and 66."""
     assert rss.growth_per_row(_FLIP_RSS, json.dumps(coefficients)) < limit
+
+
+# the same inputs; each call numbers the rows once for all its flips
+_SHARED_KEY_RSS = _FLIP_RSS + """
+from proxyaudit.intervention import FlipKey
+
+flips = [[Assignment(*a) for a in flip] for flip in json.loads(sys.argv[2])]
+
+def call(d):
+    key = FlipKey(m, d)
+    for assignments in flips:
+        flip_analysis(m, rule, d, assignments, key=key)
+        mark()
+"""
+
+
+@rss.linux_only
+@pytest.mark.parametrize(
+    "coefficients, flips, limit",
+    [
+        ({"c=b": 1.0}, [[["c", "b"]], [["c", "a"]], [["c", "c"]], [["c", "b"]]], 24),
+        ({"c=b": 1.0, "x": 0.25},
+         [[["c", "b"]], [["x", 2.5]], [["c", "a"], ["x", 0.0]], [["c", "c"]]], 32),
+    ],
+)
+def test_flips_sharing_a_key_grow_the_resident_set_once(coefficients, flips, limit):
+    """Four flips that share one ``FlipKey`` grow the resident set on 1M
+    rows by no more than the first alone does, within a byte a row, and
+    stay within a new-key flip's bound. On x86-64 Linux with numpy 2.4 the
+    first grows it by about 12 and 18 bytes a row, the three after it by
+    nothing."""
+    # one reading after each flip, then the harness's own at the end
+    after = rss.growths_per_row(_SHARED_KEY_RSS, json.dumps(coefficients), json.dumps(flips))[:-1]
+    assert len(after) == len(flips)
+    assert after[-1] < after[0] + 1
+    assert after[-1] < limit
 
 
 @pytest.mark.parametrize(

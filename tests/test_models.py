@@ -22,7 +22,7 @@ from proxyaudit.errors import (
     SpecError,
     ValidationError,
 )
-from proxyaudit.intervention import Assignment, flip_analysis
+from proxyaudit.intervention import Assignment, FlipKey, flip_analysis
 from proxyaudit.models import (
     ROWS_PER_CALL,
     BuiltinModelHandle,
@@ -853,6 +853,38 @@ class TestDistinctRows:
         assert [r.baseline_score for r in records] == baseline
         assert [r.counterfactual_score for r in records] == counterfactual
 
+    def test_flips_sharing_a_key_send_each_baseline_row_once(self, monkeypatch):
+        d = Dataset(
+            [ColumnSchema("c", CATEGORICAL, ("a", "b")), ColumnSchema("x", NUMERIC)],
+            {"c": [0, 1, 0], "x": [1.0, 1.0, 2.0]},
+        )
+        spec = subprocess_spec(str(FIXTURES / "bad_probe.py"), "counting", features=("c", "x"))
+        with load_model(spec, timeout=15) as m:
+            sent, send = [], m._send
+
+            def recorded(message):
+                sent.extend(map(list, message.get("rows", ())))
+                send(message)
+
+            monkeypatch.setattr(m, "_send", recorded)
+            key = FlipKey(m, d)
+            flips = []
+            for assigned in ({"c": "b"}, {"x": 2.0}, {"c": "a", "x": 1.0}):
+                rows = len(sent)
+                _, records = flip_analysis(
+                    m, DecisionRule(1.5), d, [Assignment(k, v) for k, v in assigned.items()],
+                    key=key,
+                )
+                flips.append((sent[rows:], [r.counterfactual_score for r in records]))
+        assert flips == [
+            # every distinct interleaved row, as in a flip on a new key
+            ([["a", 1.0], ["b", 1.0], ["a", 2.0], ["b", 2.0]], [2, 2, 4]),
+            # ("a", 2.0) is row 2's baseline; ("b", 2.0) was a counterfactual row
+            ([["b", 2.0]], [3, 5, 3]),
+            # ("a", 1.0) is row 0's baseline
+            ([], [1, 1, 1]),
+        ]
+
     @pytest.mark.parametrize(
         "column, received",
         [
@@ -976,11 +1008,9 @@ FLIP_SELECTORS = (
 )
 
 
-@st.composite
-def flip_cases(draw):
-    """A dataset over ``FLIP_SCHEMA`` (its numbers repeated, ``-0.0`` and
-    ``0.0`` among them, or all distinct; some cells missing), a selector, a
-    decision rule and assignments to one to three model features."""
+def _flip_table(draw):
+    """A dataset over ``FLIP_SCHEMA``: its numbers repeated, ``-0.0`` and
+    ``0.0`` among them, or all distinct; some cells missing."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(1, 12) | st.integers(1, 700))
     missing = draw(st.sampled_from((0.0, 0.0, 0.1)))
@@ -992,6 +1022,12 @@ def flip_cases(draw):
     }
     for cells in columns.values():
         cells[rng.random(n) < missing] = np.nan if cells.dtype == np.float64 else -1
+    return Dataset(FLIP_SCHEMA, columns)
+
+
+def _one_flip(draw):
+    """A selector, a decision rule and assignments to one to three model
+    features."""
     values = {
         "x": st.sampled_from((0.0, -0.0, 1, 0.5, 2.75)),
         "y": st.sampled_from((0.0, -0.0, -2.0, 1.5)),
@@ -999,12 +1035,26 @@ def flip_cases(draw):
     }
     targets = draw(st.lists(st.sampled_from(DIFF_FEATURES), min_size=1, max_size=3, unique=True))
     return (
-        Dataset(FLIP_SCHEMA, columns),
         draw(st.sampled_from(FLIP_SELECTORS)),
         DecisionRule(draw(st.sampled_from((0.0, 0.5, 1.0))),
                      draw(st.sampled_from(("score_above", "score_below")))),
         [Assignment(f, draw(values[f])) for f in targets],
     )
+
+
+@st.composite
+def flip_cases(draw):
+    """A dataset, a selector, a decision rule and assignments."""
+    return (_flip_table(draw), *_one_flip(draw))
+
+
+@st.composite
+def shared_key_audits(draw):
+    """A dataset, its codes narrow or int64 (``oracles.widened``), and one
+    to four flips of one audit."""
+    d = _flip_table(draw)
+    return (d, oracles.widened(d) if draw(st.booleans()) else d,
+            [_one_flip(draw) for _ in range(draw(st.integers(1, 4)))])
 
 
 def _flip_outcome(analyse, m, case):
@@ -1054,6 +1104,57 @@ def test_flip_sends_distinct_interleaved_rows_in_first_order(diff_probes, case):
     finally:
         del probe._send
     assert sent == want
+
+
+class _LoggedModel(BuiltinModelHandle):
+    """A builtin model that keeps the JSON text of every row it scores."""
+
+    def __init__(self, spec):
+        super().__init__(spec)
+        self.sent = []
+
+    def score_columns(self, columns, n_rows):
+        order = self.spec.feature_order
+        self.sent.extend(map(json.dumps, zip(*(columns[f].tolist() for f in order))))
+        return super().score_columns(columns, n_rows)
+
+
+def _hex_outcome(analyse, m, d, selector, rule, assignments, **options):
+    """A flip's summary and records, every float by its ``.hex()``, or the
+    message of its ``InsufficientDataError``."""
+    def hexed(value):
+        return value.hex() if isinstance(value, float) else value
+
+    try:
+        summary, records = analyse(m, rule, d, assignments, selector, **options)
+    except InsufficientDataError as exc:
+        return str(exc)
+    return (
+        {name: hexed(value) for name, value in vars(summary).items()},
+        [tuple(hexed(value) for value in vars(r).values()) for r in records],
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(shared_key_audits())
+def test_flips_sharing_a_key_equal_the_every_row_reference(diff_probes, audit):
+    """Each flip of an audit whose flips share one ``FlipKey`` equals the
+    every-row reference's flip, floats bit for bit; over the audit, a model
+    scores each distinct complete row at most once."""
+    d, table, flips = audit
+    complete = np.flatnonzero(d.complete_mask(DIFF_FEATURES))
+    baselines = {json.dumps([d.cell(int(i), f) for f in DIFF_FEATURES]) for i in complete}
+    models = [(_LoggedModel(spec), BuiltinModelHandle(spec)) for spec in DIFF_INNER]
+    models.append((diff_probes[-1], diff_probes[-1]))
+    for m, reference in models:
+        key = FlipKey(m, table)
+        for selector, rule, assignments in flips:
+            want = _hex_outcome(oracles.flip_analysis_reference, reference, d, selector, rule,
+                                assignments)
+            got = _hex_outcome(flip_analysis, m, table, selector, rule, assignments, key=key)
+            assert got == want
+        seen = [row for row in getattr(m, "sent", ()) if row in baselines]
+        assert len(seen) == len(set(seen))
 
 
 class _ProbeHTTPHandler(http.server.BaseHTTPRequestHandler):
